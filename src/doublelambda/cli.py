@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     simulate <command> [--config PATH] [--out DIR] [--format csv|json]
-                       [--svg] [--slabs N] [--omega W] [--noise-model M]
+                       [--svg] [--omega W] [--noise-model M]
 
 Commands: steady, spectrum, sweep, validate, calibrate.  Exit codes:
 0 success, 2 validation failure, 1 error.  SIMULATE_WORKERS sets the sweep
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 import time
 from pathlib import Path
@@ -46,7 +45,6 @@ def _config_dict(cfg: RunConfig) -> dict:
         "grid": list(cfg.grid),
         "omega": cfg.omega,
         "omega_grid": list(cfg.omega_grid),
-        "slabs": cfg.slabs,
         "noise_model": cfg.noise_model,
         "workers": cfg.workers,
         "format": cfg.fmt,
@@ -57,8 +55,7 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
-    common = dict(omega=cfg.omega, slabs=cfg.slabs,
-                  noise_model=cfg.noise_model,
+    common = dict(omega=cfg.omega, noise_model=cfg.noise_model,
                   validate_every=cfg.validate_every)
     if cfg.selector == "custom":
         return ex.SweepSpec(base=cfg.params, axis=cfg.axis,
@@ -124,12 +121,12 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     lin = fl.linearize(gen, state, cfg.params, noise_model=cfg.noise_model)
     rows = []
     for omega in cfg.omega_array():
-        setup = pr.make_setup(lin, cfg.params, omega=float(omega),
-                              slabs=cfg.slabs)
+        setup = pr.make_setup(lin, cfg.params, omega=float(omega))
         res = pr.propagate_covariance(setup, pr.input_covariance(omega=float(omega)))
         duan = duan_v12(res.covariance)
         rows.append({"omega": float(omega), "v12": duan.v12,
-                     "du2": duan.du2, "dv2": duan.dv2})
+                     "du2": duan.du2, "dv2": duan.dv2,
+                     "warnings": list(res.warnings)})
     elapsed = time.perf_counter() - t0
     manifest = io_mod.run_manifest(_config_dict(cfg), {"spectrum": elapsed},
                                    extra={"spectrum": rows})
@@ -192,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--svg", action="store_true", default=None,
                         help="also emit SVG plots")
-    parser.add_argument("--slabs", type=int, default=None)
     parser.add_argument("--omega", type=float, default=None,
                         help="sideband analysis frequency")
     parser.add_argument("--noise-model", choices=fl.NOISE_MODELS, default=None)
@@ -210,14 +206,12 @@ def main(argv=None) -> int:
             overrides["fmt"] = args.format
         if args.svg:
             overrides["svg"] = True
-        if args.slabs is not None:
-            overrides["slabs"] = args.slabs
         if args.omega is not None:
             overrides["omega"] = args.omega
         if args.noise_model is not None:
             overrides["noise_model"] = args.noise_model
-        if "SIMULATE_WORKERS" in os.environ and cfg.workers == 1:
-            overrides["workers"] = max(1, int(os.environ["SIMULATE_WORKERS"]))
+        if cfg.workers == 1:
+            overrides["workers"] = ex.worker_count()
         cfg = dataclasses.replace(cfg, **overrides)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)

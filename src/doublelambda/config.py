@@ -17,13 +17,15 @@ import numpy as np
 from .experiments import AXES, ScalingRule
 from .fluctuations import NOISE_MODELS
 from .params import SystemParams
-from .propagation import DEFAULT_SLABS
 
 COMMANDS = ("steady", "spectrum", "sweep", "validate", "calibrate")
 SELECTORS = ("fig2", "fig2-inset", "fig3", "fig4", "custom")
 FORMATS = ("csv", "json")
 
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
+
+#: keys of the slab-stepped RK4 propagation, rejected with a pointer to why
+RETIRED_KEYS = {"run": ("slabs",), "tolerances": ("slab_convergence",)}
 
 
 class ConfigError(ValueError):
@@ -38,7 +40,6 @@ class Tolerances:
     steady_residual: float = 1e-10
     degeneracy_ratio: float = 1e-8
     response_condition: float = 1e12
-    slab_convergence: float = 1e-6
     dark_activity: float = 1e-12
 
     def as_dict(self) -> dict:
@@ -55,7 +56,6 @@ class RunConfig:
     scalings: tuple = ()
     omega: float = 0.0
     omega_grid: tuple = (0.0, 0.0, 1)  # for the spectrum command
-    slabs: int = DEFAULT_SLABS
     noise_model: str = "einstein"
     workers: int = 1
     out_dir: str = "out"
@@ -167,6 +167,10 @@ def parse_config(text: str) -> RunConfig:
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)
             param_overrides[key] = _parse_float(raw, lineno)
+        elif key in RETIRED_KEYS.get(section, ()):
+            raise ConfigError(
+                f"[{section}] {key} is retired: covariance propagation is "
+                "now closed-form", lineno)
         elif section == "tolerances":
             if key not in Tolerances.__dataclass_fields__:
                 raise ConfigError(f"unknown tolerance {key!r}", lineno)
@@ -184,8 +188,6 @@ def parse_config(text: str) -> RunConfig:
                 if raw not in NOISE_MODELS:
                     raise ConfigError(f"unknown noise model {raw!r}", lineno)
                 run_kv["noise_model"] = raw
-            elif key == "slabs":
-                run_kv["slabs"] = _parse_int(raw, lineno)
             elif key == "workers":
                 run_kv["workers"] = _parse_int(raw, lineno)
             elif key == "omega":
@@ -234,7 +236,6 @@ def render_config(cfg: RunConfig) -> str:
     lines.append(f"command = {cfg.command}")
     lines.append(f"format = {cfg.fmt}")
     lines.append(f"noise_model = {cfg.noise_model}")
-    lines.append(f"slabs = {cfg.slabs}")
     lines.append(f"workers = {cfg.workers}")
     lines.append(f"omega = {cfg.omega!r}")
     og = cfg.omega_grid

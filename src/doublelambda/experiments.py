@@ -60,7 +60,6 @@ class SweepSpec:
     grid: np.ndarray
     scalings: tuple = ()
     omega: float = 0.0
-    slabs: int = pr.DEFAULT_SLABS
     noise_model: str = "einstein"
     validate_every: int = 0  # 0 disables in-sweep cross-validation
 
@@ -127,7 +126,6 @@ class SweepResult:
 
 
 def compute_point(params: SystemParams, omega: float = 0.0,
-                  slabs: int = pr.DEFAULT_SLABS,
                   noise_model: str = "einstein") -> SweepRow:
     """Full single-point pipeline; never raises, failures land in the row."""
     try:
@@ -144,7 +142,7 @@ def compute_point(params: SystemParams, omega: float = 0.0,
                             alpha2=0.0 if params.a2_mean > 0 else None,
                             method=state.method + "+dark-transparent")
         lin = fl.linearize(gen, state, params, noise_model=noise_model)
-        setup = pr.make_setup(lin, params, omega=omega, slabs=slabs)
+        setup = pr.make_setup(lin, params, omega=omega)
         res = pr.propagate_covariance(setup, pr.input_covariance(omega=omega))
         duan = duan_v12(res.covariance)
         return SweepRow(axis_value=np.nan, v12=duan.v12, du2=duan.du2,
@@ -158,7 +156,7 @@ def compute_point(params: SystemParams, omega: float = 0.0,
 def _point_task(args) -> SweepRow:
     spec, axis_value = args
     params = spec.params_at(axis_value)
-    row = compute_point(params, omega=spec.omega, slabs=spec.slabs,
+    row = compute_point(params, omega=spec.omega,
                         noise_model=spec.noise_model)
     return replace(row, axis_value=float(axis_value))
 
@@ -190,7 +188,6 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
         "grid": {"start": float(spec.grid[0]), "stop": float(spec.grid[-1]),
                  "points": int(spec.grid.size)},
         "omega": spec.omega,
-        "slabs": spec.slabs,
         "noise_model": spec.noise_model,
         "scalings": [
             {"param": r.param, "mode": r.mode, "coef": r.coef}

@@ -84,7 +84,6 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
             for key in sorted(params):
                 fh.write(f"# {key} = {params[key]!r}\n")
             fh.write(f"# noise_model = {result.manifest.get('noise_model')}\n")
-            fh.write(f"# slabs = {result.manifest.get('slabs')}\n")
             fh.write(f"# omega = {result.manifest.get('omega')!r}\n")
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(header)
@@ -206,7 +205,6 @@ def emit_plot(result: SweepResult, stem) -> list:
         return f"{value:.6g}" if isinstance(value, (int, float)) else "?"
 
     footer = (f"g={fmt('g')} n0={fmt('n0')} L={fmt('cell_length')} "
-              f"slabs={result.manifest.get('slabs')} "
               f"noise={result.manifest.get('noise_model')}")
     written = []
     v12 = result.column("v12")

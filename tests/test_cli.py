@@ -36,7 +36,6 @@ class TestCommands:
     def test_preset_sweep_json(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[sweep]\nselector = fig4\n")
-        # presets use their canonical grids; keep runtime small via slabs
         code = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path),
                         "--format", "json"])
         assert code == 0
@@ -55,6 +54,24 @@ class TestCommands:
         assert code == 0
         payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert len(payload["spectrum"]) == 3
+        assert all(row["warnings"] == [] for row in payload["spectrum"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spectrum_rows_carry_propagation_warnings(self, tmp_path):
+        # at this density the zero-frequency Raman gain overflows exp(L M):
+        # that row must say so rather than report a bare number, while the
+        # off-resonant sideband propagates cleanly
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nn0 = 3e24\ndelta1 = 0.0\n"
+                       "[run]\nomega_grid = 0.0:1.0:2\n")
+        code = run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(tmp_path)])
+        assert code == 0
+        rows = json.loads((tmp_path / "spectrum.json").read_text())["spectrum"]
+        assert len(rows) == 2
+        assert len(rows[0]["warnings"]) == 1
+        assert "Kronecker residual" in rows[0]["warnings"][0]
+        assert rows[1]["warnings"] == []
 
     def test_calibrate(self, tmp_path, capsys):
         code = run_cli(["calibrate", "--out", str(tmp_path)])
@@ -75,6 +92,21 @@ class TestCommands:
         manifest = json.loads(
             (tmp_path / "sweep_delta1_manifest.json").read_text())
         assert manifest["config"]["noise_model"] == "vacuum-reservoir"
+
+    def test_malformed_worker_count_falls_back_to_one(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("SIMULATE_WORKERS", "abc")
+        code = run_cli(["sweep", "--out", str(tmp_path),
+                        "--config", str(_mini(tmp_path))])
+        assert code == 0
+        manifest = json.loads(
+            (tmp_path / "sweep_delta1_manifest.json").read_text())
+        assert manifest["config"]["workers"] == 1
+
+    def test_slabs_flag_retired(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--out", str(tmp_path), "--slabs", "200"])
+        assert exc.value.code == 2
 
 
 def _mini(tmp_path):

@@ -66,7 +66,6 @@ class TestConfigParsing:
 [run]
 command = validate
 format = json
-slabs = 300
 omega = 0.25
 svg = true
 noise_model = vacuum-reservoir
@@ -80,7 +79,6 @@ scalings = n0=base*axis; gamma0=0.001*axis
         cfg = parse_config(text)
         assert cfg.command == "validate"
         assert cfg.fmt == "json"
-        assert cfg.slabs == 300
         assert cfg.omega == 0.25
         assert cfg.svg is True
         assert cfg.noise_model == "vacuum-reservoir"
@@ -91,9 +89,19 @@ scalings = n0=base*axis; gamma0=0.001*axis
         assert cfg.scalings[1].coef == 0.001
 
     def test_tolerance_override_preserved(self):
-        cfg = parse_config("[tolerances]\nslab_convergence = 2.5e-7\n")
-        assert cfg.tolerances.slab_convergence == 2.5e-7
+        cfg = parse_config("[tolerances]\ndegeneracy_ratio = 2.5e-7\n")
+        assert cfg.tolerances.degeneracy_ratio == 2.5e-7
         assert cfg.tolerances.steady_residual == Tolerances().steady_residual
+
+    @pytest.mark.parametrize("text, line", [
+        ("[run]\ncommand = sweep\nslabs = 200\n", 3),
+        ("[params]\ng = 0.3\n\n[tolerances]\nslab_convergence = 1e-6\n", 5),
+    ], ids=["run-slabs", "tolerances-slab_convergence"])
+    def test_retired_slab_keys_rejected(self, text, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert f"line {line}" in str(err.value)
+        assert "closed-form" in str(err.value)
 
     def test_roundtrip_fixed_point(self):
         text = """
@@ -102,14 +110,14 @@ delta1 = -0.75
 g = 0.31
 [run]
 command = sweep
-slabs = 250
+workers = 2
 [sweep]
 selector = custom
 axis = p
 grid = 0.0:1.0:11
 scalings = n0=base*axis
 [tolerances]
-slab_convergence = 1e-7
+degeneracy_ratio = 1e-7
 """
         cfg1 = parse_config(text)
         printed = render_config(cfg1)
@@ -223,7 +231,7 @@ class TestManifest:
         assert loaded["package"] == "doublelambda"
 
     def test_identical_runs_differ_only_in_timing(self):
-        cfg = {"command": "sweep", "tolerances": {"slab_convergence": 2e-7}}
+        cfg = {"command": "sweep", "tolerances": {"degeneracy_ratio": 2e-7}}
         m1 = run_manifest(cfg, {"sweep": 1.0})
         m2 = run_manifest(cfg, {"sweep": 2.0})
         for key in m1:
@@ -231,4 +239,4 @@ class TestManifest:
                 continue
             assert m1[key] == m2[key]
         # overridden tolerance appears verbatim
-        assert m1["config"]["tolerances"]["slab_convergence"] == 2e-7
+        assert m1["config"]["tolerances"]["degeneracy_ratio"] == 2e-7

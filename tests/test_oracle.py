@@ -151,6 +151,7 @@ class TestCrossValidate:
         report = cross_validate(defaults)
         payload = report.as_dict()
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 7
+        assert len(payload["checks"]) == 8
         names = {c["name"] for c in payload["checks"]}
         assert "commutator preservation" in names
+        assert "propagation: closed form vs RK4" in names

@@ -1,21 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from doublelambda import SystemParams
 from doublelambda.atom import build_generator
-from doublelambda.entanglement import duan_v12
 from doublelambda.fluctuations import linearize
-from doublelambda.propagation import (PropagationSetup, input_covariance,
-                                      make_setup, propagate_covariance)
+from doublelambda.oracle import rk4_covariance
+from doublelambda.propagation import (SELF_CHECK_TOL, PropagationSetup,
+                                      input_covariance, make_setup,
+                                      propagate_covariance)
 from doublelambda.steady import solve_steady_state
 from conftest import random_params
 
 
-def pipeline(params, **kw):
+def pipeline(params, noise_model="einstein", **kw):
     gen = build_generator(params)
     state = solve_steady_state(gen, params)
-    lin = linearize(gen, state, params)
+    lin = linearize(gen, state, params, noise_model=noise_model)
     return make_setup(lin, params, **kw)
+
+
+def boosted(setup, boost):
+    """The same medium with the transfer generator scaled by `boost`."""
+    return replace(setup, m=setup.m * boost, m_minus=setup.m_minus * boost)
 
 
 class TestTransferMatrix:
@@ -86,10 +94,7 @@ class TestInputCovariance:
 
 class TestPropagation:
     def test_zero_length_identity(self, defaults):
-        setup = pipeline(defaults)
-        setup = PropagationSetup(chi1=setup.chi1, chi2=setup.chi2, m=setup.m,
-                                 m_minus=setup.m_minus, nfield=setup.nfield,
-                                 cell_length=0.0, slabs=setup.slabs)
+        setup = replace(pipeline(defaults), cell_length=0.0)
         res = propagate_covariance(setup, input_covariance())
         assert np.array_equal(res.covariance.c, input_covariance().c)
 
@@ -101,33 +106,53 @@ class TestPropagation:
         res = propagate_covariance(setup, cin)
         assert np.array_equal(res.covariance.c, cin.c)
 
-    def test_slab_convergence_at_reference_point(self, defaults):
-        setup200 = pipeline(defaults, slabs=200)
-        setup400 = pipeline(defaults, slabs=400)
-        v200 = duan_v12(propagate_covariance(setup200, input_covariance(),
-                                             convergence_check=False).covariance)
-        v400 = duan_v12(propagate_covariance(setup400, input_covariance(),
-                                             convergence_check=False).covariance)
-        assert abs(v200.v12 - v400.v12) < 1e-4
+    def test_closed_form_matches_rk4_oracle(self, defaults, rng):
+        points = [defaults] + [random_params(rng, with_fields=True)
+                               for _ in range(8)]
+        for p in points:
+            for noise_model in ("einstein", "vacuum-reservoir"):
+                for omega in (0.0, 0.5):
+                    setup = pipeline(p, noise_model=noise_model, omega=omega)
+                    cin = input_covariance(omega=omega)
+                    closed = propagate_covariance(setup, cin).covariance.c
+                    for slabs in (200, 400):
+                        rk4 = rk4_covariance(setup, cin, slabs=slabs)
+                        assert np.max(np.abs(closed - rk4)) <= 1e-10, (
+                            p, noise_model, omega, slabs)
+
+    def test_semigroup_over_half_cells(self, defaults):
+        setup = pipeline(defaults, omega=0.5)
+        half = replace(setup, cell_length=setup.cell_length / 2)
+        cin = input_covariance("thermal", nbar=0.3, omega=0.5)
+        full = propagate_covariance(setup, cin).covariance
+        mid = propagate_covariance(half, cin).covariance
+        twice = propagate_covariance(half, mid).covariance
+        assert np.max(np.abs(twice.c - full.c)) <= 1e-12
 
     def test_convergence_metadata(self, defaults):
         res = propagate_covariance(pipeline(defaults), input_covariance())
         assert res.converged
-        assert res.doubling_change < 1e-6
+        assert res.residual < SELF_CHECK_TOL
+        assert res.slabs == 0
         assert res.warnings == ()
 
-    def test_insufficient_slabs_flagged(self, defaults):
-        setup = pipeline(defaults, slabs=1)
-        # amplify the generator so one slab is visibly under-resolved
-        boost = 2e6
-        strong = PropagationSetup(chi1=setup.chi1, chi2=setup.chi2,
-                                  m=setup.m * boost,
-                                  m_minus=setup.m_minus * boost,
-                                  nfield=setup.nfield, cell_length=0.06,
-                                  slabs=1)
+    def test_boosted_generator_stays_exact(self, defaults):
+        # a generator far too stiff for one RK4 slab is still solved exactly
+        strong = boosted(pipeline(defaults), 2e6)
         res = propagate_covariance(strong, input_covariance())
+        assert res.converged and res.warnings == ()
+        rk4 = rk4_covariance(strong, input_covariance(), slabs=4000)
+        assert np.max(np.abs(res.covariance.c - rk4)) < 1e-12
+
+    def test_self_check_flags_overflowing_gain(self):
+        # away from the doublet midpoint the medium has Raman gain; boosted,
+        # exp(L M) overflows and the result must be flagged, not returned bare
+        setup = boosted(pipeline(SystemParams(delta1=0.0)), 1e8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = propagate_covariance(setup, input_covariance())
         assert not res.converged
-        assert res.warnings
+        assert len(res.warnings) == 1
+        assert "Kronecker residual" in res.warnings[0]
 
     def test_commutator_preserved_at_defaults(self, defaults):
         res = propagate_covariance(pipeline(defaults), input_covariance())
@@ -157,4 +182,4 @@ class TestPropagation:
 
     def test_invalid_slab_count(self, defaults):
         with pytest.raises(ValueError):
-            pipeline(defaults, slabs=0)
+            rk4_covariance(pipeline(defaults), input_covariance(), slabs=0)
