@@ -6,6 +6,12 @@ the two channels ending on the same final state dissipate with a correlated
 2x2 rate matrix whose off-diagonal element carries the dipole alignment
 parameter p; those cross terms are what generate the interference coherences
 between levels 2 and 4.
+
+The master equation is affine in the two detunings, the four field
+amplitudes and every rate-matrix entry.  The fixed Hamiltonian operators and
+jump-operator groups below are therefore turned into superoperators once, at
+import, and every generator is a contraction of that basis with the
+parameter-dependent coefficients.
 """
 
 from __future__ import annotations
@@ -52,28 +58,84 @@ def build_rate_matrices(params: SystemParams) -> RateMatrices:
                         dephasing_rate=params.gamma_phi)
 
 
+#: H / hbar = sum_k c_k H_k with c = (delta1, delta2, g a1, g a1+, g a2, g a2+).
+#: Levels (1, 2, 3, 4) sit at (0, -delta2, 0, -delta1): level 3 is at zero
+#: because two-photon resonance is enforced identically.  Field 1 drives 1-4
+#: and 1-2, field 2 drives 3-4 and 3-2 (equal dipoles).
+HAMILTONIAN_OPERATORS = -np.array([
+    BASIS.sigma(4, 4),
+    BASIS.sigma(2, 2),
+    BASIS.sigma(4, 1) + BASIS.sigma(2, 1),
+    BASIS.sigma(1, 4) + BASIS.sigma(1, 2),
+    BASIS.sigma(4, 3) + BASIS.sigma(2, 3),
+    BASIS.sigma(3, 4) + BASIS.sigma(3, 2),
+])
+
+#: dH/d(g v_k) for the field amplitudes v = (a1, a1+, a2, a2+)
+FIELD_OPERATORS = HAMILTONIAN_OPERATORS[2:]
+
+#: Jump-operator groups; within a group the operators dissipate jointly with
+#: one rate matrix G: D(rho) = sum_mn G_mn (L_m rho L_n^+ - {L_n^+ L_m, rho}/2).
+#: The first two are the radiative groups (upper doublet -> level 1, -> 3),
+#: then the 1->3 and 3->1 exchange and the 1-3 dephasing.
+JUMP_GROUPS = (
+    (BASIS.sigma(1, 4), BASIS.sigma(1, 2)),
+    (BASIS.sigma(3, 4), BASIS.sigma(3, 2)),
+    (BASIS.sigma(1, 3),),
+    (BASIS.sigma(3, 1),),
+    (BASIS.sigma(1, 1) - BASIS.sigma(3, 3),),
+)
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Superoperator of -i[h, rho] on row-major vec(rho)."""
+    return -1j * (np.kron(h, I4) - np.kron(I4, h.T))
+
+
+def _dissipator(lm: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """Superoperator of L_m rho L_n^+ - {L_n^+ L_m, rho}/2 on row-major vec(rho)."""
+    lnd_lm = ln.conj().T @ lm
+    return (np.kron(lm, ln.conj()) - 0.5 * np.kron(lnd_lm, I4)
+            - 0.5 * np.kron(I4, lnd_lm.T))
+
+
+#: one superoperator per Hamiltonian coefficient, and one per rate-matrix
+#: entry (group by group, (m, n) row-major to match gmat.ravel())
+COHERENT_BASIS = np.array([_commutator(h) for h in HAMILTONIAN_OPERATORS])
+DISSIPATOR_BASIS = np.array([_dissipator(lm, ln) for ops in JUMP_GROUPS
+                             for lm in ops for ln in ops])
+#: the four field commutator superoperators, in the order of FIELD_OPERATORS
+FIELD_SUPEROPERATORS = COHERENT_BASIS[2:]
+
+
+def _hamiltonian_coefficients(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
+    """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS)."""
+    g = params.g
+    return np.array([params.delta1, params.delta2,
+                     g * a1, g * a1d, g * a2, g * a2d])
+
+
+def _group_rates(params: SystemParams) -> tuple:
+    """Rate matrix of each JUMP_GROUPS entry, in order."""
+    rm = build_rate_matrices(params)
+    exchange = np.array([[rm.exchange_rate]])
+    # L = sigma_11 - sigma_33 at rate gamma_phi/2 adds exactly gamma_phi to
+    # the 1-3 coherence decay
+    dephasing = np.array([[rm.dephasing_rate / 2.0]])
+    return (rm.gamma_to_1, rm.gamma_to_3, exchange, exchange, dephasing)
+
+
+def _dissipative_part(rates: tuple) -> np.ndarray:
+    """Dissipator of the leading len(rates) groups of JUMP_GROUPS."""
+    coeffs = np.concatenate([gmat.ravel() for gmat in rates])
+    return np.tensordot(coeffs, DISSIPATOR_BASIS[:coeffs.size], 1)
+
+
 def hamiltonian_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     """Rotating-frame Hamiltonian / hbar with the four field amplitudes as
-    independent c-numbers (non-Hermitian unless a1d = conj(a1) etc.).
-
-    Diagonal: levels (1, 2, 3, 4) at (0, -delta2, 0, -delta1).  Level 3 sits
-    at zero because two-photon resonance is enforced identically; the raw
-    level-3 coefficient is the two-photon detuning, which vanishes here.
-    """
-    h = np.zeros((4, 4), dtype=complex)
-    h[1, 1] = -params.delta2
-    h[3, 3] = -params.delta1
-    g = params.g
-    # field 1 on 1-4 and 1-2, field 2 on 3-4 and 3-2 (equal dipoles)
-    h[3, 0] += -g * a1
-    h[1, 0] += -g * a1
-    h[0, 3] += -g * a1d
-    h[0, 1] += -g * a1d
-    h[3, 2] += -g * a2
-    h[1, 2] += -g * a2
-    h[2, 3] += -g * a2d
-    h[2, 1] += -g * a2d
-    return h
+    independent c-numbers (non-Hermitian unless a1d = conj(a1) etc.)."""
+    coeffs = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
+    return np.tensordot(coeffs, HAMILTONIAN_OPERATORS, 1)
 
 
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
@@ -83,43 +145,15 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
 
 
 def dissipation_channels(params: SystemParams) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """Jump-operator groups with their rate matrices.
-
-    Each entry is (operators, rate_matrix); within a group the operators
-    dissipate jointly: D(rho) = sum_mn G_mn (L_m rho L_n^+ - {L_n^+ L_m, rho}/2).
-    """
-    rm = build_rate_matrices(params)
-    sig = BASIS.sigma
-    groups = [
-        ([sig(1, 4), sig(1, 2)], rm.gamma_to_1),
-        ([sig(3, 4), sig(3, 2)], rm.gamma_to_3),
-    ]
-    if rm.exchange_rate > 0:
-        groups.append(([sig(1, 3)], np.array([[rm.exchange_rate]])))
-        groups.append(([sig(3, 1)], np.array([[rm.exchange_rate]])))
-    if rm.dephasing_rate > 0:
-        # L = sigma_11 - sigma_33 at rate gamma_phi/2 adds exactly gamma_phi
-        # to the 1-3 coherence decay.
-        groups.append(([sig(1, 1) - sig(3, 3)],
-                       np.array([[rm.dephasing_rate / 2.0]])))
-    return groups
+    """Jump-operator groups with a nonzero rate matrix, as (operators, rate_matrix)."""
+    return [(list(ops), gmat)
+            for ops, gmat in zip(JUMP_GROUPS, _group_rates(params))
+            if np.any(gmat)]
 
 
-def _liouvillian_matrix(h: np.ndarray,
-                        channels: list[tuple[list[np.ndarray], np.ndarray]]) -> np.ndarray:
-    """Superoperator of rho' = -i[H, rho] + D(rho) on row-major vec(rho)."""
-    lmat = -1j * (np.kron(h, I4) - np.kron(I4, h.T))
-    for ops, gmat in channels:
-        for m, lm in enumerate(ops):
-            for n, ln in enumerate(ops):
-                rate = gmat[m, n]
-                if rate == 0:
-                    continue
-                lnd_lm = ln.conj().T @ lm
-                lmat += rate * (np.kron(lm, ln.conj())
-                                - 0.5 * np.kron(lnd_lm, I4)
-                                - 0.5 * np.kron(I4, lnd_lm.T))
-    return lmat
+def radiative_dissipator(params: SystemParams) -> np.ndarray:
+    """Dissipator of the two spontaneous-emission groups alone."""
+    return _dissipative_part(_group_rates(params)[:2])
 
 
 @dataclass(frozen=True)
@@ -127,12 +161,13 @@ class Generator:
     """Liouvillian of the model in both pictures.
 
     matrix acts on row-major vec(rho); adjoint propagates the expectation
-    vector <sigma_ij> in the canonical AtomicBasis ordering.
+    vector <sigma_ij> in the canonical AtomicBasis ordering; coherent is the
+    Hamiltonian part -i[H, .] of matrix.
     """
 
     matrix: np.ndarray
     adjoint: np.ndarray
-    hamiltonian: np.ndarray
+    coherent: np.ndarray
     channels: list
     params: SystemParams
 
@@ -144,26 +179,31 @@ class Generator:
         return (self.matrix.conj().T @ x.reshape(16)).reshape(4, 4)
 
 
+def _liouvillian(params: SystemParams, a1, a1d, a2, a2d) -> tuple[np.ndarray, np.ndarray]:
+    """(coherent part, full Liouvillian) as contractions of the fixed basis."""
+    coeffs = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
+    coherent = np.tensordot(coeffs, COHERENT_BASIS, 1)
+    return coherent, coherent + _dissipative_part(_group_rates(params))
+
+
 def generator_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     """Liouvillian matrix with the fields frozen at arbitrary c-numbers.
 
     The master equation is linear in each field amplitude, so this is the
     exact mean-field evolution map used for the field-coupling columns.
     """
-    h = hamiltonian_with_fields(params, a1, a1d, a2, a2d)
-    return _liouvillian_matrix(h, dissipation_channels(params))
+    return _liouvillian(params, a1, a1d, a2, a2d)[1]
 
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
-    h = build_hamiltonian(params)
-    channels = dissipation_channels(params)
-    lmat = _liouvillian_matrix(h, channels)
+    a1, a2 = params.a1_mean, params.a2_mean
+    coherent, lmat = _liouvillian(params, a1, a1, a2, a2)
     # Heisenberg drift in basis order: <sigma_ij> = rho_ji, so the adjoint
     # matrix is the Schroedinger one conjugated by the index-swap permutation.
     adjoint = BASIS.swap @ lmat @ BASIS.swap
-    return Generator(matrix=lmat, adjoint=adjoint, hamiltonian=h,
-                     channels=channels, params=params)
+    return Generator(matrix=lmat, adjoint=adjoint, coherent=coherent,
+                     channels=dissipation_channels(params), params=params)
 
 
 def dissipative_activity(gen: Generator, rho: np.ndarray) -> float:

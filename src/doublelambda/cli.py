@@ -50,7 +50,6 @@ def _config_dict(cfg: RunConfig) -> dict:
         "format": cfg.fmt,
         "svg": cfg.svg,
         "validate_every": cfg.validate_every,
-        "tolerances": cfg.tolerances.as_dict(),
     }
 
 
@@ -61,18 +60,13 @@ def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
         return ex.SweepSpec(base=cfg.params, axis=cfg.axis,
                             grid=cfg.grid_array(), scalings=cfg.scalings,
                             **common)
-    make_spec, _ = ex.SWEEP_SELECTORS[cfg.selector]
-    return make_spec(cfg.params, **common)
+    return ex.SWEEP_SELECTORS[cfg.selector](cfg.params, **common)
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     spec = _sweep_spec(cfg)
-    if cfg.selector == "custom":
-        runner = ex.run_sweep
-    else:
-        _, runner = ex.SWEEP_SELECTORS[cfg.selector]
-    result = runner(spec, workers=cfg.workers)
+    result = ex.run_sweep(spec, workers=cfg.workers)
     elapsed = time.perf_counter() - t0
     name = cfg.selector if cfg.selector != "custom" else f"sweep_{spec.axis}"
     table = out / f"{name}.{cfg.fmt}"

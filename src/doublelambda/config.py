@@ -1,10 +1,9 @@
 """Run configuration: strict sectioned key = value files.
 
 Sections: [params] (physical constants), [run] (command, integration and
-output options), [sweep] (selector, axis, grid, scalings), [tolerances]
-(numerical guard overrides).  Unknown sections or keys are rejected with the
-offending line number, as are malformed numbers and physically invalid
-parameter combinations.
+output options), [sweep] (selector, axis, grid, scalings).  Unknown sections
+or keys are rejected with the offending line number, as are malformed
+numbers, physically invalid parameter combinations and retired keys.
 """
 
 from __future__ import annotations
@@ -24,8 +23,18 @@ FORMATS = ("csv", "json")
 
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
 
-#: keys of the slab-stepped RK4 propagation, rejected with a pointer to why
-RETIRED_KEYS = {"run": ("slabs",), "tolerances": ("slab_convergence",)}
+_CLOSED_FORM = "covariance propagation is now closed-form"
+_FIXED_GUARD = "the numerical guards are fixed constants of the solvers"
+
+#: retired keys by section, each rejected with the reason it went away
+RETIRED_KEYS = {
+    "run": {"slabs": _CLOSED_FORM},
+    "tolerances": {"slab_convergence": _CLOSED_FORM,
+                   "steady_residual": _FIXED_GUARD,
+                   "degeneracy_ratio": _FIXED_GUARD,
+                   "response_condition": _FIXED_GUARD,
+                   "dark_activity": _FIXED_GUARD},
+}
 
 
 class ConfigError(ValueError):
@@ -33,17 +42,6 @@ class ConfigError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    steady_residual: float = 1e-10
-    degeneracy_ratio: float = 1e-8
-    response_condition: float = 1e12
-    dark_activity: float = 1e-12
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class RunConfig:
     fmt: str = "csv"
     svg: bool = False
     validate_every: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def grid_array(self) -> np.ndarray:
         start, stop, points = self.grid
@@ -145,7 +142,6 @@ def parse_config(text: str) -> RunConfig:
     param_overrides: dict = {}
     run_kv: dict = {}
     sweep_kv: dict = {}
-    tol_overrides: dict = {}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
@@ -153,7 +149,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in ("params", "run", "sweep", "tolerances"):
+            if section not in ("params", "run", "sweep", *RETIRED_KEYS):
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -167,14 +163,9 @@ def parse_config(text: str) -> RunConfig:
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)
             param_overrides[key] = _parse_float(raw, lineno)
-        elif key in RETIRED_KEYS.get(section, ()):
-            raise ConfigError(
-                f"[{section}] {key} is retired: covariance propagation is "
-                "now closed-form", lineno)
-        elif section == "tolerances":
-            if key not in Tolerances.__dataclass_fields__:
-                raise ConfigError(f"unknown tolerance {key!r}", lineno)
-            tol_overrides[key] = _parse_float(raw, lineno)
+        elif key in RETIRED_KEYS.get(section, {}):
+            raise ConfigError(f"[{section}] {key} is retired: "
+                              f"{RETIRED_KEYS[section][key]}", lineno)
         elif section == "run":
             if key == "command":
                 if raw not in COMMANDS:
@@ -217,13 +208,14 @@ def parse_config(text: str) -> RunConfig:
                 sweep_kv["scalings"] = _parse_scalings(raw, lineno)
             else:
                 raise ConfigError(f"unknown sweep option {key!r}", lineno)
+        else:
+            raise ConfigError(
+                f"unknown option {key!r} in retired section [{section}]", lineno)
     try:
         params = SystemParams(**param_overrides)
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}")
-    tolerances = Tolerances(**tol_overrides)
-    return RunConfig(params=params, tolerances=tolerances,
-                     **run_kv, **sweep_kv)
+    return RunConfig(params=params, **run_kv, **sweep_kv)
 
 
 def render_config(cfg: RunConfig) -> str:
@@ -259,8 +251,4 @@ def render_config(cfg: RunConfig) -> str:
             else:
                 chunks.append(f"{r.param}={r.coef!r}")
         lines.append(f"scalings = {'; '.join(chunks)}")
-    lines.append("")
-    lines.append("[tolerances]")
-    for key, value in cfg.tolerances.as_dict().items():
-        lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"

@@ -246,37 +246,12 @@ def dephasing_spec(base: SystemParams, points: int = 201,
                      grid=np.linspace(0.0, hi, points), **kw)
 
 
-def run_detuning_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
-    if spec.axis not in ("delta1", "p"):
-        raise ValueError("detuning sweep expects axis delta1 (or p for the inset)")
-    return run_sweep(spec, workers)
-
-
-def run_amplitude_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
-    if spec.axis != "amplitude":
-        raise ValueError("amplitude sweep expects axis=amplitude")
-    return run_sweep(spec, workers)
-
-
-def run_dephasing_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
-    if spec.axis != "gamma0":
-        raise ValueError("dephasing sweep expects axis=gamma0")
-    return run_sweep(spec, workers)
-
-
-def run_alignment_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
-    if spec.axis != "p":
-        raise ValueError("alignment sweep expects axis=p")
-    if np.any(spec.grid < 0) or np.any(spec.grid > 1):
-        raise ValueError("alignment grid must lie in [0, 1]")
-    return run_sweep(spec, workers)
-
-
+#: figure selector -> spec builder; every selector runs through run_sweep
 SWEEP_SELECTORS = {
-    "fig2": (detuning_spec, run_detuning_sweep),
-    "fig2-inset": (alignment_spec, run_alignment_sweep),
-    "fig3": (amplitude_spec, run_amplitude_sweep),
-    "fig4": (dephasing_spec, run_dephasing_sweep),
+    "fig2": detuning_spec,
+    "fig2-inset": alignment_spec,
+    "fig3": amplitude_spec,
+    "fig4": dephasing_spec,
 }
 
 

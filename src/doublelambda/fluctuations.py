@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import Generator
+from .atom import FIELD_SUPEROPERATORS, Generator, radiative_dissipator
 from .params import BASIS, SystemParams
 from .steady import AtomState
 
@@ -89,22 +89,9 @@ def field_coupling_matrix(gen: Generator, state: AtomState,
     steady-state expectation vector; equivalently the expectation of
     i[dH/dv_k, sigma_mu].
     """
-    g = params.g
-    sig = BASIS.sigma
-    # dH/dv_k for v = (a1, a1+, a2, a2+)
-    dh = [
-        -g * (sig(4, 1) + sig(2, 1)),
-        -g * (sig(1, 4) + sig(1, 2)),
-        -g * (sig(4, 3) + sig(2, 3)),
-        -g * (sig(3, 4) + sig(3, 2)),
-    ]
-    rho = state.rho
-    b_full = np.zeros((16, 4), dtype=complex)
-    for k, h_k in enumerate(dh):
-        comm = np.einsum("kl,mln->mkn", h_k, BASIS.sigmas) \
-            - np.einsum("mkl,ln->mkn", BASIS.sigmas, h_k)
-        b_full[:, k] = 1j * np.einsum("kl,mlk->m", rho, comm)
-    return EMBED.T @ b_full
+    # column k is <sigma_mu> in the state -i[dH/dv_k, rho]
+    b_full = params.g * (FIELD_SUPEROPERATORS @ state.rho.reshape(16)).T
+    return EMBED.T @ BASIS.swap @ b_full
 
 
 def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
@@ -116,9 +103,7 @@ def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
     that cancellation is asserted here as a construction check.
     """
     d_full = _einstein_diffusion(gen.matrix, state.rho)
-    ham_only = -1j * (np.kron(gen.hamiltonian, np.eye(4))
-                      - np.kron(np.eye(4), gen.hamiltonian.T))
-    resid = np.max(np.abs(_einstein_diffusion(ham_only, state.rho)))
+    resid = np.max(np.abs(_einstein_diffusion(gen.coherent, state.rho)))
     if resid > 1e-10:
         raise ResponseError(
             f"Hamiltonian part leaked into the diffusion matrix: {resid:.2e}")
@@ -133,24 +118,8 @@ def diffusion_matrix_vacuum_reservoir(gen: Generator, state: AtomState) -> np.nd
     radiative reservoir is quantized; it does not preserve the field
     commutators exactly (the deficit is the dropped collisional noise).
     """
-    lmat = _liouvillian_of_channels(gen.channels[:2])
+    lmat = radiative_dissipator(gen.params)
     return EMBED.T @ _einstein_diffusion(lmat, state.rho) @ EMBED
-
-
-def _liouvillian_of_channels(channels) -> np.ndarray:
-    i4 = np.eye(4, dtype=complex)
-    lmat = np.zeros((16, 16), dtype=complex)
-    for ops, gmat in channels:
-        for m, lm in enumerate(ops):
-            for n, ln in enumerate(ops):
-                rate = gmat[m, n]
-                if rate == 0:
-                    continue
-                lnd_lm = ln.conj().T @ lm
-                lmat += rate * (np.kron(lm, ln.conj())
-                                - 0.5 * np.kron(lnd_lm, i4)
-                                - 0.5 * np.kron(i4, lnd_lm.T))
-    return lmat
 
 
 def _einstein_diffusion(lmat: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -36,6 +36,16 @@ class EvolutionResult:
         return self.states[-1]
 
 
+def _taylor_step(ldt: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of x' = L x over dt, given ldt = L dt.
+
+    On a linear system RK4 is exactly the 4th-order Taylor polynomial of
+    the exponential.
+    """
+    return (np.eye(16) + ldt + ldt @ ldt / 2.0
+            + ldt @ ldt @ ldt / 6.0 + ldt @ ldt @ ldt @ ldt / 24.0)
+
+
 def time_evolve(gen: Generator, rho0: np.ndarray, t_final: float, dt: float,
                 sample_every: int = 100) -> EvolutionResult:
     """Fixed-step 4th-order integration of rho' = L(rho).
@@ -50,11 +60,7 @@ def time_evolve(gen: Generator, rho0: np.ndarray, t_final: float, dt: float,
             f"dt too large: dt*||L|| = {dt * lnorm:.3f} >= 0.1; "
             f"use dt < {0.1 / lnorm:.2e}")
     n_steps = max(1, int(round(t_final / dt)))
-    # classical RK4 on a linear system is exactly the 4th-order Taylor
-    # polynomial of the exponential, applied once per step
-    ldt = lmat * dt
-    step = (np.eye(16) + ldt + ldt @ ldt / 2.0
-            + ldt @ ldt @ ldt / 6.0 + ldt @ ldt @ ldt @ ldt / 24.0)
+    step = _taylor_step(lmat * dt)
     x = rho0.reshape(16).astype(complex)
     times = [0.0]
     states = [rho0.astype(complex).copy()]
@@ -97,9 +103,7 @@ def regression_covariance(gen: Generator, state: AtomState, tau: float,
     y = init.reshape(16, 16).T.copy()  # vec index x nu
     if tau > 0:
         n_steps = max(1, int(round(tau / dt)))
-        ldt = lmat * (tau / n_steps)
-        step = (np.eye(16) + ldt + ldt @ ldt / 2.0
-                + ldt @ ldt @ ldt / 6.0 + ldt @ ldt @ ldt @ ldt / 24.0)
+        step = _taylor_step(lmat * (tau / n_steps))
         for _ in range(n_steps):
             y = step @ y
     evolved = y.T.reshape(16, 4, 4)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm
 
+from .atom import FIELD_OPERATORS
 from .fluctuations import EMBED, LinearizedSystem, atomic_response
-from .params import BASIS, SPEED_OF_LIGHT, SystemParams
+from .params import SPEED_OF_LIGHT, SystemParams
 
 #: bound on the relative disagreement between the propagator block of the
 #: augmented exponential and the Kronecker product of the two 4x4 exponentials
@@ -24,19 +25,10 @@ SELF_CHECK_TOL = 1e-10
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
 
-
-def _selector() -> np.ndarray:
-    """4 x 16 selector of the coherence sums sourcing the field equations."""
-    s = np.zeros((4, 16))
-    idx = BASIS.index
-    s[0, idx(1, 4)] = s[0, idx(1, 2)] = 1.0
-    s[1, idx(4, 1)] = s[1, idx(2, 1)] = 1.0
-    s[2, idx(3, 4)] = s[2, idx(3, 2)] = 1.0
-    s[3, idx(4, 3)] = s[3, idx(2, 3)] = 1.0
-    return s
-
-
-SELECTOR = _selector() @ EMBED  # 4 x 15, traceless coordinates
+#: 4 x 15 selector of the coherence sums sourcing the field equations, in
+#: traceless coordinates: field k is driven by the transpose of -dH/dv_k,
+#: e.g. sigma_14 + sigma_12 for a1
+SELECTOR = -FIELD_OPERATORS.transpose(0, 2, 1).reshape(4, 16).real @ EMBED
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,7 @@ from doublelambda import SystemParams
 from doublelambda.atom import build_generator
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       compute_point, dephasing_spec,
-                                      detuning_spec, run_alignment_sweep,
-                                      run_amplitude_sweep, run_dephasing_sweep,
-                                      run_detuning_sweep)
+                                      detuning_spec, run_sweep)
 from doublelambda.fluctuations import EMBED, linearize
 from doublelambda.oracle import (cross_validate, lyapunov_covariance,
                                  regression_covariance)
@@ -175,7 +173,7 @@ def test_criterion_06_detuning_profile():
 
 def test_criterion_07_alignment_profile():
     spec = alignment_spec(SystemParams(), points=21)
-    result = run_alignment_sweep(spec)
+    result = run_sweep(spec)
     v = result.column("v12")
     ok = v[0] >= 3.8 and bool(np.all(np.diff(v) < 0))
     record(7, ok, f"V12(p=0) = {v[0]:.4f} (required >= 3.8), strictly "
@@ -191,7 +189,7 @@ def test_criterion_07_alignment_profile():
     "than dips with gamma13"))
 def test_criterion_08_dephasing_profile():
     spec = dephasing_spec(SystemParams(), points=41, hi=0.005)
-    result = run_dephasing_sweep(spec)
+    result = run_sweep(spec)
     v = result.column("v12")
     at_zero = v[0]
     interior_min = float(np.min(v[1:]))
@@ -209,7 +207,7 @@ def test_criterion_08_dephasing_profile():
     "V12 stays at the separability bound plus excess noise"))
 def test_criterion_09_amplitude_profile():
     spec = amplitude_spec(SystemParams(), points=41, variant="a")
-    result = run_amplitude_sweep(spec)
+    result = run_sweep(spec)
     v = result.column("v12")
     imin = int(np.argmin(v))
     interior = 0 < imin < len(v) - 1
@@ -223,7 +221,7 @@ def test_criterion_09_amplitude_profile():
 
 def test_criterion_10_absorption_monotone():
     spec = amplitude_spec(SystemParams(), points=41, variant="b")
-    result = run_amplitude_sweep(spec)
+    result = run_sweep(spec)
     a1 = result.column("alpha1")
     a2 = result.column("alpha2")
     ok = bool(np.all(np.diff(a1) < 0) and np.all(np.diff(a2) < 0))
@@ -236,8 +234,7 @@ def test_criterion_10_absorption_monotone():
 
 def test_criterion_11_performance():
     t0 = time.perf_counter()
-    result = run_detuning_sweep(detuning_spec(SystemParams(), points=201),
-                                workers=1)
+    result = run_sweep(detuning_spec(SystemParams(), points=201), workers=1)
     sweep_time = time.perf_counter() - t0
     assert not any(r.failed for r in result.rows)
     t1 = time.perf_counter()

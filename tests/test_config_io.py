@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from doublelambda.config import (ConfigError, Tolerances, parse_config,
-                                 render_config)
-from doublelambda.experiments import detuning_spec, run_detuning_sweep
+from doublelambda.config import ConfigError, parse_config, render_config
+from doublelambda.experiments import detuning_spec, run_sweep
 from doublelambda.io import (emit_plot, read_results_json, run_manifest,
                              write_manifest, write_results)
 from doublelambda.params import SystemParams
@@ -14,7 +13,7 @@ from doublelambda.params import SystemParams
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    return run_detuning_sweep(detuning_spec(SystemParams(), points=7))
+    return run_sweep(detuning_spec(SystemParams(), points=7))
 
 
 class TestConfigParsing:
@@ -88,20 +87,25 @@ scalings = n0=base*axis; gamma0=0.001*axis
         assert cfg.scalings[0].mode == "base*axis"
         assert cfg.scalings[1].coef == 0.001
 
-    def test_tolerance_override_preserved(self):
-        cfg = parse_config("[tolerances]\ndegeneracy_ratio = 2.5e-7\n")
-        assert cfg.tolerances.degeneracy_ratio == 2.5e-7
-        assert cfg.tolerances.steady_residual == Tolerances().steady_residual
-
-    @pytest.mark.parametrize("text, line", [
-        ("[run]\ncommand = sweep\nslabs = 200\n", 3),
-        ("[params]\ng = 0.3\n\n[tolerances]\nslab_convergence = 1e-6\n", 5),
-    ], ids=["run-slabs", "tolerances-slab_convergence"])
-    def test_retired_slab_keys_rejected(self, text, line):
+    @pytest.mark.parametrize("text, line, reason", [
+        ("[run]\ncommand = sweep\nslabs = 200\n", 3, "closed-form"),
+        ("[params]\ng = 0.3\n\n[tolerances]\nslab_convergence = 1e-6\n", 5,
+         "closed-form"),
+        ("[tolerances]\ndegeneracy_ratio = 2.5e-7\n", 2, "fixed constants"),
+        ("[run]\nworkers = 1\n[tolerances]\nsteady_residual = 1e-10\n", 4,
+         "fixed constants"),
+        ("[tolerances]\nresponse_condition = 1e12\n", 2, "fixed constants"),
+        ("[tolerances]\n\ndark_activity = 1e-12\n", 3, "fixed constants"),
+        ("[tolerances]\nnonsense = 1\n", 2, "retired section"),
+    ], ids=["run-slabs", "tolerances-slab_convergence",
+            "tolerances-degeneracy_ratio", "tolerances-steady_residual",
+            "tolerances-response_condition", "tolerances-dark_activity",
+            "tolerances-unknown"])
+    def test_retired_slab_keys_rejected(self, text, line, reason):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert f"line {line}" in str(err.value)
-        assert "closed-form" in str(err.value)
+        assert reason in str(err.value)
 
     def test_roundtrip_fixed_point(self):
         text = """
@@ -116,8 +120,6 @@ selector = custom
 axis = p
 grid = 0.0:1.0:11
 scalings = n0=base*axis
-[tolerances]
-degeneracy_ratio = 1e-7
 """
         cfg1 = parse_config(text)
         printed = render_config(cfg1)
@@ -231,12 +233,12 @@ class TestManifest:
         assert loaded["package"] == "doublelambda"
 
     def test_identical_runs_differ_only_in_timing(self):
-        cfg = {"command": "sweep", "tolerances": {"degeneracy_ratio": 2e-7}}
+        cfg = {"command": "sweep", "noise_model": "vacuum-reservoir"}
         m1 = run_manifest(cfg, {"sweep": 1.0})
         m2 = run_manifest(cfg, {"sweep": 2.0})
         for key in m1:
             if key in ("timestamp", "timings_s"):
                 continue
             assert m1[key] == m2[key]
-        # overridden tolerance appears verbatim
-        assert m1["config"]["tolerances"]["degeneracy_ratio"] == 2e-7
+        # the overridden option appears verbatim
+        assert m1["config"]["noise_model"] == "vacuum-reservoir"

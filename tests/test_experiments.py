@@ -5,9 +5,7 @@ from doublelambda import SystemParams
 from doublelambda.experiments import (SweepSpec, alignment_spec,
                                       amplitude_spec, calibrate_coupling,
                                       compute_point, dephasing_spec,
-                                      detuning_spec, run_alignment_sweep,
-                                      run_dephasing_sweep, run_detuning_sweep,
-                                      run_sweep)
+                                      detuning_spec, run_sweep)
 from doublelambda.params import CALIBRATED_G
 
 
@@ -41,7 +39,7 @@ class TestSweepSpec:
 class TestDetuningSweep:
     def test_populations_and_v12_profile(self, defaults):
         spec = detuning_spec(defaults, points=41)
-        result = run_detuning_sweep(spec)
+        result = run_sweep(spec)
         assert len(result.rows) == 41
         assert not any(r.failed for r in result.rows)
         pops1 = np.array([r.populations[0] for r in result.rows])
@@ -55,21 +53,16 @@ class TestDetuningSweep:
 
     def test_deterministic(self, defaults):
         spec = detuning_spec(defaults, points=5)
-        a = run_detuning_sweep(spec)
-        b = run_detuning_sweep(spec)
+        a = run_sweep(spec)
+        b = run_sweep(spec)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.v12 == rb.v12  # bit-identical reruns
-
-    def test_axis_guard(self, defaults):
-        spec = dephasing_spec(defaults, points=3)
-        with pytest.raises(ValueError):
-            run_detuning_sweep(spec)
 
 
 class TestDephasingSweep:
     def test_dark_endpoint_is_transparent(self, defaults):
         spec = dephasing_spec(defaults, points=6, hi=0.005)
-        result = run_dephasing_sweep(spec)
+        result = run_sweep(spec)
         first = result.rows[0]
         assert first.axis_value == 0.0
         assert first.v12 == pytest.approx(4.0)
@@ -81,15 +74,10 @@ class TestDephasingSweep:
 
 
 class TestAlignmentSweep:
-    def test_grid_bounds(self, defaults):
-        spec = SweepSpec(base=defaults, axis="p", grid=[-0.5, 0.5])
-        with pytest.raises(ValueError):
-            run_alignment_sweep(spec)
-
     def test_runs_at_midpoint(self, defaults):
         spec = alignment_spec(defaults, points=5)
         assert spec.base.delta1 == -defaults.omega42 / 2
-        result = run_alignment_sweep(spec)
+        result = run_sweep(spec)
         assert all(not r.failed for r in result.rows)
 
 
@@ -167,7 +155,7 @@ class TestNoiseModels:
         base = SystemParams(n0=3e22)
         spec = dephasing_spec(base, points=7, hi=0.01,
                               noise_model="vacuum-reservoir")
-        result = run_dephasing_sweep(spec)
+        result = run_sweep(spec)
         v = result.column("v12")
         assert result.rows[0].v12 == pytest.approx(4.0)  # transparent endpoint
         interior = v[1:]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -133,12 +135,20 @@ class TestDiffusion:
             assert np.max(np.abs(dtilde - dtilde.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(dtilde)) > -1e-10
 
-    def test_vacuum_reservoir_subset(self, defaults):
+    def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
         d_full = diffusion_matrix(gen, state)
         d_se = diffusion_matrix_vacuum_reservoir(gen, state)
         # dropping channels must change the diffusion (collisions carry noise)
         assert np.max(np.abs(d_full - d_se)) > 1e-6
+        # and it equals the channelwise sum over the two radiative groups
+        for p in [defaults] + [random_params(rng, with_fields=True)
+                               for _ in range(10)]:
+            gen, state = prepare(p)
+            radiative = replace(gen, channels=gen.channels[:2])
+            d_cw = diffusion_matrix_channelwise(radiative, state)
+            d_se = diffusion_matrix_vacuum_reservoir(gen, state)
+            assert np.max(np.abs(d_se - d_cw)) < 1e-12
 
 
 class TestResponse:
