@@ -8,7 +8,7 @@ from .entanglement import DuanResult, duan_v12, quadrature_variance
 from .experiments import (ScalingRule, SweepResult, SweepRow, SweepSpec,
                           alignment_spec, amplitude_spec, calibrate_coupling,
                           compute_point, dephasing_spec, detuning_spec,
-                          run_sweep)
+                          evaluate_points, run_sweep, spectrum)
 from .fluctuations import (LinearizedSystem, atomic_response, diffusion_matrix,
                            drift_matrix, field_coupling_matrix, linearize)
 from .oracle import (EvolutionResult, ValidationReport, cross_validate,

@@ -108,6 +108,14 @@ DISSIPATOR_BASIS = np.array([_dissipator(lm, ln) for ops in JUMP_GROUPS
 FIELD_SUPEROPERATORS = COHERENT_BASIS[2:]
 
 
+#: K_j = L_n^+ L_m for each DISSIPATOR_BASIS entry j = (group, m, n), as
+#: rows of vec(K_j^T) so that Tr(K_j rho) = JUMP_TRACES[j] @ vec(rho)
+JUMP_TRACES = np.array([(ln.conj().T @ lm).T.reshape(16) for ops in JUMP_GROUPS
+                        for lm in ops for ln in ops])
+#: leading DISSIPATOR_BASIS entries that belong to the two radiative groups
+RADIATIVE_ENTRIES = sum(len(ops) ** 2 for ops in JUMP_GROUPS[:2])
+
+
 def _hamiltonian_coefficients(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS)."""
     g = params.g
@@ -125,17 +133,62 @@ def _group_rates(params: SystemParams) -> tuple:
     return (rm.gamma_to_1, rm.gamma_to_3, exchange, exchange, dephasing)
 
 
-def _dissipative_part(rates: tuple) -> np.ndarray:
-    """Dissipator of the leading len(rates) groups of JUMP_GROUPS."""
-    coeffs = np.concatenate([gmat.ravel() for gmat in rates])
-    return np.tensordot(coeffs, DISSIPATOR_BASIS[:coeffs.size], 1)
+def _rate_coefficients(params: SystemParams) -> np.ndarray:
+    """Coefficients of DISSIPATOR_BASIS: every rate-matrix entry, in order."""
+    return np.concatenate([gmat.ravel() for gmat in _group_rates(params)])
+
+
+def coefficient_stack(points) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 6) Hamiltonian and (P, 11) rate coefficients at the mean fields."""
+    h = np.array([_hamiltonian_coefficients(p, p.a1_mean, p.a1_mean,
+                                            p.a2_mean, p.a2_mean)
+                  for p in points])
+    return h, np.array([_rate_coefficients(p) for p in points])
+
+
+def _contract(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[:, k] basis[k] for a (P, K) coefficient stack.
+
+    One vector-matrix product per point, so every point's result is the
+    same whatever the stack around it.
+    """
+    flat = basis[:coeffs.shape[-1]].reshape(coeffs.shape[-1], -1)
+    return (coeffs[:, None, :] @ flat).reshape((len(coeffs),) + basis.shape[1:])
+
+
+def dissipator_stack(rates: np.ndarray) -> np.ndarray:
+    """(P, 16, 16) dissipators of the leading rates.shape[1] basis entries."""
+    return _contract(rates, DISSIPATOR_BASIS)
+
+
+def liouvillian_stack(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coherent part, full Liouvillian), each (P, 16, 16), from the
+    coefficient stacks of coefficient_stack."""
+    coherent = _contract(h, COHERENT_BASIS)
+    return coherent, coherent + dissipator_stack(r)
+
+
+def adjoint_stack(lmats: np.ndarray) -> np.ndarray:
+    """Heisenberg drift in basis order: <sigma_ij> = rho_ji, so the adjoint
+    matrix is the Schroedinger one with both indices swapped."""
+    return lmats[..., BASIS.pair[:, None], BASIS.pair]
+
+
+def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Total jump rate sum_j r_j Tr(K_j rho) of each (rates, state) pair.
+
+    Zero (to tolerance) means the state is strictly dark: no channel fires,
+    no photon is scattered, no Langevin noise is generated.
+    """
+    traces = rhos.reshape(-1, 1, 16) @ JUMP_TRACES.T
+    return np.real(traces @ rates[:, :, None])[:, 0, 0]
 
 
 def hamiltonian_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     """Rotating-frame Hamiltonian / hbar with the four field amplitudes as
     independent c-numbers (non-Hermitian unless a1d = conj(a1) etc.)."""
     coeffs = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
-    return np.tensordot(coeffs, HAMILTONIAN_OPERATORS, 1)
+    return _contract(coeffs[None], HAMILTONIAN_OPERATORS)[0]
 
 
 def build_hamiltonian(params: SystemParams) -> np.ndarray:
@@ -151,23 +204,20 @@ def dissipation_channels(params: SystemParams) -> list[tuple[list[np.ndarray], n
             if np.any(gmat)]
 
 
-def radiative_dissipator(params: SystemParams) -> np.ndarray:
-    """Dissipator of the two spontaneous-emission groups alone."""
-    return _dissipative_part(_group_rates(params)[:2])
-
-
 @dataclass(frozen=True)
 class Generator:
     """Liouvillian of the model in both pictures.
 
     matrix acts on row-major vec(rho); adjoint propagates the expectation
     vector <sigma_ij> in the canonical AtomicBasis ordering; coherent is the
-    Hamiltonian part -i[H, .] of matrix.
+    Hamiltonian part -i[H, .] of matrix; rates are its DISSIPATOR_BASIS
+    coefficients.
     """
 
     matrix: np.ndarray
     adjoint: np.ndarray
     coherent: np.ndarray
+    rates: np.ndarray
     channels: list
     params: SystemParams
 
@@ -179,48 +229,28 @@ class Generator:
         return (self.matrix.conj().T @ x.reshape(16)).reshape(4, 4)
 
 
-def _liouvillian(params: SystemParams, a1, a1d, a2, a2d) -> tuple[np.ndarray, np.ndarray]:
-    """(coherent part, full Liouvillian) as contractions of the fixed basis."""
-    coeffs = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
-    coherent = np.tensordot(coeffs, COHERENT_BASIS, 1)
-    return coherent, coherent + _dissipative_part(_group_rates(params))
-
-
 def generator_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     """Liouvillian matrix with the fields frozen at arbitrary c-numbers.
 
     The master equation is linear in each field amplitude, so this is the
     exact mean-field evolution map used for the field-coupling columns.
     """
-    return _liouvillian(params, a1, a1d, a2, a2d)[1]
+    h = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
+    return liouvillian_stack(h[None], _rate_coefficients(params)[None])[1][0]
 
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
-    a1, a2 = params.a1_mean, params.a2_mean
-    coherent, lmat = _liouvillian(params, a1, a1, a2, a2)
-    # Heisenberg drift in basis order: <sigma_ij> = rho_ji, so the adjoint
-    # matrix is the Schroedinger one conjugated by the index-swap permutation.
-    adjoint = BASIS.swap @ lmat @ BASIS.swap
-    return Generator(matrix=lmat, adjoint=adjoint, coherent=coherent,
+    h, r = coefficient_stack([params])
+    coherent, lmat = liouvillian_stack(h, r)
+    return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
+                     coherent=coherent[0], rates=r[0],
                      channels=dissipation_channels(params), params=params)
 
 
 def dissipative_activity(gen: Generator, rho: np.ndarray) -> float:
-    """Total jump rate sum_k r_k <L_k^+ L_k> in the given state.
-
-    Zero (to tolerance) means the state is strictly dark: no channel fires,
-    no photon is scattered, no Langevin noise is generated.
-    """
-    total = 0.0
-    for ops, gmat in gen.channels:
-        w, v = np.linalg.eigh(gmat)
-        for k in range(len(w)):
-            if w[k] <= 0:
-                continue
-            lk = sum(v[m, k] * ops[m] for m in range(len(ops)))
-            total += w[k] * np.real(np.trace(lk.conj().T @ lk @ rho))
-    return float(total)
+    """Total jump rate sum_k r_k <L_k^+ L_k> in the given state."""
+    return float(dissipative_activity_stack(gen.rates[None], rho[None])[0])
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,8 @@ import numpy as np
 from . import experiments as ex
 from . import fluctuations as fl
 from . import io as io_mod
-from . import propagation as pr
 from .atom import build_generator
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
-from .entanglement import duan_v12
 from .oracle import cross_validate
 from .steady import observables, solve_steady_state
 
@@ -110,17 +108,8 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
-    gen = build_generator(cfg.params)
-    state = solve_steady_state(gen, cfg.params)
-    lin = fl.linearize(gen, state, cfg.params, noise_model=cfg.noise_model)
-    rows = []
-    for omega in cfg.omega_array():
-        setup = pr.make_setup(lin, cfg.params, omega=float(omega))
-        res = pr.propagate_covariance(setup, pr.input_covariance(omega=float(omega)))
-        duan = duan_v12(res.covariance)
-        rows.append({"omega": float(omega), "v12": duan.v12,
-                     "du2": duan.du2, "dv2": duan.dv2,
-                     "warnings": list(res.warnings)})
+    rows = ex.spectrum(cfg.params, cfg.omega_array(),
+                       noise_model=cfg.noise_model)
     elapsed = time.perf_counter() - t0
     manifest = io_mod.run_manifest(_config_dict(cfg), {"spectrum": elapsed},
                                    extra={"spectrum": rows})

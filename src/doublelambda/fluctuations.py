@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import FIELD_SUPEROPERATORS, Generator, radiative_dissipator
+from .atom import (FIELD_SUPEROPERATORS, RADIATIVE_ENTRIES, Generator,
+                   dissipator_stack)
 from .params import BASIS, SystemParams
 from .steady import AtomState
 
@@ -64,6 +65,20 @@ class LinearizedSystem:
     projector: np.ndarray  # 15 x 16 map onto traceless coordinates
 
 
+def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Drift of each (P, 16, 16) Heisenberg generator, projected to 15 dims.
+
+    Returns the (P, 15, 15) drifts and the failures as {stack position:
+    ResponseError} for drifts with an eigenvalue in the right half-plane.
+    """
+    a15 = EMBED.T @ adjoints @ EMBED
+    max_re = np.max(np.real(np.linalg.eigvals(a15)), axis=1)
+    failures = {int(k): ResponseError(
+        f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}")
+        for k in np.flatnonzero(max_re > 1e-10)}
+    return a15, failures
+
+
 def drift_matrix(gen: Generator, state: AtomState,
                  params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Heisenberg drift with mean fields frozen, projected to 15 dimensions.
@@ -72,12 +87,22 @@ def drift_matrix(gen: Generator, state: AtomState,
     exact left null vector; fluctuations therefore stay on the subspace the
     projector maps onto.
     """
-    a_full = gen.adjoint
-    a15 = EMBED.T @ a_full @ EMBED
-    max_re = float(np.max(np.real(np.linalg.eigvals(a15))))
-    if max_re > 1e-10:
-        raise ResponseError(f"drift matrix unstable: max Re eigenvalue {max_re:.2e}")
-    return a15, EMBED.T.copy()
+    a15, failures = drift_stack(gen.adjoint[None])
+    if failures:
+        raise failures[0]
+    return a15[0], EMBED.T.copy()
+
+
+#: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
+FIELD_COLUMNS = FIELD_SUPEROPERATORS.transpose(1, 0, 2).reshape(64, 16)
+#: traceless projection of the index-swapped (expectation-order) vector
+EMBED_SWAP = EMBED.T @ BASIS.swap
+
+
+def field_coupling_stack(g: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """(P, 15, 4) field-drive columns for couplings g (P,) and states rhos."""
+    b_full = (rhos.reshape(-1, 1, 16) @ FIELD_COLUMNS.T).reshape(-1, 16, 4)
+    return EMBED_SWAP @ (g[:, None, None] * b_full)
 
 
 def field_coupling_matrix(gen: Generator, state: AtomState,
@@ -89,9 +114,32 @@ def field_coupling_matrix(gen: Generator, state: AtomState,
     steady-state expectation vector; equivalently the expectation of
     i[dH/dv_k, sigma_mu].
     """
-    # column k is <sigma_mu> in the state -i[dH/dv_k, rho]
-    b_full = params.g * (FIELD_SUPEROPERATORS @ state.rho.reshape(16)).T
-    return EMBED.T @ BASIS.swap @ b_full
+    return field_coupling_stack(np.array([params.g]), state.rho[None])[0]
+
+
+def diffusion_stack(noise_model: str, lmats: np.ndarray, coherents: np.ndarray,
+                    rates: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, dict]:
+    """(P, 15, 15) diffusion matrices of the chosen noise model.
+
+    "einstein" applies the Einstein relation to the full generators lmats
+    and asserts, on every point, that their Hamiltonian parts coherents drop
+    out; "vacuum-reservoir" applies it to the radiative part of the rates.
+    Failures are {stack position: ResponseError}.
+    """
+    failures = {}
+    if noise_model == "einstein":
+        d_full = _einstein_diffusion(lmats, rhos)
+        resid = np.max(np.abs(_einstein_diffusion(coherents, rhos)), axis=(1, 2))
+        failures = {int(k): ResponseError(
+            f"Hamiltonian part leaked into the diffusion matrix: {resid[k]:.2e}")
+            for k in np.flatnonzero(resid > 1e-10)}
+    elif noise_model == "vacuum-reservoir":
+        radiative = dissipator_stack(rates[:, :RADIATIVE_ENTRIES])
+        d_full = _einstein_diffusion(radiative, rhos)
+    else:
+        raise ValueError(f"unknown noise model {noise_model!r}; "
+                         f"expected one of {NOISE_MODELS}")
+    return EMBED.T @ d_full @ EMBED, failures
 
 
 def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
@@ -102,12 +150,12 @@ def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
     Hamiltonian part of the generator drops out of this combination exactly;
     that cancellation is asserted here as a construction check.
     """
-    d_full = _einstein_diffusion(gen.matrix, state.rho)
-    resid = np.max(np.abs(_einstein_diffusion(gen.coherent, state.rho)))
-    if resid > 1e-10:
-        raise ResponseError(
-            f"Hamiltonian part leaked into the diffusion matrix: {resid:.2e}")
-    return EMBED.T @ d_full @ EMBED
+    d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                  gen.coherent[None], gen.rates[None],
+                                  state.rho[None])
+    if failures:
+        raise failures[0]
+    return d[0]
 
 
 def diffusion_matrix_vacuum_reservoir(gen: Generator, state: AtomState) -> np.ndarray:
@@ -118,21 +166,34 @@ def diffusion_matrix_vacuum_reservoir(gen: Generator, state: AtomState) -> np.nd
     radiative reservoir is quantized; it does not preserve the field
     commutators exactly (the deficit is the dropped collisional noise).
     """
-    lmat = radiative_dissipator(gen.params)
-    return EMBED.T @ _einstein_diffusion(lmat, state.rho) @ EMBED
+    return diffusion_stack("vacuum-reservoir", gen.matrix[None],
+                           gen.coherent[None], gen.rates[None],
+                           state.rho[None])[0][0]
 
 
-def _einstein_diffusion(lmat: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Full 16x16 matrix D with 2D from the Einstein relation under lmat."""
-    sig = BASIS.sigmas
-    ladj = lmat.conj().T  # Heisenberg action on vectorized operators
-    lsig = (ladj @ sig.reshape(16, 16).T).T.reshape(16, 4, 4)
-    prod = np.einsum("mkl,nlj->mnkj", sig, sig)
-    lprod = (ladj @ prod.reshape(256, 16).T).T.reshape(16, 16, 4, 4)
-    t1 = np.einsum("kl,mnlk->mn", rho, lprod)
-    t2 = np.einsum("kl,mnlk->mn", rho, np.einsum("mkl,nlj->mnkj", lsig, sig))
-    t3 = np.einsum("kl,mnlk->mn", rho, np.einsum("mkl,nlj->mnkj", sig, lsig))
-    return (t1 - t2 - t3) / 2.0
+#: row 16 mu + nu is vec(sigma_mu sigma_nu)
+PRODUCTS = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas).reshape(256, 16)
+
+
+def _einstein_diffusion(lmats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """(P, 16, 16) matrices 2D/2 from the Einstein relation under lmats.
+
+    With Tr(rho X) = vec(rho^T) . vec(X), the three terms are
+    t1 = vec(rho^T) L^+ applied to every product sigma_mu sigma_nu,
+    t2[m, n] = vec(L^+ sigma_m) . vec((sigma_n rho)^T) and
+    t3[m, n] = vec((rho sigma_m)^T) . vec(L^+ sigma_n).  vec(sigma_mu) is
+    the unit vector e_mu, so vec(L^+ sigma_mu) is row mu of conj(L).
+    """
+    n = len(lmats)
+    lsig = lmats.conj()
+    rho_t = rhos.transpose(0, 2, 1).reshape(n, 1, 16)
+    t1 = ((rho_t @ lsig.transpose(0, 2, 1)) @ PRODUCTS.T).reshape(n, 16, 16)
+    y = (BASIS.sigmas @ rhos[:, None]).transpose(0, 1, 3, 2).reshape(n, 16, 16)
+    z = (rhos[:, None] @ BASIS.sigmas).transpose(0, 1, 3, 2).reshape(n, 16, 16)
+    t1 -= lsig @ y.transpose(0, 2, 1)
+    t1 -= z @ lsig.transpose(0, 2, 1)
+    t1 /= 2.0
+    return t1
 
 
 def diffusion_matrix_channelwise(gen: Generator, state: AtomState) -> np.ndarray:
@@ -173,27 +234,51 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
     return cov
 
 
+def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Responses R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) drift stack.
+
+    Refuses near-singular systems, naming the offending eigenvalue; failures
+    are {stack position: ResponseError}.
+    """
+    eye = np.eye(a.shape[-1])
+    m = (-1j * omegas)[:, None, None] * eye - a
+    cond = np.linalg.cond(m)
+    singular = ~np.isfinite(cond) | (cond > 1e12)
+    failures = {}
+    for k in np.flatnonzero(singular):
+        evals = np.linalg.eigvals(a[k])
+        worst = evals[np.argmin(np.abs(-1j * omegas[k] - evals))]
+        failures[int(k)] = ResponseError(
+            f"atomic response near-singular at omega={omegas[k]}: condition "
+            f"{cond[k]:.2e}, offending eigenvalue {worst:.3e}")
+    ok = np.flatnonzero(~singular)
+    r = np.zeros_like(m)
+    r[ok] = np.linalg.inv(m[ok])
+    resid = np.linalg.norm(m[ok] @ r[ok] - eye, axis=(1, 2))
+    for j in np.flatnonzero(resid > 1e-10):
+        failures[int(ok[j])] = ResponseError(
+            f"response inversion residual {resid[j]:.2e}")
+    return r, failures
+
+
 def atomic_response(a: np.ndarray, omega: float) -> np.ndarray:
     """Frequency-domain response R(omega) = (-i omega I - A)^-1.
 
     Refuses near-singular systems, naming the offending eigenvalue.
     """
-    m = -1j * omega * np.eye(a.shape[0]) - a
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > 1e12:
-        evals = np.linalg.eigvals(a)
-        worst = evals[np.argmin(np.abs(-1j * omega - evals))]
-        raise ResponseError(
-            f"atomic response near-singular at omega={omega}: condition "
-            f"{cond:.2e}, offending eigenvalue {worst:.3e}")
-    r = np.linalg.inv(m)
-    resid = np.linalg.norm(m @ r - np.eye(a.shape[0]))
-    if resid > 1e-10:
-        raise ResponseError(f"response inversion residual {resid:.2e}")
-    return r
+    r, failures = response_stack(a[None], np.array([omega], dtype=float))
+    if failures:
+        raise failures[0]
+    return r[0]
 
 
 NOISE_MODELS = ("einstein", "vacuum-reservoir")
+
+
+def noise_scale(params: SystemParams) -> float:
+    """L / N, the scale of the collective Langevin correlator (0 if N = 0)."""
+    n_atoms = params.atom_number
+    return params.cell_length / n_atoms if n_atoms > 0 else 0.0
 
 
 def linearize(gen: Generator, state: AtomState, params: SystemParams,
@@ -207,14 +292,10 @@ def linearize(gen: Generator, state: AtomState, params: SystemParams,
     """
     a, projector = drift_matrix(gen, state, params)
     b = field_coupling_matrix(gen, state, params)
-    if noise_model == "einstein":
-        d = diffusion_matrix(gen, state)
-    elif noise_model == "vacuum-reservoir":
-        d = diffusion_matrix_vacuum_reservoir(gen, state)
-    else:
-        raise ValueError(f"unknown noise model {noise_model!r}; "
-                         f"expected one of {NOISE_MODELS}")
-    n_atoms = params.atom_number
-    noise_scale = params.cell_length / n_atoms if n_atoms > 0 else 0.0
-    return LinearizedSystem(a=a, b=b, d=d, noise_scale=noise_scale,
+    d, failures = diffusion_stack(noise_model, gen.matrix[None],
+                                  gen.coherent[None], gen.rates[None],
+                                  state.rho[None])
+    if failures:
+        raise failures[0]
+    return LinearizedSystem(a=a, b=b, d=d[0], noise_scale=noise_scale(params),
                             projector=projector)

@@ -25,6 +25,7 @@ CSV_COLUMNS = [
     ("alpha2", "[1/m]"),
     ("method", ""),
     ("error", ""),
+    ("warnings", ""),       # joined with "; "
 ]
 
 AXIS_UNITS = {
@@ -47,7 +48,7 @@ def _row_cells(row: SweepRow) -> list:
         num(pops[2]) if pops is not None else "",
         num(pops[3]) if pops is not None else "",
         num(row.alpha1), num(row.alpha2),
-        row.method, row.error,
+        row.method, row.error, "; ".join(row.warnings),
     ]
 
 

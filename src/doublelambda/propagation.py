@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .atom import FIELD_OPERATORS
-from .fluctuations import EMBED, LinearizedSystem, atomic_response
+from . import fluctuations as fl
+from .fluctuations import EMBED, LinearizedSystem
 from .params import SPEED_OF_LIGHT, SystemParams
 
 #: bound on the relative disagreement between the propagator block of the
@@ -61,9 +62,55 @@ class PropagationSetup:
     omega: float = 0.0
 
     def __post_init__(self):
-        for name in ("m", "m_minus", "nfield"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
+        failures = _nonfinite(self.m[None], self.m_minus[None],
+                              self.nfield[None])
+        if failures:
+            raise failures[0]
+
+
+def _nonfinite(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray) -> dict:
+    """{stack position: ValueError} naming the first non-finite matrix."""
+    failures = {}
+    for name, x in (("m", m), ("m_minus", m_minus), ("nfield", nfield)):
+        for k in np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2))):
+            failures.setdefault(int(k), ValueError(
+                f"{name} contains non-finite entries"))
+    return failures
+
+
+def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
+                   noise: np.ndarray, points, omegas: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """M(omega), M(-omega) and Nfield, each (P, 4, 4), for a stack of points.
+
+    a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
+    noise their noise scales L/N, points the SystemParams and omegas the
+    analysis frequencies.  Failures are {stack position: exception}: a
+    response failure, or a non-finite transfer matrix.
+    """
+    r_plus, failures = fl.response_stack(a, omegas)
+    # R(-0) is R(0): invert again only at nonzero frequencies
+    again = np.flatnonzero(omegas != 0.0)
+    again = again[~np.isin(again, list(failures))]
+    r_again, more = fl.response_stack(a[again], -omegas[again])
+    r_minus = r_plus.copy()
+    r_minus[again] = r_again
+    failures.update({int(again[j]): exc for j, exc in more.items()})
+    chi = np.array([[1j * p.chi1, -1j * p.chi1, 1j * p.chi2, -1j * p.chi2]
+                    for p in points]).reshape(-1, 4)
+    # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
+    # stays finite for arbitrarily dilute media
+    injection = np.array([SPEED_OF_LIGHT / p.cell_length for p in points]) * noise
+    ks = chi[:, :, None] * SELECTOR  # K S with K = diag(chi)
+    ksr_plus = ks @ r_plus
+    ksr_minus = ks @ r_minus
+    m = ksr_plus @ b
+    m_minus = ksr_minus @ b
+    nfield = (injection[:, None, None] * ksr_plus @ (2.0 * d)
+              @ ksr_minus.transpose(0, 2, 1))
+    for k, exc in _nonfinite(m, m_minus, nfield).items():
+        failures.setdefault(k, exc)
+    return m, m_minus, nfield, failures
 
 
 def transfer_matrix(lin: LinearizedSystem, params: SystemParams,
@@ -76,23 +123,14 @@ def transfer_matrix(lin: LinearizedSystem, params: SystemParams,
     correlator (L/N) 2D into a per-length injection carrying c/L on top of
     the stored noise scale; this is the unique scaling that preserves the
     canonical commutators through the medium, and the test suite enforces it.
+    Raises on a response failure and on a non-finite result.
     """
-    k = np.diag([1j * params.chi1, -1j * params.chi1,
-                 1j * params.chi2, -1j * params.chi2])
-    r_plus = atomic_response(lin.a, omega)
-    r_minus = r_plus if omega == 0.0 else atomic_response(lin.a, -omega)
-    ksr_plus = k @ SELECTOR @ r_plus
-    ksr_minus = k @ SELECTOR @ r_minus
-    m = ksr_plus @ lin.b
-    m_minus = ksr_minus @ lin.b
-    # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
-    # stays finite for arbitrarily dilute media
-    if params.atom_number > 0:
-        scale = (SPEED_OF_LIGHT / params.cell_length) * lin.noise_scale
-        nfield = scale * ksr_plus @ (2.0 * lin.d) @ ksr_minus.T
-    else:
-        nfield = np.zeros((4, 4), dtype=complex)
-    return m, m_minus, nfield
+    m, m_minus, nfield, failures = transfer_stack(
+        lin.a[None], lin.b[None], lin.d[None], np.array([lin.noise_scale]),
+        [params], np.array([omega], dtype=float))
+    if failures:
+        raise failures[0]
+    return m[0], m_minus[0], nfield[0]
 
 
 def make_setup(lin: LinearizedSystem, params: SystemParams,
@@ -134,17 +172,55 @@ class PropagationResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _augmented_generator(setup: PropagationSetup) -> np.ndarray:
-    """17 x 17 Van Loan generator of dC/dz = M C + C M(-omega)^T + Nfield.
+def _augmented_generators(m: np.ndarray, m_minus: np.ndarray,
+                          nfield: np.ndarray) -> np.ndarray:
+    """(P, 17, 17) Van Loan generators of dC/dz = M C + C M(-omega)^T + Nfield.
 
     With row-major vec, vec(M C) = (M x I) vec C and vec(C M-^T) =
     (I x M-) vec C; the constant source rides in the last column.
     """
+    n = len(m)
     eye = np.eye(4)
-    g = np.zeros((17, 17), dtype=complex)
-    g[:16, :16] = np.kron(setup.m, eye) + np.kron(eye, setup.m_minus)
-    g[:16, 16] = setup.nfield.reshape(16)
+    g = np.zeros((n, 17, 17), dtype=complex)
+    g[:, :16, :16] = (np.einsum("pij,kl->pikjl", m, eye)
+                      + np.einsum("ij,pkl->pikjl", eye, m_minus)).reshape(n, 16, 16)
+    g[:, :16, 16] = nfield.reshape(n, 16)
     return g
+
+
+def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
+                    lengths: np.ndarray, c_in: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form propagation of a stack of P covariances over their cells.
+
+    m, m_minus, nfield are (P, 4, 4), lengths (P,) and c_in (P, 4, 4) or one
+    (4, 4) input shared by all.  Returns the output covariances, the
+    relative Kronecker self-check residuals and the converged flags (finite
+    output and residual within SELF_CHECK_TOL).
+    """
+    n = len(m)
+    scaled = lengths[:, None, None]
+    e = expm(scaled * _augmented_generators(m, m_minus, nfield))
+    phi = e[:, :16, :16]
+    c_vec = np.broadcast_to(c_in, (n, 4, 4)).reshape(n, 16, 1)
+    c_out = ((phi @ c_vec)[..., 0] + e[:, :16, 16]).reshape(n, 4, 4)
+    ea, eb = expm(scaled * m), expm(scaled * m_minus)
+    kron = (ea[:, :, None, :, None] * eb[:, None, :, None, :]).reshape(n, 16, 16)
+    # exp(L M) may underflow to zero in a strongly absorbing medium
+    scale = np.maximum(np.maximum(np.max(np.abs(phi), axis=(1, 2)),
+                                  np.max(np.abs(kron), axis=(1, 2))),
+                       np.finfo(float).tiny)
+    residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
+    converged = np.all(np.isfinite(c_out), axis=(1, 2)) & (residual <= SELF_CHECK_TOL)
+    return c_out, residual, converged
+
+
+def self_check_warnings(residual: float, converged: bool) -> tuple:
+    """Row warnings of one propagation: empty, or the failed self-check."""
+    if converged:
+        return ()
+    return (f"closed-form propagation failed its self-check: Kronecker "
+            f"residual {residual:.2e} (tolerance {SELF_CHECK_TOL:.0e})",)
 
 
 def propagate_covariance(setup: PropagationSetup,
@@ -158,19 +234,11 @@ def propagate_covariance(setup: PropagationSetup,
     kron(exp(L M), exp(L M-)); a larger disagreement or a non-finite output
     clears `converged` and names the residual in `warnings`.
     """
-    length = setup.cell_length
-    e = expm(length * _augmented_generator(setup))
-    phi = e[:16, :16]
-    c_out = (phi @ c_in.c.reshape(16) + e[:16, 16]).reshape(4, 4)
-    kron = np.kron(expm(length * setup.m), expm(length * setup.m_minus))
-    # exp(L M) may underflow to zero in a strongly absorbing medium
-    scale = max(np.max(np.abs(phi)), np.max(np.abs(kron)),
-                np.finfo(float).tiny)
-    residual = float(np.max(np.abs(phi - kron)) / scale)
-    converged = bool(np.all(np.isfinite(c_out))) and residual <= SELF_CHECK_TOL
-    warnings = () if converged else (
-        f"closed-form propagation failed its self-check: Kronecker residual "
-        f"{residual:.2e} (tolerance {SELF_CHECK_TOL:.0e})",)
-    cov = FieldCovariance(c=c_out, omega=setup.omega, z=length)
+    c_out, residual, converged = propagate_stack(
+        setup.m[None], setup.m_minus[None], setup.nfield[None],
+        np.array([setup.cell_length]), c_in.c)
+    residual, converged = float(residual[0]), bool(converged[0])
+    cov = FieldCovariance(c=c_out[0], omega=setup.omega, z=setup.cell_length)
     return PropagationResult(covariance=cov, converged=converged,
-                             residual=residual, warnings=warnings)
+                             residual=residual,
+                             warnings=self_check_warnings(residual, converged))

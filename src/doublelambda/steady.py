@@ -41,19 +41,25 @@ class AtomState:
         return complex(self.expectations[BASIS.index(i, j)])
 
 
-def _validate_state(rho: np.ndarray) -> None:
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-10:
-        raise SteadyStateError(f"steady state trace deviates from 1 by {abs(tr-1):.2e}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-10:
-        raise SteadyStateError(f"steady state not Hermitian, residual {herm:.2e}")
-    min_eig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-    if min_eig < -1e-10:
-        raise SteadyStateError(f"steady state not positive, min eigenvalue {min_eig:.2e}")
+def _state_failures(rhos: np.ndarray) -> dict:
+    """Trace, Hermiticity and positivity of each state, in that order."""
+    dev = abs(rhos.trace(axis1=1, axis2=2) - 1.0)
+    herm = abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    # eigvalsh reads one triangle; the Hermiticity check covers the other
+    min_eig = np.linalg.eigvalsh(rhos).min(axis=1)
+    failures = {}
+    for k in np.flatnonzero((dev > 1e-10) | (herm > 1e-10) | (min_eig < -1e-10)):
+        if dev[k] > 1e-10:
+            message = f"steady state trace deviates from 1 by {dev[k]:.2e}"
+        elif herm[k] > 1e-10:
+            message = f"steady state not Hermitian, residual {herm[k]:.2e}"
+        else:
+            message = f"steady state not positive, min eigenvalue {min_eig[k]:.2e}"
+        failures[int(k)] = SteadyStateError(message)
+    return failures
 
 
-def _integrate_to_steady(gen: Generator, rho0: np.ndarray,
+def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray,
                          residual_tol: float = STEADY_RESIDUAL_TOL) -> np.ndarray:
     """Long-time integration by exact exponential stepping with doubling.
 
@@ -61,7 +67,6 @@ def _integrate_to_steady(gen: Generator, rho0: np.ndarray,
     the generator residual of the evolved state stops improving or passes
     the tolerance.
     """
-    lmat = gen.matrix
     scale = np.linalg.norm(lmat, 2)
     if scale == 0:
         return rho0.copy()
@@ -85,6 +90,53 @@ def _integrate_to_steady(gen: Generator, rho0: np.ndarray,
         f"(tolerance {residual_tol:.1e})")
 
 
+def steady_state_stack(lmats: np.ndarray, method: str = "auto"
+                       ) -> tuple[np.ndarray, list, dict]:
+    """Solve L(rho) = 0 with unit trace for a (P, 16, 16) Liouvillian stack.
+
+    Returns the (P, 4, 4) states, the method used for each, and the
+    failures as {stack position: SteadyStateError}.  The null spaces come
+    from one batched SVD; points whose null space is degenerate take the
+    long-time integration one by one.
+    """
+    if method not in ("auto", "null-space", "long-time-integration"):
+        raise ValueError(f"unknown method {method!r}")
+    n = len(lmats)
+    methods = [method] * n
+    failures = {}
+    if method == "long-time-integration":
+        rhos = np.empty((n, 4, 4), dtype=complex)
+        integrate = np.ones(n, dtype=bool)
+    else:
+        _, svals, vh = np.linalg.svd(lmats)
+        vec = vh[:, -1].conj().reshape(n, 4, 4)
+        tr = vec.trace(axis1=1, axis2=2)
+        integrate = ((svals[:, -2] < DEGENERACY_RATIO * svals[:, 0])
+                     | (abs(tr) < 1e-8))
+        rhos = vec / np.where(integrate, 1.0, tr)[:, None, None]
+        if method == "auto":
+            methods = ["long-time-integration" if d else "null-space"
+                       for d in integrate]
+        else:
+            failures = {int(k): SteadyStateError(
+                "null space degenerate (singular-value ratio "
+                f"{svals[k, -2] / svals[k, 0]:.2e}); use long-time integration")
+                for k in np.flatnonzero(integrate)}
+            rhos[integrate] = RHO_UNPOLARIZED  # stand-ins for failed points
+            integrate[:] = False
+    for k in np.flatnonzero(integrate):
+        try:
+            rhos[k] = _integrate_to_steady(lmats[k], RHO_UNPOLARIZED)
+        except SteadyStateError as exc:
+            rhos[k] = RHO_UNPOLARIZED
+            failures[int(k)] = exc
+    rhos = (rhos + rhos.conj().transpose(0, 2, 1)) / 2
+    rhos = rhos / rhos.trace(axis1=1, axis2=2).real[:, None, None]
+    for k, exc in _state_failures(rhos).items():
+        failures.setdefault(k, exc)
+    return rhos, methods, failures
+
+
 def solve_steady_state(gen: Generator, params: SystemParams,
                        method: str = "auto") -> AtomState:
     """Solve L(rho) = 0 with unit trace.
@@ -95,30 +147,11 @@ def solve_steady_state(gen: Generator, params: SystemParams,
     falls back to long-time integration from an unpolarized lower-level
     mixture and records the method used.
     """
-    if method not in ("auto", "null-space", "long-time-integration"):
-        raise ValueError(f"unknown method {method!r}")
-    lmat = gen.matrix
-    used = method
-    vec = tr = None
-    if method in ("auto", "null-space"):
-        _, svals, vh = np.linalg.svd(lmat)
-        vec = vh[-1].conj()
-        tr = np.trace(vec.reshape(4, 4))
-        degenerate = (svals[-2] < DEGENERACY_RATIO * svals[0]) or abs(tr) < 1e-8
-        if method == "auto":
-            used = "long-time-integration" if degenerate else "null-space"
-        elif degenerate:
-            raise SteadyStateError(
-                "null space degenerate (singular-value ratio "
-                f"{svals[-2] / svals[0]:.2e}); use long-time integration")
-    if used == "null-space":
-        rho = (vec / tr).reshape(4, 4)
-    else:
-        rho = _integrate_to_steady(gen, RHO_UNPOLARIZED)
-    rho = (rho + rho.conj().T) / 2
-    rho = rho / np.real(np.trace(rho))
-    _validate_state(rho)
-    return AtomState(expectations=BASIS.expectations(rho), method=used)
+    rhos, methods, failures = steady_state_stack(gen.matrix[None], method)
+    if failures:
+        raise failures[0]
+    return AtomState(expectations=BASIS.expectations(rhos[0]),
+                     method=methods[0])
 
 
 @dataclass(frozen=True)

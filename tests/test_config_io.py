@@ -152,7 +152,7 @@ class TestCsv:
         assert header[0] == "delta1 [gamma1]"
         assert header[1] == "v12 [1]"
         assert "pop1 [1]" in header and "alpha2 [1/m]" in header
-        assert header[-2] == "method" and header[-1] == "error"
+        assert header[-3:] == ["method", "error", "warnings"]
         assert len(rows) == 1 + len(small_sweep.rows)
         # repr round-trip: every numeric cell reparses to the exact double
         for row, src in zip(rows[1:], small_sweep.rows):
@@ -161,13 +161,16 @@ class TestCsv:
 
     def test_quoting(self, small_sweep, tmp_path):
         from dataclasses import replace
-        bad = replace(small_sweep.rows[0], error='Cell died, "badly"')
+        bad = replace(small_sweep.rows[0], error='Cell died, "badly"',
+                      warnings=("residual 1e-3, tolerance 1e-10", "second"))
         hacked = type(small_sweep)(axis=small_sweep.axis,
                                    rows=(bad,) + small_sweep.rows[1:],
                                    manifest=small_sweep.manifest)
         path = write_results(hacked, "csv", tmp_path / "q.csv")
         rows = read_csv_table(path)
-        assert rows[1][-1] == 'Cell died, "badly"'
+        assert rows[1][-2] == 'Cell died, "badly"'
+        assert rows[1][-1] == "residual 1e-3, tolerance 1e-10; second"
+        assert rows[2][-1] == ""
 
 
 class TestJson:

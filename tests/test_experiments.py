@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doublelambda import SystemParams
-from doublelambda.experiments import (SweepSpec, alignment_spec,
-                                      amplitude_spec, calibrate_coupling,
-                                      compute_point, dephasing_spec,
-                                      detuning_spec, run_sweep)
+from doublelambda.entanglement import duan_v12
+from doublelambda.experiments import (SWEEP_SELECTORS, SweepSpec,
+                                      alignment_spec, amplitude_spec,
+                                      calibrate_coupling, compute_point,
+                                      dephasing_spec, detuning_spec,
+                                      evaluate_points, run_sweep, spectrum)
+from doublelambda.atom import build_generator
+from doublelambda.fluctuations import linearize
 from doublelambda.params import CALIBRATED_G
+from doublelambda.propagation import (input_covariance, make_setup,
+                                      propagate_covariance)
+from doublelambda.steady import solve_steady_state
 
 
 class TestSweepSpec:
@@ -84,24 +93,144 @@ class TestAlignmentSweep:
 class TestErrorMarking:
     def test_failed_point_is_recorded(self, defaults, monkeypatch):
         import doublelambda.experiments as ex
+        from doublelambda.atom import build_generator
 
-        real = ex.solve_steady_state
-        calls = {"n": 0}
-
-        def flaky(gen, params, method="auto"):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("synthetic solver failure")
-            return real(gen, params, method)
-
-        monkeypatch.setattr(ex, "solve_steady_state", flaky)
         spec = detuning_spec(defaults, points=3)
-        result = run_sweep(spec)
+        # the stack computes each generator exactly as build_generator does
+        poisoned = build_generator(spec.params_at(spec.grid[1])).matrix
+        real = ex.steady_state_stack
+        stacks = []
+
+        def flaky(lmats, method="auto"):
+            stacks.append(len(lmats))
+            if any(np.array_equal(lmat, poisoned) for lmat in lmats):
+                raise RuntimeError("synthetic solver failure")
+            return real(lmats, method)
+
+        monkeypatch.setattr(ex, "steady_state_stack", flaky)
+        result = run_sweep(spec, workers=1)
+        # the failing stack is re-run point by point
+        assert stacks == [3, 1, 1, 1]
         assert result.rows[1].failed
         assert "synthetic solver failure" in result.rows[1].error
         assert not result.rows[0].failed and not result.rows[2].failed
         # the failed row still carries its axis value
         assert result.rows[1].axis_value == result.axis_values[1]
+
+
+def _column(rows, name, k=None):
+    values = [getattr(r, name) for r in rows]
+    if k is not None:
+        values = [None if v is None else v[k] for v in values]
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+def assert_rows_match(rows, reference, rtol=1e-12):
+    """Same method, error and warnings; numbers to rtol times the column's
+    largest magnitude."""
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        assert (row.method, row.error, row.warnings) == \
+            (ref.method, ref.error, ref.warnings)
+    columns = [(n, None) for n in ("v12", "du2", "dv2", "alpha1", "alpha2")]
+    columns += [("populations", k) for k in range(4)]
+    for name, k in columns:
+        x, y = _column(rows, name, k), _column(reference, name, k)
+        assert np.array_equal(np.isnan(x), np.isnan(y)), name
+        finite = np.isfinite(y)
+        assert np.array_equal(finite, np.isfinite(x)), name
+        if finite.any():
+            scale = np.max(np.abs(y[finite]))
+            assert np.max(np.abs(x[finite] - y[finite])) <= rtol * scale, name
+
+
+class TestBatchedStack:
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    @pytest.mark.parametrize("selector", sorted(SWEEP_SELECTORS))
+    def test_batched_rows_match_compute_point(self, defaults, selector,
+                                              noise_model):
+        spec = SWEEP_SELECTORS[selector](defaults, points=21,
+                                         noise_model=noise_model)
+        batched = run_sweep(spec, workers=1).rows
+        alone = [compute_point(spec.params_at(v), noise_model=noise_model)
+                 for v in spec.grid]
+        assert_rows_match(batched, alone)
+        if selector == "fig4":
+            # the masked paths ran inside the stack
+            assert batched[0].method == "long-time-integration+dark-transparent"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.builds(
+        SystemParams,
+        gamma1=st.floats(0, 2), gamma2=st.floats(0, 2),
+        gamma3=st.floats(0, 2), gamma4=st.floats(0, 2),
+        gamma0=st.floats(0, 2), gamma_phi=st.floats(0, 1),
+        p1=st.floats(-1, 1), p2=st.floats(-1, 1),
+        omega42=st.floats(0, 3), delta1=st.floats(-4, 4),
+        g=st.floats(0, 0.6), a1_mean=st.floats(0, 2), a2_mean=st.floats(0, 2),
+        n0=st.sampled_from([3e16, 3e19, 3e22])), min_size=1, max_size=6),
+        st.sampled_from([0.0, 0.5]),
+        st.sampled_from(["einstein", "vacuum-reservoir"]))
+    def test_stack_matches_points_alone(self, points, omega, noise_model):
+        batched = evaluate_points(points, omega, noise_model)
+        alone = [compute_point(p, omega, noise_model) for p in points]
+        # each stacked operation acts on one point at a time: exact equality
+        assert_rows_match(batched, alone, rtol=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    def test_mixed_outcomes_in_every_order(self, defaults, noise_model):
+        from doublelambda.experiments import _evaluate_stack
+
+        no_rates = dict(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                        gamma0=0.0)
+        points = [
+            defaults,                                         # null-space
+            defaults.replace(gamma0=0.0),                     # integrated, dark
+            defaults.replace(gamma0=0.0, gamma4=0.0, a2_mean=0.0),  # dark
+            defaults.replace(**no_rates),                     # steady fails
+            defaults.replace(g=0.0, gamma0=0.0, gamma_phi=0.5, gamma4=0.0,
+                             a2_mean=0.0),                    # response fails
+            defaults.replace(n0=3e24, delta1=0.0),            # warned
+        ]
+        alone = [compute_point(p, noise_model=noise_model) for p in points]
+        if noise_model == "einstein":
+            assert [bool(r.error) for r in alone] == [0, 0, 0, 1, 1, 0]
+            assert [bool(r.warnings) for r in alone] == [0, 0, 0, 0, 0, 1]
+        for shift in range(len(points)):
+            order = points[shift:] + points[:shift]
+            for stack in (order, order[::-1]):
+                ref = [alone[points.index(p)] for p in stack]
+                # no per-point fallback here: the stack bookkeeping alone
+                # must put every outcome in its own row
+                assert_rows_match(_evaluate_stack(stack, 0.0, noise_model),
+                                  ref, rtol=0.0)
+
+    def test_stacks_split_long_grids(self, defaults):
+        from doublelambda.experiments import STACK_POINTS
+        spec = detuning_spec(defaults, points=STACK_POINTS + 3)
+        rows = run_sweep(spec, workers=1).rows
+        ends = [0, STACK_POINTS - 1, STACK_POINTS, STACK_POINTS + 2]
+        assert_rows_match([rows[i] for i in ends],
+                          [compute_point(spec.params_at(spec.grid[i]))
+                           for i in ends], rtol=0.0)
+
+    def test_spectrum_matches_pointwise(self, defaults):
+        p = defaults.replace(n0=3e19)
+        omegas = np.linspace(-2.0, 3.0, 11)  # includes 0
+        rows = spectrum(p, omegas, noise_model="vacuum-reservoir")
+        gen = build_generator(p)
+        lin = linearize(gen, solve_steady_state(gen, p), p,
+                        noise_model="vacuum-reservoir")
+        for row, w in zip(rows, omegas):
+            res = propagate_covariance(make_setup(lin, p, omega=w),
+                                       input_covariance(omega=w))
+            duan = duan_v12(res.covariance)
+            assert row["omega"] == w
+            assert row["warnings"] == list(res.warnings)
+            for name in ("v12", "du2", "dv2"):
+                assert row[name] == pytest.approx(getattr(duan, name),
+                                                  rel=1e-12, abs=0)
 
 
 class TestValidationSampling:

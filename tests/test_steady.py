@@ -115,5 +115,5 @@ class TestObservables:
 
 def test_integrate_to_steady_preserves_result(defaults):
     gen = build_generator(defaults)
-    rho = _integrate_to_steady(gen, np.diag([0.5, 0, 0.5, 0]).astype(complex))
+    rho = _integrate_to_steady(gen.matrix, np.diag([0.5, 0, 0.5, 0]).astype(complex))
     assert np.linalg.norm(gen.matrix @ rho.reshape(16)) < 1e-9
