@@ -213,21 +213,20 @@ def diffusion_matrix_channelwise(gen: Generator, state: AtomState) -> np.ndarray
                 if rate == 0:
                     continue
                 lnd = ln.conj().T
-                c1 = np.einsum("kl,mln->mkn", lnd, sig) \
-                    - np.einsum("mkl,ln->mkn", sig, lnd)
-                c2 = np.einsum("mkl,ln->mkn", sig, lm) \
-                    - np.einsum("kl,mln->mkn", lm, sig)
-                pair = np.einsum("mkl,nlj->mnkj", c1, c2)
-                d_full += rate * np.einsum("kl,mnlk->mn", rho, pair) / 2.0
+                c1 = lnd @ sig - sig @ lnd   # [L_n^+, sigma_mu]
+                c2 = sig @ lm - lm @ sig     # [sigma_nu, L_m]
+                # Tr(rho c1[mu] c2[nu]) = vec(c1[mu]) . vec((c2[nu] rho)^T)
+                pair = c1.reshape(16, 16) @ (
+                    (c2 @ rho).transpose(0, 2, 1).reshape(16, 16)).T
+                d_full += rate * pair / 2.0
     return EMBED.T @ d_full @ EMBED
 
 
 def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarray:
     """Ordered covariance <d sigma_mu d sigma_nu> directly from the state."""
     s = state.expectations
-    rho = state.rho
-    prod = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas)
-    first = np.einsum("kl,mnlk->mn", rho, prod)
+    # Tr(rho sigma_mu sigma_nu) = vec(rho^T) . vec(sigma_mu sigma_nu)
+    first = (PRODUCTS @ state.rho.T.reshape(16)).reshape(16, 16)
     cov = first - np.outer(s, s)
     if projected:
         return EMBED.T @ cov @ EMBED

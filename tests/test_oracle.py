@@ -1,19 +1,94 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from doublelambda import BASIS, SystemParams
+from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
-from doublelambda.fluctuations import (EMBED, equal_time_covariance,
+from doublelambda.fluctuations import (EMBED, NOISE_MODELS,
+                                       diffusion_matrix_channelwise,
+                                       equal_time_covariance,
                                        linearize, LinearizedSystem)
 from doublelambda.oracle import (OracleError, cross_validate,
                                  lyapunov_covariance, regression_covariance,
-                                 time_evolve)
+                                 rk4_covariance, time_evolve)
 from doublelambda.steady import AtomState, solve_steady_state
 from conftest import random_params
 
 
 def state_from_rho(rho):
     return AtomState(expectations=BASIS.expectations(rho), method="test")
+
+
+def oracle_points(draws: int):
+    """The reference point plus `draws` seeded random draws."""
+    rng = np.random.default_rng(20240811)
+    return [SystemParams()] + [random_params(rng, with_fields=True)
+                               for _ in range(draws)]
+
+
+def solved(p, noise_model="einstein"):
+    gen = build_generator(p)
+    state = solve_steady_state(gen, p)
+    return gen, state, linearize(gen, state, p, noise_model)
+
+
+def rel_diff(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+# The per-step forms the oracles replaced, kept as references.
+
+def rk4_per_slab(setup, c_in, slabs):
+    m, m2t, n = setup.m, setup.m_minus.T, setup.nfield
+    h = setup.cell_length / slabs
+    c = c_in.c.copy()
+
+    def f(x):
+        return m @ x + x @ m2t + n
+
+    for _ in range(slabs):
+        k1 = f(c)
+        k2 = f(c + 0.5 * h * k1)
+        k3 = f(c + 0.5 * h * k2)
+        k4 = f(c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return c
+
+
+def lyapunov_kronecker(lin):
+    n = lin.a.shape[0]
+    eye = np.eye(n)
+    lhs = np.kron(lin.a, eye) + np.kron(eye, lin.a)  # row-major vec(AS + SA^T)
+    return np.linalg.solve(lhs, -2.0 * lin.d.reshape(n * n)).reshape(n, n)
+
+
+def channelwise_einsum(gen, state):
+    rho = state.rho
+    sig = BASIS.sigmas
+    d_full = np.zeros((16, 16), dtype=complex)
+    for ops, gmat in gen.channels:
+        for m, lm in enumerate(ops):
+            for n, ln in enumerate(ops):
+                rate = gmat[m, n]
+                if rate == 0:
+                    continue
+                lnd = ln.conj().T
+                c1 = np.einsum("kl,mln->mkn", lnd, sig) \
+                    - np.einsum("mkl,ln->mkn", sig, lnd)
+                c2 = np.einsum("mkl,ln->mkn", sig, lm) \
+                    - np.einsum("kl,mln->mkn", lm, sig)
+                pair = np.einsum("mkl,nlj->mnkj", c1, c2)
+                d_full += rate * np.einsum("kl,mnlk->mn", rho, pair) / 2.0
+    return EMBED.T @ d_full @ EMBED
+
+
+def equal_time_einsum(state):
+    s = state.expectations
+    prod = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas)
+    first = np.einsum("kl,mnlk->mn", state.rho, prod)
+    return EMBED.T @ (first - np.outer(s, s)) @ EMBED
 
 
 class TestTimeEvolve:
@@ -122,6 +197,58 @@ class TestLyapunov:
             lyapunov_covariance(lin)
 
 
+class TestFastOracles:
+    """The matrix forms of the oracles equal their per-step references."""
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_rk4_step_matrix_matches_per_slab_loop(self, noise_model, omega):
+        c_in = pr.input_covariance()
+        for p in oracle_points(8):
+            _, _, lin = solved(p, noise_model)
+            setup = pr.make_setup(lin, p, omega)
+            for slabs in (1, 7, 200, 400):
+                ref = rk4_per_slab(setup, c_in, slabs)
+                assert rel_diff(rk4_covariance(setup, c_in, slabs), ref) <= 1e-12
+
+    def test_rk4_slab_guard(self, defaults):
+        _, _, lin = solved(defaults)
+        with pytest.raises(ValueError):
+            rk4_covariance(pr.make_setup(lin, defaults), pr.input_covariance(),
+                           slabs=0)
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_lyapunov_matches_kronecker_solve(self, noise_model):
+        for p in oracle_points(8):
+            _, _, lin = solved(p, noise_model)
+            sigma = lyapunov_covariance(lin)
+            assert rel_diff(sigma, lyapunov_kronecker(lin)) <= 1e-10
+            resid = lin.a @ sigma + sigma @ lin.a.T + 2.0 * lin.d
+            assert np.linalg.norm(resid) / np.linalg.norm(lin.d) <= 1e-12
+
+    def test_lyapunov_real_drift_complex_diffusion(self):
+        # a real drift with complex-Hermitian D: the Schur forms must stay
+        # triangular for the complex back-substitution
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(15, 15)) - 8.0 * np.eye(15)
+        x = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
+        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=x @ x.conj().T,
+                               noise_scale=1.0, projector=EMBED.T)
+        assert rel_diff(lyapunov_covariance(lin), lyapunov_kronecker(lin)) <= 1e-10
+
+    def test_channelwise_matches_einsum_form(self):
+        for p in oracle_points(8):
+            gen, state, _ = solved(p)
+            ref = channelwise_einsum(gen, state)
+            assert rel_diff(diffusion_matrix_channelwise(gen, state), ref) <= 1e-14
+
+    def test_equal_time_covariance_matches_einsum_form(self):
+        for p in oracle_points(20):
+            _, state, _ = solved(p)
+            assert np.max(np.abs(equal_time_covariance(state)
+                                 - equal_time_einsum(state))) <= 1e-15
+
+
 class TestCrossValidate:
     def test_reference_point_passes(self, defaults):
         report = cross_validate(defaults)
@@ -147,6 +274,18 @@ class TestCrossValidate:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(sigma_bad - direct)) / scale > 1e-6
 
+    def test_corrupted_transfer_detected(self, defaults):
+        # perturbing one entry of the M fed only to RK4 must break the
+        # "propagation: closed form vs RK4" agreement beyond its tolerance
+        _, _, lin = solved(defaults)
+        setup = pr.make_setup(lin, defaults)
+        c_in = pr.input_covariance()
+        m_bad = setup.m.copy()
+        m_bad[0, 2] += 1e-3
+        closed = pr.propagate_covariance(setup, c_in).covariance.c
+        c_bad = rk4_covariance(dataclasses.replace(setup, m=m_bad), c_in)
+        assert np.max(np.abs(c_bad - closed)) > 1e-6
+
     def test_report_serialization(self, defaults):
         report = cross_validate(defaults)
         payload = report.as_dict()
@@ -155,3 +294,4 @@ class TestCrossValidate:
         names = {c["name"] for c in payload["checks"]}
         assert "commutator preservation" in names
         assert "propagation: closed form vs RK4" in names
+        assert all(c["seconds"] >= 0.0 for c in payload["checks"])
