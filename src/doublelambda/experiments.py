@@ -406,15 +406,22 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
 
     Solves <sigma_22>(g) = target at the symmetric working point; the
     companion value <sigma_11> = 1/2 - target follows from the reflection
-    symmetry of the configuration.
+    symmetry of the configuration.  Only the field coefficients g*a depend
+    on g: each step rewrites them and runs the steady solve with all checks.
     """
     if base is None:
         base = SystemParams()
     base = base.replace(delta1=-base.omega42 / 2.0)
+    for g in bracket:
+        base.replace(g=g)  # same ValueError as a step at that end would give
+    h, r = atom.coefficient_stack([base])
+    a1, a2 = base.a1_mean, base.a2_mean
 
     def objective(g: float) -> float:
-        p = base.replace(g=g)
-        state = solve_steady_state(build_generator(p), p)
-        return state.populations[1] - target
+        h[0, 2:] = g * a1, g * a1, g * a2, g * a2
+        rho, _, failures = steady_state_stack(atom.liouvillian_stack(h, r)[1])
+        if failures:
+            raise failures[0]
+        return rho[0, 1, 1].real - target
 
     return float(brentq(objective, *bracket, xtol=1e-12))

@@ -241,12 +241,12 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("steady-state dual-method agreement",
            float(np.max(np.abs(other.expectations - state.expectations))), 1e-8)
 
-    d_sandwich = fl.diffusion_matrix(gen, state)
+    # lin.d is the sandwich route: the Einstein D of fl.diffusion_matrix
+    lin = fl.linearize(gen, state, params)
     d_channel = fl.diffusion_matrix_channelwise(gen, state)
     record("Einstein-relation dual-path identity",
-           float(np.max(np.abs(d_sandwich - d_channel))), 1e-12)
+           float(np.max(np.abs(lin.d - d_channel))), 1e-12)
 
-    lin = fl.linearize(gen, state, params)
     sigma_direct = fl.equal_time_covariance(state)
     sigma_lyap = lyapunov_covariance(lin)
     scale = max(float(np.max(np.abs(sigma_direct))), 1e-30)

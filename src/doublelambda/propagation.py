@@ -41,6 +41,11 @@ class FieldCovariance:
     z: float = 0.0
 
     def commutator_blocks(self) -> tuple[complex, complex]:
+        """C01 - C10 and C23 - C32: the mode commutators, at omega = 0 only;
+        at omega != 0 they are C01(omega) - C10(-omega), so it refuses."""
+        if self.omega != 0:
+            raise ValueError(f"commutator_blocks at omega = {self.omega}: "
+                             "the commutator is C01(omega) - C10(-omega)")
         return (self.c[0, 1] - self.c[1, 0], self.c[2, 3] - self.c[3, 2])
 
     def pairing_residual(self) -> float:
@@ -92,10 +97,12 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     # R(-0) is R(0): invert again only at nonzero frequencies
     again = np.flatnonzero(omegas != 0.0)
     again = again[~np.isin(again, list(failures))]
-    r_again, more = fl.response_stack(a[again], -omegas[again])
-    r_minus = r_plus.copy()
-    r_minus[again] = r_again
-    failures.update({int(again[j]): exc for j, exc in more.items()})
+    r_minus = r_plus
+    if again.size:
+        r_again, more = fl.response_stack(a[again], -omegas[again])
+        r_minus = r_plus.copy()
+        r_minus[again] = r_again
+        failures.update({int(again[j]): exc for j, exc in more.items()})
     chi = np.array([[1j * p.chi1, -1j * p.chi1, 1j * p.chi2, -1j * p.chi2]
                     for p in points]).reshape(-1, 4)
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise

@@ -232,6 +232,14 @@ class TestBatchedStack:
                 assert row[name] == pytest.approx(getattr(duan, name),
                                                   rel=1e-12, abs=0)
 
+    def test_spectrum_through_zero_matches_one_point_stacks(self, defaults):
+        # omega = 0 skips the R(-omega) inversion; mixed with nonzero
+        # frequencies in one stack, every row must stay bit for bit its own
+        p = defaults.replace(n0=3e19)
+        omegas = np.linspace(-1.0, 1.0, 5)  # includes 0
+        rows = spectrum(p, omegas)
+        assert rows == [spectrum(p, [w])[0] for w in omegas]
+
 
 class TestValidationSampling:
     def test_every_tenth_point(self, defaults):
@@ -251,7 +259,65 @@ class TestParallelism:
             assert ra.v12 == rb.v12
 
 
+def calibrate_by_generator(base, target=0.064, bracket=(0.05, 1.0)):
+    """Reference route: a full generator build and steady solve per step."""
+    from scipy.optimize import brentq
+    base = base.replace(delta1=-base.omega42 / 2.0)
+
+    def objective(g):
+        p = base.replace(g=g)
+        return solve_steady_state(build_generator(p), p).populations[1] - target
+
+    return float(brentq(objective, *bracket, xtol=1e-12))
+
+
+def calibration_cases():
+    """Eight seeded (base, target) draws as the calibrate-batch workload
+    draws them, then three off-default bases."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(8):
+        target = float(rng.uniform(0.02, 0.1))
+        cases.append((SystemParams(gamma0=float(rng.uniform(5e-4, 2e-3)),
+                                   a1_mean=float(rng.uniform(0.8, 1.2))),
+                      {"target": target}))
+    # partial alignment keeps <sigma_22> near 2.6e-4 at the midpoint
+    cases.append((SystemParams(p1=0.6, p2=0.6),
+                  {"target": 2.5e-4, "bracket": (0.05, 0.2)}))
+    cases.append((SystemParams(gamma_phi=0.01), {}))
+    cases.append((SystemParams(a1_mean=1.3, a2_mean=0.7), {}))
+    return cases
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("case", range(11))
+    def test_matches_generator_route_exactly(self, case):
+        base, kw = calibration_cases()[case]
+        assert calibrate_coupling(base, **kw) == calibrate_by_generator(base,
+                                                                        **kw)
+
+    @pytest.mark.parametrize("bracket", [(-0.1, 1.0), (0.05, -1.0)])
+    def test_negative_bracket_end_rejected_before_solving(
+            self, defaults, bracket, monkeypatch):
+        from doublelambda import experiments
+        calls = []
+        solve = experiments.steady_state_stack
+        monkeypatch.setattr(experiments, "steady_state_stack",
+                            lambda *a: calls.append(1) or solve(*a))
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            calibrate_coupling(defaults, bracket=bracket)
+        assert calls == []
+        with pytest.raises(ValueError, match="g must be >= 0"):
+            calibrate_by_generator(defaults, bracket=bracket)
+
+    def test_bracket_without_sign_change(self, defaults):
+        with pytest.raises(ValueError) as new:
+            calibrate_coupling(defaults, bracket=(0.05, 0.1))
+        with pytest.raises(ValueError) as old:
+            calibrate_by_generator(defaults, bracket=(0.05, 0.1))
+        assert str(new.value) == str(old.value)
+        assert "different signs" in str(new.value)
+
     def test_recovers_frozen_constant(self, defaults):
         g = calibrate_coupling(defaults)
         assert g == pytest.approx(CALIBRATED_G, abs=5e-4)

@@ -286,6 +286,48 @@ class TestCrossValidate:
         c_bad = rk4_covariance(dataclasses.replace(setup, m=m_bad), c_in)
         assert np.max(np.abs(c_bad - closed)) > 1e-6
 
+    @pytest.mark.parametrize("k", range(9))
+    def test_residuals_match_separate_diffusion_route(self, k):
+        # reference: the battery with the sandwich D from its own
+        # diffusion_matrix call instead of lin.d
+        from doublelambda.fluctuations import diffusion_matrix
+        p = oracle_points(8)[k]
+        gen = build_generator(p)
+        state = solve_steady_state(gen, p)
+        rho = state.rho
+        other = solve_steady_state(
+            gen, p, method="long-time-integration"
+            if state.method == "null-space" else "null-space")
+        lin = linearize(gen, state, p)
+        direct = equal_time_covariance(state)
+        setup = pr.make_setup(lin, p)
+        c_in = pr.input_covariance()
+        c_out = pr.propagate_covariance(setup, c_in).covariance.c
+        reference = [
+            abs(np.trace(rho) - 1.0),
+            float(np.max(np.abs(rho - rho.conj().T))),
+            max(0.0, -float(np.min(np.linalg.eigvalsh((rho + rho.conj().T)
+                                                      / 2)))),
+            float(np.max(np.abs(other.expectations - state.expectations))),
+            float(np.max(np.abs(diffusion_matrix(gen, state)
+                                - diffusion_matrix_channelwise(gen, state)))),
+            float(np.max(np.abs(lyapunov_covariance(lin) - direct)))
+            / max(float(np.max(np.abs(direct))), 1e-30),
+            max(abs(c_out[0, 1] - c_out[1, 0] - 1.0),
+                abs(c_out[2, 3] - c_out[3, 2] - 1.0)),
+            float(np.max(np.abs(c_out - rk4_covariance(setup, c_in)))),
+        ]
+        assert [c.residual for c in cross_validate(p).checks] == reference
+
+    def test_one_einstein_diffusion_per_battery(self, defaults, monkeypatch):
+        from doublelambda import fluctuations as fl
+        models = []
+        stack = fl.diffusion_stack
+        monkeypatch.setattr(fl, "diffusion_stack",
+                            lambda *a: models.append(a[0]) or stack(*a))
+        cross_validate(defaults)
+        assert models == ["einstein"]
+
     def test_report_serialization(self, defaults):
         report = cross_validate(defaults)
         payload = report.as_dict()

@@ -39,6 +39,20 @@ class TestTransferMatrix:
         assert setup.m[3, 3] == pytest.approx(np.conj(setup.m[2, 2]))
         assert setup.m[0, 2] == pytest.approx(np.conj(setup.m[1, 3]))
 
+    @pytest.mark.parametrize("omega, calls", [(0.0, 1), (0.5, 2)])
+    def test_response_inversions_per_setup(self, defaults, omega, calls,
+                                           monkeypatch):
+        # R(-0) is R(0): only a nonzero frequency inverts a second time
+        from doublelambda import fluctuations as fl
+        gen = build_generator(defaults)
+        lin = linearize(gen, solve_steady_state(gen, defaults), defaults)
+        seen = []
+        response = fl.response_stack
+        monkeypatch.setattr(fl, "response_stack",
+                            lambda *a: seen.append(1) or response(*a))
+        make_setup(lin, defaults, omega=omega)
+        assert len(seen) == calls
+
     def test_no_cross_coupling_between_field_sectors(self):
         # without decay interference and with field 2 off, nothing routes a
         # field-2 fluctuation into the field-1 coherences: the transfer
@@ -167,6 +181,19 @@ class TestPropagation:
             c1, c2 = res.covariance.commutator_blocks()
             assert abs(c1 - 1.0) < 1e-6
             assert abs(c2 - 1.0) < 1e-6
+
+    def test_commutator_blocks_only_at_zero_frequency(self, defaults):
+        # at omega != 0 the commutator pairs C01(omega) with C10(-omega);
+        # the same-omega difference is not it, so the blocks are refused
+        covs = {w: propagate_covariance(pipeline(defaults, omega=w),
+                                        input_covariance(omega=w)).covariance
+                for w in (0.5, -0.5)}
+        with pytest.raises(ValueError, match=r"C01\(omega\) - C10\(-omega\)"):
+            covs[0.5].commutator_blocks()
+        for i, j in ((0, 1), (2, 3)):
+            assert covs[0.5].c[i, j] - covs[-0.5].c[j, i] == pytest.approx(
+                1.0, abs=1e-6)
+        assert input_covariance().commutator_blocks() == (1.0, 1.0)
 
     def test_hermitian_pairing_of_output(self, rng):
         for _ in range(5):
