@@ -168,8 +168,10 @@ def _propagate(stack: _Stack, a, b, d, points, omegas) -> tuple:
     m, m_minus, nfield, lengths = stack.drop(failures, m, m_minus, nfield,
                                              lengths)
     c_in = pr.input_covariance().c
-    c_out, residual, converged = pr.propagate_stack(m, m_minus, nfield,
-                                                    lengths, c_in)
+    c_out, residual, converged, failures = pr.propagate_stack(
+        m, m_minus, nfield, lengths, c_in)
+    c_out, residual, converged = stack.drop(failures, c_out, residual,
+                                            converged)
     du2, dv2, failures = duan_stack(c_out)
     du2, dv2, residual, converged = stack.drop(failures, du2, dv2, residual,
                                                converged)

@@ -47,6 +47,33 @@ def traceless_embedding() -> np.ndarray:
 
 EMBED = traceless_embedding()
 
+#: EMBED coordinate of the index-swapped partner of each coordinate: the
+#: permutation P with conj(A) = P A P for every Hermiticity-preserving drift
+#: (the three diagonal combinations are their own partners)
+EMBED_PAIR = np.argmax(np.abs(EMBED.T @ BASIS.swap @ EMBED), axis=1)
+
+
+def real_drift_frame() -> np.ndarray:
+    """Unitary T (15 x 15) with T A T^H real whenever conj(A) = P A P.
+
+    Rows: each self-paired coordinate e_i, and for each swap pair (i, j)
+    the combinations (e_i + e_j)/sqrt2 and i(e_i - e_j)/sqrt2.
+    """
+    t = np.zeros((15, 15), dtype=complex)
+    row = 0
+    for i, j in enumerate(EMBED_PAIR):
+        if i == j:
+            t[row, i] = 1.0
+            row += 1
+        elif i < j:
+            t[row, [i, j]] = 1.0 / np.sqrt(2.0)
+            t[row + 1, [i, j]] = np.array([1j, -1j]) / np.sqrt(2.0)
+            row += 2
+    return t
+
+
+REAL_DRIFT_FRAME = real_drift_frame()
+
 
 @dataclass(frozen=True)
 class LinearizedSystem:
@@ -62,7 +89,6 @@ class LinearizedSystem:
     b: np.ndarray          # 15 x 4
     d: np.ndarray          # 15 x 15
     noise_scale: float     # L / N
-    projector: np.ndarray  # 15 x 16 map onto traceless coordinates
 
 
 def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -70,9 +96,13 @@ def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
 
     Returns the (P, 15, 15) drifts and the failures as {stack position:
     ResponseError} for drifts with an eigenvalue in the right half-plane.
+    A Heisenberg generator preserves Hermiticity, so REAL_DRIFT_FRAME turns
+    each drift into a real matrix with the same eigenvalues; the check runs
+    on that real form.
     """
     a15 = EMBED.T @ adjoints @ EMBED
-    max_re = np.max(np.real(np.linalg.eigvals(a15)), axis=1)
+    real = (REAL_DRIFT_FRAME @ a15 @ REAL_DRIFT_FRAME.conj().T).real
+    max_re = np.max(np.real(np.linalg.eigvals(real)), axis=1)
     failures = {int(k): ResponseError(
         f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}")
         for k in np.flatnonzero(max_re > 1e-10)}
@@ -80,17 +110,17 @@ def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
 
 
 def drift_matrix(gen: Generator, state: AtomState,
-                 params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+                 params: SystemParams) -> np.ndarray:
     """Heisenberg drift with mean fields frozen, projected to 15 dimensions.
 
-    Returns (A, projector).  The full 16-dim drift has the trace vector as an
-    exact left null vector; fluctuations therefore stay on the subspace the
-    projector maps onto.
+    The full 16-dim drift has the trace vector as an exact left null vector;
+    fluctuations therefore stay on the traceless subspace EMBED spans, and
+    EMBED.T maps onto its coordinates.
     """
     a15, failures = drift_stack(gen.adjoint[None])
     if failures:
         raise failures[0]
-    return a15[0], EMBED.T.copy()
+    return a15[0]
 
 
 #: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
@@ -127,15 +157,17 @@ def diffusion_stack(noise_model: str, lmats: np.ndarray, coherents: np.ndarray,
     Failures are {stack position: ResponseError}.
     """
     failures = {}
+    products = _state_products(rhos)
     if noise_model == "einstein":
-        d_full = _einstein_diffusion(lmats, rhos)
-        resid = np.max(np.abs(_einstein_diffusion(coherents, rhos)), axis=(1, 2))
+        d_full = _einstein_diffusion(lmats, products)
+        resid = np.max(np.abs(_einstein_diffusion(coherents, products)),
+                       axis=(1, 2))
         failures = {int(k): ResponseError(
             f"Hamiltonian part leaked into the diffusion matrix: {resid[k]:.2e}")
             for k in np.flatnonzero(resid > 1e-10)}
     elif noise_model == "vacuum-reservoir":
         radiative = dissipator_stack(rates[:, :RADIATIVE_ENTRIES])
-        d_full = _einstein_diffusion(radiative, rhos)
+        d_full = _einstein_diffusion(radiative, products)
     else:
         raise ValueError(f"unknown noise model {noise_model!r}; "
                          f"expected one of {NOISE_MODELS}")
@@ -174,22 +206,41 @@ def diffusion_matrix_vacuum_reservoir(gen: Generator, state: AtomState) -> np.nd
 #: row 16 mu + nu is vec(sigma_mu sigma_nu)
 PRODUCTS = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas).reshape(256, 16)
 
+# sigma_mu = |i><j| (mu = 4 i + j) is a unit matrix: (sigma_mu rho)^T has row
+# 4 q + i equal to rho[j, q], and (rho sigma_mu)^T row 4 j + q equal to
+# rho[q, i], for q = 0..3
+_MU = np.repeat(np.arange(16), 4)
+_Q = np.tile(np.arange(4), 16)
+_ROW_I = 4 * _Q + _MU // 4
+_ROW_J = 4 * (_MU % 4) + _Q
 
-def _einstein_diffusion(lmats: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+
+def _state_products(rhos: np.ndarray) -> tuple:
+    """vec(rho^T) as (P, 1, 16), and vec((sigma_mu rho)^T) and
+    vec((rho sigma_mu)^T) as rows mu of (P, 16, 16), by index gathers."""
+    n = len(rhos)
+    flat = rhos.reshape(n, 16)
+    y = np.zeros((n, 16, 16), dtype=rhos.dtype)
+    z = np.zeros((n, 16, 16), dtype=rhos.dtype)
+    y[:, _MU, _ROW_I] = flat[:, _ROW_J]
+    z[:, _MU, _ROW_J] = flat[:, _ROW_I]
+    return rhos.transpose(0, 2, 1).reshape(n, 1, 16), y, z
+
+
+def _einstein_diffusion(lmats: np.ndarray, products: tuple) -> np.ndarray:
     """(P, 16, 16) matrices 2D/2 from the Einstein relation under lmats.
 
     With Tr(rho X) = vec(rho^T) . vec(X), the three terms are
     t1 = vec(rho^T) L^+ applied to every product sigma_mu sigma_nu,
     t2[m, n] = vec(L^+ sigma_m) . vec((sigma_n rho)^T) and
-    t3[m, n] = vec((rho sigma_m)^T) . vec(L^+ sigma_n).  vec(sigma_mu) is
-    the unit vector e_mu, so vec(L^+ sigma_mu) is row mu of conj(L).
+    t3[m, n] = vec((rho sigma_m)^T) . vec(L^+ sigma_n), with the state
+    vectors from _state_products.  vec(sigma_mu) is the unit vector e_mu, so
+    vec(L^+ sigma_mu) is row mu of conj(L).
     """
     n = len(lmats)
+    rho_t, y, z = products
     lsig = lmats.conj()
-    rho_t = rhos.transpose(0, 2, 1).reshape(n, 1, 16)
     t1 = ((rho_t @ lsig.transpose(0, 2, 1)) @ PRODUCTS.T).reshape(n, 16, 16)
-    y = (BASIS.sigmas @ rhos[:, None]).transpose(0, 1, 3, 2).reshape(n, 16, 16)
-    z = (rhos[:, None] @ BASIS.sigmas).transpose(0, 1, 3, 2).reshape(n, 16, 16)
     t1 -= lsig @ y.transpose(0, 2, 1)
     t1 -= z @ lsig.transpose(0, 2, 1)
     t1 /= 2.0
@@ -236,8 +287,9 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
 def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, dict]:
     """Responses R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) drift stack.
 
-    Refuses near-singular systems, naming the offending eigenvalue; failures
-    are {stack position: ResponseError}.
+    Refuses near-singular systems, naming the offending eigenvalue, and
+    checks every inverse by its residual; failures are {stack position:
+    ResponseError}.
     """
     eye = np.eye(a.shape[-1])
     m = (-1j * omegas)[:, None, None] * eye - a
@@ -258,6 +310,26 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, dict]
         failures[int(ok[j])] = ResponseError(
             f"response inversion residual {resid[j]:.2e}")
     return r, failures
+
+
+def mirrored_response_stack(a: np.ndarray, omegas: np.ndarray,
+                            r: np.ndarray) -> tuple[np.ndarray, dict]:
+    """R(-omega) = P conj(R(omega)) P from responses r = R(omega) of a stack.
+
+    Every drift preserves Hermiticity, conj(A) = P A P with P the EMBED_PAIR
+    permutation, so the mirrored response is an index gather, not a second
+    inversion; it has the condition number of R(omega) and is checked by
+    its own residual ||(i omega - A) R(-omega) - I||.  Failures are {stack
+    position: ResponseError}.
+    """
+    eye = np.eye(a.shape[-1])
+    r_minus = r.conj()[:, EMBED_PAIR[:, None], EMBED_PAIR]
+    m = (1j * omegas)[:, None, None] * eye - a
+    resid = np.linalg.norm(m @ r_minus - eye, axis=(1, 2))
+    failures = {int(k): ResponseError(
+        f"mirrored response residual {resid[k]:.2e} at omega={-omegas[k]}")
+        for k in np.flatnonzero(resid > 1e-10)}
+    return r_minus, failures
 
 
 def atomic_response(a: np.ndarray, omega: float) -> np.ndarray:
@@ -289,12 +361,11 @@ def linearize(gen: Generator, state: AtomState, params: SystemParams,
     fluctuation-dissipation bookkeeping, commutator-preserving);
     "vacuum-reservoir" keeps only the spontaneous-emission forces.
     """
-    a, projector = drift_matrix(gen, state, params)
+    a = drift_matrix(gen, state, params)
     b = field_coupling_matrix(gen, state, params)
     d, failures = diffusion_stack(noise_model, gen.matrix[None],
                                   gen.coherent[None], gen.rates[None],
                                   state.rho[None])
     if failures:
         raise failures[0]
-    return LinearizedSystem(a=a, b=b, d=d[0], noise_scale=noise_scale(params),
-                            projector=projector)
+    return LinearizedSystem(a=a, b=b, d=d[0], noise_scale=noise_scale(params))

@@ -20,11 +20,44 @@ from .fluctuations import EMBED, LinearizedSystem
 from .params import SPEED_OF_LIGHT, SystemParams
 
 #: bound on the relative disagreement between the propagator block of the
-#: augmented exponential and the Kronecker product of the two 4x4 exponentials
+#: augmented exponential and the real form of kron(exp(L M), conj(exp(L M)))
 SELF_CHECK_TOL = 1e-10
+
+#: bound on the relative residual of each adjoint-pairing guard
+PAIRING_TOL = 1e-10
 
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
+
+
+def hermitian_basis() -> np.ndarray:
+    """Orthonormal Hermitian basis F_k (16, 4, 4) of the 4 x 4 matrices.
+
+    E_ii, then for each i < j the pair (E_ij + E_ji)/sqrt2 and
+    i(E_ij - E_ji)/sqrt2; Tr(F_k F_l) = delta_kl.
+    """
+    f = np.zeros((16, 4, 4), dtype=complex)
+    f[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+    k = 4
+    for i in range(4):
+        for j in range(i + 1, 4):
+            f[k, i, j] = f[k, j, i] = 1.0 / np.sqrt(2.0)
+            f[k + 1, i, j], f[k + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            k += 2
+    return f
+
+
+HERMITIAN_BASIS = hermitian_basis()
+#: unitary whose column k is vec(F_k): x = HERMITIAN_FRAME^H vec(X) are the
+#: real coordinates of a Hermitian X
+HERMITIAN_FRAME = HERMITIAN_BASIS.reshape(16, 16).T
+#: column k is vec(F_k Pi): a paired covariance C (C Pi Hermitian) is
+#: PAIRED_FRAME x with real x = PAIRED_FRAME^H vec(C)
+PAIRED_FRAME = HERMITIAN_BASIS[:, :, FIELD_PAIR].reshape(16, 16).T
+#: row 4 a + b, column 16 k + l is Tr(F_k E_ab F_l) = (F_l F_k)[b, a], so
+#: 2 Re(vec(M) @ PAIRED_GENERATOR) is the real matrix of X -> M X + X M^H
+PAIRED_GENERATOR = np.einsum("lbc,kca->abkl", HERMITIAN_BASIS,
+                             HERMITIAN_BASIS).reshape(16, 256)
 
 #: 4 x 15 selector of the coherence sums sourcing the field equations, in
 #: traceless coordinates: field k is driven by the transpose of -dH/dv_k,
@@ -49,7 +82,8 @@ class FieldCovariance:
         return (self.c[0, 1] - self.c[1, 0], self.c[2, 3] - self.c[3, 2])
 
     def pairing_residual(self) -> float:
-        """Max deviation from C_ij = conj(C_[jbar, ibar])."""
+        """Max deviation from C_ij = conj(C_[jbar, ibar]); a propagated
+        covariance is paired by construction (see propagate_stack)."""
         paired = self.c[np.ix_(FIELD_PAIR, FIELD_PAIR)].T.conj()
         return float(np.max(np.abs(self.c - paired)))
 
@@ -94,15 +128,10 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     response failure, or a non-finite transfer matrix.
     """
     r_plus, failures = fl.response_stack(a, omegas)
-    # R(-0) is R(0): invert again only at nonzero frequencies
-    again = np.flatnonzero(omegas != 0.0)
-    again = again[~np.isin(again, list(failures))]
-    r_minus = r_plus
-    if again.size:
-        r_again, more = fl.response_stack(a[again], -omegas[again])
-        r_minus = r_plus.copy()
-        r_minus[again] = r_again
-        failures.update({int(again[j]): exc for j, exc in more.items()})
+    # R(-omega) = P conj(R(omega)) P: an index gather, not a second inversion
+    r_minus, more = fl.mirrored_response_stack(a, omegas, r_plus)
+    for k, exc in more.items():
+        failures.setdefault(k, exc)
     chi = np.array([[1j * p.chi1, -1j * p.chi1, 1j * p.chi2, -1j * p.chi2]
                     for p in points]).reshape(-1, 4)
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
@@ -179,47 +208,91 @@ class PropagationResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _augmented_generators(m: np.ndarray, m_minus: np.ndarray,
-                          nfield: np.ndarray) -> np.ndarray:
-    """(P, 17, 17) Van Loan generators of dC/dz = M C + C M(-omega)^T + Nfield.
+def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
+                      c_in: np.ndarray) -> dict:
+    """{stack position: ValueError} naming the first broken pairing.
 
-    With row-major vec, vec(M C) = (M x I) vec C and vec(C M-^T) =
-    (I x M-) vec C; the constant source rides in the last column.
+    The real propagation reads only M; it holds when M(-omega) =
+    Pi conj(M(omega)) Pi and Nfield Pi and the input C Pi are Hermitian,
+    each to PAIRING_TOL relative.
+    """
+    def relative(x, ref):
+        scale = np.maximum(np.max(np.abs(ref), axis=(1, 2)), np.finfo(float).tiny)
+        return np.max(np.abs(x - ref), axis=(1, 2)) / scale
+
+    def hermitian_residual(x):
+        y = x[..., FIELD_PAIR]
+        return relative(y, y.conj().transpose(0, 2, 1))
+
+    failures = {}
+    for name, resid in (
+            ("m_minus deviates from Pi conj(m) Pi",
+             relative(m_minus, m.conj()[:, FIELD_PAIR[:, None], FIELD_PAIR])),
+            ("nfield Pi is not Hermitian", hermitian_residual(nfield)),
+            ("input C Pi is not Hermitian", hermitian_residual(c_in))):
+        for k in np.flatnonzero(~(resid <= PAIRING_TOL)):
+            failures.setdefault(int(k), ValueError(
+                f"{name}: pairing residual {resid[k]:.2e} "
+                f"(tolerance {PAIRING_TOL:.0e})"))
+    return failures
+
+
+def _per_point(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """vec(x_p) @ table for each point p of a stack, one vector-matrix
+    product per point, so no point's result depends on the stack."""
+    return (x.reshape(len(x), 1, len(table)) @ table)[:, 0]
+
+
+def _paired_generators(m: np.ndarray, nfield: np.ndarray) -> np.ndarray:
+    """(P, 17, 17) real Van Loan generators of dX/dz = M X + X M^H + Nfield Pi.
+
+    X = C Pi is Hermitian, so it propagates as its 16 real coordinates in
+    HERMITIAN_BASIS; the constant source rides in the last column.
     """
     n = len(m)
-    eye = np.eye(4)
-    g = np.zeros((n, 17, 17), dtype=complex)
-    g[:, :16, :16] = (np.einsum("pij,kl->pikjl", m, eye)
-                      + np.einsum("ij,pkl->pikjl", eye, m_minus)).reshape(n, 16, 16)
-    g[:, :16, 16] = nfield.reshape(n, 16)
+    g = np.zeros((n, 17, 17))
+    g[:, :16, :16] = 2.0 * np.real(_per_point(m, PAIRED_GENERATOR)
+                                   ).reshape(n, 16, 16)
+    g[:, :16, 16] = np.real(_per_point(nfield, PAIRED_FRAME.conj()))
     return g
 
 
 def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
                     lengths: np.ndarray, c_in: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Closed-form propagation of a stack of P covariances over their cells.
 
     m, m_minus, nfield are (P, 4, 4), lengths (P,) and c_in (P, 4, 4) or one
     (4, 4) input shared by all.  Returns the output covariances, the
-    relative Kronecker self-check residuals and the converged flags (finite
-    output and residual within SELF_CHECK_TOL).
+    relative self-check residuals, the converged flags (finite output and
+    residual within SELF_CHECK_TOL) and the failures as {stack position:
+    ValueError} of the points whose adjoint pairing is broken.
+
+    With M(-omega) = Pi conj(M) Pi, X = C Pi obeys dX/dz = M X + X M^H +
+    Nfield Pi and stays Hermitian, so one real 17 x 17 exponential carries
+    it; the output C = X Pi is paired by construction.  The propagator
+    block must equal the real form of kron(exp(L M), conj(exp(L M))).
     """
     n = len(m)
+    c_in = np.broadcast_to(c_in, (n, 4, 4))
+    failures = _pairing_failures(m, m_minus, nfield, c_in)
     scaled = lengths[:, None, None]
-    e = expm(scaled * _augmented_generators(m, m_minus, nfield))
+    e = expm(scaled * _paired_generators(m, nfield))
     phi = e[:, :16, :16]
-    c_vec = np.broadcast_to(c_in, (n, 4, 4)).reshape(n, 16, 1)
-    c_out = ((phi @ c_vec)[..., 0] + e[:, :16, 16]).reshape(n, 4, 4)
-    ea, eb = expm(scaled * m), expm(scaled * m_minus)
-    kron = (ea[:, :, None, :, None] * eb[:, None, :, None, :]).reshape(n, 16, 16)
+    x_in = np.real(_per_point(c_in, PAIRED_FRAME.conj()))
+    x_out = (phi @ x_in[:, :, None])[..., 0] + e[:, :16, 16]
+    c_out = _per_point(x_out, PAIRED_FRAME.T).reshape(n, 4, 4)
+    ea = expm(scaled * m)
+    kron = (ea[:, :, None, :, None] * ea.conj()[:, None, :, None, :]
+            ).reshape(n, 16, 16)
+    kron = HERMITIAN_FRAME.conj().T @ kron @ HERMITIAN_FRAME
     # exp(L M) may underflow to zero in a strongly absorbing medium
     scale = np.maximum(np.maximum(np.max(np.abs(phi), axis=(1, 2)),
                                   np.max(np.abs(kron), axis=(1, 2))),
                        np.finfo(float).tiny)
     residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
     converged = np.all(np.isfinite(c_out), axis=(1, 2)) & (residual <= SELF_CHECK_TOL)
-    return c_out, residual, converged
+    return c_out, residual, converged, failures
 
 
 def self_check_warnings(residual: float, converged: bool) -> tuple:
@@ -236,14 +309,19 @@ def propagate_covariance(setup: PropagationSetup,
 
     M and Nfield are z-constant because the mean fields are never depleted,
     so exp(L G) of the augmented generator G carries both the propagator
-    (top-left 16 x 16 block) and the accumulated noise (last column)
-    [Van Loan, IEEE TAC 23, 395 (1978)].  The propagator block must equal
-    kron(exp(L M), exp(L M-)); a larger disagreement or a non-finite output
-    clears `converged` and names the residual in `warnings`.
+    (top-left block) and the accumulated noise (last column) [Van Loan,
+    IEEE TAC 23, 395 (1978)]; G is the real 17 x 17 generator of X = C Pi
+    (see propagate_stack).  The propagator block must equal the real form of
+    kron(exp(L M), conj(exp(L M))); a larger disagreement or a non-finite
+    output clears `converged` and names the residual in `warnings`.  Raises
+    ValueError, naming the residual, when M(-omega), Nfield or the input
+    breaks the adjoint pairing.
     """
-    c_out, residual, converged = propagate_stack(
+    c_out, residual, converged, failures = propagate_stack(
         setup.m[None], setup.m_minus[None], setup.nfield[None],
         np.array([setup.cell_length]), c_in.c)
+    if failures:
+        raise failures[0]
     residual, converged = float(residual[0]), bool(converged[0])
     cov = FieldCovariance(c=c_out[0], omega=setup.omega, z=setup.cell_length)
     return PropagationResult(covariance=cov, converged=converged,

@@ -6,12 +6,15 @@ from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
 from doublelambda.atom import build_generator, generator_with_fields
-from doublelambda.fluctuations import (EMBED, ResponseError, atomic_response,
+from doublelambda.fluctuations import (EMBED, REAL_DRIFT_FRAME, ResponseError,
+                                       _state_products, atomic_response,
                                        diffusion_matrix,
                                        diffusion_matrix_channelwise,
                                        diffusion_matrix_vacuum_reservoir,
-                                       drift_matrix, equal_time_covariance,
-                                       field_coupling_matrix, linearize)
+                                       drift_matrix, drift_stack,
+                                       equal_time_covariance,
+                                       field_coupling_matrix, linearize,
+                                       mirrored_response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.steady import solve_steady_state
 from conftest import random_params
@@ -23,6 +26,19 @@ def prepare(params):
     return gen, state
 
 
+def reference_points(draws: int):
+    """The reference point, the stressed point (n0 x1000) and seeded draws."""
+    rng = np.random.default_rng(20240811)
+    return [SystemParams(), SystemParams(n0=3e19)] + [
+        random_params(rng, with_fields=True) for _ in range(draws)]
+
+
+def nearest_mismatch(x, y):
+    """Largest distance from an entry of either set to the other set."""
+    dist = np.abs(x[:, None] - y[None, :])
+    return max(np.max(np.min(dist, axis=0)), np.max(np.min(dist, axis=1)))
+
+
 class TestDrift:
     def test_trace_left_null_vector(self, defaults):
         gen = build_generator(defaults)
@@ -32,9 +48,30 @@ class TestDrift:
 
     def test_stability_at_defaults(self, defaults):
         gen, state = prepare(defaults)
-        a, projector = drift_matrix(gen, state, defaults)
+        a = drift_matrix(gen, state, defaults)
         assert np.max(np.real(np.linalg.eigvals(a))) <= 1e-10
-        assert projector.shape == (15, 16)
+        assert a.shape == (15, 15)
+
+    def test_real_form_keeps_the_eigenvalues(self):
+        # conj(A) = P A P, so T A T^H is real and similar to A
+        for p in reference_points(8):
+            gen, state = prepare(p)
+            a = drift_matrix(gen, state, p)
+            real = REAL_DRIFT_FRAME @ a @ REAL_DRIFT_FRAME.conj().T
+            scale = np.max(np.abs(a))
+            assert np.max(np.abs(real.imag)) <= 1e-15 * scale
+            evals = np.linalg.eigvals(a)
+            mismatch = nearest_mismatch(np.linalg.eigvals(real.real), evals)
+            assert mismatch <= 1e-12 * np.max(np.abs(evals))
+
+    def test_unstable_drift_still_refused(self, defaults):
+        # shifting the Heisenberg generator by +0.5 pushes the slowest
+        # eigenvalue into the right half-plane
+        gen = build_generator(defaults)
+        adjoints = np.stack([gen.adjoint, gen.adjoint + 0.5 * np.eye(16)])
+        _, failures = drift_stack(adjoints)
+        assert list(failures) == [1]
+        assert "drift matrix unstable" in str(failures[1])
 
     def test_rate_bookkeeping_with_drive_off(self):
         p = SystemParams(g=0.0, gamma0=0.0)
@@ -96,6 +133,17 @@ class TestFieldCoupling:
 
 
 class TestDiffusion:
+    def test_state_products_equal_the_matrix_products(self):
+        # sigma_mu are unit matrices: the gathers are the products, exactly
+        rhos = np.array([prepare(p)[1].rho for p in reference_points(8)])
+        n = len(rhos)
+        rho_t, y, z = _state_products(rhos)
+        y_ref = (BASIS.sigmas @ rhos[:, None]).transpose(0, 1, 3, 2)
+        z_ref = (rhos[:, None] @ BASIS.sigmas).transpose(0, 1, 3, 2)
+        assert np.array_equal(y, y_ref.reshape(n, 16, 16))
+        assert np.array_equal(z, z_ref.reshape(n, 16, 16))
+        assert np.array_equal(rho_t[:, 0], rhos.transpose(0, 2, 1).reshape(n, 16))
+
     def test_closed_system_noiseless(self):
         p = SystemParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0, gamma0=0)
         gen = build_generator(p)
@@ -154,14 +202,14 @@ class TestDiffusion:
 class TestResponse:
     def test_high_frequency_rolloff(self, defaults):
         gen, state = prepare(defaults)
-        a, _ = drift_matrix(gen, state, defaults)
+        a = drift_matrix(gen, state, defaults)
         n1 = np.linalg.norm(atomic_response(a, 1e4))
         n2 = np.linalg.norm(atomic_response(a, 2e4))
         assert n2 == pytest.approx(n1 / 2, rel=1e-2)
 
     def test_zero_frequency_is_inverse(self, defaults):
         gen, state = prepare(defaults)
-        a, _ = drift_matrix(gen, state, defaults)
+        a = drift_matrix(gen, state, defaults)
         r = atomic_response(a, 0.0)
         assert np.linalg.norm(a @ r + np.eye(15)) < 1e-10
 
@@ -171,7 +219,7 @@ class TestResponse:
         p = SystemParams(gamma1=0.1, gamma2=0.1, gamma3=0.1, gamma4=0.1,
                          gamma0=0.05, delta1=2.0, omega42=2.0, p1=0.3, p2=0.3)
         gen, state = prepare(p)
-        a, _ = drift_matrix(gen, state, p)
+        a = drift_matrix(gen, state, p)
         evals = np.linalg.eigvals(a)
         osc = [ev for ev in evals if abs(ev.imag) > 0.5]
         ev = min(osc, key=lambda z: abs(z.real))
@@ -179,10 +227,34 @@ class TestResponse:
         off = np.linalg.norm(atomic_response(a, -ev.imag + 20 * abs(ev.real)))
         assert on > 1.5 * off
 
+    @pytest.mark.parametrize("omega", [0.05, 0.5, 3.0])
+    def test_mirrored_response_matches_inversion(self, omega):
+        for p in reference_points(8):
+            gen, state = prepare(p)
+            a = drift_matrix(gen, state, p)
+            r = atomic_response(a, omega)
+            mirrored, failures = mirrored_response_stack(
+                a[None], np.array([omega]), r[None])
+            assert failures == {}
+            inverse = atomic_response(a, -omega)
+            assert (np.max(np.abs(mirrored[0] - inverse))
+                    <= 1e-12 * np.max(np.abs(inverse)))
+
+    def test_mirrored_response_residual_checked(self, defaults):
+        gen, state = prepare(defaults)
+        a = drift_matrix(gen, state, defaults)
+        r = atomic_response(a, 0.5)
+        bad = r.copy()
+        bad[3, 4] += 1e-6 * np.max(np.abs(r))
+        _, failures = mirrored_response_stack(
+            np.stack([a, a]), np.array([0.5, 0.5]), np.stack([r, bad]))
+        assert list(failures) == [1]
+        assert "mirrored response residual" in str(failures[1])
+
     def test_singular_refused(self):
         p = SystemParams(gamma0=0.0, p1=1, p2=1, delta1=-1.0)
         gen, state = prepare(p)
-        a, _ = drift_matrix(gen, state, p)
+        a = drift_matrix(gen, state, p)
         with pytest.raises(ResponseError):
             atomic_response(a, 0.0)
 

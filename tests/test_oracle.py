@@ -191,8 +191,7 @@ class TestLyapunov:
 
     def test_unstable_drift_refused(self):
         lin = LinearizedSystem(a=np.zeros((15, 15)), b=np.zeros((15, 4)),
-                               d=np.eye(15), noise_scale=1.0,
-                               projector=EMBED.T)
+                               d=np.eye(15), noise_scale=1.0)
         with pytest.raises(OracleError):
             lyapunov_covariance(lin)
 
@@ -233,7 +232,7 @@ class TestFastOracles:
         a = rng.normal(size=(15, 15)) - 8.0 * np.eye(15)
         x = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=x @ x.conj().T,
-                               noise_scale=1.0, projector=EMBED.T)
+                               noise_scale=1.0)
         assert rel_diff(lyapunov_covariance(lin), lyapunov_kronecker(lin)) <= 1e-10
 
     def test_channelwise_matches_einsum_form(self):
@@ -267,8 +266,7 @@ class TestCrossValidate:
         d_bad = lin.d.copy()
         d_bad[2, 3] += 1e-3
         lin_bad = LinearizedSystem(a=lin.a, b=lin.b, d=d_bad,
-                                   noise_scale=lin.noise_scale,
-                                   projector=lin.projector)
+                                   noise_scale=lin.noise_scale)
         sigma_bad = lyapunov_covariance(lin_bad)
         direct = equal_time_covariance(state)
         scale = np.max(np.abs(direct))

@@ -2,14 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from doublelambda import SystemParams
+from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
 from doublelambda.fluctuations import linearize
 from doublelambda.oracle import rk4_covariance
-from doublelambda.propagation import (SELF_CHECK_TOL, PropagationSetup,
-                                      input_covariance, make_setup,
-                                      propagate_covariance)
+from doublelambda.propagation import (SELF_CHECK_TOL, FieldCovariance,
+                                      PropagationSetup, input_covariance,
+                                      make_setup, propagate_covariance,
+                                      propagate_stack)
 from doublelambda.steady import solve_steady_state
 from conftest import random_params
 
@@ -19,6 +22,16 @@ def pipeline(params, noise_model="einstein", **kw):
     state = solve_steady_state(gen, params)
     lin = linearize(gen, state, params, noise_model=noise_model)
     return make_setup(lin, params, **kw)
+
+
+def complex_van_loan(setup, c_in):
+    """The complex 17 x 17 Van Loan route on C itself, from M and M(-omega)."""
+    eye = np.eye(4)
+    g = np.zeros((17, 17), dtype=complex)
+    g[:16, :16] = np.kron(setup.m, eye) + np.kron(eye, setup.m_minus)
+    g[:16, 16] = setup.nfield.reshape(16)
+    e = expm(setup.cell_length * g)
+    return (e[:16, :16] @ c_in.reshape(16) + e[:16, 16]).reshape(4, 4)
 
 
 def boosted(setup, boost):
@@ -39,10 +52,10 @@ class TestTransferMatrix:
         assert setup.m[3, 3] == pytest.approx(np.conj(setup.m[2, 2]))
         assert setup.m[0, 2] == pytest.approx(np.conj(setup.m[1, 3]))
 
-    @pytest.mark.parametrize("omega, calls", [(0.0, 1), (0.5, 2)])
+    @pytest.mark.parametrize("omega, calls", [(0.0, 1), (0.5, 1)])
     def test_response_inversions_per_setup(self, defaults, omega, calls,
                                            monkeypatch):
-        # R(-0) is R(0): only a nonzero frequency inverts a second time
+        # R(-omega) = P conj(R(omega)) P: one inversion at every frequency
         from doublelambda import fluctuations as fl
         gen = build_generator(defaults)
         lin = linearize(gen, solve_steady_state(gen, defaults), defaults)
@@ -111,6 +124,32 @@ class TestPropagation:
         setup = replace(pipeline(defaults), cell_length=0.0)
         res = propagate_covariance(setup, input_covariance())
         assert np.array_equal(res.covariance.c, input_covariance().c)
+
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    @pytest.mark.parametrize("omega", [0.0, 0.5, -0.5])
+    def test_real_route_matches_complex_route(self, defaults, noise_model,
+                                              omega):
+        for p in (defaults, defaults.replace(n0=3e19)):
+            setup = pipeline(p, noise_model=noise_model, omega=omega)
+            for cin in (input_covariance(omega=omega),
+                        input_covariance("thermal", nbar=0.4, omega=omega)):
+                ref = complex_van_loan(setup, cin.c)
+                c = propagate_covariance(setup, cin).covariance.c
+                assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_corrupted_propagator_fails_self_check(self, defaults,
+                                                   monkeypatch):
+        def corrupted(x):
+            e = expm(x)
+            if x.shape[-1] == 17:
+                e[..., 0, 5] += 1e-6 * np.max(np.abs(e))
+            return e
+
+        monkeypatch.setattr(pr, "expm", corrupted)
+        res = propagate_covariance(pipeline(defaults), input_covariance())
+        assert not res.converged
+        assert res.residual > SELF_CHECK_TOL
+        assert "Kronecker residual" in res.warnings[0]
 
     def test_trivial_generator_identity(self):
         setup = PropagationSetup(chi1=0, chi2=0, m=np.zeros((4, 4)),
@@ -207,6 +246,68 @@ class TestPropagation:
         assert np.all(np.isfinite(res.covariance.c))
         assert res.covariance.pairing_residual() < 1e-8
 
+    def test_output_paired_by_construction(self, defaults):
+        for omega in (0.0, 0.5):
+            res = propagate_covariance(pipeline(defaults, omega=omega),
+                                       input_covariance(omega=omega))
+            assert res.covariance.pairing_residual() == 0.0
+
     def test_invalid_slab_count(self, defaults):
         with pytest.raises(ValueError):
             rk4_covariance(pipeline(defaults), input_covariance(), slabs=0)
+
+
+def break_m_minus(setup):
+    m_minus = setup.m_minus.copy()
+    m_minus[0, 2] += 1e-6 * np.max(np.abs(setup.m))
+    return replace(setup, m_minus=m_minus), input_covariance(omega=0.5)
+
+
+def break_nfield(setup):
+    nfield = setup.nfield.copy()
+    nfield[0, 0] += 1e-6 * np.max(np.abs(setup.nfield))
+    return replace(setup, nfield=nfield), input_covariance(omega=0.5)
+
+
+def break_input(setup):
+    # (C Pi)[0, 1] = C[0, 0] must be conj((C Pi)[1, 0]) = conj(C[1, 1])
+    c = input_covariance(omega=0.5).c.copy()
+    c[0, 0] = 0.3
+    return setup, FieldCovariance(c=c, omega=0.5)
+
+
+class TestPairingGuards:
+    """The real route reads only M; a setup or input that breaks the adjoint
+    pairing it relies on is refused, not propagated."""
+
+    @pytest.mark.parametrize("breaker, name", [
+        (break_m_minus, r"m_minus deviates from Pi conj\(m\) Pi"),
+        (break_nfield, "nfield Pi is not Hermitian"),
+        (break_input, "input C Pi is not Hermitian")])
+    def test_broken_pairing_raises(self, defaults, breaker, name):
+        setup, cin = breaker(pipeline(defaults, omega=0.5))
+        with pytest.raises(ValueError, match=name + ": pairing residual"):
+            propagate_covariance(setup, cin)
+
+    @pytest.mark.parametrize("breaker", [break_m_minus, break_nfield,
+                                         break_input])
+    def test_stack_fails_only_the_broken_point(self, defaults, breaker):
+        good = pipeline(defaults, omega=0.5)
+        bad, cin_bad = breaker(good)
+        cin = input_covariance(omega=0.5).c
+        setups = (good, bad, good)
+        c_out, _, converged, failures = propagate_stack(
+            np.stack([s.m for s in setups]),
+            np.stack([s.m_minus for s in setups]),
+            np.stack([s.nfield for s in setups]),
+            np.array([s.cell_length for s in setups]),
+            np.stack([cin, cin_bad.c, cin]))
+        assert list(failures) == [1]
+        assert isinstance(failures[1], ValueError)
+        assert converged[0] and converged[2]
+        assert np.array_equal(c_out[0], c_out[2])
+
+    @pytest.mark.parametrize("cin", [input_covariance(),
+                                     input_covariance("thermal", nbar=0.7)])
+    def test_vacuum_and_thermal_inputs_pass(self, defaults, cin):
+        assert propagate_covariance(pipeline(defaults), cin).converged
