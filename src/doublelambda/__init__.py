@@ -15,7 +15,7 @@ from .oracle import (EvolutionResult, ValidationReport, cross_validate,
                      lyapunov_covariance, regression_covariance, time_evolve)
 from .params import CALIBRATED_G, AtomicBasis, BASIS, SystemParams
 from .propagation import (FieldCovariance, PropagationSetup, input_covariance,
-                          make_setup, propagate_covariance, transfer_matrix)
+                          make_setup, propagate_covariance)
 from .steady import AtomState, Observables, observables, solve_steady_state
 
 __version__ = "0.1.0"

@@ -5,7 +5,7 @@
 
 Commands: steady, spectrum, sweep, validate, calibrate.  Exit codes:
 0 success, 2 validation failure, 1 error.  SIMULATE_WORKERS sets the sweep
-worker count unless the config overrides it.
+worker count unless the config's [run] workers key sets it.
 """
 
 from __future__ import annotations
@@ -22,33 +22,30 @@ from . import experiments as ex
 from . import fluctuations as fl
 from . import io as io_mod
 from .atom import build_generator
-from .config import COMMANDS, ConfigError, RunConfig, parse_config
+from .config import (COMMANDS, FORMATS, OPTIONS, ConfigError, RunConfig,
+                     parse_config)
 from .oracle import cross_validate
 from .steady import observables, solve_steady_state
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_config(text)
+def _options():
+    """(key, RunConfig field) of every [run] and [sweep] option."""
+    return [(key, name) for options in OPTIONS.values()
+            for key, (name, _, _) in options.items()]
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "params": cfg.params.as_dict(),
-        "command": cfg.command,
-        "selector": cfg.selector,
-        "axis": cfg.axis,
-        "grid": list(cfg.grid),
-        "omega": cfg.omega,
-        "omega_grid": list(cfg.omega_grid),
-        "noise_model": cfg.noise_model,
-        "workers": cfg.workers,
-        "format": cfg.fmt,
-        "svg": cfg.svg,
-        "validate_every": cfg.validate_every,
-    }
+    """The manifest's record of the config: params and every option."""
+    values = dataclasses.asdict(cfg)
+    return {"params": values["params"],
+            **{key: values[name] for key, name in _options()}}
+
+
+def _write_manifest(cfg: RunConfig, elapsed: float, path: Path,
+                    **sections) -> Path:
+    """Write the run manifest with the given sections (see run_manifest)."""
+    return io_mod.write_manifest(io_mod.run_manifest(
+        _config_dict(cfg), {cfg.command: elapsed}, **sections), path)
 
 
 def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
@@ -72,10 +69,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     written = [str(table)]
     if cfg.svg:
         written += [str(p) for p in io_mod.emit_plot(result, out / name)]
-    manifest = io_mod.run_manifest(
-        _config_dict(cfg), {"sweep": elapsed},
-        extra={"sweep_manifest": result.manifest})
-    io_mod.write_manifest(manifest, out / f"{name}_manifest.json")
+    _write_manifest(cfg, elapsed, out / f"{name}_manifest.json",
+                    extra={"sweep_manifest": result.manifest})
     failed = sum(1 for r in result.rows if r.failed)
     print(f"sweep {cfg.selector}: {len(result.rows)} points "
           f"({failed} failed) in {elapsed:.2f} s -> {', '.join(written)}")
@@ -98,9 +93,8 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
         "expectations_re": [float(x) for x in np.real(state.expectations)],
         "expectations_im": [float(x) for x in np.imag(state.expectations)],
     }
-    manifest = io_mod.run_manifest(_config_dict(cfg), {"steady": elapsed},
-                                   extra={"steady_state": record})
-    path = io_mod.write_manifest(manifest, out / "steady.json")
+    path = _write_manifest(cfg, elapsed, out / "steady.json",
+                           extra={"steady_state": record})
     print(f"steady state ({state.method}): populations = "
           f"{np.round(state.populations, 6).tolist()} -> {path}")
     return 0
@@ -108,12 +102,11 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
-    rows = ex.spectrum(cfg.params, cfg.omega_array(),
+    rows = ex.spectrum(cfg.params, np.linspace(*cfg.omega_grid),
                        noise_model=cfg.noise_model)
     elapsed = time.perf_counter() - t0
-    manifest = io_mod.run_manifest(_config_dict(cfg), {"spectrum": elapsed},
-                                   extra={"spectrum": rows})
-    path = io_mod.write_manifest(manifest, out / "spectrum.json")
+    path = _write_manifest(cfg, elapsed, out / "spectrum.json",
+                           extra={"spectrum": rows})
     print(f"spectrum: {len(rows)} frequencies in {elapsed:.2f} s -> {path}")
     return 0
 
@@ -122,9 +115,8 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     report = cross_validate(cfg.params)
     elapsed = time.perf_counter() - t0
-    manifest = io_mod.run_manifest(_config_dict(cfg), {"validate": elapsed},
-                                   validation=report.as_dict())
-    io_mod.write_manifest(manifest, out / "validate.json")
+    _write_manifest(cfg, elapsed, out / "validate.json",
+                    validation=report.as_dict())
     for check in report.checks:
         mark = "pass" if check.passed else "FAIL"
         print(f"  [{mark}] {check.name}: residual {check.residual:.2e} "
@@ -144,9 +136,8 @@ def cmd_calibrate(cfg: RunConfig, out: Path) -> int:
     params = cfg.params.replace(g=g, delta1=-cfg.params.omega42 / 2)
     state = solve_steady_state(build_generator(params), params)
     record = {"g": g, "populations": [float(x) for x in state.populations]}
-    manifest = io_mod.run_manifest(_config_dict(cfg), {"calibrate": elapsed},
-                                   extra={"calibration": record})
-    io_mod.write_manifest(manifest, out / "calibrate.json")
+    _write_manifest(cfg, elapsed, out / "calibrate.json",
+                    extra={"calibration": record})
     print(f"calibrated g = {g:.6f} "
           f"(midpoint populations {np.round(state.populations, 4).tolist()})")
     return 0
@@ -169,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="sectioned key = value config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--svg", action="store_true", default=None,
                         help="also emit SVG plots")
     parser.add_argument("--omega", type=float, default=None,
@@ -181,19 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        overrides = {"command": args.command}
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.format is not None:
-            overrides["fmt"] = args.format
-        if args.svg:
-            overrides["svg"] = True
-        if args.omega is not None:
-            overrides["omega"] = args.omega
-        if args.noise_model is not None:
-            overrides["noise_model"] = args.noise_model
-        if cfg.workers == 1:
+        cfg = RunConfig() if args.config is None else \
+            parse_config(Path(args.config).read_text(encoding="utf-8"))
+        # each flag is named after the option it overrides
+        overrides = {name: getattr(args, key) for key, name in _options()
+                     if getattr(args, key, None) is not None}
+        if cfg.workers is None:
             overrides["workers"] = ex.worker_count()
         cfg = dataclasses.replace(cfg, **overrides)
         out = Path(cfg.out_dir)

@@ -8,17 +8,17 @@ numbers, physically invalid parameter combinations and retired keys.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields
+from typing import Callable, Optional
 
 import numpy as np
 
-from .experiments import AXES, ScalingRule
+from .experiments import AXES, SWEEP_SELECTORS, ScalingRule
 from .fluctuations import NOISE_MODELS
 from .params import SystemParams
 
 COMMANDS = ("steady", "spectrum", "sweep", "validate", "calibrate")
-SELECTORS = ("fig2", "fig2-inset", "fig3", "fig4", "custom")
+SELECTORS = (*SWEEP_SELECTORS, "custom")
 FORMATS = ("csv", "json")
 
 PARAM_KEYS = tuple(f.name for f in fields(SystemParams))
@@ -55,7 +55,7 @@ class RunConfig:
     omega: float = 0.0
     omega_grid: tuple = (0.0, 0.0, 1)  # for the spectrum command
     noise_model: str = "einstein"
-    workers: int = 1
+    workers: Optional[int] = None      # None: SIMULATE_WORKERS decides
     out_dir: str = "out"
     fmt: str = "csv"
     svg: bool = False
@@ -65,83 +65,88 @@ class RunConfig:
         start, stop, points = self.grid
         return np.linspace(start, stop, int(points))
 
-    def omega_array(self) -> np.ndarray:
-        start, stop, points = self.omega_grid
-        return np.linspace(start, stop, int(points))
 
-
-def _parse_float(raw: str, line: int) -> float:
+def _parse_float(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"malformed number {raw!r}", line)
+        raise ValueError(f"malformed number {raw!r}") from None
 
 
-def _parse_int(raw: str, line: int) -> int:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"malformed integer {raw!r}", line)
+        raise ValueError(f"malformed integer {raw!r}") from None
 
 
-def _parse_bool(raw: str, line: int) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"malformed boolean {raw!r}", line)
+    raise ValueError(f"malformed boolean {raw!r}")
 
 
-def _parse_grid(raw: str, line: int) -> tuple:
+def _parse_grid(raw: str) -> tuple:
     parts = [p.strip() for p in raw.split(":")]
     if len(parts) != 3:
-        raise ConfigError(f"grid must be start:stop:points, got {raw!r}", line)
-    start = _parse_float(parts[0], line)
-    stop = _parse_float(parts[1], line)
-    points = _parse_int(parts[2], line)
+        raise ValueError(f"grid must be start:stop:points, got {raw!r}")
+    start, stop, points = (_parse_float(parts[0]), _parse_float(parts[1]),
+                           _parse_int(parts[2]))
     if points < 1:
-        raise ConfigError("grid needs at least one point", line)
+        raise ValueError("grid needs at least one point")
     return (start, stop, points)
 
 
-_SCALING_RE = re.compile(
-    r"^(?P<param>\w+)\s*=\s*(?:(?P<base>base\*axis)"
-    r"|(?P<coef_axis>[-+0-9.eE]+)\s*\*\s*axis"
-    r"|(?P<coef>[-+0-9.eE]+))$")
+def _render_grid(grid: tuple) -> str:
+    return f"{grid[0]!r}:{grid[1]!r}:{grid[2]}"
 
 
-def _parse_scalings(raw: str, line: int) -> tuple:
-    rules = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _SCALING_RE.match(chunk)
-        if not m:
-            raise ConfigError(
-                f"malformed scaling rule {chunk!r} "
-                "(expected 'param=base*axis', 'param=COEF*axis' or 'param=COEF')",
-                line)
-        param = m.group("param")
-        if param not in PARAM_KEYS:
-            raise ConfigError(f"unknown scaling target {param!r}", line)
-        if m.group("base"):
-            rules.append(ScalingRule(param, "base*axis"))
-        elif m.group("coef_axis") is not None:
-            rules.append(ScalingRule(param, "value*axis",
-                                     _parse_float(m.group("coef_axis"), line)))
-        else:
-            rules.append(ScalingRule(param, "value",
-                                     _parse_float(m.group("coef"), line)))
-    return tuple(rules)
+def _parse_scalings(raw: str) -> tuple:
+    return tuple(ScalingRule.parse(chunk.strip())
+                 for chunk in raw.split(";") if chunk.strip())
+
+
+def _choice(what: str, choices) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(f"unknown {what} {raw!r}")
+        return raw
+    return parse
+
+
+#: section -> key -> (RunConfig field, parser, renderer).  A parser takes
+#: the raw text and raises ValueError naming what is wrong; a renderer
+#: writes the text that parser reads back.  Options left unset (None or
+#: empty) are not rendered.
+OPTIONS = {
+    "run": {
+        "command": ("command", _choice("command", COMMANDS), str),
+        "format": ("fmt", _choice("format", FORMATS), str),
+        "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS),
+                        str),
+        "workers": ("workers", _parse_int, str),
+        "omega": ("omega", _parse_float, repr),
+        "omega_grid": ("omega_grid", _parse_grid, _render_grid),
+        "out": ("out_dir", str, str),
+        "svg": ("svg", _parse_bool, lambda v: "true" if v else "false"),
+        "validate_every": ("validate_every", _parse_int, str),
+    },
+    "sweep": {
+        "selector": ("selector", _choice("sweep selector", SELECTORS), str),
+        "axis": ("axis", _choice("sweep axis", AXES), str),
+        "grid": ("grid", _parse_grid, _render_grid),
+        "scalings": ("scalings", _parse_scalings,
+                     lambda rules: "; ".join(map(str, rules))),
+    },
+}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key = value config; defaults are the reference setup."""
-    param_overrides: dict = {}
-    run_kv: dict = {}
-    sweep_kv: dict = {}
+    values = {"params": {}, "run": {}}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
@@ -149,7 +154,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in ("params", "run", "sweep", *RETIRED_KEYS):
+            if section not in ("params", *OPTIONS, *RETIRED_KEYS):
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -162,93 +167,37 @@ def parse_config(text: str) -> RunConfig:
         if section == "params":
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)
-            param_overrides[key] = _parse_float(raw, lineno)
+            target, name, parse = values["params"], key, _parse_float
         elif key in RETIRED_KEYS.get(section, {}):
             raise ConfigError(f"[{section}] {key} is retired: "
                               f"{RETIRED_KEYS[section][key]}", lineno)
-        elif section == "run":
-            if key == "command":
-                if raw not in COMMANDS:
-                    raise ConfigError(f"unknown command {raw!r}", lineno)
-                run_kv["command"] = raw
-            elif key == "format":
-                if raw not in FORMATS:
-                    raise ConfigError(f"unknown format {raw!r}", lineno)
-                run_kv["fmt"] = raw
-            elif key == "noise_model":
-                if raw not in NOISE_MODELS:
-                    raise ConfigError(f"unknown noise model {raw!r}", lineno)
-                run_kv["noise_model"] = raw
-            elif key == "workers":
-                run_kv["workers"] = _parse_int(raw, lineno)
-            elif key == "omega":
-                run_kv["omega"] = _parse_float(raw, lineno)
-            elif key == "omega_grid":
-                run_kv["omega_grid"] = _parse_grid(raw, lineno)
-            elif key == "out":
-                run_kv["out_dir"] = raw
-            elif key == "svg":
-                run_kv["svg"] = _parse_bool(raw, lineno)
-            elif key == "validate_every":
-                run_kv["validate_every"] = _parse_int(raw, lineno)
-            else:
-                raise ConfigError(f"unknown run option {key!r}", lineno)
-        elif section == "sweep":
-            if key == "selector":
-                if raw not in SELECTORS:
-                    raise ConfigError(f"unknown sweep selector {raw!r}", lineno)
-                sweep_kv["selector"] = raw
-            elif key == "axis":
-                if raw not in AXES:
-                    raise ConfigError(f"unknown sweep axis {raw!r}", lineno)
-                sweep_kv["axis"] = raw
-            elif key == "grid":
-                sweep_kv["grid"] = _parse_grid(raw, lineno)
-            elif key == "scalings":
-                sweep_kv["scalings"] = _parse_scalings(raw, lineno)
-            else:
-                raise ConfigError(f"unknown sweep option {key!r}", lineno)
+        elif section in OPTIONS:
+            if key not in OPTIONS[section]:
+                raise ConfigError(f"unknown {section} option {key!r}", lineno)
+            name, parse, _ = OPTIONS[section][key]
+            target = values["run"]
         else:
             raise ConfigError(
                 f"unknown option {key!r} in retired section [{section}]", lineno)
+        try:
+            target[name] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno) from None
     try:
-        params = SystemParams(**param_overrides)
+        params = SystemParams(**values["params"])
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}")
-    return RunConfig(params=params, **run_kv, **sweep_kv)
+    return RunConfig(params=params, **values["run"])
 
 
 def render_config(cfg: RunConfig) -> str:
     """Serialize a config so that parse(render(cfg)) == cfg."""
     lines = ["[params]"]
-    for key in PARAM_KEYS:
-        lines.append(f"{key} = {getattr(cfg.params, key)!r}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"command = {cfg.command}")
-    lines.append(f"format = {cfg.fmt}")
-    lines.append(f"noise_model = {cfg.noise_model}")
-    lines.append(f"workers = {cfg.workers}")
-    lines.append(f"omega = {cfg.omega!r}")
-    og = cfg.omega_grid
-    lines.append(f"omega_grid = {og[0]!r}:{og[1]!r}:{og[2]}")
-    lines.append(f"out = {cfg.out_dir}")
-    lines.append(f"svg = {'true' if cfg.svg else 'false'}")
-    lines.append(f"validate_every = {cfg.validate_every}")
-    lines.append("")
-    lines.append("[sweep]")
-    lines.append(f"selector = {cfg.selector}")
-    lines.append(f"axis = {cfg.axis}")
-    g = cfg.grid
-    lines.append(f"grid = {g[0]!r}:{g[1]!r}:{g[2]}")
-    if cfg.scalings:
-        chunks = []
-        for r in cfg.scalings:
-            if r.mode == "base*axis":
-                chunks.append(f"{r.param}=base*axis")
-            elif r.mode == "value*axis":
-                chunks.append(f"{r.param}={r.coef!r}*axis")
-            else:
-                chunks.append(f"{r.param}={r.coef!r}")
-        lines.append(f"scalings = {'; '.join(chunks)}")
+    lines += [f"{key} = {getattr(cfg.params, key)!r}" for key in PARAM_KEYS]
+    for section, options in OPTIONS.items():
+        lines += ["", f"[{section}]"]
+        for key, (name, _, render) in options.items():
+            value = getattr(cfg, name)
+            if value is not None and value != ():
+                lines.append(f"{key} = {render(value)}")
     return "\n".join(lines) + "\n"

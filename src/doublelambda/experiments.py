@@ -13,9 +13,10 @@ unchanged.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,12 +24,11 @@ from scipy.optimize import brentq
 from . import atom
 from . import fluctuations as fl
 from . import propagation as pr
-from .atom import build_generator
+from .atom import build_generator  # noqa: F401  (the benchmark reads it)
 from .entanglement import duan_stack
 from .oracle import cross_validate
 from .params import BASIS, SystemParams
-from .steady import (AtomState, observables, solve_steady_state,
-                     steady_state_stack)
+from .steady import AtomState, observables, steady_state_stack
 
 DARK_ACTIVITY_TOL = 1e-12
 
@@ -38,7 +38,24 @@ DARK_ACTIVITY_TOL = 1e-12
 #: stack of 201 raised the peak RSS of a fig2 sweep by ~10 MB, 64 by ~3 MB)
 STACK_POINTS = 64
 
-AXES = ("delta1", "amplitude", "gamma0", "p")
+
+class Axis(NamedTuple):
+    params: tuple  # the SystemParams fields set to the axis value
+    unit: str      # unit of the axis column in the result tables
+
+
+#: sweep axis -> the parameters it sets and its unit
+AXES = {
+    "delta1": Axis(("delta1",), "[gamma1]"),
+    "amplitude": Axis(("a1_mean", "a2_mean"), "[1]"),
+    "gamma0": Axis(("gamma0",), "[gamma1]"),
+    "p": Axis(("p1", "p2"), "[1]"),
+}
+
+_SCALING_RE = re.compile(
+    r"^(?P<param>\w+)\s*=\s*(?:(?P<base>base\*axis)"
+    r"|(?P<coef_axis>[-+0-9.eE]+)\s*\*\s*axis"
+    r"|(?P<coef>[-+0-9.eE]+))$")
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,7 @@ class ScalingRule:
 
     mode "base*axis" sets param to its base value times the axis value;
     mode "value*axis" to coef times the axis value; mode "value" to coef.
+    Their text forms are param=base*axis, param=COEF*axis and param=COEF.
     """
 
     param: str
@@ -62,6 +80,33 @@ class ScalingRule:
             return self.coef
         raise ValueError(f"unknown scaling mode {self.mode!r}")
 
+    @classmethod
+    def parse(cls, text: str) -> "ScalingRule":
+        """The rule of a text form; ValueError names what is malformed."""
+        m = _SCALING_RE.match(text)
+        if not m:
+            raise ValueError(
+                f"malformed scaling rule {text!r} "
+                "(expected 'param=base*axis', 'param=COEF*axis' or 'param=COEF')")
+        param = m.group("param")
+        if param not in SystemParams.__dataclass_fields__:
+            raise ValueError(f"unknown scaling target {param!r}")
+        if m.group("base"):
+            return cls(param, "base*axis")
+        mode = "value" if m.group("coef_axis") is None else "value*axis"
+        raw = m.group("coef_axis") or m.group("coef")
+        try:
+            return cls(param, mode, float(raw))
+        except ValueError:
+            raise ValueError(f"malformed number {raw!r}") from None
+
+    def __str__(self) -> str:
+        if self.mode == "base*axis":
+            return f"{self.param}=base*axis"
+        if self.mode == "value*axis":
+            return f"{self.param}={self.coef!r}*axis"
+        return f"{self.param}={self.coef!r}"
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -75,7 +120,8 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ValueError(f"axis must be one of {tuple(AXES)}, "
+                             f"got {self.axis!r}")
         grid = np.asarray(self.grid, dtype=float)
         if grid.size == 0:
             raise ValueError("grid must be nonempty")
@@ -85,17 +131,7 @@ class SweepSpec:
         object.__setattr__(self, "grid", grid)
 
     def params_at(self, axis_value: float) -> SystemParams:
-        changes = {}
-        if self.axis == "delta1":
-            changes["delta1"] = float(axis_value)
-        elif self.axis == "amplitude":
-            changes["a1_mean"] = float(axis_value)
-            changes["a2_mean"] = float(axis_value)
-        elif self.axis == "gamma0":
-            changes["gamma0"] = float(axis_value)
-        elif self.axis == "p":
-            changes["p1"] = float(axis_value)
-            changes["p2"] = float(axis_value)
+        changes = dict.fromkeys(AXES[self.axis].params, float(axis_value))
         for rule in self.scalings:
             base_value = getattr(self.base, rule.param)
             changes[rule.param] = rule.apply(base_value, float(axis_value))
@@ -104,13 +140,18 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point's result.  The fields are the result-table columns in
+    order; a field's metadata gives its unit and, for an array, the columns
+    it splits into.  axis_value has the unit of the swept axis."""
+
     axis_value: float
-    v12: Optional[float] = None
-    du2: Optional[float] = None
-    dv2: Optional[float] = None
-    populations: Optional[np.ndarray] = None
-    alpha1: Optional[float] = None
-    alpha2: Optional[float] = None
+    v12: Optional[float] = field(default=None, metadata={"unit": "[1]"})
+    du2: Optional[float] = field(default=None, metadata={"unit": "[1]"})
+    dv2: Optional[float] = field(default=None, metadata={"unit": "[1]"})
+    populations: Optional[np.ndarray] = field(default=None, metadata={
+        "unit": "[1]", "split": ("pop1", "pop2", "pop3", "pop4")})
+    alpha1: Optional[float] = field(default=None, metadata={"unit": "[1/m]"})
+    alpha2: Optional[float] = field(default=None, metadata={"unit": "[1/m]"})
     method: str = ""
     error: str = ""
     warnings: tuple = ()
@@ -127,8 +168,8 @@ class SweepResult:
     manifest: dict
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) if getattr(r, name) is not None
-                         else np.nan for r in self.rows], dtype=float)
+        """One field of every row as floats, None as NaN."""
+        return np.array([getattr(r, name) for r in self.rows], dtype=float)
 
     @property
     def axis_values(self) -> np.ndarray:
@@ -183,10 +224,15 @@ def _error_row(exc: Exception) -> SweepRow:
     return SweepRow(axis_value=np.nan, error=f"{type(exc).__name__}: {exc}")
 
 
-def _evaluate_stack(points: list, omega: float, noise_model: str) -> list:
-    """The pipeline on all points at once; see evaluate_points."""
-    n = len(points)
-    stack = _Stack(n)
+def _linearize_stack(points: list, noise_model: str) -> tuple:
+    """The pipeline up to the frequency: coefficients -> steady state ->
+    dark check -> drift, field coupling and diffusion, on all points at once.
+
+    Returns the _Stack, whose outcomes hold the failed points' exceptions
+    and the strictly dark points' transparent rows; the live points' a, b
+    and d; and observed(i), the steady state and observables of point i.
+    """
+    stack = _Stack(len(points))
     h, r = atom.coefficient_stack(points)
     coherent, lmat = atom.liouvillian_stack(h, r)
     rho, methods, failures = steady_state_stack(lmat)
@@ -218,7 +264,12 @@ def _evaluate_stack(points: list, omega: float, noise_model: str) -> list:
     b = fl.field_coupling_stack(g, rho)
     d, failures = fl.diffusion_stack(noise_model, lmat, coherent, r, rho)
     a, b, d = stack.drop(failures, a, b, d)
+    return stack, a, b, d, observed
 
+
+def _evaluate_stack(points: list, omega: float, noise_model: str) -> list:
+    """The pipeline on all points at once; see evaluate_points."""
+    stack, a, b, d, observed = _linearize_stack(points, noise_model)
     live = [points[i] for i in stack.live]
     du2, dv2, warnings = _propagate(stack, a, b, d, live,
                                     np.full(len(live), float(omega)))
@@ -230,7 +281,7 @@ def _evaluate_stack(points: list, omega: float, noise_model: str) -> list:
             alpha1=obs.alpha1, alpha2=obs.alpha2, method=state.method,
             warnings=warnings[k])
     return [row if isinstance(row, SweepRow) else _error_row(row)
-            for row in (stack.outcomes[i] for i in range(n))]
+            for row in (stack.outcomes[i] for i in range(len(points)))]
 
 
 def evaluate_points(points, omega: float = 0.0,
@@ -267,25 +318,26 @@ def compute_point(params: SystemParams, omega: float = 0.0,
 def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> list:
     """Duan spectrum of one working point over sideband frequencies.
 
-    The steady state and the linearized system are solved once; response,
-    transfer, propagation and Duan run on the stack of frequencies.  Returns
-    one dict per frequency (omega, v12, du2, dv2, warnings); raises the
-    exception of the first frequency that fails.
+    The point is solved and linearized once, as in a sweep (a strictly dark
+    point is transparent at every frequency); response, transfer,
+    propagation and Duan run on the stack of frequencies.  Returns one dict
+    per frequency (omega, v12, du2, dv2, warnings); raises the exception of
+    the point's failed check, else of the first frequency that fails.
     """
-    gen = build_generator(params)
-    state = solve_steady_state(gen, params)
-    lin = fl.linearize(gen, state, params, noise_model=noise_model)
+    point, a, b, d, _ = _linearize_stack([params], noise_model)
     omegas = np.asarray(omegas, dtype=float)
     count = omegas.size
-    stack = _Stack(count)
-
-    def tiled(x):
-        return np.broadcast_to(x, (count,) + x.shape)
-
-    du2, dv2, warnings = _propagate(stack, tiled(lin.a), tiled(lin.b),
-                                    tiled(lin.d), [params] * count, omegas)
-    if stack.outcomes:
-        raise stack.outcomes[min(stack.outcomes)]
+    if point.outcomes:
+        row = point.outcomes[0]
+        if not isinstance(row, SweepRow):
+            raise row
+        du2, dv2, warnings = [row.du2] * count, [row.dv2] * count, [()] * count
+    else:
+        stack = _Stack(count)
+        a, b, d = (np.broadcast_to(x, (count,) + x.shape[1:]) for x in (a, b, d))
+        du2, dv2, warnings = _propagate(stack, a, b, d, [params] * count, omegas)
+        if stack.outcomes:
+            raise stack.outcomes[min(stack.outcomes)]
     return [{"omega": float(w), "v12": float(u + v), "du2": float(u),
              "dv2": float(v), "warnings": list(warn)}
             for w, u, v, warn in zip(omegas, du2, dv2, warnings)]
@@ -330,9 +382,7 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
                  "points": int(spec.grid.size)},
         "omega": spec.omega,
         "noise_model": spec.noise_model,
-        "scalings": [
-            {"param": r.param, "mode": r.mode, "coef": r.coef}
-            for r in spec.scalings],
+        "scalings": [asdict(r) for r in spec.scalings],
         "base_params": spec.base.as_dict(),
         "validations": validations,
     }

@@ -5,67 +5,49 @@ from __future__ import annotations
 import csv
 import json
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .experiments import SweepResult, SweepRow
+from . import __version__
+from .experiments import AXES, SweepResult, SweepRow
 
-CSV_COLUMNS = [
-    ("axis", ""),           # replaced by the swept-quantity name + unit
-    ("v12", "[1]"),
-    ("du2", "[1]"),
-    ("dv2", "[1]"),
-    ("pop1", "[1]"),
-    ("pop2", "[1]"),
-    ("pop3", "[1]"),
-    ("pop4", "[1]"),
-    ("alpha1", "[1/m]"),
-    ("alpha2", "[1/m]"),
-    ("method", ""),
-    ("error", ""),
-    ("warnings", ""),       # joined with "; "
-]
 
-AXIS_UNITS = {
-    "delta1": "[gamma1]",
-    "amplitude": "[1]",
-    "gamma0": "[gamma1]",
-    "p": "[1]",
-}
+_ROW_FIELDS = fields(SweepRow)
+
+
+def _flat_row(row: SweepRow) -> dict:
+    """Table column -> value: a split field gives one column per entry, a
+    tuple of strings one column joined with "; "."""
+    flat = {}
+    for f in _ROW_FIELDS:
+        value = getattr(row, f.name)
+        split = f.metadata.get("split")
+        if split:
+            flat.update(zip(split, [None] * len(split) if value is None
+                            else value))
+        elif isinstance(value, tuple):
+            flat[f.name] = "; ".join(value)
+        else:
+            flat[f.name] = value
+    return flat
 
 
 def _row_cells(row: SweepRow) -> list:
-    pops = row.populations
-    def num(x):
-        return "" if x is None else repr(float(x))
-    return [
-        repr(float(row.axis_value)),
-        num(row.v12), num(row.du2), num(row.dv2),
-        num(pops[0]) if pops is not None else "",
-        num(pops[1]) if pops is not None else "",
-        num(pops[2]) if pops is not None else "",
-        num(pops[3]) if pops is not None else "",
-        num(row.alpha1), num(row.alpha2),
-        row.method, row.error, "; ".join(row.warnings),
-    ]
+    return [value if isinstance(value, str) else
+            "" if value is None else repr(float(value))
+            for value in _flat_row(row).values()]
 
 
-def _row_dict(row: SweepRow) -> dict:
-    pops = row.populations
-    return {
-        "axis_value": float(row.axis_value),
-        "v12": None if row.v12 is None else float(row.v12),
-        "du2": None if row.du2 is None else float(row.du2),
-        "dv2": None if row.dv2 is None else float(row.dv2),
-        "populations": None if pops is None else [float(x) for x in pops],
-        "alpha1": None if row.alpha1 is None else float(row.alpha1),
-        "alpha2": None if row.alpha2 is None else float(row.alpha2),
-        "method": row.method,
-        "error": row.error,
-        "warnings": list(row.warnings),
-    }
+def _header(axis: str) -> list:
+    header = [f"{axis} {AXES[axis].unit}"]  # the axis_value column
+    for f in _ROW_FIELDS[1:]:
+        unit = f.metadata.get("unit", "")
+        header += [f"{name} {unit}".strip()
+                   for name in f.metadata.get("split") or (f.name,)]
+    return header
 
 
 def write_results(result: SweepResult, fmt: str, path) -> Path:
@@ -76,8 +58,6 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        header = [f"{result.axis} {AXIS_UNITS.get(result.axis, '')}".strip()]
-        header += [f"{name} {unit}".strip() for name, unit in CSV_COLUMNS[1:]]
         params = result.manifest.get("base_params", {})
         with open(path, "w", newline="", encoding="utf-8") as fh:
             # resolved parameter block as a comment preamble; the data table
@@ -87,17 +67,17 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
             fh.write(f"# noise_model = {result.manifest.get('noise_model')}\n")
             fh.write(f"# omega = {result.manifest.get('omega')!r}\n")
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(header)
+            writer.writerow(_header(result.axis))
             for row in result.rows:
                 writer.writerow(_row_cells(row))
     elif fmt == "json":
         payload = {
             "manifest": result.manifest,
             "axis": result.axis,
-            "rows": [_row_dict(r) for r in result.rows],
+            "rows": [asdict(r) for r in result.rows],
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -118,13 +98,9 @@ SERIES_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
 
 def _svg_line_plot(x: np.ndarray, series: dict, xlabel: str, ylabel: str,
                    title: str, footer: str) -> str:
-    finite_y = np.concatenate([
-        y[np.isfinite(y)] for y in series.values()
-        if np.any(np.isfinite(y))] or [np.array([])])
-    if x.size < 2:
-        raise ValueError("plot needs at least 2 rows")
-    if finite_y.size == 0:
-        raise ValueError(f"no finite data to plot for {ylabel!r}")
+    """One SVG document; x has at least 2 points and every series a finite
+    value (emit_plot passes no other)."""
+    finite_y = np.concatenate([y[np.isfinite(y)] for y in series.values()])
     x_min, x_max = float(np.min(x)), float(np.max(x))
     y_min, y_max = float(np.min(finite_y)), float(np.max(finite_y))
     if x_max == x_min:
@@ -189,6 +165,16 @@ def _svg_line_plot(x: np.ndarray, series: dict, xlabel: str, ylabel: str,
     return "\n".join(parts)
 
 
+#: one SVG per entry: file suffix, y label, title, legend label -> column
+PLOTS = (
+    ("v12", "V12", "joint-quadrature correlation", {"V12": "v12"}),
+    ("populations", "population", "steady-state populations",
+     {f"pop{k}": f"pop{k}" for k in range(1, 5)}),
+    ("absorption", "alpha [1/m]", "absorption coefficients",
+     {"alpha1": "alpha1", "alpha2": "alpha2"}),
+)
+
+
 def emit_plot(result: SweepResult, stem) -> list:
     """Render the sweep as static SVG documents (one per observable family).
 
@@ -207,44 +193,23 @@ def emit_plot(result: SweepResult, stem) -> list:
 
     footer = (f"g={fmt('g')} n0={fmt('n0')} L={fmt('cell_length')} "
               f"noise={result.manifest.get('noise_model')}")
+    table = [_flat_row(r) for r in result.rows]
     written = []
-    v12 = result.column("v12")
-    if np.any(np.isfinite(v12)):
-        doc = _svg_line_plot(x, {"V12": v12}, result.axis, "V12",
-                             "joint-quadrature correlation", footer)
-        path = stem.with_name(stem.name + "_v12.svg")
-        path.write_text(doc, encoding="utf-8")
-        written.append(path)
-    pop_series = {}
-    for k in range(4):
-        vals = np.array([r.populations[k] if r.populations is not None
-                         else np.nan for r in result.rows], dtype=float)
-        if np.any(np.isfinite(vals)):
-            pop_series[f"pop{k + 1}"] = vals
-    if pop_series:
-        doc = _svg_line_plot(x, pop_series, result.axis, "population",
-                             "steady-state populations", footer)
-        path = stem.with_name(stem.name + "_populations.svg")
-        path.write_text(doc, encoding="utf-8")
-        written.append(path)
-    alphas = {}
-    for name in ("alpha1", "alpha2"):
-        vals = result.column(name)
-        if np.any(np.isfinite(vals)):
-            alphas[name] = vals
-    if alphas:
-        doc = _svg_line_plot(x, alphas, result.axis, "alpha [1/m]",
-                             "absorption coefficients", footer)
-        path = stem.with_name(stem.name + "_absorption.svg")
-        path.write_text(doc, encoding="utf-8")
-        written.append(path)
+    for suffix, ylabel, title, legend in PLOTS:
+        series = {}
+        for label, column in legend.items():
+            vals = np.array([row[column] for row in table], dtype=float)
+            if np.any(np.isfinite(vals)):
+                series[label] = vals
+        if series:
+            doc = _svg_line_plot(x, series, result.axis, ylabel, title, footer)
+            path = stem.with_name(f"{stem.name}_{suffix}.svg")
+            path.write_text(doc, encoding="utf-8")
+            written.append(path)
     return written
 
 
 # -- manifest -----------------------------------------------------------------
-
-PACKAGE_VERSION = "0.1.0"
-
 
 def run_manifest(config_dict: dict, timings: dict,
                  validation: Optional[dict] = None,
@@ -252,7 +217,7 @@ def run_manifest(config_dict: dict, timings: dict,
     """Machine-readable record of a completed run."""
     record = {
         "package": "doublelambda",
-        "version": PACKAGE_VERSION,
+        "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "config": config_dict,
         "timings_s": timings,

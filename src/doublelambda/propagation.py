@@ -71,7 +71,6 @@ class FieldCovariance:
 
     c: np.ndarray
     omega: float = 0.0
-    z: float = 0.0
 
     def commutator_blocks(self) -> tuple[complex, complex]:
         """C01 - C10 and C23 - C32: the mode commutators, at omega = 0 only;
@@ -92,8 +91,6 @@ class FieldCovariance:
 class PropagationSetup:
     """Transfer generator, distributed noise, and cell length."""
 
-    chi1: float
-    chi2: float
     m: np.ndarray         # M(omega), 4x4
     m_minus: np.ndarray   # M(-omega)
     nfield: np.ndarray    # distributed noise injection, 4x4 per meter
@@ -149,9 +146,9 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     return m, m_minus, nfield, failures
 
 
-def transfer_matrix(lin: LinearizedSystem, params: SystemParams,
-                    omega: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transfer generator M(omega) and noise-injection matrix Nfield(omega).
+def make_setup(lin: LinearizedSystem, params: SystemParams,
+               omega: float = 0.0) -> PropagationSetup:
+    """Setup with the transfer generator M(omega) and noise injection Nfield.
 
     M = K S R(omega) B with K = diag(i chi1, -i chi1, i chi2, -i chi2) and S
     the selector of the optical-coherence sums.  The field covariance is kept
@@ -166,14 +163,7 @@ def transfer_matrix(lin: LinearizedSystem, params: SystemParams,
         [params], np.array([omega], dtype=float))
     if failures:
         raise failures[0]
-    return m[0], m_minus[0], nfield[0]
-
-
-def make_setup(lin: LinearizedSystem, params: SystemParams,
-               omega: float = 0.0) -> PropagationSetup:
-    m, m_minus, nfield = transfer_matrix(lin, params, omega)
-    return PropagationSetup(chi1=params.chi1, chi2=params.chi2, m=m,
-                            m_minus=m_minus, nfield=nfield,
+    return PropagationSetup(m=m[0], m_minus=m_minus[0], nfield=nfield[0],
                             cell_length=params.cell_length, omega=omega)
 
 
@@ -196,7 +186,7 @@ def input_covariance(kind: str = "vacuum", nbar: float = 0.0,
         c[0, 1] = c[2, 3] = 1.0 + nbar
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return FieldCovariance(c=c, omega=omega, z=0.0)
+    return FieldCovariance(c=c, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -323,7 +313,7 @@ def propagate_covariance(setup: PropagationSetup,
     if failures:
         raise failures[0]
     residual, converged = float(residual[0]), bool(converged[0])
-    cov = FieldCovariance(c=c_out[0], omega=setup.omega, z=setup.cell_length)
+    cov = FieldCovariance(c=c_out[0], omega=setup.omega)
     return PropagationResult(covariance=cov, converged=converged,
                              residual=residual,
                              warnings=self_check_warnings(residual, converged))

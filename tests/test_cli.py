@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from doublelambda.cli import main
+from doublelambda import experiments as ex
+from doublelambda.cli import build_parser, main
+from doublelambda.config import OPTIONS
 
 
 def run_cli(args):
@@ -103,6 +106,26 @@ class TestCommands:
             (tmp_path / "sweep_delta1_manifest.json").read_text())
         assert manifest["config"]["workers"] == 1
 
+    @pytest.mark.parametrize("key, used", [("workers = 1\n", 1), ("", 2)])
+    def test_workers_key_beats_environment(self, tmp_path, monkeypatch, key,
+                                           used):
+        monkeypatch.setenv("SIMULATE_WORKERS", "2")
+        real, seen = ex.run_sweep, []
+
+        def serial(spec, workers=None):
+            seen.append(workers)
+            return real(spec, workers=1)
+
+        monkeypatch.setattr(ex, "run_sweep", serial)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\n" + key + _mini(tmp_path).read_text())
+        assert run_cli(["sweep", "--out", str(tmp_path),
+                        "--config", str(cfg)]) == 0
+        assert seen == [used]
+        manifest = json.loads(
+            (tmp_path / "sweep_delta1_manifest.json").read_text())
+        assert manifest["config"]["workers"] == used
+
     def test_slabs_flag_retired(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["sweep", "--out", str(tmp_path), "--slabs", "200"])
@@ -114,3 +137,12 @@ def _mini(tmp_path):
     cfg.write_text("[sweep]\nselector = custom\naxis = delta1\n"
                    "grid = -1.5:-0.5:3\n")
     return cfg
+
+
+def test_readme_names_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    flags = [flag for action in build_parser()._actions
+             for flag in action.option_strings if flag.startswith("--")]
+    names = [f"`{key}`" for options in OPTIONS.values() for key in options]
+    names += [f"`{flag}" for flag in flags] + ["`SIMULATE_WORKERS"]
+    assert [name for name in names if name not in readme] == []

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from doublelambda.config import ConfigError, parse_config, render_config
+from doublelambda.config import (OPTIONS, ConfigError, RunConfig, parse_config,
+                                 render_config)
 from doublelambda.experiments import detuning_spec, run_sweep
 from doublelambda.io import (emit_plot, read_results_json, run_manifest,
                              write_manifest, write_results)
@@ -126,6 +127,24 @@ scalings = n0=base*axis
         cfg2 = parse_config(printed)
         assert cfg1 == cfg2
         assert render_config(cfg2) == printed
+
+    #: a value other than the default for every option
+    NON_DEFAULT = {
+        "command": "calibrate", "format": "json",
+        "noise_model": "vacuum-reservoir", "workers": "3", "omega": "0.25",
+        "omega_grid": "-1.5:2.5:7", "out": "results/run 1", "svg": "yes",
+        "validate_every": "5", "selector": "custom", "axis": "amplitude",
+        "grid": "1.0:9.0:5",
+        "scalings": "n0=base*axis; gamma0=0.001*axis; g=0.3",
+    }
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section in OPTIONS for key in OPTIONS[section]])
+    def test_every_option_roundtrips(self, section, key):
+        cfg = parse_config(f"[{section}]\n{key} = {self.NON_DEFAULT[key]}\n")
+        name = OPTIONS[section][key][0]
+        assert getattr(cfg, name) != getattr(RunConfig(), name)
+        assert parse_config(render_config(cfg)) == cfg
 
 
 def read_csv_table(path):

@@ -232,6 +232,24 @@ class TestBatchedStack:
                 assert row[name] == pytest.approx(getattr(duan, name),
                                                   rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    def test_dark_point_spectrum_is_transparent(self, defaults, noise_model):
+        p = defaults.replace(gamma0=0.0)
+        rows = spectrum(p, [0.0, 0.5], noise_model=noise_model)
+        for row, w in zip(rows, (0.0, 0.5)):
+            point = compute_point(p, omega=w, noise_model=noise_model)
+            assert point.method.endswith("+dark-transparent")
+            assert row == {"omega": w, "v12": point.v12, "du2": point.du2,
+                           "dv2": point.dv2, "warnings": list(point.warnings)}
+
+    def test_spectrum_raises_steady_failure(self, defaults, monkeypatch):
+        from doublelambda import steady
+
+        monkeypatch.setattr(steady, "_state_failures", lambda rhos: {
+            0: steady.SteadyStateError("synthetic steady failure")})
+        with pytest.raises(steady.SteadyStateError, match="synthetic"):
+            spectrum(defaults, [0.0, 0.5])
+
     def test_spectrum_through_zero_matches_one_point_stacks(self, defaults):
         # omega = 0 skips the R(-omega) inversion; mixed with nonzero
         # frequencies in one stack, every row must stay bit for bit its own

@@ -152,7 +152,7 @@ class TestPropagation:
         assert "Kronecker residual" in res.warnings[0]
 
     def test_trivial_generator_identity(self):
-        setup = PropagationSetup(chi1=0, chi2=0, m=np.zeros((4, 4)),
+        setup = PropagationSetup(m=np.zeros((4, 4)),
                                  m_minus=np.zeros((4, 4)),
                                  nfield=np.zeros((4, 4)), cell_length=0.06)
         cin = input_covariance("thermal", nbar=1.0)
