@@ -61,6 +61,8 @@ def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     spec = _sweep_spec(cfg)
+    cfg = dataclasses.replace(
+        cfg, workers=ex.pool_size(cfg.workers, spec.grid.size))
     result = ex.run_sweep(spec, workers=cfg.workers)
     elapsed = time.perf_counter() - t0
     name = cfg.selector if cfg.selector != "custom" else f"sweep_{spec.axis}"

@@ -8,6 +8,7 @@ numbers, physically invalid parameter combinations and retired keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
@@ -80,6 +81,13 @@ def _parse_int(raw: str) -> int:
         raise ValueError(f"malformed integer {raw!r}") from None
 
 
+def _parse_workers(raw: str) -> int:
+    workers = _parse_int(raw)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -127,7 +135,7 @@ OPTIONS = {
         "format": ("fmt", _choice("format", FORMATS), str),
         "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS),
                         str),
-        "workers": ("workers", _parse_int, str),
+        "workers": ("workers", _parse_workers, str),
         "omega": ("omega", _parse_float, repr),
         "omega_grid": ("omega_grid", _parse_grid, _render_grid),
         "out": ("out_dir", str, str),
@@ -163,7 +171,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key outside of any section", lineno)
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        raw = raw.split("#", 1)[0].strip()
+        # a comment starts at a '#' after whitespace, so 'results#1' is a value
+        raw = re.split(r"\s#", raw, maxsplit=1)[0].strip()
         if section == "params":
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)

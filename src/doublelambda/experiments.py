@@ -344,25 +344,32 @@ def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> lis
 
 
 def worker_count() -> int:
+    """SIMULATE_WORKERS, at least 1; a malformed value counts as 1."""
     try:
         return max(1, int(os.environ.get("SIMULATE_WORKERS", "1")))
     except ValueError:
         return 1
 
 
+def pool_size(requested: int, points: int) -> int:
+    """Worker processes for a sweep of `points` points: the requested count,
+    at most one per CPU and one per point, and at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1, points))
+
+
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order.
 
-    The grid runs as one stack (see evaluate_points); with workers > 1 each
-    worker process evaluates one contiguous chunk of it as a stack.
+    The grid runs as one stack (see evaluate_points); with more than one
+    worker (worker_count() if None, bounded by pool_size) each worker
+    process evaluates one contiguous chunk of it as a stack.
     """
-    if workers is None:
-        workers = worker_count()
     points = [spec.params_at(v) for v in spec.grid]
+    workers = pool_size(worker_count() if workers is None else workers,
+                        len(points))
     if workers > 1:
         chunks = [[points[i] for i in c]
-                  for c in np.array_split(np.arange(len(points)), workers)
-                  if c.size]
+                  for c in np.array_split(np.arange(len(points)), workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(evaluate_points, chunks,
                              [spec.omega] * len(chunks),

@@ -2,7 +2,9 @@
 
 Atomic operators are split into mean value plus fluctuation; the fluctuation
 vector lives on the 15-dimensional traceless subspace (trace is conserved
-exactly, with zero noise).  Drift, field-coupling columns, and the Langevin
+exactly, with zero noise), in the coordinates y_k = <dF_k> of an orthonormal
+basis of traceless Hermitian operators (FRAME), where every Heisenberg drift
+is a real matrix.  Drift, field-coupling columns, and the Langevin
 diffusion matrix are all derived from the same generator; the diffusion
 follows from the generalized Einstein relation evaluated in the steady state.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from .atom import (FIELD_SUPEROPERATORS, RADIATIVE_ENTRIES, Generator,
                    dissipator_stack)
-from .params import BASIS, SystemParams
+from .params import BASIS, HERMITIAN_BASIS, SystemParams
 from .steady import AtomState
 
 
@@ -23,116 +25,79 @@ class ResponseError(RuntimeError):
     pass
 
 
-def traceless_embedding() -> np.ndarray:
-    """Orthonormal embedding E (16 x 15) of the traceless subspace.
-
-    Columns: three zero-sum combinations of the four diagonal components,
-    then the twelve off-diagonal unit vectors in canonical order.
-    """
-    e = np.zeros((16, 15))
-    diag = BASIS.diagonal
-    combos = np.array([
-        [1, -1, 0, 0] / np.sqrt(2.0),
-        [1, 1, -2, 0] / np.sqrt(6.0),
-        [1, 1, 1, -3] / np.sqrt(12.0),
-    ]).T
-    e[diag, 0:3] = combos
-    col = 3
-    for mu in range(16):
-        if mu not in diag:
-            e[mu, col] = 1.0
-            col += 1
-    return e
-
-
-EMBED = traceless_embedding()
-
-#: EMBED coordinate of the index-swapped partner of each coordinate: the
-#: permutation P with conj(A) = P A P for every Hermiticity-preserving drift
-#: (the three diagonal combinations are their own partners)
-EMBED_PAIR = np.argmax(np.abs(EMBED.T @ BASIS.swap @ EMBED), axis=1)
-
-
-def real_drift_frame() -> np.ndarray:
-    """Unitary T (15 x 15) with T A T^H real whenever conj(A) = P A P.
-
-    Rows: each self-paired coordinate e_i, and for each swap pair (i, j)
-    the combinations (e_i + e_j)/sqrt2 and i(e_i - e_j)/sqrt2.
-    """
-    t = np.zeros((15, 15), dtype=complex)
-    row = 0
-    for i, j in enumerate(EMBED_PAIR):
-        if i == j:
-            t[row, i] = 1.0
-            row += 1
-        elif i < j:
-            t[row, [i, j]] = 1.0 / np.sqrt(2.0)
-            t[row + 1, [i, j]] = np.array([1j, -1j]) / np.sqrt(2.0)
-            row += 2
-    return t
-
-
-REAL_DRIFT_FRAME = real_drift_frame()
+#: rows: the three zero-sum combinations of the diagonal F_k, then the
+#: off-diagonal F_k of HERMITIAN_BASIS, each flattened in expectation order,
+#: so y_k = <dF_k> = FRAME[k] @ d<sigma> are the real coordinates of the
+#: traceless fluctuations; FRAME @ BASIS.swap == FRAME.conj()
+FRAME = np.concatenate([
+    np.array([[1, -1, 0, 0] / np.sqrt(2.0),
+              [1, 1, -2, 0] / np.sqrt(6.0),
+              [1, 1, 1, -3] / np.sqrt(12.0)])
+    @ HERMITIAN_BASIS[:4].reshape(4, 16),
+    HERMITIAN_BASIS[4:].reshape(12, 16)])
 
 
 @dataclass(frozen=True)
 class LinearizedSystem:
-    """Drift A, field-coupling columns B, diffusion D on the traceless subspace.
+    """Drift A, field-coupling columns B, diffusion D in FRAME coordinates.
 
-    The columns of b correspond to (da1, da1+, da2, da2+) in the mean-field
-    normalization of the pump amplitudes.  d is the diffusion matrix of the
-    collective Langevin forces: <F_mu(z,t) F_nu(z',t')> =
-    noise_scale * 2 d_[mu,nu] * delta(z-z') delta(t-t') with noise_scale = L/N.
+    a is real, b and d complex; the columns of b are (da1, da1+, da2, da2+)
+    in the mean-field normalization of the pump amplitudes.  d is the
+    diffusion matrix of the collective Langevin forces: <F_k(z,t) F_l(z',t')>
+    = noise_scale * 2 d_[k,l] * delta(z-z') delta(t-t') with noise_scale = L/N.
     """
 
-    a: np.ndarray          # 15 x 15
+    a: np.ndarray          # 15 x 15, real
     b: np.ndarray          # 15 x 4
     d: np.ndarray          # 15 x 15
     noise_scale: float     # L / N
 
 
 def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Drift of each (P, 16, 16) Heisenberg generator, projected to 15 dims.
+    """Drift FRAME A FRAME^H of each (P, 16, 16) Heisenberg generator A.
 
-    Returns the (P, 15, 15) drifts and the failures as {stack position:
-    ResponseError} for drifts with an eigenvalue in the right half-plane.
-    A Heisenberg generator preserves Hermiticity, so REAL_DRIFT_FRAME turns
-    each drift into a real matrix with the same eigenvalues; the check runs
-    on that real form.
+    A Heisenberg generator preserves Hermiticity, so its drift is real in
+    the Hermitian frame.  Returns the (P, 15, 15) float64 drifts and the
+    failures as {stack position: ResponseError}: a drift whose imaginary
+    part exceeds 1e-10 of its scale, or one with an eigenvalue in the right
+    half-plane.
     """
-    a15 = EMBED.T @ adjoints @ EMBED
-    real = (REAL_DRIFT_FRAME @ a15 @ REAL_DRIFT_FRAME.conj().T).real
-    max_re = np.max(np.real(np.linalg.eigvals(real)), axis=1)
+    a = FRAME @ adjoints @ FRAME.conj().T
+    scale = np.maximum(np.max(np.abs(a), axis=(1, 2)), np.finfo(float).tiny)
+    imag = np.max(np.abs(a.imag), axis=(1, 2)) / scale
     failures = {int(k): ResponseError(
-        f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}")
-        for k in np.flatnonzero(max_re > 1e-10)}
-    return a15, failures
+        f"drift not real in the Hermitian frame: imaginary part {imag[k]:.2e} "
+        "of its scale") for k in np.flatnonzero(~(imag <= 1e-10))}
+    a = np.ascontiguousarray(a.real)
+    max_re = np.max(np.real(np.linalg.eigvals(a)), axis=1)
+    for k in np.flatnonzero(max_re > 1e-10):
+        failures.setdefault(int(k), ResponseError(
+            f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}"))
+    return a, failures
 
 
 def drift_matrix(gen: Generator, state: AtomState,
                  params: SystemParams) -> np.ndarray:
-    """Heisenberg drift with mean fields frozen, projected to 15 dimensions.
+    """Real 15 x 15 Heisenberg drift with mean fields frozen, in FRAME.
 
     The full 16-dim drift has the trace vector as an exact left null vector;
-    fluctuations therefore stay on the traceless subspace EMBED spans, and
-    EMBED.T maps onto its coordinates.
+    fluctuations therefore stay on the traceless subspace FRAME spans.
     """
-    a15, failures = drift_stack(gen.adjoint[None])
+    a, failures = drift_stack(gen.adjoint[None])
     if failures:
         raise failures[0]
-    return a15[0]
+    return a[0]
 
 
 #: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
 FIELD_COLUMNS = FIELD_SUPEROPERATORS.transpose(1, 0, 2).reshape(64, 16)
-#: traceless projection of the index-swapped (expectation-order) vector
-EMBED_SWAP = EMBED.T @ BASIS.swap
 
 
 def field_coupling_stack(g: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """(P, 15, 4) field-drive columns for couplings g (P,) and states rhos."""
     b_full = (rhos.reshape(-1, 1, 16) @ FIELD_COLUMNS.T).reshape(-1, 16, 4)
-    return EMBED_SWAP @ (g[:, None, None] * b_full)
+    # b_full is in index-swapped order: FRAME @ BASIS.swap == FRAME.conj()
+    return FRAME.conj() @ (g[:, None, None] * b_full)
 
 
 def field_coupling_matrix(gen: Generator, state: AtomState,
@@ -171,11 +136,11 @@ def diffusion_stack(noise_model: str, lmats: np.ndarray, coherents: np.ndarray,
     else:
         raise ValueError(f"unknown noise model {noise_model!r}; "
                          f"expected one of {NOISE_MODELS}")
-    return EMBED.T @ d_full @ EMBED, failures
+    return FRAME @ d_full @ FRAME.T, failures
 
 
 def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
-    """Diffusion via the generalized Einstein relation, projected to 15 dims.
+    """Diffusion via the generalized Einstein relation, in FRAME.
 
     2 D_[mu,nu] = <Ld(sigma_mu sigma_nu)> - <Ld(sigma_mu) sigma_nu>
                   - <sigma_mu Ld(sigma_nu)> in the steady state.  The purely
@@ -270,29 +235,33 @@ def diffusion_matrix_channelwise(gen: Generator, state: AtomState) -> np.ndarray
                 pair = c1.reshape(16, 16) @ (
                     (c2 @ rho).transpose(0, 2, 1).reshape(16, 16)).T
                 d_full += rate * pair / 2.0
-    return EMBED.T @ d_full @ EMBED
+    return FRAME @ d_full @ FRAME.T
 
 
 def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarray:
-    """Ordered covariance <d sigma_mu d sigma_nu> directly from the state."""
+    """Ordered covariance <dF_k dF_l> in FRAME (<d sigma_mu d sigma_nu>
+    unless projected) directly from the state."""
     s = state.expectations
     # Tr(rho sigma_mu sigma_nu) = vec(rho^T) . vec(sigma_mu sigma_nu)
     first = (PRODUCTS @ state.rho.T.reshape(16)).reshape(16, 16)
     cov = first - np.outer(s, s)
     if projected:
-        return EMBED.T @ cov @ EMBED
+        return FRAME @ cov @ FRAME.T
     return cov
 
 
-def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Responses R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) drift stack.
+def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
+    """R(omega) = (-i omega I - A)^-1 and R(-omega) of a (P, 15, 15) stack.
 
     Refuses near-singular systems, naming the offending eigenvalue, and
-    checks every inverse by its residual; failures are {stack position:
-    ResponseError}.
+    checks every inverse by its residual.  The drift is real, so R(-omega) =
+    conj(R(omega)) with no second inversion; its own residual
+    ||(i omega - A) R(-omega) - I|| checks that on every point.  Returns
+    R(omega), R(-omega) and the failures as {stack position: ResponseError}.
     """
     eye = np.eye(a.shape[-1])
-    m = (-1j * omegas)[:, None, None] * eye - a
+    iw = (1j * omegas)[:, None, None] * eye
+    m = -iw - a
     cond = np.linalg.cond(m)
     singular = ~np.isfinite(cond) | (cond > 1e12)
     failures = {}
@@ -305,31 +274,18 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, dict]
     ok = np.flatnonzero(~singular)
     r = np.zeros_like(m)
     r[ok] = np.linalg.inv(m[ok])
+    r_minus = r.conj()
     resid = np.linalg.norm(m[ok] @ r[ok] - eye, axis=(1, 2))
     for j in np.flatnonzero(resid > 1e-10):
         failures[int(ok[j])] = ResponseError(
             f"response inversion residual {resid[j]:.2e}")
-    return r, failures
-
-
-def mirrored_response_stack(a: np.ndarray, omegas: np.ndarray,
-                            r: np.ndarray) -> tuple[np.ndarray, dict]:
-    """R(-omega) = P conj(R(omega)) P from responses r = R(omega) of a stack.
-
-    Every drift preserves Hermiticity, conj(A) = P A P with P the EMBED_PAIR
-    permutation, so the mirrored response is an index gather, not a second
-    inversion; it has the condition number of R(omega) and is checked by
-    its own residual ||(i omega - A) R(-omega) - I||.  Failures are {stack
-    position: ResponseError}.
-    """
-    eye = np.eye(a.shape[-1])
-    r_minus = r.conj()[:, EMBED_PAIR[:, None], EMBED_PAIR]
-    m = (1j * omegas)[:, None, None] * eye - a
-    resid = np.linalg.norm(m @ r_minus - eye, axis=(1, 2))
-    failures = {int(k): ResponseError(
-        f"mirrored response residual {resid[k]:.2e} at omega={-omegas[k]}")
-        for k in np.flatnonzero(resid > 1e-10)}
-    return r_minus, failures
+    # i omega - A, not conj(-i omega - A): only a real drift passes this
+    resid = np.linalg.norm((iw - a) @ r_minus - eye, axis=(1, 2))
+    for k in np.flatnonzero(resid > 1e-10):
+        failures.setdefault(int(k), ResponseError(
+            f"mirrored response residual {resid[k]:.2e} "
+            f"at omega={-omegas[k]}"))
+    return r, r_minus, failures
 
 
 def atomic_response(a: np.ndarray, omega: float) -> np.ndarray:
@@ -337,7 +293,7 @@ def atomic_response(a: np.ndarray, omega: float) -> np.ndarray:
 
     Refuses near-singular systems, naming the offending eigenvalue.
     """
-    r, failures = response_stack(a[None], np.array([omega], dtype=float))
+    r, _, failures = response_stack(a[None], np.array([omega], dtype=float))
     if failures:
         raise failures[0]
     return r[0]

@@ -157,10 +157,10 @@ def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
     """Stationary covariance solving A S + S A^T + 2 D = 0 (Bartels-Stewart).
 
     scipy's solve_sylvester reduces A and A^T to complex Schur form and
-    back-substitutes (Bartels & Stewart 1972).  solve_continuous_lyapunov
-    would solve with A^H, which differs from A^T for the complex drift.
-    A is cast to complex so that a real drift with a complex D still gets
-    the triangular Schur form the complex back-substitution expects.
+    back-substitutes (Bartels & Stewart 1972).  The drift is real and D
+    complex Hermitian, so A is cast to complex: the complex
+    back-substitution needs the triangular Schur form, which a real A
+    would get only in quasi-triangular form.
     """
     a = lin.a.astype(complex)
     max_re = float(np.max(np.real(np.linalg.eigvals(a))))

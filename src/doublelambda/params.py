@@ -6,7 +6,8 @@ of the 4->1 channel, set to 1); geometry is in SI meters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -50,6 +51,9 @@ class SystemParams:
     beam_radius: float = 2.2e-4  # m
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("gamma1", "gamma2", "gamma3", "gamma4", "gamma0",
                      "gamma_phi", "omega42", "n0"):
             if getattr(self, name) < 0:
@@ -124,10 +128,6 @@ class AtomicBasis:
             raise ValueError(f"levels must be in 1..4, got ({i}, {j})")
         return 4 * (i - 1) + (j - 1)
 
-    def levels(self, mu: int) -> tuple[int, int]:
-        i, j = divmod(mu, 4)
-        return i + 1, j + 1
-
     def sigma(self, i: int, j: int) -> np.ndarray:
         return self._sigmas[self.index(i, j)]
 
@@ -146,3 +146,21 @@ class AtomicBasis:
 
 
 BASIS = AtomicBasis()
+
+
+def hermitian_basis() -> np.ndarray:
+    """Orthonormal Hermitian basis F_k (16, 4, 4) of the 4 x 4 matrices.
+
+    E_ii, then for each i < j the pair (E_ij + E_ji)/sqrt2 and
+    i(E_ij - E_ji)/sqrt2; Tr(F_k F_l) = delta_kl.
+    """
+    f = np.zeros((16, 4, 4), dtype=complex)
+    f[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+    i, j = np.triu_indices(4, 1)
+    k = 4 + 2 * np.arange(6)
+    f[k, i, j] = f[k, j, i] = 1.0 / np.sqrt(2.0)
+    f[k + 1, i, j], f[k + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+    return f
+
+
+HERMITIAN_BASIS = hermitian_basis()

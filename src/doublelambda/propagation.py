@@ -16,8 +16,8 @@ from scipy.linalg import expm
 
 from .atom import FIELD_OPERATORS
 from . import fluctuations as fl
-from .fluctuations import EMBED, LinearizedSystem
-from .params import SPEED_OF_LIGHT, SystemParams
+from .fluctuations import FRAME, LinearizedSystem
+from .params import HERMITIAN_BASIS, SPEED_OF_LIGHT, SystemParams
 
 #: bound on the relative disagreement between the propagator block of the
 #: augmented exponential and the real form of kron(exp(L M), conj(exp(L M)))
@@ -29,25 +29,6 @@ PAIRING_TOL = 1e-10
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
 
-
-def hermitian_basis() -> np.ndarray:
-    """Orthonormal Hermitian basis F_k (16, 4, 4) of the 4 x 4 matrices.
-
-    E_ii, then for each i < j the pair (E_ij + E_ji)/sqrt2 and
-    i(E_ij - E_ji)/sqrt2; Tr(F_k F_l) = delta_kl.
-    """
-    f = np.zeros((16, 4, 4), dtype=complex)
-    f[np.arange(4), np.arange(4), np.arange(4)] = 1.0
-    k = 4
-    for i in range(4):
-        for j in range(i + 1, 4):
-            f[k, i, j] = f[k, j, i] = 1.0 / np.sqrt(2.0)
-            f[k + 1, i, j], f[k + 1, j, i] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
-            k += 2
-    return f
-
-
-HERMITIAN_BASIS = hermitian_basis()
 #: unitary whose column k is vec(F_k): x = HERMITIAN_FRAME^H vec(X) are the
 #: real coordinates of a Hermitian X
 HERMITIAN_FRAME = HERMITIAN_BASIS.reshape(16, 16).T
@@ -60,9 +41,10 @@ PAIRED_GENERATOR = np.einsum("lbc,kca->abkl", HERMITIAN_BASIS,
                              HERMITIAN_BASIS).reshape(16, 256)
 
 #: 4 x 15 selector of the coherence sums sourcing the field equations, in
-#: traceless coordinates: field k is driven by the transpose of -dH/dv_k,
+#: FRAME coordinates: field k is driven by the transpose of -dH/dv_k,
 #: e.g. sigma_14 + sigma_12 for a1
-SELECTOR = -FIELD_OPERATORS.transpose(0, 2, 1).reshape(4, 16).real @ EMBED
+SELECTOR = (-FIELD_OPERATORS.transpose(0, 2, 1).reshape(4, 16).real
+            @ FRAME.conj().T)
 
 
 @dataclass(frozen=True)
@@ -124,11 +106,7 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     analysis frequencies.  Failures are {stack position: exception}: a
     response failure, or a non-finite transfer matrix.
     """
-    r_plus, failures = fl.response_stack(a, omegas)
-    # R(-omega) = P conj(R(omega)) P: an index gather, not a second inversion
-    r_minus, more = fl.mirrored_response_stack(a, omegas, r_plus)
-    for k, exc in more.items():
-        failures.setdefault(k, exc)
+    r_plus, r_minus, failures = fl.response_stack(a, omegas)
     chi = np.array([[1j * p.chi1, -1j * p.chi1, 1j * p.chi2, -1j * p.chi2]
                     for p in points]).reshape(-1, 4)
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise

@@ -26,7 +26,7 @@ from doublelambda.atom import build_generator
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       compute_point, dephasing_spec,
                                       detuning_spec, run_sweep)
-from doublelambda.fluctuations import EMBED, linearize
+from doublelambda.fluctuations import FRAME, linearize
 from doublelambda.oracle import (cross_validate, lyapunov_covariance,
                                  regression_covariance)
 from doublelambda.propagation import (input_covariance, make_setup,
@@ -112,7 +112,7 @@ def test_criterion_03_lyapunov_vs_regression():
         state = solve_steady_state(gen, p)
         lin = linearize(gen, state, p)
         sigma = lyapunov_covariance(lin)
-        reg = EMBED.T @ regression_covariance(gen, state, 0.0) @ EMBED
+        reg = FRAME @ regression_covariance(gen, state, 0.0) @ FRAME.T
         scale = max(float(np.max(np.abs(reg))), 1e-30)
         worst = max(worst, float(np.max(np.abs(sigma - reg))) / scale)
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,7 @@ class TestCommands:
     @pytest.mark.parametrize("key, used", [("workers = 1\n", 1), ("", 2)])
     def test_workers_key_beats_environment(self, tmp_path, monkeypatch, key,
                                            used):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool's bound
         monkeypatch.setenv("SIMULATE_WORKERS", "2")
         real, seen = ex.run_sweep, []
 
@@ -125,6 +127,30 @@ class TestCommands:
         manifest = json.loads(
             (tmp_path / "sweep_delta1_manifest.json").read_text())
         assert manifest["config"]["workers"] == used
+
+    @pytest.mark.parametrize("key, env", [("workers = 5000\n", "1"),
+                                          ("", "5000")],
+                             ids=["key", "environment"])
+    def test_manifest_records_the_bounded_pool(self, tmp_path, monkeypatch,
+                                               key, env):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("SIMULATE_WORKERS", env)
+        real, seen = ex.run_sweep, []
+
+        def serial(spec, workers=None):
+            seen.append(workers)
+            return real(spec, workers=1)
+
+        monkeypatch.setattr(ex, "run_sweep", serial)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\n" + key + _mini(tmp_path).read_text())
+        assert run_cli(["sweep", "--out", str(tmp_path),
+                        "--config", str(cfg)]) == 0
+        # 3 grid points: at most 3 workers, whatever was asked for
+        assert seen == [3]
+        manifest = json.loads(
+            (tmp_path / "sweep_delta1_manifest.json").read_text())
+        assert manifest["config"]["workers"] == 3
 
     def test_slabs_flag_retired(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -36,6 +36,36 @@ class TestConfigParsing:
             parse_config("[params]\np1 = 1.5\n")
         assert "p1" in str(err.value)
 
+    @pytest.mark.parametrize("text, field, value", [
+        ("[params]\ndelta1 = nan\n", "delta1", "nan"),
+        ("[params]\ng = 0.3\nn0 = inf\n", "n0", "inf")], ids=["nan", "inf"])
+    def test_nonfinite_parameter_rejected(self, text, field, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == (f"invalid parameters: {field} must be "
+                                  f"finite, got {value}")
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemParams(**{field: float(value)})
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[run]\ncommand = sweep\nworkers = {value}\n")
+        assert str(err.value) == f"line 3: workers must be >= 1, got {value}"
+
+    def test_hash_inside_a_value_is_kept(self):
+        cfg = parse_config("[run]\nout = results#1\n")
+        assert cfg.out_dir == "results#1"
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_comment_after_whitespace_is_stripped(self):
+        cfg = parse_config("[params]\ndelta1 = -1.5        # detuning\n"
+                           "[run]\nout = results\t# where to write\n"
+                           "format = json # a comment\n")
+        assert cfg.params.delta1 == -1.5
+        assert cfg.out_dir == "results"
+        assert cfg.fmt == "json"
+
     def test_single_override(self):
         cfg = parse_config("[params]\ndelta1 = -1.0\n")
         assert cfg.params.delta1 == -1.0

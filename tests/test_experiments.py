@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,51 @@ class TestParallelism:
         for ra, rb in zip(serial.rows, parallel.rows):
             assert ra.axis_value == rb.axis_value
             assert ra.v12 == rb.v12
+
+
+class PoolRecorder:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and maps in this process, so no process is started."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerBound:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import doublelambda.experiments as ex
+        sizes = []
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", PoolRecorder(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return sizes
+
+    @pytest.mark.parametrize("points, workers, size", [
+        (5, 5000, 3), (2, 5000, 2), (5, 2, 2)])
+    def test_pool_is_bounded(self, defaults, pools, points, workers, size):
+        spec = detuning_spec(defaults, points=points)
+        rows = run_sweep(spec, workers=workers).rows
+        assert pools == [size]
+        assert_rows_match(rows, run_sweep(spec, workers=1).rows, rtol=0.0)
+        assert pools == [size]  # one worker starts no pool
+
+    def test_environment_is_bounded(self, defaults, pools, monkeypatch):
+        monkeypatch.setenv("SIMULATE_WORKERS", "5000")
+        run_sweep(detuning_spec(defaults, points=5))
+        assert pools == [3]
 
 
 def calibrate_by_generator(base, target=0.064, bracket=(0.05, 1.0)):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
 from doublelambda.atom import build_generator, generator_with_fields
-from doublelambda.fluctuations import (EMBED, REAL_DRIFT_FRAME, ResponseError,
+from doublelambda.fluctuations import (FRAME, ResponseError,
                                        _state_products, atomic_response,
                                        diffusion_matrix,
                                        diffusion_matrix_channelwise,
@@ -14,7 +14,7 @@ from doublelambda.fluctuations import (EMBED, REAL_DRIFT_FRAME, ResponseError,
                                        drift_matrix, drift_stack,
                                        equal_time_covariance,
                                        field_coupling_matrix, linearize,
-                                       mirrored_response_stack)
+                                       response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.steady import solve_steady_state
 from conftest import random_params
@@ -53,16 +53,32 @@ class TestDrift:
         assert a.shape == (15, 15)
 
     def test_real_form_keeps_the_eigenvalues(self):
-        # conj(A) = P A P, so T A T^H is real and similar to A
+        # the 16-dim Heisenberg generator has the drift's eigenvalues plus
+        # the 0 of the conserved trace
         for p in reference_points(8):
             gen, state = prepare(p)
             a = drift_matrix(gen, state, p)
-            real = REAL_DRIFT_FRAME @ a @ REAL_DRIFT_FRAME.conj().T
-            scale = np.max(np.abs(a))
-            assert np.max(np.abs(real.imag)) <= 1e-15 * scale
-            evals = np.linalg.eigvals(a)
-            mismatch = nearest_mismatch(np.linalg.eigvals(real.real), evals)
+            assert a.dtype == np.float64
+            evals = np.linalg.eigvals(gen.adjoint)
+            mismatch = nearest_mismatch(
+                np.append(np.linalg.eigvals(a), 0.0), evals)
             assert mismatch <= 1e-12 * np.max(np.abs(evals))
+
+    def test_frame_is_the_hermitian_basis(self):
+        assert np.allclose(FRAME @ FRAME.conj().T, np.eye(15), atol=1e-15)
+        assert np.array_equal(FRAME @ BASIS.swap, FRAME.conj())
+        trace_vec = np.zeros(16)
+        trace_vec[BASIS.diagonal] = 1.0
+        assert np.max(np.abs(FRAME @ trace_vec)) <= 1e-15
+
+    def test_non_hermitian_generator_refused(self, defaults):
+        # i eps I does not preserve Hermiticity: its drift is i eps I in
+        # the frame, so the guard names it before the stability check
+        gen = build_generator(defaults)
+        adjoints = np.stack([gen.adjoint, gen.adjoint + 1e-6j * np.eye(16)])
+        _, failures = drift_stack(adjoints)
+        assert list(failures) == [1]
+        assert "drift not real in the Hermitian frame" in str(failures[1])
 
     def test_unstable_drift_still_refused(self, defaults):
         # shifting the Heisenberg generator by +0.5 pushes the slowest
@@ -96,7 +112,7 @@ class TestFieldCoupling:
         state = AtomState(expectations=BASIS.expectations(rho), method="test")
         gen = build_generator(defaults)
         b = field_coupling_matrix(gen, state, defaults)
-        col = EMBED @ b[:, 0]  # back to 16-dim coordinates
+        col = FRAME.conj().T @ b[:, 0]  # back to 16-dim coordinates
         nonzero = {mu for mu in range(16) if abs(col[mu]) > 1e-14}
         assert nonzero == {BASIS.index(1, 4), BASIS.index(1, 2)}
         assert abs(col[BASIS.index(1, 4)]) == pytest.approx(defaults.g)
@@ -120,14 +136,14 @@ class TestFieldCoupling:
                 lp = generator_with_fields(p, *vp)
                 lm = generator_with_fields(p, *vm)
                 adj_diff = BASIS.swap @ ((lp - lm) / (2 * h)) @ BASIS.swap
-                col_fd = EMBED.T @ (adj_diff @ s_full)
+                col_fd = FRAME @ (adj_diff @ s_full)
                 assert np.max(np.abs(col_fd - b[:, k])) < 1e-8
 
     def test_adjoint_pairing(self, rng):
         p = random_params(rng, with_fields=True)
         gen, state = prepare(p)
         b = field_coupling_matrix(gen, state, p)
-        b16 = EMBED @ b
+        b16 = FRAME.conj().T @ b
         paired = b16[BASIS.pair][:, [1, 0, 3, 2]].conj()
         assert np.max(np.abs(b16 - paired)) < 1e-12
 
@@ -160,7 +176,7 @@ class TestDiffusion:
         from doublelambda.steady import AtomState
         rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
         state = AtomState(expectations=BASIS.expectations(rho), method="test")
-        d16 = EMBED @ diffusion_matrix(gen, state) @ EMBED.T
+        d16 = FRAME.conj().T @ diffusion_matrix(gen, state) @ FRAME.conj()
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
         # <sigma_11 + sigma_22> = 1 here
@@ -174,14 +190,14 @@ class TestDiffusion:
             d2 = diffusion_matrix_channelwise(gen, state)
             assert np.max(np.abs(d1 - d2)) < 1e-12
 
-    def test_paired_form_psd(self, rng):
-        p15 = EMBED.T @ BASIS.swap @ EMBED
+    def test_hermitian_frame_psd(self, rng):
+        # D[k, l] pairs Hermitian operators, so D itself is Hermitian PSD
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            dtilde = p15 @ (2 * diffusion_matrix(gen, state))
-            assert np.max(np.abs(dtilde - dtilde.conj().T)) < 1e-12
-            assert np.min(np.linalg.eigvalsh(dtilde)) > -1e-10
+            d2 = 2 * diffusion_matrix(gen, state)
+            assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
+            assert np.min(np.linalg.eigvalsh(d2)) > -1e-10
 
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
@@ -232,22 +248,22 @@ class TestResponse:
         for p in reference_points(8):
             gen, state = prepare(p)
             a = drift_matrix(gen, state, p)
-            r = atomic_response(a, omega)
-            mirrored, failures = mirrored_response_stack(
-                a[None], np.array([omega]), r[None])
+            r, mirrored, failures = response_stack(a[None], np.array([omega]))
             assert failures == {}
+            assert np.array_equal(r[0], atomic_response(a, omega))
             inverse = atomic_response(a, -omega)
             assert (np.max(np.abs(mirrored[0] - inverse))
                     <= 1e-12 * np.max(np.abs(inverse)))
 
     def test_mirrored_response_residual_checked(self, defaults):
+        # a drift that is not real inverts fine at +omega, but conj(R)
+        # is then not R(-omega), and the mirrored residual says so
         gen, state = prepare(defaults)
         a = drift_matrix(gen, state, defaults)
-        r = atomic_response(a, 0.5)
-        bad = r.copy()
-        bad[3, 4] += 1e-6 * np.max(np.abs(r))
-        _, failures = mirrored_response_stack(
-            np.stack([a, a]), np.array([0.5, 0.5]), np.stack([r, bad]))
+        bad = a.astype(complex)
+        bad[3, 4] += 1e-6j * np.max(np.abs(a))
+        _, _, failures = response_stack(np.stack([a, bad]),
+                                        np.array([0.5, 0.5]))
         assert list(failures) == [1]
         assert "mirrored response residual" in str(failures[1])
 
@@ -281,6 +297,6 @@ class TestCovarianceConsistency:
             sigma = equal_time_covariance(state)
             analytic = expm(lin.a * tau) @ sigma
             oracle16 = regression_covariance(gen, state, tau)
-            oracle15 = EMBED.T @ oracle16 @ EMBED
+            oracle15 = FRAME @ oracle16 @ FRAME.T
             scale = max(np.max(np.abs(oracle15)), 1e-30)
             assert np.max(np.abs(analytic - oracle15)) / scale < 1e-6

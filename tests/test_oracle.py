@@ -6,7 +6,7 @@ import pytest
 from doublelambda import BASIS, SystemParams
 from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
-from doublelambda.fluctuations import (EMBED, NOISE_MODELS,
+from doublelambda.fluctuations import (FRAME, NOISE_MODELS,
                                        diffusion_matrix_channelwise,
                                        equal_time_covariance,
                                        linearize, LinearizedSystem)
@@ -81,14 +81,14 @@ def channelwise_einsum(gen, state):
                     - np.einsum("kl,mln->mkn", lm, sig)
                 pair = np.einsum("mkl,nlj->mnkj", c1, c2)
                 d_full += rate * np.einsum("kl,mnlk->mn", rho, pair) / 2.0
-    return EMBED.T @ d_full @ EMBED
+    return FRAME @ d_full @ FRAME.T
 
 
 def equal_time_einsum(state):
     s = state.expectations
     prod = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas)
     first = np.einsum("kl,mnlk->mn", state.rho, prod)
-    return EMBED.T @ (first - np.outer(s, s)) @ EMBED
+    return FRAME @ (first - np.outer(s, s)) @ FRAME.T
 
 
 class TestTimeEvolve:
@@ -181,8 +181,8 @@ class TestLyapunov:
         direct = equal_time_covariance(state)
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
-        e_mu = EMBED.T[:, mu]
-        e_nu = EMBED.T[:, nu]
+        e_mu = FRAME[:, mu].conj()
+        e_nu = FRAME[:, nu].conj()
         val = e_mu @ sigma @ e_nu
         s11 = state.expectation(1, 1)
         s12 = state.expectation(1, 2)

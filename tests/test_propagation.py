@@ -55,7 +55,7 @@ class TestTransferMatrix:
     @pytest.mark.parametrize("omega, calls", [(0.0, 1), (0.5, 1)])
     def test_response_inversions_per_setup(self, defaults, omega, calls,
                                            monkeypatch):
-        # R(-omega) = P conj(R(omega)) P: one inversion at every frequency
+        # R(-omega) = conj(R(omega)): one inversion at every frequency
         from doublelambda import fluctuations as fl
         gen = build_generator(defaults)
         lin = linearize(gen, solve_steady_state(gen, defaults), defaults)
