@@ -248,10 +248,6 @@ def build_generator(params: SystemParams) -> Generator:
                      channels=dissipation_channels(params), params=params)
 
 
-def dissipative_activity(gen: Generator, rho: np.ndarray) -> float:
-    """Total jump rate sum_k r_k <L_k^+ L_k> in the given state."""
-    return float(dissipative_activity_stack(gen.rates[None], rho[None])[0])
-
 
 @dataclass(frozen=True)
 class DarkStateAnalysis:

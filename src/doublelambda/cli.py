@@ -182,6 +182,8 @@ def main(argv=None) -> int:
         if cfg.workers is None:
             overrides["workers"] = ex.worker_count()
         cfg = dataclasses.replace(cfg, **overrides)
+        if cfg.command != "sweep":  # no pool runs: one process does the work
+            cfg = dataclasses.replace(cfg, workers=ex.pool_size(cfg.workers, 1))
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return COMMAND_HANDLERS[cfg.command](cfg, out)

@@ -67,6 +67,12 @@ class RunConfig:
         return np.linspace(start, stop, int(points))
 
 
+def _strip_comment(line: str) -> str:
+    """The line without its comment, which starts at a '#' after whitespace
+    (so 'results#1' is a value), and without surrounding whitespace."""
+    return re.split(r"\s#", line, maxsplit=1)[0].strip()
+
+
 def _parse_float(raw: str) -> float:
     try:
         return float(raw)
@@ -157,7 +163,7 @@ def parse_config(text: str) -> RunConfig:
     values = {"params": {}, "run": {}}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        stripped = rawline.strip()
+        stripped = _strip_comment(rawline)
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -170,9 +176,7 @@ def parse_config(text: str) -> RunConfig:
         if section is None:
             raise ConfigError("key outside of any section", lineno)
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        # a comment starts at a '#' after whitespace, so 'results#1' is a value
-        raw = re.split(r"\s#", raw, maxsplit=1)[0].strip()
+        key, raw = key.strip(), raw.strip()
         if section == "params":
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)
@@ -200,7 +204,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def render_config(cfg: RunConfig) -> str:
-    """Serialize a config so that parse(render(cfg)) == cfg."""
+    """Serialize a config so that parse(render(cfg)) == cfg, else ValueError."""
     lines = ["[params]"]
     lines += [f"{key} = {getattr(cfg.params, key)!r}" for key in PARAM_KEYS]
     for section, options in OPTIONS.items():
@@ -208,5 +212,9 @@ def render_config(cfg: RunConfig) -> str:
         for key, (name, _, render) in options.items():
             value = getattr(cfg, name)
             if value is not None and value != ():
-                lines.append(f"{key} = {render(value)}")
+                text = render(value)
+                if _strip_comment(text) != text or len(text.splitlines()) > 1:
+                    raise ValueError(f"[{section}] {key} = {text!r} would "
+                                     "not read back as written")
+                lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

@@ -44,13 +44,6 @@ def quadrature_variance_stack(c: np.ndarray, weights) -> tuple[np.ndarray, dict]
     return value.real, failures
 
 
-def quadrature_variance(cov: FieldCovariance, weights) -> float:
-    """Symmetrized variance of the operator sum_i w_i v_i."""
-    value, failures = quadrature_variance_stack(cov.c[None], weights)
-    if failures:
-        raise failures[0]
-    return float(value[0])
-
 
 def duan_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """(<du^2>, <dv^2>) of a (P, 4, 4) covariance stack, with failures as

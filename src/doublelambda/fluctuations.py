@@ -54,9 +54,12 @@ class LinearizedSystem:
 
 
 def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Drift FRAME A FRAME^H of each (P, 16, 16) Heisenberg generator A.
+    """Drift FRAME A FRAME^H of each (P, 16, 16) Heisenberg generator A,
+    with the mean fields frozen.
 
-    A Heisenberg generator preserves Hermiticity, so its drift is real in
+    The full 16-dim drift has the trace vector as an exact left null vector,
+    so fluctuations stay on the traceless subspace FRAME spans.  A
+    Heisenberg generator preserves Hermiticity, so its drift is real in
     the Hermitian frame.  Returns the (P, 15, 15) float64 drifts and the
     failures as {stack position: ResponseError}: a drift whose imaginary
     part exceeds 1e-10 of its scale, or one with an eigenvalue in the right
@@ -76,49 +79,38 @@ def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
     return a, failures
 
 
-def drift_matrix(gen: Generator, state: AtomState,
-                 params: SystemParams) -> np.ndarray:
-    """Real 15 x 15 Heisenberg drift with mean fields frozen, in FRAME.
-
-    The full 16-dim drift has the trace vector as an exact left null vector;
-    fluctuations therefore stay on the traceless subspace FRAME spans.
-    """
-    a, failures = drift_stack(gen.adjoint[None])
-    if failures:
-        raise failures[0]
-    return a[0]
-
 
 #: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
 FIELD_COLUMNS = FIELD_SUPEROPERATORS.transpose(1, 0, 2).reshape(64, 16)
 
 
 def field_coupling_stack(g: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """(P, 15, 4) field-drive columns for couplings g (P,) and states rhos."""
+    """(P, 15, 4) field-drive columns for couplings g (P,) and states rhos.
+
+    The columns are (da1, da1+, da2, da2+).  The master equation is linear
+    in each field amplitude, so each column is the exact derivative of the
+    mean-field evolution map applied to the state; equivalently the
+    expectation of i[dH/dv_k, sigma_mu].
+    """
     b_full = (rhos.reshape(-1, 1, 16) @ FIELD_COLUMNS.T).reshape(-1, 16, 4)
     # b_full is in index-swapped order: FRAME @ BASIS.swap == FRAME.conj()
     return FRAME.conj() @ (g[:, None, None] * b_full)
 
 
-def field_coupling_matrix(gen: Generator, state: AtomState,
-                          params: SystemParams) -> np.ndarray:
-    """Columns of the field drive (da1, da1+, da2, da2+) acting on the state.
-
-    The master equation is linear in each field amplitude, so each column is
-    the exact derivative of the mean-field evolution map applied to the
-    steady-state expectation vector; equivalently the expectation of
-    i[dH/dv_k, sigma_mu].
-    """
-    return field_coupling_stack(np.array([params.g]), state.rho[None])[0]
-
-
 def diffusion_stack(noise_model: str, lmats: np.ndarray, coherents: np.ndarray,
                     rates: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, dict]:
-    """(P, 15, 15) diffusion matrices of the chosen noise model.
+    """(P, 15, 15) diffusion matrices of the chosen noise model, in FRAME.
 
-    "einstein" applies the Einstein relation to the full generators lmats
-    and asserts, on every point, that their Hamiltonian parts coherents drop
-    out; "vacuum-reservoir" applies it to the radiative part of the rates.
+    Both apply the generalized Einstein relation in the steady state,
+    2 D_[mu,nu] = <Ld(sigma_mu sigma_nu)> - <Ld(sigma_mu) sigma_nu>
+                  - <sigma_mu Ld(sigma_nu)>.
+    "einstein" applies it to the full generators lmats; their purely
+    Hamiltonian parts coherents drop out of it exactly, which is asserted on
+    every point.  "vacuum-reservoir" applies it to the radiative (shared-
+    vacuum spontaneous-emission) rates only, as in treatments where only the
+    radiative reservoir is quantized: the collisional lower-level channels
+    contribute drift but no Langevin force, so the field commutators are not
+    preserved exactly (the deficit is the dropped collisional noise).
     Failures are {stack position: ResponseError}.
     """
     failures = {}
@@ -137,35 +129,6 @@ def diffusion_stack(noise_model: str, lmats: np.ndarray, coherents: np.ndarray,
         raise ValueError(f"unknown noise model {noise_model!r}; "
                          f"expected one of {NOISE_MODELS}")
     return FRAME @ d_full @ FRAME.T, failures
-
-
-def diffusion_matrix(gen: Generator, state: AtomState) -> np.ndarray:
-    """Diffusion via the generalized Einstein relation, in FRAME.
-
-    2 D_[mu,nu] = <Ld(sigma_mu sigma_nu)> - <Ld(sigma_mu) sigma_nu>
-                  - <sigma_mu Ld(sigma_nu)> in the steady state.  The purely
-    Hamiltonian part of the generator drops out of this combination exactly;
-    that cancellation is asserted here as a construction check.
-    """
-    d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                  gen.coherent[None], gen.rates[None],
-                                  state.rho[None])
-    if failures:
-        raise failures[0]
-    return d[0]
-
-
-def diffusion_matrix_vacuum_reservoir(gen: Generator, state: AtomState) -> np.ndarray:
-    """Diffusion restricted to the shared-vacuum spontaneous-emission channels.
-
-    The collisional lower-level channels then contribute drift but no Langevin
-    force.  This reproduces the noise content of treatments where only the
-    radiative reservoir is quantized; it does not preserve the field
-    commutators exactly (the deficit is the dropped collisional noise).
-    """
-    return diffusion_stack("vacuum-reservoir", gen.matrix[None],
-                           gen.coherent[None], gen.rates[None],
-                           state.rho[None])[0][0]
 
 
 #: row 16 mu + nu is vec(sigma_mu sigma_nu)
@@ -288,17 +251,6 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     return r, r_minus, failures
 
 
-def atomic_response(a: np.ndarray, omega: float) -> np.ndarray:
-    """Frequency-domain response R(omega) = (-i omega I - A)^-1.
-
-    Refuses near-singular systems, naming the offending eigenvalue.
-    """
-    r, _, failures = response_stack(a[None], np.array([omega], dtype=float))
-    if failures:
-        raise failures[0]
-    return r[0]
-
-
 NOISE_MODELS = ("einstein", "vacuum-reservoir")
 
 
@@ -315,13 +267,16 @@ def linearize(gen: Generator, state: AtomState, params: SystemParams,
     noise_model selects the Langevin-force content: "einstein" applies the
     generalized Einstein relation to every dissipation channel (exact
     fluctuation-dissipation bookkeeping, commutator-preserving);
-    "vacuum-reservoir" keeps only the spontaneous-emission forces.
+    "vacuum-reservoir" keeps only the spontaneous-emission forces.  Raises
+    the drift's failure first, else the diffusion's.
     """
-    a = drift_matrix(gen, state, params)
-    b = field_coupling_matrix(gen, state, params)
-    d, failures = diffusion_stack(noise_model, gen.matrix[None],
-                                  gen.coherent[None], gen.rates[None],
-                                  state.rho[None])
+    a, failures = drift_stack(gen.adjoint[None])
+    if not failures:
+        d, failures = diffusion_stack(noise_model, gen.matrix[None],
+                                      gen.coherent[None], gen.rates[None],
+                                      state.rho[None])
     if failures:
         raise failures[0]
-    return LinearizedSystem(a=a, b=b, d=d[0], noise_scale=noise_scale(params))
+    b = field_coupling_stack(np.array([params.g]), state.rho[None])
+    return LinearizedSystem(a=a[0], b=b[0], d=d[0],
+                            noise_scale=noise_scale(params))

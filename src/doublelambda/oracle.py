@@ -241,7 +241,7 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("steady-state dual-method agreement",
            float(np.max(np.abs(other.expectations - state.expectations))), 1e-8)
 
-    # lin.d is the sandwich route: the Einstein D of fl.diffusion_matrix
+    # lin.d is the sandwich route: the Einstein D of fl.diffusion_stack
     lin = fl.linearize(gen, state, params)
     d_channel = fl.diffusion_matrix_channelwise(gen, state)
     record("Einstein-relation dual-path identity",

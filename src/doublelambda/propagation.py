@@ -232,9 +232,9 @@ def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
 
     m, m_minus, nfield are (P, 4, 4), lengths (P,) and c_in (P, 4, 4) or one
     (4, 4) input shared by all.  Returns the output covariances, the
-    relative self-check residuals, the converged flags (finite output and
-    residual within SELF_CHECK_TOL) and the failures as {stack position:
-    ValueError} of the points whose adjoint pairing is broken.
+    relative self-check residuals, the converged flags (residual within
+    SELF_CHECK_TOL) and the failures as {stack position: ValueError} of the
+    points whose adjoint pairing is broken or whose output is not finite.
 
     With M(-omega) = Pi conj(M) Pi, X = C Pi obeys dX/dz = M X + X M^H +
     Nfield Pi and stays Hermitian, so one real 17 x 17 exponential carries
@@ -259,8 +259,13 @@ def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
                                   np.max(np.abs(kron), axis=(1, 2))),
                        np.finfo(float).tiny)
     residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
-    converged = np.all(np.isfinite(c_out), axis=(1, 2)) & (residual <= SELF_CHECK_TOL)
-    return c_out, residual, converged, failures
+    # C grows like exp(2 L max Re eig(M)): past ~355 float64 overflows
+    for k in np.flatnonzero(~np.all(np.isfinite(c_out), axis=(1, 2))):
+        gain = np.max(np.linalg.eigvals(m[k]).real) * lengths[k]
+        failures.setdefault(int(k), ValueError(
+            "propagation overflow: output covariance not finite, gain "
+            f"exponent max Re eig(M)·L = {gain:.1f}"))
+    return c_out, residual, residual <= SELF_CHECK_TOL, failures
 
 
 def self_check_warnings(residual: float, converged: bool) -> tuple:
@@ -280,10 +285,11 @@ def propagate_covariance(setup: PropagationSetup,
     (top-left block) and the accumulated noise (last column) [Van Loan,
     IEEE TAC 23, 395 (1978)]; G is the real 17 x 17 generator of X = C Pi
     (see propagate_stack).  The propagator block must equal the real form of
-    kron(exp(L M), conj(exp(L M))); a larger disagreement or a non-finite
-    output clears `converged` and names the residual in `warnings`.  Raises
-    ValueError, naming the residual, when M(-omega), Nfield or the input
-    breaks the adjoint pairing.
+    kron(exp(L M), conj(exp(L M))); a larger disagreement clears
+    `converged` and names the residual in `warnings`.  Raises ValueError,
+    naming the residual, when M(-omega), Nfield or the input breaks the
+    adjoint pairing, and naming the gain exponent when the output
+    covariance overflows.
     """
     c_out, residual, converged, failures = propagate_stack(
         setup.m[None], setup.m_minus[None], setup.nfield[None],

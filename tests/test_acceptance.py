@@ -94,9 +94,12 @@ def test_criterion_02_einstein_relation_identity():
         p = draw_params(rng)
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
-        d1 = fl.diffusion_matrix(gen, state)
+        d1, failures = fl.diffusion_stack("einstein", gen.matrix[None],
+                                          gen.coherent[None], gen.rates[None],
+                                          state.rho[None])
+        assert failures == {}
         d2 = fl.diffusion_matrix_channelwise(gen, state)
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
+        worst = max(worst, float(np.max(np.abs(d1[0] - d2))))
     ok = worst < 1e-12
     record(2, ok, f"dual-path diffusion residual {worst:.2e} (tol 1e-12)")
     assert worst < 1e-12

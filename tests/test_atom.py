@@ -4,7 +4,8 @@ import pytest
 from doublelambda import BASIS, SystemParams
 from doublelambda.atom import (build_generator, build_hamiltonian,
                                build_rate_matrices, dark_state_analysis,
-                               dissipation_channels, dissipative_activity,
+                               dissipation_channels,
+                               dissipative_activity_stack,
                                generator_with_fields, hamiltonian_with_fields,
                                jump_amplitudes_on_state)
 from conftest import random_params
@@ -176,11 +177,11 @@ class TestDarkState:
 
 
 def test_dissipative_activity_dark_vs_bright(defaults):
-    gen = build_generator(defaults)
     dark = np.zeros((4, 4), dtype=complex)
     dark[0, 0] = 1.0  # level 1 only: no decay, no exchange target population
+    rates = np.stack([build_generator(defaults).rates,
+                      build_generator(SystemParams(gamma0=0.0)).rates])
+    bright, quiet = dissipative_activity_stack(rates, np.stack([dark, dark]))
     # level 1 populated: exchange 1->3 fires
-    assert dissipative_activity(gen, dark) > 0
-    p0 = SystemParams(gamma0=0.0)
-    gen0 = build_generator(p0)
-    assert dissipative_activity(gen0, dark) < 1e-15
+    assert bright > 0
+    assert quiet < 1e-15

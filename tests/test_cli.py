@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from doublelambda import experiments as ex
+from doublelambda import propagation as pr
 from doublelambda.cli import build_parser, main
 from doublelambda.config import OPTIONS
 
@@ -61,21 +62,26 @@ class TestCommands:
         assert all(row["warnings"] == [] for row in payload["spectrum"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_spectrum_rows_carry_propagation_warnings(self, tmp_path):
+    def test_spectrum_rows_carry_propagation_warnings(self, tmp_path, capsys,
+                                                      monkeypatch):
         # at this density the zero-frequency Raman gain overflows exp(L M):
-        # that row must say so rather than report a bare number, while the
-        # off-resonant sideband propagates cleanly
+        # the spectrum fails, naming it, rather than report a bare number
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[params]\nn0 = 3e24\ndelta1 = 0.0\n"
                        "[run]\nomega_grid = 0.0:1.0:2\n")
-        code = run_cli(["spectrum", "--config", str(cfg),
-                        "--out", str(tmp_path)])
-        assert code == 0
+        assert run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 1
+        assert "propagation overflow" in capsys.readouterr().err
+        # a finite row that fails the self-check carries the warning
+        monkeypatch.setattr(pr, "SELF_CHECK_TOL", -1.0)
+        cfg.write_text("[run]\nomega_grid = 0.0:1.0:2\n")
+        assert run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "spectrum.json").read_text())["spectrum"]
         assert len(rows) == 2
-        assert len(rows[0]["warnings"]) == 1
-        assert "Kronecker residual" in rows[0]["warnings"][0]
-        assert rows[1]["warnings"] == []
+        for row in rows:
+            assert len(row["warnings"]) == 1
+            assert "Kronecker residual" in row["warnings"][0]
 
     def test_calibrate(self, tmp_path, capsys):
         code = run_cli(["calibrate", "--out", str(tmp_path)])
@@ -151,6 +157,20 @@ class TestCommands:
         manifest = json.loads(
             (tmp_path / "sweep_delta1_manifest.json").read_text())
         assert manifest["config"]["workers"] == 3
+
+    @pytest.mark.parametrize("command", ["steady", "validate", "calibrate"])
+    def test_non_sweep_manifest_records_one_worker(self, tmp_path,
+                                                   monkeypatch, command):
+        # no pool runs outside a sweep, whatever SIMULATE_WORKERS asks for
+        monkeypatch.setenv("SIMULATE_WORKERS", "5000")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+        assert run_cli([command, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / f"{command}.json").read_text())
+        assert manifest["config"]["workers"] == 1
 
     def test_slabs_flag_retired(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

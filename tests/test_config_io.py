@@ -58,6 +58,20 @@ class TestConfigParsing:
         assert cfg.out_dir == "results#1"
         assert parse_config(render_config(cfg)) == cfg
 
+    def test_comment_after_a_section_header(self):
+        cfg = parse_config("[params]  # physical constants\ndelta1 = -1.5\n"
+                           "[run]\t# options\nout = results#1\n")
+        assert cfg.params.delta1 == -1.5
+        assert cfg.out_dir == "results#1"
+
+    @pytest.mark.parametrize("out_dir", ["my dir #1", "out\t#x", " out",
+                                         "two\nlines"],
+                             ids=["comment", "tab-comment", "leading-space",
+                                  "line-break"])
+    def test_render_refuses_a_value_that_would_not_read_back(self, out_dir):
+        with pytest.raises(ValueError, match=r"\[run\] out = "):
+            render_config(RunConfig(out_dir=out_dir))
+
     def test_comment_after_whitespace_is_stripped(self):
         cfg = parse_config("[params]\ndelta1 = -1.5        # detuning\n"
                            "[run]\nout = results\t# where to write\n"

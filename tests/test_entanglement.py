@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doublelambda.entanglement import (DUAN_BOUND, duan_v12,
-                                       quadrature_variance)
+                                       quadrature_variance_stack)
 from doublelambda.propagation import FieldCovariance, input_covariance
 
 X1 = np.array([1, 1, 0, 0], dtype=complex)
@@ -37,33 +37,42 @@ def two_mode_squeezed(r: float) -> FieldCovariance:
 
 class TestQuadratureVariance:
     def test_vacuum_unit(self):
-        assert quadrature_variance(input_covariance(), X1) == pytest.approx(1.0)
-        assert quadrature_variance(input_covariance(), P1) == pytest.approx(1.0)
+        c = input_covariance().c[None]
+        for weights in (X1, P1):
+            value, failures = quadrature_variance_stack(c, weights)
+            assert failures == {}
+            assert value[0] == pytest.approx(1.0)
 
     def test_squeezed_mode(self):
-        for r in (0.3, 1.0, 2.0):
-            cov = single_mode_squeezed(r)
-            assert quadrature_variance(cov, X1) == pytest.approx(np.exp(-2 * r))
-            assert quadrature_variance(cov, P1) == pytest.approx(np.exp(+2 * r))
+        rs = np.array([0.3, 1.0, 2.0])
+        c = np.stack([single_mode_squeezed(r).c for r in rs])
+        x, failures = quadrature_variance_stack(c, X1)
+        assert failures == {}
+        assert x == pytest.approx(np.exp(-2 * rs))
+        p, failures = quadrature_variance_stack(c, P1)
+        assert failures == {}
+        assert p == pytest.approx(np.exp(+2 * rs))
 
     def test_bilinearity(self):
-        cov = single_mode_squeezed(0.7)
-        v1 = quadrature_variance(cov, X1)
-        v2 = quadrature_variance(cov, 3.0 * X1)
-        assert v2 == pytest.approx(9.0 * v1)
+        c = single_mode_squeezed(0.7).c[None]
+        v1, _ = quadrature_variance_stack(c, X1)
+        v2, _ = quadrature_variance_stack(c, 3.0 * X1)
+        assert v2[0] == pytest.approx(9.0 * v1[0])
 
     def test_bad_weights_shape(self):
         with pytest.raises(ValueError):
-            quadrature_variance(input_covariance(), [1, 1])
+            quadrature_variance_stack(input_covariance().c[None], [1, 1])
 
     def test_nonreal_variance_rejected(self):
         c = np.zeros((4, 4), dtype=complex)
         c[0, 1] = 1.0
         c[2, 3] = 1.0
         c[0, 2] = 5j  # inconsistent correlation: variance picks up imag part
-        cov = FieldCovariance(c=c)
-        with pytest.raises(ValueError):
-            quadrature_variance(cov, np.array([1, 0, 1, 0], dtype=complex))
+        _, failures = quadrature_variance_stack(
+            np.stack([input_covariance().c, c]),
+            np.array([1, 0, 1, 0], dtype=complex))
+        assert list(failures) == [1]
+        assert isinstance(failures[1], ValueError)
 
 
 class TestDuan:

@@ -14,6 +14,7 @@ from doublelambda.experiments import (SWEEP_SELECTORS, SweepSpec,
                                       evaluate_points, run_sweep, spectrum)
 from doublelambda.atom import build_generator
 from doublelambda.fluctuations import linearize
+from doublelambda import propagation as pr
 from doublelambda.params import CALIBRATED_G
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
@@ -181,9 +182,13 @@ class TestBatchedStack:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
-    def test_mixed_outcomes_in_every_order(self, defaults, noise_model):
+    def test_mixed_outcomes_in_every_order(self, defaults, noise_model,
+                                           monkeypatch):
         from doublelambda.experiments import _evaluate_stack
 
+        # Kronecker residuals: 3.3e-16 at defaults, 9.4e-15 at the gain
+        # point; this bound warns the gain point alone
+        monkeypatch.setattr(pr, "SELF_CHECK_TOL", 2e-15)
         no_rates = dict(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
                         gamma0=0.0)
         points = [
@@ -193,12 +198,13 @@ class TestBatchedStack:
             defaults.replace(**no_rates),                     # steady fails
             defaults.replace(g=0.0, gamma0=0.0, gamma_phi=0.5, gamma4=0.0,
                              a2_mean=0.0),                    # response fails
-            defaults.replace(n0=3e24, delta1=0.0),            # warned
+            defaults.replace(n0=3e24, delta1=0.0),            # overflows
+            defaults.replace(n0=1e22, delta1=0.0),            # warned
         ]
         alone = [compute_point(p, noise_model=noise_model) for p in points]
-        if noise_model == "einstein":
-            assert [bool(r.error) for r in alone] == [0, 0, 0, 1, 1, 0]
-            assert [bool(r.warnings) for r in alone] == [0, 0, 0, 0, 0, 1]
+        assert [bool(r.error) for r in alone] == [0, 0, 0, 1, 1, 1, 0]
+        assert "propagation overflow" in alone[5].error
+        assert [bool(r.warnings) for r in alone] == [0, 0, 0, 0, 0, 0, 1]
         for shift in range(len(points)):
             order = points[shift:] + points[:shift]
             for stack in (order, order[::-1]):

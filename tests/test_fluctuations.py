@@ -7,13 +7,11 @@ from scipy.linalg import expm
 from doublelambda import BASIS, SystemParams
 from doublelambda.atom import build_generator, generator_with_fields
 from doublelambda.fluctuations import (FRAME, ResponseError,
-                                       _state_products, atomic_response,
-                                       diffusion_matrix,
+                                       _state_products,
                                        diffusion_matrix_channelwise,
-                                       diffusion_matrix_vacuum_reservoir,
-                                       drift_matrix, drift_stack,
+                                       diffusion_stack, drift_stack,
                                        equal_time_covariance,
-                                       field_coupling_matrix, linearize,
+                                       field_coupling_stack, linearize,
                                        response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.steady import solve_steady_state
@@ -24,7 +22,6 @@ def prepare(params):
     gen = build_generator(params)
     state = solve_steady_state(gen, params)
     return gen, state
-
 
 def reference_points(draws: int):
     """The reference point, the stressed point (n0 x1000) and seeded draws."""
@@ -47,17 +44,20 @@ class TestDrift:
         assert np.linalg.norm(trace_vec @ gen.adjoint) < 1e-12
 
     def test_stability_at_defaults(self, defaults):
-        gen, state = prepare(defaults)
-        a = drift_matrix(gen, state, defaults)
-        assert np.max(np.real(np.linalg.eigvals(a))) <= 1e-10
-        assert a.shape == (15, 15)
+        gen = build_generator(defaults)
+        a, failures = drift_stack(gen.adjoint[None])
+        assert failures == {}
+        assert np.max(np.real(np.linalg.eigvals(a[0]))) <= 1e-10
+        assert a.shape == (1, 15, 15)
 
     def test_real_form_keeps_the_eigenvalues(self):
         # the 16-dim Heisenberg generator has the drift's eigenvalues plus
         # the 0 of the conserved trace
         for p in reference_points(8):
-            gen, state = prepare(p)
-            a = drift_matrix(gen, state, p)
+            gen = build_generator(p)
+            a, failures = drift_stack(gen.adjoint[None])
+            assert failures == {}
+            a = a[0]
             assert a.dtype == np.float64
             evals = np.linalg.eigvals(gen.adjoint)
             mismatch = nearest_mismatch(
@@ -100,18 +100,16 @@ class TestDrift:
 class TestFieldCoupling:
     def test_zero_without_coupling(self):
         p = SystemParams(g=0.0, gamma0=0.2)
-        gen, state = prepare(p)
-        assert np.max(np.abs(field_coupling_matrix(gen, state, p))) == 0.0
+        _, state = prepare(p)
+        b = field_coupling_stack(np.array([p.g]), state.rho[None])
+        assert np.max(np.abs(b)) == 0.0
 
     def test_ground_state_pathways(self, defaults):
         # all population in level 1: a field-1 fluctuation drives only the
         # level-1 optical coherences, with magnitude g
-        from doublelambda.steady import AtomState
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        state = AtomState(expectations=BASIS.expectations(rho), method="test")
-        gen = build_generator(defaults)
-        b = field_coupling_matrix(gen, state, defaults)
+        b = field_coupling_stack(np.array([defaults.g]), rho[None])[0]
         col = FRAME.conj().T @ b[:, 0]  # back to 16-dim coordinates
         nonzero = {mu for mu in range(16) if abs(col[mu]) > 1e-14}
         assert nonzero == {BASIS.index(1, 4), BASIS.index(1, 2)}
@@ -123,8 +121,8 @@ class TestFieldCoupling:
         # differences on the full generator reproduce the columns exactly
         for _ in range(5):
             p = random_params(rng, with_fields=True)
-            gen, state = prepare(p)
-            b = field_coupling_matrix(gen, state, p)
+            _, state = prepare(p)
+            b = field_coupling_stack(np.array([p.g]), state.rho[None])[0]
             s_full = state.expectations
             h = 1e-6
             v0 = np.array([p.a1_mean, p.a1_mean, p.a2_mean, p.a2_mean],
@@ -141,8 +139,8 @@ class TestFieldCoupling:
 
     def test_adjoint_pairing(self, rng):
         p = random_params(rng, with_fields=True)
-        gen, state = prepare(p)
-        b = field_coupling_matrix(gen, state, p)
+        _, state = prepare(p)
+        b = field_coupling_stack(np.array([p.g]), state.rho[None])[0]
         b16 = FRAME.conj().T @ b
         paired = b16[BASIS.pair][:, [1, 0, 3, 2]].conj()
         assert np.max(np.abs(b16 - paired)) < 1e-12
@@ -163,20 +161,24 @@ class TestDiffusion:
     def test_closed_system_noiseless(self):
         p = SystemParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0, gamma0=0)
         gen = build_generator(p)
-        from doublelambda.steady import AtomState
         rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
-        state = AtomState(expectations=BASIS.expectations(rho), method="test")
-        assert np.max(np.abs(diffusion_matrix(gen, state))) < 1e-12
+        d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                      gen.coherent[None], gen.rates[None],
+                                      rho[None])
+        assert failures == {}
+        assert np.max(np.abs(d)) < 1e-12
 
     def test_two_level_hand_value(self):
         # isolated 1-2 decay at rate 2*gamma: 2 D[s12, s21] = 2*gamma
         p = SystemParams(gamma1=0, gamma2=0.8, gamma3=0, gamma4=0, gamma0=0,
                          g=0.0)
         gen = build_generator(p)
-        from doublelambda.steady import AtomState
         rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
-        state = AtomState(expectations=BASIS.expectations(rho), method="test")
-        d16 = FRAME.conj().T @ diffusion_matrix(gen, state) @ FRAME.conj()
+        d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                      gen.coherent[None], gen.rates[None],
+                                      rho[None])
+        assert failures == {}
+        d16 = FRAME.conj().T @ d[0] @ FRAME.conj()
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
         # <sigma_11 + sigma_22> = 1 here
@@ -186,23 +188,34 @@ class TestDiffusion:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d1 = diffusion_matrix(gen, state)
+            d1, failures = diffusion_stack("einstein", gen.matrix[None],
+                                           gen.coherent[None], gen.rates[None],
+                                           state.rho[None])
+            assert failures == {}
             d2 = diffusion_matrix_channelwise(gen, state)
-            assert np.max(np.abs(d1 - d2)) < 1e-12
+            assert np.max(np.abs(d1[0] - d2)) < 1e-12
 
     def test_hermitian_frame_psd(self, rng):
         # D[k, l] pairs Hermitian operators, so D itself is Hermitian PSD
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d2 = 2 * diffusion_matrix(gen, state)
+            d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                          gen.coherent[None], gen.rates[None],
+                                          state.rho[None])
+            assert failures == {}
+            d2 = 2 * d[0]
             assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(d2)) > -1e-10
 
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
-        d_full = diffusion_matrix(gen, state)
-        d_se = diffusion_matrix_vacuum_reservoir(gen, state)
+        stacks = (gen.matrix[None], gen.coherent[None], gen.rates[None],
+                  state.rho[None])
+        d_full, failures = diffusion_stack("einstein", *stacks)
+        assert failures == {}
+        d_se, failures = diffusion_stack("vacuum-reservoir", *stacks)
+        assert failures == {}
         # dropping channels must change the diffusion (collisions carry noise)
         assert np.max(np.abs(d_full - d_se)) > 1e-6
         # and it equals the channelwise sum over the two radiative groups
@@ -211,55 +224,68 @@ class TestDiffusion:
             gen, state = prepare(p)
             radiative = replace(gen, channels=gen.channels[:2])
             d_cw = diffusion_matrix_channelwise(radiative, state)
-            d_se = diffusion_matrix_vacuum_reservoir(gen, state)
-            assert np.max(np.abs(d_se - d_cw)) < 1e-12
+            d_se, failures = diffusion_stack(
+                "vacuum-reservoir", gen.matrix[None], gen.coherent[None],
+                gen.rates[None], state.rho[None])
+            assert failures == {}
+            assert np.max(np.abs(d_se[0] - d_cw)) < 1e-12
 
 
 class TestResponse:
     def test_high_frequency_rolloff(self, defaults):
-        gen, state = prepare(defaults)
-        a = drift_matrix(gen, state, defaults)
-        n1 = np.linalg.norm(atomic_response(a, 1e4))
-        n2 = np.linalg.norm(atomic_response(a, 2e4))
+        gen = build_generator(defaults)
+        a, failures = drift_stack(np.stack([gen.adjoint, gen.adjoint]))
+        assert failures == {}
+        r, _, failures = response_stack(a, np.array([1e4, 2e4]))
+        assert failures == {}
+        n1, n2 = np.linalg.norm(r, axis=(1, 2))
         assert n2 == pytest.approx(n1 / 2, rel=1e-2)
 
     def test_zero_frequency_is_inverse(self, defaults):
-        gen, state = prepare(defaults)
-        a = drift_matrix(gen, state, defaults)
-        r = atomic_response(a, 0.0)
-        assert np.linalg.norm(a @ r + np.eye(15)) < 1e-10
+        gen = build_generator(defaults)
+        a, failures = drift_stack(gen.adjoint[None])
+        assert failures == {}
+        r, _, failures = response_stack(a, np.array([0.0]))
+        assert failures == {}
+        assert np.linalg.norm(a[0] @ r[0] + np.eye(15)) < 1e-10
 
     def test_resonant_enhancement(self):
         # narrow rates with a sizable detuning give weakly damped oscillatory
         # eigenmodes; probing at such an eigenfrequency peaks the response
         p = SystemParams(gamma1=0.1, gamma2=0.1, gamma3=0.1, gamma4=0.1,
                          gamma0=0.05, delta1=2.0, omega42=2.0, p1=0.3, p2=0.3)
-        gen, state = prepare(p)
-        a = drift_matrix(gen, state, p)
-        evals = np.linalg.eigvals(a)
+        gen = build_generator(p)
+        a, failures = drift_stack(np.stack([gen.adjoint, gen.adjoint]))
+        assert failures == {}
+        evals = np.linalg.eigvals(a[0])
         osc = [ev for ev in evals if abs(ev.imag) > 0.5]
         ev = min(osc, key=lambda z: abs(z.real))
-        on = np.linalg.norm(atomic_response(a, -ev.imag))
-        off = np.linalg.norm(atomic_response(a, -ev.imag + 20 * abs(ev.real)))
+        r, _, failures = response_stack(
+            a, np.array([-ev.imag, -ev.imag + 20 * abs(ev.real)]))
+        assert failures == {}
+        on, off = np.linalg.norm(r, axis=(1, 2))
         assert on > 1.5 * off
 
     @pytest.mark.parametrize("omega", [0.05, 0.5, 3.0])
     def test_mirrored_response_matches_inversion(self, omega):
         for p in reference_points(8):
-            gen, state = prepare(p)
-            a = drift_matrix(gen, state, p)
-            r, mirrored, failures = response_stack(a[None], np.array([omega]))
+            gen = build_generator(p)
+            a, failures = drift_stack(gen.adjoint[None])
             assert failures == {}
-            assert np.array_equal(r[0], atomic_response(a, omega))
-            inverse = atomic_response(a, -omega)
-            assert (np.max(np.abs(mirrored[0] - inverse))
-                    <= 1e-12 * np.max(np.abs(inverse)))
+            _, mirrored, failures = response_stack(a, np.array([omega]))
+            assert failures == {}
+            inverse, _, failures = response_stack(a, np.array([-omega]))
+            assert failures == {}
+            assert (np.max(np.abs(mirrored[0] - inverse[0]))
+                    <= 1e-12 * np.max(np.abs(inverse[0])))
 
     def test_mirrored_response_residual_checked(self, defaults):
         # a drift that is not real inverts fine at +omega, but conj(R)
         # is then not R(-omega), and the mirrored residual says so
-        gen, state = prepare(defaults)
-        a = drift_matrix(gen, state, defaults)
+        gen = build_generator(defaults)
+        a, failures = drift_stack(gen.adjoint[None])
+        assert failures == {}
+        a = a[0]
         bad = a.astype(complex)
         bad[3, 4] += 1e-6j * np.max(np.abs(a))
         _, _, failures = response_stack(np.stack([a, bad]),
@@ -269,10 +295,12 @@ class TestResponse:
 
     def test_singular_refused(self):
         p = SystemParams(gamma0=0.0, p1=1, p2=1, delta1=-1.0)
-        gen, state = prepare(p)
-        a = drift_matrix(gen, state, p)
-        with pytest.raises(ResponseError):
-            atomic_response(a, 0.0)
+        gen = build_generator(p)
+        a, failures = drift_stack(gen.adjoint[None])
+        assert failures == {}
+        _, _, failures = response_stack(a, np.array([0.0]))
+        assert list(failures) == [0]
+        assert isinstance(failures[0], ResponseError)
 
 
 class TestCovarianceConsistency:

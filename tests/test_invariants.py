@@ -4,12 +4,15 @@ Every point whose rows under both noise models are neither errors nor dark
 must have a drift that is real in the frame, an R(-omega) = conj(R(omega))
 that passes its own residual, and, under the einstein noise model, field
 commutators that survive the medium: C01 - C10 = 1 at omega = 0 and
-C01(omega) - C10(-omega) = 1 at omega != 0.
+C01(omega) - C10(-omega) = 1 at omega != 0.  No row that reports success
+holds a non-finite number.
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublelambda import SystemParams
@@ -24,13 +27,26 @@ from doublelambda.steady import solve_steady_state
 OMEGAS = [0.0, 0.5, 3.0]
 RATE = st.floats(0, 2)
 
-VALID_PARAMS = st.builds(
-    SystemParams,
-    gamma1=RATE, gamma2=RATE, gamma3=RATE, gamma4=RATE, gamma0=RATE,
-    gamma_phi=st.floats(0, 1), p1=st.floats(-1, 1), p2=st.floats(-1, 1),
-    omega42=st.floats(0, 3), delta1=st.floats(-4, 4), g=st.floats(0, 0.6),
-    a1_mean=st.floats(0, 2), a2_mean=st.floats(0, 2),
-    n0=st.floats(1, 1000).map(lambda scale: 3e16 * scale))
+
+def valid_params(max_density_scale: float):
+    """Valid SystemParams with n0 from x1 to x max_density_scale of 3e16."""
+    return st.builds(
+        SystemParams,
+        gamma1=RATE, gamma2=RATE, gamma3=RATE, gamma4=RATE, gamma0=RATE,
+        gamma_phi=st.floats(0, 1), p1=st.floats(-1, 1), p2=st.floats(-1, 1),
+        omega42=st.floats(0, 3), delta1=st.floats(-4, 4), g=st.floats(0, 0.6),
+        a1_mean=st.floats(0, 2), a2_mean=st.floats(0, 2),
+        n0=st.floats(1, max_density_scale).map(lambda scale: 3e16 * scale))
+
+
+VALID_PARAMS = valid_params(1000)
+
+#: max Re eig(M) L = 728.6: the output covariance overflows float64
+OVERFLOWING = SystemParams(
+    gamma1=0.12493415772628436, gamma2=1.1170273089941891,
+    gamma3=0.03673142105271632, gamma4=0.8567875050512954,
+    gamma0=0.004152890026941264, p1=-0.8291193461202715,
+    p2=-0.8358600652967656, delta1=0.696354758036855, n0=3e22)
 
 
 def field_covariance(lin, params, omega):
@@ -74,3 +90,27 @@ def test_reference_point_is_checked(omega):
     # the property skips error rows: a pipeline that fails every point
     # would pass it vacuously
     assert check_invariants(SystemParams(), omega)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(valid_params(1e6), st.sampled_from(OMEGAS))
+@example(OVERFLOWING, 0.0)
+def test_successful_rows_are_finite(params, omega):
+    for model in NOISE_MODELS:
+        row = compute_point(params, omega, model)
+        if row.failed:
+            continue
+        for f in fields(row):
+            value = getattr(row, f.name)
+            # axis_value is NaN until a sweep sets it
+            if (f.name != "axis_value" and value is not None
+                    and not isinstance(value, (str, tuple))):
+                assert np.all(np.isfinite(value)), (model, f.name, value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("noise_model", NOISE_MODELS)
+def test_overflowing_point_fails_by_name(noise_model):
+    row = compute_point(OVERFLOWING, 0.0, noise_model)
+    assert row.error == ("ValueError: propagation overflow: output covariance "
+                         "not finite, gain exponent max Re eig(M)·L = 728.6")

@@ -287,8 +287,8 @@ class TestCrossValidate:
     @pytest.mark.parametrize("k", range(9))
     def test_residuals_match_separate_diffusion_route(self, k):
         # reference: the battery with the sandwich D from its own
-        # diffusion_matrix call instead of lin.d
-        from doublelambda.fluctuations import diffusion_matrix
+        # diffusion_stack call instead of lin.d
+        from doublelambda.fluctuations import diffusion_stack
         p = oracle_points(8)[k]
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
@@ -301,13 +301,17 @@ class TestCrossValidate:
         setup = pr.make_setup(lin, p)
         c_in = pr.input_covariance()
         c_out = pr.propagate_covariance(setup, c_in).covariance.c
+        d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                      gen.coherent[None], gen.rates[None],
+                                      rho[None])
+        assert failures == {}
         reference = [
             abs(np.trace(rho) - 1.0),
             float(np.max(np.abs(rho - rho.conj().T))),
             max(0.0, -float(np.min(np.linalg.eigvalsh((rho + rho.conj().T)
                                                       / 2)))),
             float(np.max(np.abs(other.expectations - state.expectations))),
-            float(np.max(np.abs(diffusion_matrix(gen, state)
+            float(np.max(np.abs(d[0]
                                 - diffusion_matrix_channelwise(gen, state)))),
             float(np.max(np.abs(lyapunov_covariance(lin) - direct)))
             / max(float(np.max(np.abs(direct))), 1e-30),

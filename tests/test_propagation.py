@@ -199,13 +199,12 @@ class TestPropagation:
 
     def test_self_check_flags_overflowing_gain(self):
         # away from the doublet midpoint the medium has Raman gain; boosted,
-        # exp(L M) overflows and the result must be flagged, not returned bare
+        # exp(L M) overflows and the point must fail, not return a bare NaN
         setup = boosted(pipeline(SystemParams(delta1=0.0)), 1e8)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = propagate_covariance(setup, input_covariance())
-        assert not res.converged
-        assert len(res.warnings) == 1
-        assert "Kronecker residual" in res.warnings[0]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflow") as err:
+            propagate_covariance(setup, input_covariance())
+        assert "gain exponent max Re eig(M)·L" in str(err.value)
 
     def test_commutator_preserved_at_defaults(self, defaults):
         res = propagate_covariance(pipeline(defaults), input_covariance())
