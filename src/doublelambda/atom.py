@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import sqrtm
 
-from .params import BASIS, SystemParams
+from .params import BASIS, ParamStack, SystemParams
 
 I4 = np.eye(4, dtype=complex)
 
@@ -45,17 +45,10 @@ def build_rate_matrices(params: SystemParams) -> RateMatrices:
     """Assemble the 2x2 decay-rate matrices for the two final states."""
     # |p| <= 1 is enforced by SystemParams; an indefinite rate matrix would
     # not define a physical dissipator.
-    g1 = 2.0 * np.array([
-        [params.gamma1, params.p1 * np.sqrt(params.gamma1 * params.gamma2)],
-        [params.p1 * np.sqrt(params.gamma1 * params.gamma2), params.gamma2],
-    ])
-    g3 = 2.0 * np.array([
-        [params.gamma3, params.p2 * np.sqrt(params.gamma3 * params.gamma4)],
-        [params.p2 * np.sqrt(params.gamma3 * params.gamma4), params.gamma4],
-    ])
-    return RateMatrices(gamma_to_1=g1, gamma_to_3=g3,
-                        exchange_rate=2.0 * params.gamma0,
-                        dephasing_rate=params.gamma_phi)
+    r = _rate_coefficients(params)
+    return RateMatrices(gamma_to_1=r[:4].reshape(2, 2),
+                        gamma_to_3=r[4:8].reshape(2, 2),
+                        exchange_rate=r[8], dephasing_rate=params.gamma_phi)
 
 
 #: H / hbar = sum_k c_k H_k with c = (delta1, delta2, g a1, g a1+, g a2, g a2+).
@@ -116,34 +109,34 @@ JUMP_TRACES = np.array([(ln.conj().T @ lm).T.reshape(16) for ops in JUMP_GROUPS
 RADIATIVE_ENTRIES = sum(len(ops) ** 2 for ops in JUMP_GROUPS[:2])
 
 
-def _hamiltonian_coefficients(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
-    """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS)."""
+def _hamiltonian_coefficients(params, a1, a1d, a2, a2d) -> np.ndarray:
+    """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS): (6,)
+    for a SystemParams, (P, 6) for a ParamStack and field columns."""
     g = params.g
-    return np.array([params.delta1, params.delta2,
-                     g * a1, g * a1d, g * a2, g * a2d])
+    return np.ascontiguousarray(np.array([params.delta1, params.delta2,
+                                          g * a1, g * a1d, g * a2, g * a2d]).T)
 
 
-def _group_rates(params: SystemParams) -> tuple:
-    """Rate matrix of each JUMP_GROUPS entry, in order."""
-    rm = build_rate_matrices(params)
-    exchange = np.array([[rm.exchange_rate]])
-    # L = sigma_11 - sigma_33 at rate gamma_phi/2 adds exactly gamma_phi to
-    # the 1-3 coherence decay
-    dephasing = np.array([[rm.dephasing_rate / 2.0]])
-    return (rm.gamma_to_1, rm.gamma_to_3, exchange, exchange, dephasing)
+def _rate_coefficients(params) -> np.ndarray:
+    """Coefficients of DISSIPATOR_BASIS: every rate-matrix entry, in order;
+    (11,) for a SystemParams, (P, 11) for a ParamStack.  L = sigma_11 -
+    sigma_33 at rate gamma_phi/2 adds exactly gamma_phi to the 1-3
+    coherence decay."""
+    cross1 = 2.0 * (params.p1 * np.sqrt(params.gamma1 * params.gamma2))
+    cross3 = 2.0 * (params.p2 * np.sqrt(params.gamma3 * params.gamma4))
+    exchange = 2.0 * params.gamma0
+    return np.ascontiguousarray(np.array([
+        2.0 * params.gamma1, cross1, cross1, 2.0 * params.gamma2,
+        2.0 * params.gamma3, cross3, cross3, 2.0 * params.gamma4,
+        exchange, exchange, params.gamma_phi / 2.0]).T)
 
 
-def _rate_coefficients(params: SystemParams) -> np.ndarray:
-    """Coefficients of DISSIPATOR_BASIS: every rate-matrix entry, in order."""
-    return np.concatenate([gmat.ravel() for gmat in _group_rates(params)])
-
-
-def coefficient_stack(points) -> tuple[np.ndarray, np.ndarray]:
-    """(P, 6) Hamiltonian and (P, 11) rate coefficients at the mean fields."""
-    h = np.array([_hamiltonian_coefficients(p, p.a1_mean, p.a1_mean,
-                                            p.a2_mean, p.a2_mean)
-                  for p in points])
-    return h, np.array([_rate_coefficients(p) for p in points])
+def coefficient_stack(ps: ParamStack) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 6) Hamiltonian and (P, 11) rate coefficients at the mean fields;
+    (6,) and (11,) for one SystemParams."""
+    h = _hamiltonian_coefficients(ps, ps.a1_mean, ps.a1_mean, ps.a2_mean,
+                                  ps.a2_mean)
+    return h, _rate_coefficients(ps)
 
 
 def _contract(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -199,9 +192,13 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
 
 def dissipation_channels(params: SystemParams) -> list[tuple[list[np.ndarray], np.ndarray]]:
     """Jump-operator groups with a nonzero rate matrix, as (operators, rate_matrix)."""
-    return [(list(ops), gmat)
-            for ops, gmat in zip(JUMP_GROUPS, _group_rates(params))
-            if np.any(gmat)]
+    rates, channels = _rate_coefficients(params), []
+    for ops in JUMP_GROUPS:
+        n = len(ops)
+        gmat, rates = rates[:n * n].reshape(n, n), rates[n * n:]
+        if np.any(gmat):
+            channels.append((list(ops), gmat))
+    return channels
 
 
 @dataclass(frozen=True)
@@ -241,10 +238,10 @@ def generator_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
-    h, r = coefficient_stack([params])
-    coherent, lmat = liouvillian_stack(h, r)
+    h, r = coefficient_stack(params)
+    coherent, lmat = liouvillian_stack(h[None], r[None])
     return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
-                     coherent=coherent[0], rates=r[0],
+                     coherent=coherent[0], rates=r,
                      channels=dissipation_channels(params), params=params)
 
 

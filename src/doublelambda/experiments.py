@@ -27,8 +27,8 @@ from . import propagation as pr
 from .atom import build_generator  # noqa: F401  (the benchmark reads it)
 from .entanglement import duan_stack
 from .oracle import cross_validate
-from .params import BASIS, SystemParams
-from .steady import AtomState, observables, steady_state_stack
+from .params import BASIS, ParamStack, SystemParams
+from .steady import absorption, steady_state_stack
 
 DARK_ACTIVITY_TOL = 1e-12
 
@@ -130,12 +130,19 @@ class SweepSpec:
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
 
-    def params_at(self, axis_value: float) -> SystemParams:
-        changes = dict.fromkeys(AXES[self.axis].params, float(axis_value))
+    def param_stack(self) -> ParamStack:
+        """The grid's points: the axis sets its parameters, then each
+        scaling rule its own from the base."""
+        columns = self.base.as_dict()
+        columns.update(dict.fromkeys(AXES[self.axis].params, self.grid))
         for rule in self.scalings:
-            base_value = getattr(self.base, rule.param)
-            changes[rule.param] = rule.apply(base_value, float(axis_value))
-        return self.base.replace(**changes)
+            columns[rule.param] = rule.apply(getattr(self.base, rule.param),
+                                             self.grid)
+        return ParamStack(**columns)
+
+    def params_at(self, axis_value: float) -> SystemParams:
+        """The point at one axis value: param_stack on a one-point grid."""
+        return replace(self, grid=[axis_value]).param_stack().point(0)
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class SweepResult:
 
 class _Stack:
     """Stack positions of the points still being evaluated, and the outcome
-    (a finished row or the exception of a failed check) of those that left."""
+    (DARK or the exception of a failed check) of those that left."""
 
     def __init__(self, n: int):
         self.live = np.arange(n)
@@ -195,17 +202,20 @@ class _Stack:
         return [x[keep] for x in arrays]
 
 
-def _propagate(stack: _Stack, a, b, d, points, omegas) -> tuple:
+#: outcome of a strictly dark point: the fields pass through unchanged
+DARK = "dark-transparent"
+
+
+def _propagate(stack: _Stack, a, b, d, omegas, chi, lengths, noise) -> tuple:
     """Response -> transfer -> propagation -> Duan on the live points.
 
-    a, b, d are the live points' linearized systems, points their
-    SystemParams and omegas their frequencies.  Returns du2, dv2 and the
-    warnings of the points still live afterwards.
+    a, b, d are the live points' linearized systems; omegas, chi (P, 2),
+    lengths and noise their frequencies, couplings, cell lengths and noise
+    scales.  Returns du2, dv2 and the warnings of the points still live
+    afterwards.
     """
-    noise = np.array([fl.noise_scale(p) for p in points])
-    m, m_minus, nfield, failures = pr.transfer_stack(a, b, d, noise, points,
-                                                     omegas)
-    lengths = np.array([p.cell_length for p in points])
+    m, m_minus, nfield, failures = pr.transfer_stack(a, b, d, omegas, chi,
+                                                     lengths, noise)
     m, m_minus, nfield, lengths = stack.drop(failures, m, m_minus, nfield,
                                              lengths)
     c_in = pr.input_covariance().c
@@ -220,68 +230,83 @@ def _propagate(stack: _Stack, a, b, d, points, omegas) -> tuple:
     return du2, dv2, warnings
 
 
-def _error_row(exc: Exception) -> SweepRow:
-    return SweepRow(axis_value=np.nan, error=f"{type(exc).__name__}: {exc}")
-
-
-def _linearize_stack(points: list, noise_model: str) -> tuple:
+def _linearize_stack(ps: ParamStack, noise_model: str) -> tuple:
     """The pipeline up to the frequency: coefficients -> steady state ->
     dark check -> drift, field coupling and diffusion, on all points at once.
 
     Returns the _Stack, whose outcomes hold the failed points' exceptions
-    and the strictly dark points' transparent rows; the live points' a, b
-    and d; and observed(i), the steady state and observables of point i.
+    and DARK for the strictly dark points; the live points' a, b and d; and
+    the steady states and methods of all points.
     """
-    stack = _Stack(len(points))
-    h, r = atom.coefficient_stack(points)
+    stack = _Stack(len(ps))
+    h, r = atom.coefficient_stack(ps)
     coherent, lmat = atom.liouvillian_stack(h, r)
-    rho, methods, failures = steady_state_stack(lmat)
-    rho_all = rho
-    coherent, lmat, r, rho = stack.drop(failures, coherent, lmat, r, rho)
-
-    def observed(i: int):
-        state = AtomState(expectations=BASIS.expectations(rho_all[i]),
-                          method=methods[i])
-        return state, observables(state, points[i])
-
+    rho_all, methods, failures = steady_state_stack(lmat)
+    coherent, lmat, r, rho = stack.drop(failures, coherent, lmat, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
-    dark = {}
-    for k in np.flatnonzero(activity < DARK_ACTIVITY_TOL):
-        # strictly dark medium: no scattering, no noise, no response --
-        # the fields emerge exactly as they entered
-        p = points[stack.live[k]]
-        state, _ = observed(stack.live[k])
-        dark[k] = SweepRow(axis_value=np.nan, v12=4.0, du2=2.0, dv2=2.0,
-                           populations=state.populations,
-                           alpha1=0.0 if p.a1_mean > 0 else None,
-                           alpha2=0.0 if p.a2_mean > 0 else None,
-                           method=state.method + "+dark-transparent")
+    dark = dict.fromkeys(np.flatnonzero(activity < DARK_ACTIVITY_TOL), DARK)
     coherent, lmat, r, rho = stack.drop(dark, coherent, lmat, r, rho)
-
     a, failures = fl.drift_stack(atom.adjoint_stack(lmat))
     a, coherent, lmat, r, rho = stack.drop(failures, a, coherent, lmat, r, rho)
-    g = np.array([points[i].g for i in stack.live])
-    b = fl.field_coupling_stack(g, rho)
+    b = fl.field_coupling_stack(ps.g[stack.live], rho)
     d, failures = fl.diffusion_stack(noise_model, lmat, coherent, r, rho)
     a, b, d = stack.drop(failures, a, b, d)
-    return stack, a, b, d, observed
+    return stack, a, b, d, rho_all, methods
 
 
-def _evaluate_stack(points: list, omega: float, noise_model: str) -> list:
+def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray, omega: float,
+                    noise_model: str) -> list:
     """The pipeline on all points at once; see evaluate_points."""
-    stack, a, b, d, observed = _linearize_stack(points, noise_model)
-    live = [points[i] for i in stack.live]
-    du2, dv2, warnings = _propagate(stack, a, b, d, live,
-                                    np.full(len(live), float(omega)))
-    for k, i in enumerate(stack.live):
-        state, obs = observed(i)
-        stack.outcomes[int(i)] = SweepRow(
-            axis_value=np.nan, v12=float(du2[k] + dv2[k]), du2=float(du2[k]),
-            dv2=float(dv2[k]), populations=state.populations,
-            alpha1=obs.alpha1, alpha2=obs.alpha2, method=state.method,
-            warnings=warnings[k])
-    return [row if isinstance(row, SweepRow) else _error_row(row)
-            for row in (stack.outcomes[i] for i in range(len(points)))]
+    stack, a, b, d, rho, methods = _linearize_stack(ps, noise_model)
+    live, n = stack.live, len(ps)
+    chi = np.stack([ps.chi1, ps.chi2], axis=1)[live]
+    u, v, warnings = _propagate(stack, a, b, d,
+                                np.full(live.size, float(omega)), chi,
+                                ps.cell_length[live], fl.noise_scale(ps)[live])
+    du2, dv2 = np.full((2, n), np.nan)
+    du2[stack.live], dv2[stack.live] = u, v
+    warnings = dict(zip(stack.live.tolist(), warnings))
+    dark = [i for i, outcome in stack.outcomes.items() if outcome is DARK]
+    du2[dark] = dv2[dark] = 2.0
+    expectations = rho.transpose(0, 2, 1).reshape(n, 16)
+    _, _, alpha1, alpha2 = absorption(expectations, ps)
+    alpha1[dark] = alpha2[dark] = 0.0
+    rows = []
+    for i, cells in enumerate(zip(
+            axis_values.tolist(), (du2 + dv2).tolist(), du2.tolist(),
+            dv2.tolist(), expectations[:, BASIS.diagonal].real,
+            np.where(ps.a1_mean > 0, alpha1, None).tolist(),
+            np.where(ps.a2_mean > 0, alpha2, None).tolist())):
+        outcome = stack.outcomes.get(i, "")
+        if isinstance(outcome, Exception):
+            rows.append(_error_row(outcome, cells[0]))
+        else:
+            rows.append(SweepRow(*cells, method=methods[i] + (
+                "+" + DARK if outcome is DARK else ""),
+                warnings=warnings.get(i, ())))
+    return rows
+
+
+def _error_row(exc: Exception, axis_value: float) -> SweepRow:
+    return SweepRow(axis_value=axis_value,
+                    error=f"{type(exc).__name__}: {exc}")
+
+
+def _evaluate(ps: ParamStack, axis_values: np.ndarray, omega: float,
+              noise_model: str) -> list:
+    """The rows of evaluate_points, each with its axis value."""
+    if len(ps) > STACK_POINTS:
+        return [row for start in range(0, len(ps), STACK_POINTS)
+                for row in _evaluate(ps[start:start + STACK_POINTS],
+                                     axis_values[start:start + STACK_POINTS],
+                                     omega, noise_model)]
+    try:
+        return _evaluate_stack(ps, axis_values, omega, noise_model)
+    except Exception as exc:  # per-point failures must not kill the sweep
+        if len(ps) == 1:
+            return [_error_row(exc, float(axis_values[0]))]
+    return [_evaluate(ps[i:i + 1], axis_values[i:i + 1], omega,
+                      noise_model)[0] for i in range(len(ps))]
 
 
 def evaluate_points(points, omega: float = 0.0,
@@ -296,17 +321,8 @@ def evaluate_points(points, omega: float = 0.0,
     so it reaches only the row of the point that raised it.  Never raises;
     rows come back in input order with axis_value NaN.
     """
-    points = list(points)
-    if len(points) > STACK_POINTS:
-        return [row for start in range(0, len(points), STACK_POINTS)
-                for row in evaluate_points(points[start:start + STACK_POINTS],
-                                           omega, noise_model)]
-    try:
-        return _evaluate_stack(points, omega, noise_model)
-    except Exception as exc:  # per-point failures must not kill the sweep
-        if len(points) == 1:
-            return [_error_row(exc)]
-    return [evaluate_points([p], omega, noise_model)[0] for p in points]
+    ps = ParamStack.of(points)
+    return _evaluate(ps, np.full(len(ps), np.nan), omega, noise_model)
 
 
 def compute_point(params: SystemParams, omega: float = 0.0,
@@ -324,18 +340,22 @@ def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> lis
     per frequency (omega, v12, du2, dv2, warnings); raises the exception of
     the point's failed check, else of the first frequency that fails.
     """
-    point, a, b, d, _ = _linearize_stack([params], noise_model)
+    ps = ParamStack.of([params])
+    point, a, b, d, _, _ = _linearize_stack(ps, noise_model)
     omegas = np.asarray(omegas, dtype=float)
     count = omegas.size
     if point.outcomes:
-        row = point.outcomes[0]
-        if not isinstance(row, SweepRow):
-            raise row
-        du2, dv2, warnings = [row.du2] * count, [row.dv2] * count, [()] * count
+        if point.outcomes[0] is not DARK:
+            raise point.outcomes[0]
+        du2, dv2, warnings = [2.0] * count, [2.0] * count, [()] * count
     else:
         stack = _Stack(count)
-        a, b, d = (np.broadcast_to(x, (count,) + x.shape[1:]) for x in (a, b, d))
-        du2, dv2, warnings = _propagate(stack, a, b, d, [params] * count, omegas)
+        chi = np.stack([ps.chi1, ps.chi2], axis=1)
+        a, b, d, chi, lengths, noise = (
+            np.broadcast_to(x, (count,) + x.shape[1:])
+            for x in (a, b, d, chi, ps.cell_length, fl.noise_scale(ps)))
+        du2, dv2, warnings = _propagate(stack, a, b, d, omegas, chi, lengths,
+                                        noise)
         if stack.outcomes:
             raise stack.outcomes[min(stack.outcomes)]
     return [{"omega": float(w), "v12": float(u + v), "du2": float(u),
@@ -364,25 +384,23 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
     worker (worker_count() if None, bounded by pool_size) each worker
     process evaluates one contiguous chunk of it as a stack.
     """
-    points = [spec.params_at(v) for v in spec.grid]
+    ps = spec.param_stack()
     workers = pool_size(worker_count() if workers is None else workers,
-                        len(points))
+                        len(ps))
     if workers > 1:
-        chunks = [[points[i] for i in c]
-                  for c in np.array_split(np.arange(len(points)), workers)]
+        chunks = np.array_split(np.arange(len(ps)), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(evaluate_points, chunks,
+            parts = pool.map(_evaluate, [ps[c] for c in chunks],
+                             [spec.grid[c] for c in chunks],
                              [spec.omega] * len(chunks),
                              [spec.noise_model] * len(chunks))
             rows = [row for part in parts for row in part]
     else:
-        rows = evaluate_points(points, spec.omega, spec.noise_model)
-    rows = [replace(row, axis_value=float(v)) for row, v in zip(rows, spec.grid)]
+        rows = _evaluate(ps, spec.grid, spec.omega, spec.noise_model)
     validations = {}
     if spec.validate_every > 0:
         for idx in range(0, len(spec.grid), spec.validate_every):
-            report = cross_validate(spec.params_at(spec.grid[idx]))
-            validations[idx] = report.as_dict()
+            validations[idx] = cross_validate(ps.point(idx)).as_dict()
     manifest = {
         "axis": spec.axis,
         "grid": {"start": float(spec.grid[0]), "stop": float(spec.grid[-1]),
@@ -395,8 +413,7 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
     }
     if spec.axis == "gamma0":
         # the derived coherence decay accompanying the swept exchange rate
-        manifest["gamma13"] = [2.0 * float(v) + spec.base.gamma_phi
-                               for v in spec.grid]
+        manifest["gamma13"] = ps.gamma13.tolist()
     return SweepResult(axis=spec.axis, rows=tuple(rows), manifest=manifest)
 
 
@@ -473,7 +490,7 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
     base = base.replace(delta1=-base.omega42 / 2.0)
     for g in bracket:
         base.replace(g=g)  # same ValueError as a step at that end would give
-    h, r = atom.coefficient_stack([base])
+    h, r = (x[None] for x in atom.coefficient_stack(base))
     a1, a2 = base.a1_mean, base.a2_mean
 
     def objective(g: float) -> float:

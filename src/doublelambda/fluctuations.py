@@ -216,17 +216,33 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
 def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     """R(omega) = (-i omega I - A)^-1 and R(-omega) of a (P, 15, 15) stack.
 
-    Refuses near-singular systems, naming the offending eigenvalue, and
-    checks every inverse by its residual.  The drift is real, so R(-omega) =
-    conj(R(omega)) with no second inversion; its own residual
-    ||(i omega - A) R(-omega) - I|| checks that on every point.  Returns
-    R(omega), R(-omega) and the failures as {stack position: ResponseError}.
+    Refuses near-singular systems (condition number above 1e12), naming the
+    offending eigenvalue, and checks every inverse by its residual.  The
+    inverse's kappa_1 brackets kappa_2 within n = 15 [Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 6.2]: a
+    point whose inverse passes its residual and n kappa_1 (1 + 1e-9) <= 1e12
+    needs no SVD; the SVD decides the others, and every point of a stack
+    with an exactly singular member.  The drift is real, so R(-omega) =
+    conj(R(omega)) with no second inversion; its own residual ||(i omega -
+    A) R(-omega) - I|| checks that on every point.  Returns R(omega),
+    R(-omega) and the failures as {stack position: ResponseError}.
     """
     eye = np.eye(a.shape[-1])
     iw = (1j * omegas)[:, None, None] * eye
     m = -iw - a
-    cond = np.linalg.cond(m)
-    singular = ~np.isfinite(cond) | (cond > 1e12)
+    resid = kappa1 = np.full(len(m), np.inf)
+    try:
+        r = np.linalg.inv(m)
+        resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
+        kappa1 = (np.linalg.norm(m, 1, axis=(1, 2))
+                  * np.linalg.norm(r, 1, axis=(1, 2)))
+    except np.linalg.LinAlgError:  # an exactly singular member
+        r = None
+    svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
+    cond = np.zeros(len(m))
+    if svd.any():
+        cond[svd] = np.linalg.cond(m[svd])
+    singular = svd & ~(cond <= 1e12)
     failures = {}
     for k in np.flatnonzero(singular):
         evals = np.linalg.eigvals(a[k])
@@ -234,14 +250,15 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
         failures[int(k)] = ResponseError(
             f"atomic response near-singular at omega={omegas[k]}: condition "
             f"{cond[k]:.2e}, offending eigenvalue {worst:.3e}")
-    ok = np.flatnonzero(~singular)
-    r = np.zeros_like(m)
-    r[ok] = np.linalg.inv(m[ok])
+    if r is None:
+        r = np.zeros_like(m)
+        r[~singular] = np.linalg.inv(m[~singular])
+        resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
+    r[singular] = 0.0
+    for k in np.flatnonzero(~singular & (resid > 1e-10)):
+        failures[int(k)] = ResponseError(
+            f"response inversion residual {resid[k]:.2e}")
     r_minus = r.conj()
-    resid = np.linalg.norm(m[ok] @ r[ok] - eye, axis=(1, 2))
-    for j in np.flatnonzero(resid > 1e-10):
-        failures[int(ok[j])] = ResponseError(
-            f"response inversion residual {resid[j]:.2e}")
     # i omega - A, not conj(-i omega - A): only a real drift passes this
     resid = np.linalg.norm((iw - a) @ r_minus - eye, axis=(1, 2))
     for k in np.flatnonzero(resid > 1e-10):
@@ -254,10 +271,12 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
 NOISE_MODELS = ("einstein", "vacuum-reservoir")
 
 
-def noise_scale(params: SystemParams) -> float:
-    """L / N, the scale of the collective Langevin correlator (0 if N = 0)."""
-    n_atoms = params.atom_number
-    return params.cell_length / n_atoms if n_atoms > 0 else 0.0
+def noise_scale(params) -> np.ndarray:
+    """L / N, the scale of the collective Langevin correlator (0 if N = 0),
+    of a SystemParams or, as a column, of a ParamStack."""
+    n_atoms = np.asarray(params.atom_number)
+    return np.divide(params.cell_length, n_atoms, where=n_atoms > 0,
+                     out=np.zeros(n_atoms.shape))
 
 
 def linearize(gen: Generator, state: AtomState, params: SystemParams,
@@ -279,4 +298,4 @@ def linearize(gen: Generator, state: AtomState, params: SystemParams,
         raise failures[0]
     b = field_coupling_stack(np.array([params.g]), state.rho[None])
     return LinearizedSystem(a=a[0], b=b[0], d=d[0],
-                            noise_scale=noise_scale(params))
+                            noise_scale=float(noise_scale(params)))

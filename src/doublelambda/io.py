@@ -18,27 +18,25 @@ from .experiments import AXES, SweepResult, SweepRow
 _ROW_FIELDS = fields(SweepRow)
 
 
-def _flat_row(row: SweepRow) -> dict:
-    """Table column -> value: a split field gives one column per entry, a
-    tuple of strings one column joined with "; "."""
-    flat = {}
+def _table(rows) -> dict:
+    """Table column -> its values over the rows: a split field gives one
+    column per entry, a tuple of strings one column joined with "; "."""
+    table = {}
     for f in _ROW_FIELDS:
-        value = getattr(row, f.name)
+        values = [getattr(row, f.name) for row in rows]
         split = f.metadata.get("split")
         if split:
-            flat.update(zip(split, [None] * len(split) if value is None
-                            else value))
-        elif isinstance(value, tuple):
-            flat[f.name] = "; ".join(value)
+            table.update((name, [None if v is None else v[k] for v in values])
+                         for k, name in enumerate(split))
         else:
-            flat[f.name] = value
-    return flat
+            table[f.name] = ["; ".join(v) if isinstance(v, tuple) else v
+                             for v in values]
+    return table
 
 
-def _row_cells(row: SweepRow) -> list:
+def _cells(values: list) -> list:
     return [value if isinstance(value, str) else
-            "" if value is None else repr(float(value))
-            for value in _flat_row(row).values()]
+            "" if value is None else repr(float(value)) for value in values]
 
 
 def _header(axis: str) -> list:
@@ -68,8 +66,8 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
             fh.write(f"# omega = {result.manifest.get('omega')!r}\n")
             writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
             writer.writerow(_header(result.axis))
-            for row in result.rows:
-                writer.writerow(_row_cells(row))
+            columns = [_cells(c) for c in _table(result.rows).values()]
+            writer.writerows(zip(*columns))
     elif fmt == "json":
         payload = {
             "manifest": result.manifest,
@@ -193,12 +191,12 @@ def emit_plot(result: SweepResult, stem) -> list:
 
     footer = (f"g={fmt('g')} n0={fmt('n0')} L={fmt('cell_length')} "
               f"noise={result.manifest.get('noise_model')}")
-    table = [_flat_row(r) for r in result.rows]
+    table = _table(result.rows)
     written = []
     for suffix, ylabel, title, legend in PLOTS:
         series = {}
         for label, column in legend.items():
-            vals = np.array([row[column] for row in table], dtype=float)
+            vals = np.array(table[column], dtype=float)
             if np.any(np.isfinite(vals)):
                 series[label] = vals
         if series:

@@ -7,6 +7,7 @@ of the 4->1 channel, set to 1); geometry is in SI meters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,8 +21,39 @@ CALIBRATED_G = 0.293807
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
+class _Derived:
+    """Quantities derived from the fields, on one point or on columns."""
+
+    @property
+    def delta2(self):
+        """Detuning of field 1 from the 1-2 transition (two-photon resonance)."""
+        return self.delta1 + self.omega42
+
+    @property
+    def gamma13(self):
+        """Total decay rate of the 1-3 coherence."""
+        return 2.0 * self.gamma0 + self.gamma_phi
+
+    @property
+    def atom_number(self):
+        """Number of atoms in the beam volume, N = n0 * pi r^2 * L."""
+        # Python's ** on a float, as float_power: numpy's ** would square
+        return (self.n0 * np.pi * np.float_power(self.beam_radius, 2)
+                * self.cell_length)
+
+    @property
+    def chi1(self):
+        """Field-1 propagation coupling g*N/c, per meter."""
+        return self.g * self.atom_number / SPEED_OF_LIGHT
+
+    @property
+    def chi2(self):
+        """Field-2 propagation coupling; equal dipoles make it equal to chi1."""
+        return self.chi1
+
+
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_Derived):
     """Physical constants of the model.
 
     gamma1..gamma4 are half decay rates of the channels 4->1, 2->1, 4->3,
@@ -51,55 +83,74 @@ class SystemParams:
     beam_radius: float = 2.2e-4  # m
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("gamma1", "gamma2", "gamma3", "gamma4", "gamma0",
-                     "gamma_phi", "omega42", "n0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("p1", "p2"):
-            if abs(getattr(self, name)) > 1:
-                raise ValueError(f"|{name}| must be <= 1, got {getattr(self, name)}")
-        for name in ("cell_length", "beam_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("a1_mean", "a2_mean"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (mean fields real positive)")
-        if self.g < 0:
-            raise ValueError("g must be >= 0")
-
-    @property
-    def delta2(self) -> float:
-        """Detuning of field 1 from the 1-2 transition (two-photon resonance)."""
-        return self.delta1 + self.omega42
-
-    @property
-    def gamma13(self) -> float:
-        """Total decay rate of the 1-3 coherence."""
-        return 2.0 * self.gamma0 + self.gamma_phi
-
-    @property
-    def atom_number(self) -> float:
-        """Number of atoms in the beam volume, N = n0 * pi r^2 * L."""
-        return self.n0 * np.pi * self.beam_radius**2 * self.cell_length
-
-    @property
-    def chi1(self) -> float:
-        """Field-1 propagation coupling g*N/c, per meter."""
-        return self.g * self.atom_number / SPEED_OF_LIGHT
-
-    @property
-    def chi2(self) -> float:
-        """Field-2 propagation coupling; equal dipoles make it equal to chi1."""
-        return self.chi1
+        for names, valid, message in _RULES:
+            for name in names or FIELDS:
+                if not valid(value := getattr(self, name)):
+                    raise ValueError(message.format(name=name, value=value))
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+FIELDS = tuple(f.name for f in fields(SystemParams))
+
+#: the checks of a point, in order: fields (all if None), the test a valid
+#: number or column passes, the message of a failure
+_RULES = (
+    (None, lambda x: abs(x) < math.inf, "{name} must be finite, got {value}"),
+    (("gamma1", "gamma2", "gamma3", "gamma4", "gamma0", "gamma_phi",
+      "omega42", "n0"), lambda x: x >= 0, "{name} must be >= 0, got {value}"),
+    (("p1", "p2"), lambda x: abs(x) <= 1, "|{name}| must be <= 1, got {value}"),
+    (("cell_length", "beam_radius"), lambda x: x > 0,
+     "{name} must be > 0, got {value}"),
+    (("a1_mean", "a2_mean"), lambda x: x >= 0,
+     "{name} must be >= 0 (mean fields real positive)"),
+    (("g",), lambda x: x >= 0, "{name} must be >= 0"),
+)
+
+#: the fields of each rule, as rows of a ParamStack's table
+_RULE_ROWS = [[FIELDS.index(name) for name in names or FIELDS]
+              for names, _, _ in _RULES]
+
+
+class ParamStack(_Derived):
+    """Working points as columns: one float64 array per SystemParams field,
+    under its name (scalars broadcast), and the derived quantities as
+    arrays.  An invalid row raises what SystemParams raises for the first.
+    """
+
+    def __init__(self, **columns):
+        size = max((len(c) for c in columns.values()
+                    if not isinstance(c, numbers.Real)), default=1)
+        table = np.empty((len(FIELDS), size))
+        for k, name in enumerate(FIELDS):
+            table[k] = columns[name]
+        vars(self).update(zip(FIELDS, table))
+        if not all(valid(table[rows]).all()
+                   for rows, (_, valid, _) in zip(_RULE_ROWS, _RULES)):
+            for i in range(size):  # the first invalid row raises its error
+                self.point(i)
+
+    @classmethod
+    def of(cls, points) -> "ParamStack":
+        points = list(points)
+        return cls(**{name: [getattr(p, name) for p in points]
+                      for name in FIELDS})
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, index) -> "ParamStack":
+        """The rows of a slice or an index array."""
+        return ParamStack(**{name: getattr(self, name)[index]
+                             for name in FIELDS})
+
+    def point(self, i: int) -> SystemParams:
+        return SystemParams(**{name: float(getattr(self, name)[i])
+                               for name in FIELDS})
 
 
 class AtomicBasis:

@@ -97,21 +97,23 @@ def _nonfinite(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray) -> dict:
 
 
 def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
-                   noise: np.ndarray, points, omegas: np.ndarray
+                   omegas: np.ndarray, chi: np.ndarray, lengths: np.ndarray,
+                   noise: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """M(omega), M(-omega) and Nfield, each (P, 4, 4), for a stack of points.
 
     a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
-    noise their noise scales L/N, points the SystemParams and omegas the
-    analysis frequencies.  Failures are {stack position: exception}: a
-    response failure, or a non-finite transfer matrix.
+    omegas the analysis frequencies, chi the (P, 2) couplings (chi1, chi2),
+    lengths the cell lengths and noise the noise scales L/N.  Failures are
+    {stack position: exception}: a response failure, or a non-finite
+    transfer matrix.
     """
     r_plus, r_minus, failures = fl.response_stack(a, omegas)
-    chi = np.array([[1j * p.chi1, -1j * p.chi1, 1j * p.chi2, -1j * p.chi2]
-                    for p in points]).reshape(-1, 4)
+    chi = np.stack([1j * chi[:, 0], -1j * chi[:, 0],
+                    1j * chi[:, 1], -1j * chi[:, 1]], axis=1)
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
     # stays finite for arbitrarily dilute media
-    injection = np.array([SPEED_OF_LIGHT / p.cell_length for p in points]) * noise
+    injection = SPEED_OF_LIGHT / lengths * noise
     ks = chi[:, :, None] * SELECTOR  # K S with K = diag(chi)
     ksr_plus = ks @ r_plus
     ksr_minus = ks @ r_minus
@@ -137,8 +139,9 @@ def make_setup(lin: LinearizedSystem, params: SystemParams,
     Raises on a response failure and on a non-finite result.
     """
     m, m_minus, nfield, failures = transfer_stack(
-        lin.a[None], lin.b[None], lin.d[None], np.array([lin.noise_scale]),
-        [params], np.array([omega], dtype=float))
+        lin.a[None], lin.b[None], lin.d[None], np.array([omega], dtype=float),
+        np.array([[params.chi1, params.chi2]]),
+        np.array([params.cell_length]), np.array([lin.noise_scale]))
     if failures:
         raise failures[0]
     return PropagationSetup(m=m[0], m_minus=m_minus[0], nfield=nfield[0],
@@ -245,20 +248,22 @@ def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
     c_in = np.broadcast_to(c_in, (n, 4, 4))
     failures = _pairing_failures(m, m_minus, nfield, c_in)
     scaled = lengths[:, None, None]
-    e = expm(scaled * _paired_generators(m, nfield))
-    phi = e[:, :16, :16]
-    x_in = np.real(_per_point(c_in, PAIRED_FRAME.conj()))
-    x_out = (phi @ x_in[:, :, None])[..., 0] + e[:, :16, 16]
-    c_out = _per_point(x_out, PAIRED_FRAME.T).reshape(n, 4, 4)
-    ea = expm(scaled * m)
-    kron = (ea[:, :, None, :, None] * ea.conj()[:, None, :, None, :]
-            ).reshape(n, 16, 16)
-    kron = HERMITIAN_FRAME.conj().T @ kron @ HERMITIAN_FRAME
-    # exp(L M) may underflow to zero in a strongly absorbing medium
-    scale = np.maximum(np.maximum(np.max(np.abs(phi), axis=(1, 2)),
-                                  np.max(np.abs(kron), axis=(1, 2))),
-                       np.finfo(float).tiny)
-    residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
+    # an overflowing point is named below, so its inf and NaN stay silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = expm(scaled * _paired_generators(m, nfield))
+        phi = e[:, :16, :16]
+        x_in = np.real(_per_point(c_in, PAIRED_FRAME.conj()))
+        x_out = (phi @ x_in[:, :, None])[..., 0] + e[:, :16, 16]
+        c_out = _per_point(x_out, PAIRED_FRAME.T).reshape(n, 4, 4)
+        ea = expm(scaled * m)
+        kron = (ea[:, :, None, :, None] * ea.conj()[:, None, :, None, :]
+                ).reshape(n, 16, 16)
+        kron = HERMITIAN_FRAME.conj().T @ kron @ HERMITIAN_FRAME
+        # exp(L M) may underflow to zero in a strongly absorbing medium
+        scale = np.maximum(np.maximum(np.max(np.abs(phi), axis=(1, 2)),
+                                      np.max(np.abs(kron), axis=(1, 2))),
+                           np.finfo(float).tiny)
+        residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
     # C grows like exp(2 L max Re eig(M)): past ~355 float64 overflows
     for k in np.flatnonzero(~np.all(np.isfinite(c_out), axis=(1, 2))):
         gain = np.max(np.linalg.eigvals(m[k]).real) * lengths[k]

@@ -165,19 +165,24 @@ class Observables:
     alpha2: Optional[float]
 
 
-def observables(state: AtomState, params: SystemParams) -> Observables:
-    """Input-plane observables of the solved steady state.
+def absorption(expectations: np.ndarray, params) -> tuple:
+    """s1, s2 and alpha_i = 2 chi_i Im(s_i) / <a_i> (NaN where <a_i> = 0),
+    the intensity loss per meter of field i at the medium input, of
+    expectation vectors (..., 16) and their SystemParams or ParamStack."""
+    e = expectations
+    s1 = e[..., BASIS.index(1, 4)] + e[..., BASIS.index(1, 2)]
+    s2 = e[..., BASIS.index(3, 4)] + e[..., BASIS.index(3, 2)]
+    with np.errstate(all="ignore"):  # silent as float arithmetic on a point
+        return s1, s2, *(np.where(a > 0, 2.0 * chi * np.imag(s) / a, np.nan)
+                         for s, chi, a in ((s1, params.chi1, params.a1_mean),
+                                           (s2, params.chi2, params.a2_mean)))
 
-    alpha_i is the fractional intensity loss per meter of field i at the
-    medium input, 2*chi_i*Im(s_i)/<a_i>; the mean fields themselves are never
-    depleted.
-    """
-    s1 = state.expectation(1, 4) + state.expectation(1, 2)
-    s2 = state.expectation(3, 4) + state.expectation(3, 2)
-    alpha1 = alpha2 = None
-    if params.a1_mean > 0:
-        alpha1 = 2.0 * params.chi1 * float(np.imag(s1)) / params.a1_mean
-    if params.a2_mean > 0:
-        alpha2 = 2.0 * params.chi2 * float(np.imag(s2)) / params.a2_mean
-    return Observables(populations=state.populations, s1=s1, s2=s2,
-                       alpha1=alpha1, alpha2=alpha2)
+
+def observables(state: AtomState, params: SystemParams) -> Observables:
+    """Input-plane observables of the solved steady state (see absorption);
+    the mean fields themselves are never depleted."""
+    s1, s2, alpha1, alpha2 = absorption(state.expectations, params)
+    return Observables(
+        populations=state.populations, s1=complex(s1), s2=complex(s2),
+        alpha1=float(alpha1) if params.a1_mean > 0 else None,
+        alpha2=float(alpha2) if params.a2_mean > 0 else None)

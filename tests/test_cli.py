@@ -61,7 +61,6 @@ class TestCommands:
         assert len(payload["spectrum"]) == 3
         assert all(row["warnings"] == [] for row in payload["spectrum"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_spectrum_rows_carry_propagation_warnings(self, tmp_path, capsys,
                                                       monkeypatch):
         # at this density the zero-frequency Raman gain overflows exp(L M):

@@ -15,7 +15,7 @@ from doublelambda.experiments import (SWEEP_SELECTORS, SweepSpec,
 from doublelambda.atom import build_generator
 from doublelambda.fluctuations import linearize
 from doublelambda import propagation as pr
-from doublelambda.params import CALIBRATED_G
+from doublelambda.params import CALIBRATED_G, ParamStack
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state
@@ -40,6 +40,16 @@ class TestSweepSpec:
         assert p.a1_mean == 3.0 and p.a2_mean == 3.0
         assert p.n0 == pytest.approx(defaults.n0 * 3.0)
         assert p.gamma0 == pytest.approx(0.003)
+        ps = spec.param_stack()
+        assert ps.n0.tolist() == [defaults.n0 * v for v in (1.0, 2.0, 3.0)]
+        assert ps.gamma0.tolist() == [0.001 * v for v in (1.0, 2.0, 3.0)]
+        assert [ps.point(i) for i in range(3)] == \
+            [spec.params_at(v) for v in spec.grid]
+
+    def test_invalid_grid_point_named(self, defaults):
+        spec = SweepSpec(base=defaults, axis="p", grid=[0.5, 1.5, 2.5])
+        with pytest.raises(ValueError, match=r"^\|p1\| must be <= 1, got 1.5$"):
+            run_sweep(spec)
 
     def test_variant_b_keeps_exchange_fixed(self, defaults):
         spec = amplitude_spec(defaults, points=3, variant="b")
@@ -180,7 +190,6 @@ class TestBatchedStack:
         # each stacked operation acts on one point at a time: exact equality
         assert_rows_match(batched, alone, rtol=0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
     def test_mixed_outcomes_in_every_order(self, defaults, noise_model,
                                            monkeypatch):
@@ -211,8 +220,10 @@ class TestBatchedStack:
                 ref = [alone[points.index(p)] for p in stack]
                 # no per-point fallback here: the stack bookkeeping alone
                 # must put every outcome in its own row
-                assert_rows_match(_evaluate_stack(stack, 0.0, noise_model),
-                                  ref, rtol=0.0)
+                rows = _evaluate_stack(ParamStack.of(stack),
+                                       np.full(len(stack), np.nan), 0.0,
+                                       noise_model)
+                assert_rows_match(rows, ref, rtol=0.0)
 
     def test_stacks_split_long_grids(self, defaults):
         from doublelambda.experiments import STACK_POINTS
@@ -265,6 +276,28 @@ class TestBatchedStack:
         omegas = np.linspace(-1.0, 1.0, 5)  # includes 0
         rows = spectrum(p, omegas)
         assert rows == [spectrum(p, [w])[0] for w in omegas]
+
+
+def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
+    # the 201 points travel as one ParamStack and every one of them is
+    # accepted by the kappa_1 bracket, with no SVD condition number
+    counts = {"cond": 0, "points": 0}
+    cond, check = np.linalg.cond, SystemParams.__post_init__
+
+    def counted_cond(m):
+        counts["cond"] += 1
+        return cond(m)
+
+    def counted_check(self):
+        counts["points"] += 1
+        check(self)
+
+    monkeypatch.setattr(np.linalg, "cond", counted_cond)
+    monkeypatch.setattr(SystemParams, "__post_init__", counted_check)
+    rows = run_sweep(detuning_spec(defaults), workers=1).rows
+    assert len(rows) == 201 and not any(r.failed for r in rows)
+    assert counts["cond"] == 0
+    assert counts["points"] <= 2
 
 
 class TestValidationSampling:

@@ -303,6 +303,90 @@ class TestResponse:
         assert isinstance(failures[0], ResponseError)
 
 
+def response_svd_first(a, omegas):
+    """Reference: response_stack as it was before the kappa_1 bracket, with
+    the SVD condition number of every point taken before inverting."""
+    eye = np.eye(a.shape[-1])
+    iw = (1j * omegas)[:, None, None] * eye
+    m = -iw - a
+    cond = np.linalg.cond(m)
+    singular = ~np.isfinite(cond) | (cond > 1e12)
+    failures = {}
+    for k in np.flatnonzero(singular):
+        evals = np.linalg.eigvals(a[k])
+        worst = evals[np.argmin(np.abs(-1j * omegas[k] - evals))]
+        failures[int(k)] = ResponseError(
+            f"atomic response near-singular at omega={omegas[k]}: condition "
+            f"{cond[k]:.2e}, offending eigenvalue {worst:.3e}")
+    ok = np.flatnonzero(~singular)
+    r = np.zeros_like(m)
+    r[ok] = np.linalg.inv(m[ok])
+    r_minus = r.conj()
+    resid = np.linalg.norm(m[ok] @ r[ok] - eye, axis=(1, 2))
+    for j in np.flatnonzero(resid > 1e-10):
+        failures[int(ok[j])] = ResponseError(
+            f"response inversion residual {resid[j]:.2e}")
+    resid = np.linalg.norm((iw - a) @ r_minus - eye, axis=(1, 2))
+    for k in np.flatnonzero(resid > 1e-10):
+        failures.setdefault(int(k), ResponseError(
+            f"mirrored response residual {resid[k]:.2e} "
+            f"at omega={-omegas[k]}"))
+    return r, r_minus, failures
+
+
+def near_singular_drifts(omega, singular, seed=3):
+    """Real similarity transforms of stable drifts whose eigenvalue pair
+    -gap +- i omega sits gap from -i omega, for gaps from 1e-13 to 1e-9
+    and a few well-conditioned gaps; with an exactly singular member if
+    asked.  Every other drift is left untransformed: its inverse passes the
+    residual check at any gap, so the bracket alone decides it."""
+    rng = np.random.default_rng(seed)
+    drifts = []
+    gaps = np.concatenate([np.geomspace(1e-13, 1e-9, 40),
+                           np.geomspace(1e-3, 1.0, 6)])
+    for k, gap in enumerate(gaps):
+        d = np.diag(-rng.uniform(0.5, 3.0, 15))
+        d[:2, :2] = [[-gap, -omega], [omega, -gap]]
+        s = np.eye(15) + 0.3 * rng.normal(size=(15, 15)) / np.sqrt(15)
+        drifts.append(s @ d @ np.linalg.inv(s) if k % 2 else d)
+    if singular:
+        # -i omega - A has an exactly zero pivot: the stack's inv raises
+        a = np.diag(-rng.uniform(0.5, 3.0, 15))
+        a[:2, :2] = [[0.0, -omega], [omega, 0.0]]
+        drifts.insert(20, a)
+    return np.array(drifts)
+
+
+class TestResponseBracket:
+    """Refusing by the kappa_1 bracket refuses what the SVD refuses."""
+
+    @pytest.mark.parametrize("singular", [False, True])
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_same_refusals_and_messages_as_svd_first(self, omega, singular,
+                                                     monkeypatch):
+        a = near_singular_drifts(omega, singular)
+        omegas = np.full(len(a), omega)
+        svd_rows = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond",
+                            lambda m: svd_rows.append(len(m)) or cond(m))
+        r, r_minus, failures = response_stack(a, omegas)
+        monkeypatch.undo()
+        ref_r, ref_minus, ref_failures = response_svd_first(a, omegas)
+        assert {k: str(e) for k, e in failures.items()} == \
+            {k: str(e) for k, e in ref_failures.items()}
+        m = -1j * omega * np.eye(15) - a
+        refused = {k for k, e in failures.items() if "near-singular" in str(e)}
+        assert refused == set(np.flatnonzero(np.linalg.cond(m) > 1e12))
+        assert np.array_equal(r, ref_r) and np.array_equal(r_minus, ref_minus)
+        # refused, accepted and residual-failed points all occur
+        assert refused and len(failures) < len(a)
+        assert any("inversion residual" in str(e) for e in failures.values())
+        # points in the band were accepted by the SVD, the rest without
+        # one, unless the singular member sent the whole stack to it
+        assert len(failures) < sum(svd_rows) < len(a) or singular
+
+
 class TestCovarianceConsistency:
     def test_lyapunov_matches_direct(self, rng):
         # A Sigma + Sigma A^T + 2D = 0 must reproduce the ordered equal-time

@@ -5,9 +5,11 @@ must have a drift that is real in the frame, an R(-omega) = conj(R(omega))
 that passes its own residual, and, under the einstein noise model, field
 commutators that survive the medium: C01 - C10 = 1 at omega = 0 and
 C01(omega) - C10(-omega) = 1 at omega != 0.  No row that reports success
-holds a non-finite number.
+holds a non-finite number.  A point symmetric under the reflection that
+swaps levels 1 and 3 gives rows and field covariances symmetric under it.
 """
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -108,9 +110,50 @@ def test_successful_rows_are_finite(params, omega):
                 assert np.all(np.isfinite(value)), (model, f.name, value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("noise_model", NOISE_MODELS)
 def test_overflowing_point_fails_by_name(noise_model):
-    row = compute_point(OVERFLOWING, 0.0, noise_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the named error, and nothing else
+        row = compute_point(OVERFLOWING, 0.0, noise_model)
     assert row.error == ("ValueError: propagation overflow: output covariance "
                          "not finite, gain exponent max Re eig(M)·L = 728.6")
+
+
+def symmetric_params(g13, g24, p, a, **kw):
+    return SystemParams(gamma1=g13, gamma3=g13, gamma2=g24, gamma4=g24,
+                        p1=p, p2=p, a1_mean=a, a2_mean=a, **kw)
+
+
+#: the modes (a1, a1+, a2, a2+) with fields 1 and 2 swapped
+MODE_SWAP = np.array([2, 3, 0, 1])
+
+
+def close(x, y) -> bool:
+    return abs(x - y) <= 1e-10 * max(1.0, abs(y))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(st.builds(symmetric_params, RATE, RATE, st.floats(-1, 1),
+                 st.floats(0, 2), delta1=st.floats(-4, 4), gamma0=RATE,
+                 gamma_phi=st.floats(0, 1), omega42=st.floats(0, 3),
+                 g=st.floats(0, 0.6)),
+       st.sampled_from([0.0, 0.7]))
+def test_reflection_symmetry(params, omega):
+    # gamma1 = gamma3, gamma2 = gamma4, p1 = p2 and a1 = a2 make levels 1
+    # and 3, and with them fields 1 and 2, mirror images of each other
+    for model in NOISE_MODELS:
+        row = compute_point(params, omega, model)
+        if row.failed:
+            continue
+        pops = row.populations
+        assert close(pops[0], pops[2]), (model, pops)
+        assert (row.alpha1 is None) == (row.alpha2 is None)
+        assert row.alpha1 is None or close(row.alpha1, row.alpha2)
+        if row.method.endswith("dark-transparent"):
+            continue
+        gen = build_generator(params)
+        lin = linearize(gen, solve_steady_state(gen, params), params, model)
+        c = field_covariance(lin, params, omega).c
+        swapped = c[np.ix_(MODE_SWAP, MODE_SWAP)]
+        scale = max(1.0, float(np.max(np.abs(c))))
+        assert np.max(np.abs(swapped - c)) <= 1e-10 * scale, model
