@@ -190,17 +190,6 @@ def build_hamiltonian(params: SystemParams) -> np.ndarray:
     return hamiltonian_with_fields(params, a1, a1, a2, a2)
 
 
-def dissipation_channels(params: SystemParams) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """Jump-operator groups with a nonzero rate matrix, as (operators, rate_matrix)."""
-    rates, channels = _rate_coefficients(params), []
-    for ops in JUMP_GROUPS:
-        n = len(ops)
-        gmat, rates = rates[:n * n].reshape(n, n), rates[n * n:]
-        if np.any(gmat):
-            channels.append((list(ops), gmat))
-    return channels
-
-
 @dataclass(frozen=True)
 class Generator:
     """Liouvillian of the model in both pictures.
@@ -215,7 +204,6 @@ class Generator:
     adjoint: np.ndarray
     coherent: np.ndarray
     rates: np.ndarray
-    channels: list
     params: SystemParams
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -241,8 +229,7 @@ def build_generator(params: SystemParams) -> Generator:
     h, r = coefficient_stack(params)
     coherent, lmat = liouvillian_stack(h[None], r[None])
     return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
-                     coherent=coherent[0], rates=r,
-                     channels=dissipation_channels(params), params=params)
+                     coherent=coherent[0], rates=r, params=params)
 
 
 

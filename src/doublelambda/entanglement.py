@@ -29,15 +29,18 @@ def quadrature_variance_stack(c: np.ndarray, weights) -> tuple[np.ndarray, dict]
     """Symmetrized variances of sum_i w_i v_i for a (P, 4, 4) covariance stack.
 
     Uses sum_ij w_i w_j (C_ij + C_ji)/2; for Hermitian combinations the
-    result is real, and a non-negligible imaginary residual is a failure,
-    given as {stack position: ValueError}.
+    result is real, and an imaginary residual above 1e-10 of the summed
+    magnitudes sum_ij |w_i w_j| |(C_ij + C_ji)/2| (at least 1) is a
+    failure, given as {stack position: ValueError}.  Scaling by the terms,
+    not the variance, admits the rounding of a large cancelling sum.
     """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (4,):
         raise ValueError("weights must be a 4-vector")
     sym = (c + c.transpose(0, 2, 1)) / 2.0
     value = ((w @ sym)[:, None, :] @ w[:, None])[:, 0, 0]  # one product per point
-    bad = np.abs(value.imag) > 1e-10 * np.fmax(1.0, np.abs(value.real))
+    terms = np.sum(np.abs(np.outer(w, w)) * np.abs(sym), axis=(1, 2))
+    bad = np.abs(value.imag) > 1e-10 * np.fmax(1.0, terms)
     failures = {int(k): ValueError(
         f"variance has non-negligible imaginary part {value[k].imag:.2e}")
         for k in np.flatnonzero(bad)}

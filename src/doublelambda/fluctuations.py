@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import (FIELD_SUPEROPERATORS, RADIATIVE_ENTRIES, Generator,
-                   dissipator_stack)
+from .atom import (FIELD_SUPEROPERATORS, JUMP_GROUPS, RADIATIVE_ENTRIES,
+                   Generator, dissipator_stack)
 from .params import BASIS, HERMITIAN_BASIS, SystemParams
 from .steady import AtomState
 
@@ -175,29 +175,28 @@ def _einstein_diffusion(lmats: np.ndarray, products: tuple) -> np.ndarray:
     return t1
 
 
-def diffusion_matrix_channelwise(gen: Generator, state: AtomState) -> np.ndarray:
+#: block j, for each rate entry j = (group, m, n) in gen.rates order, maps
+#: vec(rho) to Tr(rho [L_n^+, sigma_mu][sigma_nu, L_m]) at [mu, nu], as rows
+#: vec(X^T) since Tr(rho X) = vec(X^T) . vec(rho); built from the jump
+#: operators alone, it shares nothing with the generator it checks
+CHANNEL_SANDWICHES = np.array([
+    ((ln.conj().T @ BASIS.sigmas - BASIS.sigmas @ ln.conj().T)[:, None]
+     @ (BASIS.sigmas @ lm - lm @ BASIS.sigmas)[None]).transpose(0, 1, 3, 2)
+    for ops in JUMP_GROUPS for lm in ops for ln in ops]).reshape(-1, 16, 16, 16)
+
+
+def diffusion_matrix_channelwise(rates: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Independent evaluation of D: per-channel sum of commutator sandwiches.
 
     For each dissipation pair (m, n) with rate G_mn the Einstein relation
-    reduces to G_mn <[L_n^+, sigma_mu][sigma_nu, L_m]>; the sum over channels
-    must reproduce the generator-sandwich route to machine precision.
+    reduces to G_mn <[L_n^+, sigma_mu][sigma_nu, L_m]>; summed over the
+    channels, with rates (P, 11) and states rhos (P, 4, 4), it must reproduce
+    the generator-sandwich route to machine precision.  Returns (P, 15, 15).
     """
-    rho = state.rho
-    sig = BASIS.sigmas
-    d_full = np.zeros((16, 16), dtype=complex)
-    for ops, gmat in gen.channels:
-        for m, lm in enumerate(ops):
-            for n, ln in enumerate(ops):
-                rate = gmat[m, n]
-                if rate == 0:
-                    continue
-                lnd = ln.conj().T
-                c1 = lnd @ sig - sig @ lnd   # [L_n^+, sigma_mu]
-                c2 = sig @ lm - lm @ sig     # [sigma_nu, L_m]
-                # Tr(rho c1[mu] c2[nu]) = vec(c1[mu]) . vec((c2[nu] rho)^T)
-                pair = c1.reshape(16, 16) @ (
-                    (c2 @ rho).transpose(0, 2, 1).reshape(16, 16)).T
-                d_full += rate * pair / 2.0
+    n = len(rhos)
+    pairs = (rhos.reshape(n, 1, 16) @ CHANNEL_SANDWICHES.reshape(-1, 16).T
+             ).reshape(n, len(CHANNEL_SANDWICHES), 256)
+    d_full = (rates[:, None, :] @ pairs).reshape(n, 16, 16) / 2.0
     return FRAME @ d_full @ FRAME.T
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_sylvester
+from scipy.linalg import LinAlgError, schur
+from scipy.linalg.lapack import dtrsyl
 
 from . import fluctuations as fl
 from . import propagation as pr
@@ -156,19 +157,28 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
 def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
     """Stationary covariance solving A S + S A^T + 2 D = 0 (Bartels-Stewart).
 
-    scipy's solve_sylvester reduces A and A^T to complex Schur form and
-    back-substitutes (Bartels & Stewart 1972).  The drift is real and D
-    complex Hermitian, so A is cast to complex: the complex
-    back-substitution needs the triangular Schur form, which a real A
-    would get only in quasi-triangular form.
+    One real Schur form A = U T U^T [Bartels & Stewart, CACM 15, 820 (1972)]
+    serves the stability guard and the solve.  LAPACK standardizes each 2x2
+    block of T to equal diagonal entries, the real part of the block's
+    eigenvalue pair, so max Re eig(A) is the largest diagonal entry of T.
+    With X = U^T S U the equation reads T X + X T^T = -2 U^T D U; the drift
+    is real and D complex Hermitian, so the real and imaginary parts of the
+    right side each take one real quasi-triangular solve (trsyl) on T.
     """
-    a = lin.a.astype(complex)
-    max_re = float(np.max(np.real(np.linalg.eigvals(a))))
+    t, u = schur(lin.a, output="real")
+    max_re = float(np.max(np.diag(t)))
     if max_re >= -1e-14:
         raise OracleError(
             f"drift not strictly stable (max Re eigenvalue {max_re:.2e}); "
             "stationary covariance undefined")
-    return solve_sylvester(a, a.T, -2.0 * lin.d)
+    rhs = u.T @ (-2.0 * lin.d) @ u
+    parts = []
+    for c in (rhs.real, rhs.imag):
+        x, scale, info = dtrsyl(t, t, c, tranb="T")
+        if info < 0:
+            raise LinAlgError(f"Illegal value encountered in the {-info} term")
+        parts.append(x / scale)
+    return u @ (parts[0] + 1j * parts[1]) @ u.T
 
 
 @dataclass(frozen=True)
@@ -243,7 +253,7 @@ def cross_validate(params: SystemParams) -> ValidationReport:
 
     # lin.d is the sandwich route: the Einstein D of fl.diffusion_stack
     lin = fl.linearize(gen, state, params)
-    d_channel = fl.diffusion_matrix_channelwise(gen, state)
+    d_channel = fl.diffusion_matrix_channelwise(gen.rates[None], rho[None])[0]
     record("Einstein-relation dual-path identity",
            float(np.max(np.abs(lin.d - d_channel))), 1e-12)
 

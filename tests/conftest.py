@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from doublelambda import SystemParams
+from doublelambda.atom import JUMP_GROUPS
 
 
 def random_params(rng, with_fields=False) -> SystemParams:
@@ -18,6 +19,17 @@ def random_params(rng, with_fields=False) -> SystemParams:
         kw["a1_mean"] = rng.uniform(0.5, 2)
         kw["a2_mean"] = rng.uniform(0.5, 2)
     return SystemParams(**kw)
+
+
+def rate_groups(rates):
+    """(jump operators, rate matrix) of each JUMP_GROUPS entry, with the
+    matrix read from the flat rate entries (gen.rates order)."""
+    groups = []
+    for ops in JUMP_GROUPS:
+        n = len(ops)
+        groups.append((ops, rates[:n * n].reshape(n, n)))
+        rates = rates[n * n:]
+    return groups
 
 
 @pytest.fixture

@@ -98,8 +98,8 @@ def test_criterion_02_einstein_relation_identity():
                                           gen.coherent[None], gen.rates[None],
                                           state.rho[None])
         assert failures == {}
-        d2 = fl.diffusion_matrix_channelwise(gen, state)
-        worst = max(worst, float(np.max(np.abs(d1[0] - d2))))
+        d2 = fl.diffusion_matrix_channelwise(gen.rates[None], state.rho[None])
+        worst = max(worst, float(np.max(np.abs(d1[0] - d2[0]))))
     ok = worst < 1e-12
     record(2, ok, f"dual-path diffusion residual {worst:.2e} (tol 1e-12)")
     assert worst < 1e-12

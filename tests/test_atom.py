@@ -4,11 +4,10 @@ import pytest
 from doublelambda import BASIS, SystemParams
 from doublelambda.atom import (build_generator, build_hamiltonian,
                                build_rate_matrices, dark_state_analysis,
-                               dissipation_channels,
                                dissipative_activity_stack,
                                generator_with_fields, hamiltonian_with_fields,
                                jump_amplitudes_on_state)
-from conftest import random_params
+from conftest import random_params, rate_groups
 
 
 class TestHamiltonian:
@@ -92,7 +91,7 @@ class TestGenerator:
             p = random_params(rng, with_fields=True)
             x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = (x + x.conj().T) / 2
-            channels = dissipation_channels(p)
+            channels = rate_groups(build_generator(p).rates)
             want = direct_lindblad(build_hamiltonian(p), channels, rho)
             got = build_generator(p).apply(rho)
             assert np.max(np.abs(got - want)) < 1e-12

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from doublelambda import SystemParams, compute_point
 from doublelambda.entanglement import (DUAN_BOUND, duan_v12,
                                        quadrature_variance_stack)
+from doublelambda.fluctuations import NOISE_MODELS
 from doublelambda.propagation import FieldCovariance, input_covariance
 
 X1 = np.array([1, 1, 0, 0], dtype=complex)
@@ -73,6 +75,15 @@ class TestQuadratureVariance:
             np.array([1, 0, 1, 0], dtype=complex))
         assert list(failures) == [1]
         assert isinstance(failures[1], ValueError)
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_high_gain_rounding_accepted(self, noise_model):
+        # V12 ~ 1e15 from cancelling terms of ~1e15: their rounding leaves an
+        # imaginary part of ~1e-7, far below 1e-10 of the summed magnitudes
+        row = compute_point(SystemParams(n0=2e22, delta1=0.0), 0.0,
+                            noise_model)
+        assert not row.failed, row.error
+        assert np.isfinite(row.v12) and row.v12 > 1e12
 
 
 class TestDuan:

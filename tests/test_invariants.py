@@ -1,6 +1,8 @@
 """Invariants of the Hermitian-frame fluctuations over valid parameters.
 
-Every point whose rows under both noise models are neither errors nor dark
+Every valid point has a steady state that is a density matrix, and a
+sandwich diffusion matrix that the channelwise route reproduces.  Every
+point whose rows under both noise models are neither errors nor dark
 must have a drift that is real in the frame, an R(-omega) = conj(R(omega))
 that passes its own residual, and, under the einstein noise model, field
 commutators that survive the medium: C01 - C10 = 1 at omega = 0 and
@@ -20,13 +22,17 @@ from hypothesis import strategies as st
 from doublelambda import SystemParams
 from doublelambda.atom import build_generator
 from doublelambda.experiments import compute_point
-from doublelambda.fluctuations import (NOISE_MODELS, drift_stack, linearize,
+from doublelambda.fluctuations import (NOISE_MODELS,
+                                       diffusion_matrix_channelwise,
+                                       diffusion_stack, drift_stack, linearize,
                                        response_stack)
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state
 
 OMEGAS = [0.0, 0.5, 3.0]
+#: sideband frequencies drawn by the properties; 0 is always in reach
+OMEGA = st.just(0.0) | st.floats(0, 5)
 RATE = st.floats(0, 2)
 
 
@@ -82,7 +88,7 @@ def check_invariants(params, omega) -> bool:
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
-@given(VALID_PARAMS, st.sampled_from(OMEGAS))
+@given(VALID_PARAMS, OMEGA)
 def test_frame_invariants(params, omega):
     check_invariants(params, omega)
 
@@ -95,7 +101,7 @@ def test_reference_point_is_checked(omega):
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(valid_params(1e6), st.sampled_from(OMEGAS))
+@given(valid_params(1e6), OMEGA)
 @example(OVERFLOWING, 0.0)
 def test_successful_rows_are_finite(params, omega):
     for model in NOISE_MODELS:
@@ -108,6 +114,30 @@ def test_successful_rows_are_finite(params, omega):
             if (f.name != "axis_value" and value is not None
                     and not isinstance(value, (str, tuple))):
                 assert np.all(np.isfinite(value)), (model, f.name, value)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(VALID_PARAMS)
+def test_steady_state_is_a_density_matrix(params):
+    gen = build_generator(params)
+    rho = solve_steady_state(gen, params).rho
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
+    assert np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) >= -1e-10
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(VALID_PARAMS)
+def test_einstein_dual_path_identity(params):
+    # the generator sandwich against the channel tensor, which is built
+    # from the jump operators alone
+    gen = build_generator(params)
+    rho = solve_steady_state(gen, params).rho[None]
+    d, failures = diffusion_stack("einstein", gen.matrix[None],
+                                  gen.coherent[None], gen.rates[None], rho)
+    assert failures == {}
+    d_channel = diffusion_matrix_channelwise(gen.rates[None], rho)
+    assert np.max(np.abs(d - d_channel)) <= 1e-12
 
 
 @pytest.mark.parametrize("noise_model", NOISE_MODELS)

@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import schur
 
 from doublelambda import BASIS, SystemParams
 from doublelambda import propagation as pr
@@ -14,7 +17,7 @@ from doublelambda.oracle import (OracleError, cross_validate,
                                  lyapunov_covariance, regression_covariance,
                                  rk4_covariance, time_evolve)
 from doublelambda.steady import AtomState, solve_steady_state
-from conftest import random_params
+from conftest import random_params, rate_groups
 
 
 def state_from_rho(rho):
@@ -68,7 +71,7 @@ def channelwise_einsum(gen, state):
     rho = state.rho
     sig = BASIS.sigmas
     d_full = np.zeros((16, 16), dtype=complex)
-    for ops, gmat in gen.channels:
+    for ops, gmat in rate_groups(gen.rates):
         for m, lm in enumerate(ops):
             for n, ln in enumerate(ops):
                 rate = gmat[m, n]
@@ -195,6 +198,39 @@ class TestLyapunov:
         with pytest.raises(OracleError):
             lyapunov_covariance(lin)
 
+    def test_unstable_complex_pair_refused(self):
+        # the only unstable eigenvalues, 0.3 +- 2i, form a 2x2 block of the
+        # real Schur form: the guard reads its standardized diagonal
+        rng = np.random.default_rng(3)
+        t = np.triu(rng.normal(size=(15, 15)), 1)
+        t[np.diag_indices(15)] = -np.linspace(1.0, 3.0, 15)
+        t[:2, :2] = [[0.3, 2.0], [-2.0, 0.3]]
+        q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
+        a = q @ t @ q.T
+        schur_t, _ = schur(a, output="real")
+        assert np.count_nonzero(np.diag(schur_t, -1)) == 1
+        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=np.eye(15),
+                               noise_scale=1.0)
+        with pytest.raises(OracleError, match=re.escape(
+                "drift not strictly stable (max Re eigenvalue 3.00e-01); "
+                "stationary covariance undefined")):
+            lyapunov_covariance(lin)
+
+    def test_one_real_schur_per_solve(self, defaults, monkeypatch):
+        from doublelambda import oracle
+        _, _, lin = solved(defaults)
+        calls = []
+        monkeypatch.setattr(oracle, "schur",
+                            lambda *a, **k: calls.append(k) or schur(*a, **k))
+
+        def refuse(*a, **k):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigvals", refuse)
+        lyapunov_covariance(lin)
+        assert calls == [{"output": "real"}]
+
 
 class TestFastOracles:
     """The matrix forms of the oracles equal their per-step references."""
@@ -226,8 +262,8 @@ class TestFastOracles:
             assert np.linalg.norm(resid) / np.linalg.norm(lin.d) <= 1e-12
 
     def test_lyapunov_real_drift_complex_diffusion(self):
-        # a real drift with complex-Hermitian D: the Schur forms must stay
-        # triangular for the complex back-substitution
+        # a real drift with complex-Hermitian D: the real and imaginary
+        # parts of D are solved on the one real Schur form
         rng = np.random.default_rng(5)
         a = rng.normal(size=(15, 15)) - 8.0 * np.eye(15)
         x = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
@@ -239,7 +275,8 @@ class TestFastOracles:
         for p in oracle_points(8):
             gen, state, _ = solved(p)
             ref = channelwise_einsum(gen, state)
-            assert rel_diff(diffusion_matrix_channelwise(gen, state), ref) <= 1e-14
+            d = diffusion_matrix_channelwise(gen.rates[None], state.rho[None])
+            assert rel_diff(d[0], ref) <= 1e-14
 
     def test_equal_time_covariance_matches_einsum_form(self):
         for p in oracle_points(20):
@@ -271,6 +308,17 @@ class TestCrossValidate:
         direct = equal_time_covariance(state)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(sigma_bad - direct)) / scale > 1e-6
+
+    def test_flipped_commutator_detected(self, defaults, monkeypatch):
+        # [L_n^+, sigma_mu] -> [sigma_mu, L_n^+] in the channel tensor of the
+        # 4->1, 2->1 interference entry must fail the dual-path check alone
+        from doublelambda import fluctuations as fl
+        flipped = fl.CHANNEL_SANDWICHES.copy()
+        flipped[1] *= -1.0
+        monkeypatch.setattr(fl, "CHANNEL_SANDWICHES", flipped)
+        report = cross_validate(defaults)
+        assert [c.name for c in report.failures] == [
+            "Einstein-relation dual-path identity"]
 
     def test_corrupted_transfer_detected(self, defaults):
         # perturbing one entry of the M fed only to RK4 must break the
@@ -311,8 +359,8 @@ class TestCrossValidate:
             max(0.0, -float(np.min(np.linalg.eigvalsh((rho + rho.conj().T)
                                                       / 2)))),
             float(np.max(np.abs(other.expectations - state.expectations))),
-            float(np.max(np.abs(d[0]
-                                - diffusion_matrix_channelwise(gen, state)))),
+            float(np.max(np.abs(d[0] - diffusion_matrix_channelwise(
+                gen.rates[None], rho[None])[0]))),
             float(np.max(np.abs(lyapunov_covariance(lin) - direct)))
             / max(float(np.max(np.abs(direct))), 1e-30),
             max(abs(c_out[0, 1] - c_out[1, 0] - 1.0),
