@@ -6,6 +6,7 @@ import csv
 import json
 import time
 from dataclasses import asdict, fields
+from io import StringIO
 from pathlib import Path
 from typing import Optional
 
@@ -48,38 +49,48 @@ def _header(axis: str) -> list:
     return header
 
 
+def _write_text(path, text: str) -> Path:
+    """Replace the file at `path` (or a symlink's target) by a new one with
+    `text`: never truncated in place or renamed over, which ext4's
+    `auto_da_alloc` makes wait for the disk (README, "Command line")."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    target = path.resolve()
+    target.unlink(missing_ok=True)
+    with open(target, "x", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def write_results(result: SweepResult, fmt: str, path) -> Path:
     """Persist a sweep table; CSV gets RFC-4180 quoting, JSON full provenance.
 
     Float cells use repr, which round-trips every finite double exactly.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         params = result.manifest.get("base_params", {})
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            # resolved parameter block as a comment preamble; the data table
-            # below it is plain RFC-4180
-            for key in sorted(params):
-                fh.write(f"# {key} = {params[key]!r}\n")
-            fh.write(f"# noise_model = {result.manifest.get('noise_model')}\n")
-            fh.write(f"# omega = {result.manifest.get('omega')!r}\n")
-            writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-            writer.writerow(_header(result.axis))
-            columns = [_cells(c) for c in _table(result.rows).values()]
-            writer.writerows(zip(*columns))
+        buf = StringIO(newline="")
+        # resolved parameter block as a comment preamble; the data table
+        # below it is plain RFC-4180
+        for key in sorted(params):
+            buf.write(f"# {key} = {params[key]!r}\n")
+        buf.write(f"# noise_model = {result.manifest.get('noise_model')}\n")
+        buf.write(f"# omega = {result.manifest.get('omega')!r}\n")
+        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+        writer.writerow(_header(result.axis))
+        columns = [_cells(c) for c in _table(result.rows).values()]
+        writer.writerows(zip(*columns))
+        text = buf.getvalue()
     elif fmt == "json":
         payload = {
             "manifest": result.manifest,
             "axis": result.axis,
             "rows": [asdict(r) for r in result.rows],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, default=np.ndarray.tolist)
-            fh.write("\n")
+        text = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return path
+    return _write_text(path, text)
 
 
 def read_results_json(path) -> dict:
@@ -179,7 +190,6 @@ def emit_plot(result: SweepResult, stem) -> list:
     Decorative output only; nothing downstream ever reads these files back.
     """
     stem = Path(stem)
-    stem.parent.mkdir(parents=True, exist_ok=True)
     if len(result.rows) < 2:
         raise ValueError("plot needs a sweep with at least 2 rows")
     x = result.axis_values
@@ -202,8 +212,7 @@ def emit_plot(result: SweepResult, stem) -> list:
         if series:
             doc = _svg_line_plot(x, series, result.axis, ylabel, title, footer)
             path = stem.with_name(f"{stem.name}_{suffix}.svg")
-            path.write_text(doc, encoding="utf-8")
-            written.append(path)
+            written.append(_write_text(path, doc))
     return written
 
 
@@ -227,9 +236,4 @@ def run_manifest(config_dict: dict, timings: dict,
 
 
 def write_manifest(manifest: dict, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path
+    return _write_text(path, json.dumps(manifest, indent=2) + "\n")

@@ -38,6 +38,28 @@ class TestCommands:
                       if not ln.startswith("#")]
         assert len(data_lines) == 6  # header + 5 grid points
 
+    def test_rerun_into_the_same_directory(self, tmp_path):
+        """A second run replaces every output: tables and plots byte for
+        byte, the manifest but for its timestamp and timings."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nselector = custom\naxis = delta1\n"
+                       "grid = -2.0:0.0:5\n")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--svg"]
+        names = ["sweep_delta1.csv", "sweep_delta1_manifest.json"] + [
+            f"sweep_delta1_{s}.svg" for s in ("v12", "populations",
+                                              "absorption")]
+        runs = []
+        for _ in range(2):
+            assert run_cli(argv) == 0
+            runs.append({n: (out / n).read_bytes() for n in names})
+        manifests = [json.loads(r.pop("sweep_delta1_manifest.json"))
+                     for r in runs]
+        assert runs[0] == runs[1]
+        for m in manifests:
+            del m["timestamp"], m["timings_s"]
+        assert manifests[0] == manifests[1]
+
     def test_preset_sweep_json(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[sweep]\nselector = fig4\n")

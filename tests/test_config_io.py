@@ -1,9 +1,12 @@
+import ast
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import doublelambda
 from doublelambda.config import (OPTIONS, ConfigError, RunConfig, parse_config,
                                  render_config)
 from doublelambda.experiments import detuning_spec, run_sweep
@@ -308,3 +311,135 @@ class TestManifest:
             assert m1[key] == m2[key]
         # the overridden option appears verbatim
         assert m1["config"]["noise_model"] == "vacuum-reservoir"
+
+
+#: writer name -> call writing `result` to `path`; emit_plot writes
+#: <stem>_v12.svg, so its stem is the path without that suffix
+WRITERS = {
+    "csv": lambda result, path: write_results(result, "csv", path),
+    "json": lambda result, path: write_results(result, "json", path),
+    "svg": lambda result, path: emit_plot(
+        result, path.with_name(path.name[:-len("_v12.svg")])),
+    "manifest": lambda result, path: write_manifest(result.manifest, path),
+}
+WRITER_FILES = {"csv": "t.csv", "json": "t.json", "svg": "t_v12.svg",
+                "manifest": "t_manifest.json"}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+class TestReplaceNotTruncate:
+    """Every writer replaces its output file by a new one: a reader that
+    opened the previous file keeps all of it, and the path gets the new."""
+
+    OLD = b"previous output\n" * 64
+
+    def fresh_bytes(self, writer, result, tmp_path) -> bytes:
+        path = tmp_path / "fresh" / WRITER_FILES[writer]
+        WRITERS[writer](result, path)
+        return path.read_bytes()
+
+    def test_open_reader_keeps_old_bytes(self, writer, small_sweep, tmp_path):
+        path = tmp_path / "out" / WRITER_FILES[writer]
+        path.parent.mkdir()
+        path.write_bytes(self.OLD)
+        with open(path, "rb") as old:
+            WRITERS[writer](small_sweep, path)
+            assert old.read() == self.OLD
+        assert path.read_bytes() == self.fresh_bytes(writer, small_sweep,
+                                                     tmp_path)
+
+    def test_symlink_target_replaced(self, writer, small_sweep, tmp_path):
+        target = tmp_path / "real" / WRITER_FILES[writer]
+        target.parent.mkdir()
+        target.write_bytes(self.OLD)
+        link = tmp_path / "out" / WRITER_FILES[writer]
+        link.parent.mkdir()
+        link.symlink_to(target)
+        WRITERS[writer](small_sweep, link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == self.fresh_bytes(writer, small_sweep,
+                                                       tmp_path)
+
+
+class TestFailedSerialization:
+    """A document that cannot be serialized leaves the previous file."""
+
+    def test_manifest_keeps_previous_file(self, tmp_path):
+        path = write_manifest({"a": 1.0}, tmp_path / "m.json")
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_manifest({"a": 1.0, "b": np.int64(3)}, path)
+        assert path.read_bytes() == before
+
+    def test_json_results_keep_previous_file(self, small_sweep, tmp_path):
+        path = write_results(small_sweep, "json", tmp_path / "r.json")
+        before = path.read_bytes()
+        hacked = type(small_sweep)(
+            axis=small_sweep.axis, rows=small_sweep.rows,
+            manifest={**small_sweep.manifest, "bad": object()})
+        with pytest.raises(TypeError):
+            write_results(hacked, "json", path)
+        assert path.read_bytes() == before
+
+
+#: calls that write a file in place, or rename over one
+_RENAMES = {("os", "rename"), ("os", "replace"), ("shutil", "move")}
+
+
+def _in_place_writes(tree: ast.Module, skip: str = "") -> list:
+    """Line and source of each call in `tree` that opens a file for writing
+    or appending, calls .write_text/.write_bytes/.rename, or renames through
+    os or shutil; the body of a function named `skip` is not searched."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == skip:
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            base = getattr(getattr(func, "value", None), "id", None)
+            # open(file, mode), but p.open(mode)
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else None)
+            read_only = mode is None or (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+            if ((name == "open" and not read_only)
+                    or name in ("write_text", "write_bytes", "rename")
+                    or (base, name) in _RENAMES):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+class TestOneWriter:
+    """io._write_text is the only place in the package that writes a file."""
+
+    def test_no_other_writer_in_the_package(self):
+        package = Path(doublelambda.__file__).parent
+        offenders = {}
+        for module in sorted(package.glob("*.py")):
+            tree = ast.parse(module.read_text(encoding="utf-8"))
+            found = _in_place_writes(
+                tree, skip="_write_text" if module.name == "io.py" else "")
+            if found:
+                offenders[module.name] = found
+        assert offenders == {}
+
+    def test_the_writer_itself_is_seen(self):
+        """The check finds the one writer it exempts, and the forms it bans."""
+        io_src = Path(doublelambda.__file__).with_name("io.py")
+        found = _in_place_writes(ast.parse(io_src.read_text(encoding="utf-8")))
+        assert len(found) == 1 and "open(target, 'x'" in found[0]
+        banned = ('open(p, "w")', 'open(p, mode="a")', "p.open('w')",
+                  'open(p, "r+")', "open(p, m)", "p.write_text(t)",
+                  "p.write_bytes(b)", "p.rename(q)", "os.replace(p, q)")
+        for src in banned:
+            assert _in_place_writes(ast.parse(src)), src
+        assert _in_place_writes(ast.parse(
+            'open(p)\nopen(p, "rb")\np.open()\nq.read_text()')) == []
