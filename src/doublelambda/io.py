@@ -52,11 +52,16 @@ def _header(axis: str) -> list:
 def _write_text(path, text: str) -> Path:
     """Replace the file at `path` (or a symlink's target) by a new one with
     `text`: never truncated in place or renamed over, which ext4's
-    `auto_da_alloc` makes wait for the disk (README, "Command line")."""
+    `auto_da_alloc` makes wait for the disk (README, "Command line").
+    Only a regular file is replaced; a device, FIFO, socket or directory
+    at the target raises FileExistsError and is left as it is."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     target = path.resolve()
-    target.unlink(missing_ok=True)
+    if target.is_file():
+        target.unlink()
+    elif target.exists():
+        raise FileExistsError(f"{target} is not a regular file; not replaced")
     with open(target, "x", newline="", encoding="utf-8") as fh:
         fh.write(text)
     return path

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,28 @@ class TestReplaceNotTruncate:
         assert target.read_bytes() == self.fresh_bytes(writer, small_sweep,
                                                        tmp_path)
 
+    @pytest.mark.parametrize("kind", ["fifo", "link to fifo", "directory"])
+    def test_non_regular_target_refused(self, writer, small_sweep, tmp_path,
+                                        kind):
+        """Only a regular file is replaced: a FIFO or directory at the path,
+        or at the end of a symlink, makes the writer raise and stays."""
+        target = tmp_path / "real" / WRITER_FILES[writer]
+        target.parent.mkdir()
+        if kind == "directory":
+            target.mkdir()
+        else:
+            os.mkfifo(target)
+        mode = target.lstat().st_mode
+        path = target
+        if kind == "link to fifo":
+            path = tmp_path / "out" / WRITER_FILES[writer]
+            path.parent.mkdir()
+            path.symlink_to(target)
+        with pytest.raises(FileExistsError, match="not a regular file"):
+            WRITERS[writer](small_sweep, path)
+        assert target.lstat().st_mode == mode
+        assert path.is_symlink() == (kind == "link to fifo")
+
 
 class TestFailedSerialization:
     """A document that cannot be serialized leaves the previous file."""
@@ -387,7 +410,7 @@ _RENAMES = {("os", "rename"), ("os", "replace"), ("shutil", "move")}
 
 
 def _in_place_writes(tree: ast.Module, skip: str = "") -> list:
-    """Line and source of each call in `tree` that opens a file for writing
+    """(line, source) of each call in `tree` that opens a file for writing
     or appending, calls .write_text/.write_bytes/.rename, or renames through
     os or shutil; the body of a function named `skip` is not searched."""
     found = []
@@ -409,7 +432,7 @@ def _in_place_writes(tree: ast.Module, skip: str = "") -> list:
             if ((name == "open" and not read_only)
                     or name in ("write_text", "write_bytes", "rename")
                     or (base, name) in _RENAMES):
-                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+                found.append((node.lineno, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
             visit(child)
 
@@ -434,8 +457,13 @@ class TestOneWriter:
     def test_the_writer_itself_is_seen(self):
         """The check finds the one writer it exempts, and the forms it bans."""
         io_src = Path(doublelambda.__file__).with_name("io.py")
-        found = _in_place_writes(ast.parse(io_src.read_text(encoding="utf-8")))
-        assert len(found) == 1 and "open(target, 'x'" in found[0]
+        tree = ast.parse(io_src.read_text(encoding="utf-8"))
+        writer = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_write_text")
+        found = _in_place_writes(tree)
+        assert len(found) == 1
+        assert writer.lineno < found[0][0] <= writer.end_lineno
         banned = ('open(p, "w")', 'open(p, mode="a")', "p.open('w')",
                   'open(p, "r+")', "open(p, m)", "p.write_text(t)",
                   "p.write_bytes(b)", "p.rename(q)", "os.replace(p, q)")
