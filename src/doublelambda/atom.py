@@ -154,11 +154,14 @@ def dissipator_stack(rates: np.ndarray) -> np.ndarray:
     return _contract(rates, DISSIPATOR_BASIS)
 
 
-def liouvillian_stack(h: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def liouvillian_stack(h: np.ndarray,
+                      dissipators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(coherent part, full Liouvillian), each (P, 16, 16), from the
-    coefficient stacks of coefficient_stack."""
+    Hamiltonian coefficient stack of coefficient_stack and the
+    dissipator_stack of its rates, which a caller that varies only the
+    Hamiltonian contracts once."""
     coherent = _contract(h, COHERENT_BASIS)
-    return coherent, coherent + dissipator_stack(r)
+    return coherent, coherent + dissipators
 
 
 def adjoint_stack(lmats: np.ndarray) -> np.ndarray:
@@ -221,13 +224,14 @@ def generator_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
     exact mean-field evolution map used for the field-coupling columns.
     """
     h = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
-    return liouvillian_stack(h[None], _rate_coefficients(params)[None])[1][0]
+    rates = _rate_coefficients(params)[None]
+    return liouvillian_stack(h[None], dissipator_stack(rates))[1][0]
 
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
     h, r = coefficient_stack(params)
-    coherent, lmat = liouvillian_stack(h[None], r[None])
+    coherent, lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
     return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
                      coherent=coherent[0], rates=r, params=params)
 

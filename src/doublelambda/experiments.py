@@ -12,14 +12,15 @@ unchanged.
 
 from __future__ import annotations
 
+import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import atom
 from . import fluctuations as fl
@@ -240,7 +241,7 @@ def _linearize_stack(ps: ParamStack, noise_model: str) -> tuple:
     """
     stack = _Stack(len(ps))
     h, r = atom.coefficient_stack(ps)
-    coherent, lmat = atom.liouvillian_stack(h, r)
+    coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     rho_all, methods, failures = steady_state_stack(lmat)
     coherent, lmat, r, rho = stack.drop(failures, coherent, lmat, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
@@ -474,16 +475,89 @@ SWEEP_SELECTORS = {
 
 POP2_TARGET = 0.064  # upper-level population peak at the symmetric midpoint
 
+#: Brent settings of calibrate_coupling: absolute and relative tolerance on
+#: g and the iteration cap (scipy.optimize.brentq's rtol and maxiter)
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent_value(f, x: float) -> float:
+    """f(x) as a float; a NaN stops the search with scipy's message."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; "
+                         "solver cannot continue.")
+    return fx
+
+
+def _brentq(f, a: float, b: float) -> float:
+    """A root of f in the bracket [a, b] by Brent's method (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (brentq.c and its NaN
+    guard) at xtol = _BRENT_XTOL: it evaluates f at the same points, returns
+    the same float and raises the same errors, without importing
+    scipy.optimize and the modules that import pulls in.  xpre and xcur are
+    the previous and current iterates, xblk the contrapoint with f of the
+    other sign, spre and scur the previous and current steps.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = _brent_value(f, xpre)
+    fcur = _brent_value(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # both ends are nonzero and not NaN, so `< 0` is the sign bit
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _brent_value(f, xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
 
 def calibrate_coupling(base: Optional[SystemParams] = None,
                        target: float = POP2_TARGET,
                        bracket: tuple = (0.05, 1.0)) -> float:
     """Fit g so the midpoint steady state reaches the reference populations.
 
-    Solves <sigma_22>(g) = target at the symmetric working point; the
-    companion value <sigma_11> = 1/2 - target follows from the reflection
-    symmetry of the configuration.  Only the field coefficients g*a depend
-    on g: each step rewrites them and runs the steady solve with all checks.
+    Solves <sigma_22>(g) = target at the symmetric working point with
+    _brentq; the companion value <sigma_11> = 1/2 - target follows from the
+    reflection symmetry of the configuration.  Only the field coefficients
+    g*a depend on g: the dissipator is contracted once, and each step
+    rewrites the field coefficients, contracts the coherent part and runs
+    the steady solve with all checks.
     """
     if base is None:
         base = SystemParams()
@@ -491,13 +565,15 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
     for g in bracket:
         base.replace(g=g)  # same ValueError as a step at that end would give
     h, r = (x[None] for x in atom.coefficient_stack(base))
+    dissipator = atom.dissipator_stack(r)
     a1, a2 = base.a1_mean, base.a2_mean
 
     def objective(g: float) -> float:
         h[0, 2:] = g * a1, g * a1, g * a2, g * a2
-        rho, _, failures = steady_state_stack(atom.liouvillian_stack(h, r)[1])
+        lmat = atom.liouvillian_stack(h, dissipator)[1]
+        rho, _, failures = steady_state_stack(lmat)
         if failures:
             raise failures[0]
         return rho[0, 1, 1].real - target
 
-    return float(brentq(objective, *bracket, xtol=1e-12))
+    return _brentq(objective, *bracket)

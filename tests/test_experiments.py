@@ -1,4 +1,8 @@
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doublelambda import SystemParams
+from doublelambda import experiments
 from doublelambda.entanglement import duan_v12
 from doublelambda.experiments import (SWEEP_SELECTORS, SweepSpec,
                                       alignment_spec, amplitude_spec,
@@ -433,6 +438,115 @@ class TestCalibration:
         p = defaults.replace(g=g, delta1=-1.0)
         st = solve_steady_state(build_generator(p), p)
         assert st.populations[1] == pytest.approx(0.064, abs=1e-9)
+
+    def test_dissipator_contracted_once(self, defaults, monkeypatch):
+        from doublelambda import atom
+        contractions, steps = [], []
+        dissipators, liouvillians = atom.dissipator_stack, atom.liouvillian_stack
+        monkeypatch.setattr(atom, "dissipator_stack",
+                            lambda r: contractions.append(1) or dissipators(r))
+        monkeypatch.setattr(atom, "liouvillian_stack",
+                            lambda *a: steps.append(1) or liouvillians(*a))
+        calibrate_coupling(defaults)
+        assert len(contractions) == 1
+        assert len(steps) > 2
+
+    def test_loads_no_scipy_optimize(self):
+        """A run through the command-line module and a calibration never
+        import scipy.optimize, whose import chain costs about a third of the
+        start-up time and 20 MB."""
+        import doublelambda
+        code = ("import sys, doublelambda.cli\n"
+                "from doublelambda import SystemParams, calibrate_coupling\n"
+                "calibrate_coupling(SystemParams())\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith('scipy.optimize')))")
+        src = Path(doublelambda.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def _steep(x):
+    return math.exp(20.0 * x) - 10.0
+
+
+def _step(x):
+    return -1.0 if x < 0.3 else 1.0
+
+
+def _nan_inside(x):
+    return x - 0.3 if x in (0.0, 1.0) else math.nan
+
+
+def _nan_at(nan_x, f):
+    return lambda x: math.nan if x == nan_x else f(x)
+
+
+#: (f, bracket) pairs: smooth, steep, flat at the root, a root at either
+#: end, a sign step, signed-zero ends and values, no sign change, and NaN
+#: at a, at b and at the first inner point.  Both solvers stop x**3 on
+#: (-2, 1) at the 100-iteration cap; a small linear term lets it converge.
+BRENT_CASES = {
+    "smooth": (lambda x: math.cos(x) - x, (0.0, 1.0)),
+    "steep": (_steep, (-1.0, 1.0)),
+    "flat": (lambda x: x ** 3, (-2.0, 1.0)),
+    "flat-converging": (lambda x: x ** 3 + 1e-3 * x, (-1.0, 2.0)),
+    "root-at-a": (lambda x: x - 0.5, (0.5, 2.0)),
+    "root-at-b": (lambda x: x - 2.0, (0.5, 2.0)),
+    "step": (_step, (0.0, 1.0)),
+    "end-minus-zero": (lambda x: x, (-0.0, 1.0)),
+    "value-minus-zero": (lambda x: math.copysign(0.0, x), (-1.0, 1.0)),
+    "same-signs": (lambda x: x * x + 1.0, (-1.0, 1.0)),
+    "nan-at-a": (_nan_at(0.0, lambda x: x - 0.3), (0.0, 1.0)),
+    "nan-at-b": (_nan_at(1.0, lambda x: x - 0.3), (0.0, 1.0)),
+    "nan-inside": (_nan_inside, (0.0, 1.0)),
+}
+
+
+def brent_outcome(solve, f, bracket):
+    """What solve(f, *bracket) returns or raises, and the reprs of the
+    points it evaluated f at, in order."""
+    seen = []
+
+    def recorded(x):
+        seen.append(repr(x))
+        return f(x)
+
+    try:
+        root = solve(recorded, *bracket)
+    except (ValueError, RuntimeError) as exc:
+        return (type(exc), str(exc)), seen
+    return (type(root), root, math.copysign(1.0, root)), seen
+
+
+class TestBrentPort:
+    """experiments._brentq against scipy.optimize.brentq at the same xtol."""
+
+    @staticmethod
+    def reference(f, a, b, maxiter=100):
+        from scipy.optimize import brentq
+        return brentq(f, a, b, xtol=experiments._BRENT_XTOL, maxiter=maxiter)
+
+    @pytest.mark.parametrize("case", sorted(BRENT_CASES))
+    def test_matches_scipy(self, case):
+        f, bracket = BRENT_CASES[case]
+        port, port_seen = brent_outcome(experiments._brentq, f, bracket)
+        ref, ref_seen = brent_outcome(self.reference, f, bracket)
+        assert port == ref
+        assert port_seen == ref_seen
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_BRENT_MAXITER", 3)
+        f, bracket = BRENT_CASES["steep"]
+        port, port_seen = brent_outcome(experiments._brentq, f, bracket)
+        ref, ref_seen = brent_outcome(
+            lambda *a: self.reference(*a, maxiter=3), f, bracket)
+        assert port == ref == (RuntimeError,
+                               "Failed to converge after 3 iterations.")
+        assert port_seen == ref_seen
 
 
 class TestNoiseModels:
