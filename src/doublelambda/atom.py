@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .params import BASIS, ParamStack, SystemParams
 
@@ -180,19 +179,6 @@ def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarra
     return np.real(traces @ rates[:, :, None])[:, 0, 0]
 
 
-def hamiltonian_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
-    """Rotating-frame Hamiltonian / hbar with the four field amplitudes as
-    independent c-numbers (non-Hermitian unless a1d = conj(a1) etc.)."""
-    coeffs = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
-    return _contract(coeffs[None], HAMILTONIAN_OPERATORS)[0]
-
-
-def build_hamiltonian(params: SystemParams) -> np.ndarray:
-    """Hamiltonian at the (real) mean field amplitudes."""
-    a1, a2 = params.a1_mean, params.a2_mean
-    return hamiltonian_with_fields(params, a1, a1, a2, a2)
-
-
 @dataclass(frozen=True)
 class Generator:
     """Liouvillian of the model in both pictures.
@@ -215,17 +201,6 @@ class Generator:
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
         """Heisenberg action on an operator given as a 4x4 matrix."""
         return (self.matrix.conj().T @ x.reshape(16)).reshape(4, 4)
-
-
-def generator_with_fields(params: SystemParams, a1, a1d, a2, a2d) -> np.ndarray:
-    """Liouvillian matrix with the fields frozen at arbitrary c-numbers.
-
-    The master equation is linear in each field amplitude, so this is the
-    exact mean-field evolution map used for the field-coupling columns.
-    """
-    h = _hamiltonian_coefficients(params, a1, a1d, a2, a2d)
-    rates = _rate_coefficients(params)[None]
-    return liouvillian_stack(h[None], dissipator_stack(rates))[1][0]
 
 
 def build_generator(params: SystemParams) -> Generator:
@@ -277,11 +252,14 @@ def dark_state_analysis(params: SystemParams) -> DarkStateAnalysis:
 def jump_amplitudes_on_state(params: SystemParams, state: np.ndarray) -> list[np.ndarray]:
     """For each final state f in {1, 3}: sqrt(Gamma_f) applied to the state's
     (level-4, level-2) amplitude pair.  Both vectors vanish iff the state is
-    dark with respect to the correlated spontaneous decay."""
+    dark with respect to the correlated spontaneous decay.  Gamma_f is
+    Hermitian positive semidefinite, so its root comes from eigh, with the
+    eigenvalues that rounding leaves below 0 clipped to 0."""
     rm = build_rate_matrices(params)
     amps = np.array([state[3], state[1]])
     out = []
     for gmat in (rm.gamma_to_1, rm.gamma_to_3):
-        root = sqrtm(gmat.astype(complex))
+        w, v = np.linalg.eigh(gmat)
+        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
         out.append(root @ amps)
     return out

@@ -27,7 +27,6 @@ from . import fluctuations as fl
 from . import propagation as pr
 from .atom import build_generator  # noqa: F401  (the benchmark reads it)
 from .entanglement import duan_stack
-from .oracle import cross_validate
 from .params import BASIS, ParamStack, SystemParams
 from .steady import absorption, steady_state_stack
 
@@ -400,6 +399,7 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
         rows = _evaluate(ps, spec.grid, spec.omega, spec.noise_model)
     validations = {}
     if spec.validate_every > 0:
+        from .oracle import cross_validate  # loads scipy, so only on demand
         for idx in range(0, len(spec.grid), spec.validate_every):
             validations[idx] = cross_validate(ps.point(idx)).as_dict()
     manifest = {

@@ -98,11 +98,6 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
     return _write_text(path, text)
 
 
-def read_results_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- SVG ----------------------------------------------------------------------
 
 SVG_W, SVG_H = 640, 420

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .atom import FIELD_OPERATORS
 from . import fluctuations as fl
 from .fluctuations import FRAME, LinearizedSystem
+from .matfuncs import expm
 from .params import HERMITIAN_BASIS, SPEED_OF_LIGHT, SystemParams
 
 #: bound on the relative disagreement between the propagator block of the

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .atom import Generator
+from .matfuncs import expm
 from .params import BASIS, SystemParams
 
 #: fallback initial state: unpolarized atoms entering the beam

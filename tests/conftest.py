@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from doublelambda import SystemParams
-from doublelambda.atom import JUMP_GROUPS
+from doublelambda.atom import (JUMP_GROUPS, coefficient_stack,
+                               dissipator_stack, liouvillian_stack)
 
 
 def random_params(rng, with_fields=False) -> SystemParams:
@@ -30,6 +31,25 @@ def rate_groups(rates):
         groups.append((ops, rates[:n * n].reshape(n, n)))
         rates = rates[n * n:]
     return groups
+
+
+def field_coefficients(params, fields=None):
+    """coefficient_stack's Hamiltonian coefficients (delta1, delta2, g a1,
+    g a1+, g a2, g a2+), with the four field amplitudes replaced by
+    independent c-numbers when `fields` is given."""
+    h, _ = coefficient_stack(params)
+    if fields is None:
+        return h
+    return np.concatenate([h[:2], params.g * np.asarray(fields)])
+
+
+def fields_liouvillian(params, fields):
+    """The Liouvillian matrix with the fields frozen at arbitrary c-numbers:
+    the master equation is linear in each field amplitude, so this is the
+    exact mean-field evolution map."""
+    h = field_coefficients(params, fields)
+    rates = coefficient_stack(params)[1]
+    return liouvillian_stack(h[None], dissipator_stack(rates[None]))[1][0]
 
 
 @pytest.fixture

@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import (build_generator, build_hamiltonian,
-                               build_rate_matrices, dark_state_analysis,
+from doublelambda.atom import (HAMILTONIAN_OPERATORS, _contract,
+                               build_generator, build_rate_matrices,
+                               dark_state_analysis,
                                dissipative_activity_stack,
-                               generator_with_fields, hamiltonian_with_fields,
                                jump_amplitudes_on_state)
-from conftest import random_params, rate_groups
+from conftest import (field_coefficients, fields_liouvillian, random_params,
+                      rate_groups)
+
+
+def hamiltonian(params, fields=None):
+    """H / hbar contracted from coefficient_stack's coefficients."""
+    h = field_coefficients(params, fields)
+    return _contract(h[None], HAMILTONIAN_OPERATORS)[0]
 
 
 class TestHamiltonian:
@@ -15,24 +23,24 @@ class TestHamiltonian:
         # two-photon resonance keeps level 3 at zero; levels 2 and 4 sit at
         # -delta2 and -delta1
         p = SystemParams(g=0.0, delta1=-1.0, omega42=2.0)
-        h = build_hamiltonian(p)
+        h = hamiltonian(p)
         assert np.allclose(np.diag(h), [0.0, -1.0, 0.0, 1.0])
         assert np.allclose(h, np.diag(np.diag(h)))
 
     def test_hermitian(self, rng):
         for _ in range(20):
-            h = build_hamiltonian(random_params(rng, with_fields=True))
+            h = hamiltonian(random_params(rng, with_fields=True))
             assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_symmetric_midpoint(self):
         p = SystemParams(delta1=-1.0, omega42=2.0)
-        h = build_hamiltonian(p)
+        h = hamiltonian(p)
         assert h[1, 1] == pytest.approx(-1.0)
         assert h[3, 3] == pytest.approx(1.0)
 
     def test_coupling_placement(self):
         p = SystemParams(a1_mean=0.7, a2_mean=0.3)
-        h = build_hamiltonian(p)
+        h = hamiltonian(p)
         g = p.g
         assert h[3, 0] == pytest.approx(-g * 0.7)
         assert h[1, 0] == pytest.approx(-g * 0.7)
@@ -92,14 +100,13 @@ class TestGenerator:
             x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = (x + x.conj().T) / 2
             channels = rate_groups(build_generator(p).rates)
-            want = direct_lindblad(build_hamiltonian(p), channels, rho)
+            want = direct_lindblad(hamiltonian(p), channels, rho)
             got = build_generator(p).apply(rho)
             assert np.max(np.abs(got - want)) < 1e-12
             # independent, non-conjugate field amplitudes
             fields = rng.normal(size=4) + 1j * rng.normal(size=4)
-            want = direct_lindblad(hamiltonian_with_fields(p, *fields),
-                                   channels, rho)
-            got = (generator_with_fields(p, *fields) @ rho.reshape(16)).reshape(4, 4)
+            want = direct_lindblad(hamiltonian(p, fields), channels, rho)
+            got = (fields_liouvillian(p, fields) @ rho.reshape(16)).reshape(4, 4)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_trace_preservation(self):
@@ -173,6 +180,49 @@ class TestDarkState:
         norms = [np.linalg.norm(v)
                  for v in jump_amplitudes_on_state(p, d.phi1_amplitudes)]
         assert max(norms) > 0.1
+
+
+class TestJumpRoot:
+    """jump_amplitudes_on_state's eigh root against scipy.linalg.sqrtm."""
+
+    @staticmethod
+    def sqrtm_amplitudes(p, state):
+        rm = build_rate_matrices(p)
+        amps = np.array([state[3], state[1]])
+        return [scipy.linalg.sqrtm(g.astype(complex)) @ amps
+                for g in (rm.gamma_to_1, rm.gamma_to_3)]
+
+    def check(self, p, rng, rtol):
+        for _ in range(5):
+            state = rng.normal(size=4) + 1j * rng.normal(size=4)
+            got = jump_amplitudes_on_state(p, state)
+            want = self.sqrtm_amplitudes(p, state)
+            scale = np.linalg.norm(state) * np.sqrt(
+                np.abs(build_generator(p).rates[:8]).max())
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= rtol * scale
+
+    def test_reference_point(self, defaults, rng):
+        self.check(defaults, rng, 1e-14)
+
+    def test_random_draws(self, rng):
+        for _ in range(20):
+            self.check(random_params(rng), rng, 1e-13)
+
+    def test_rank_deficient_draw(self, rng):
+        # unit alignment: rounding leaves each rate matrix an eigenvalue
+        # below 0, which the root clips; a root of a singular matrix moves
+        # by sqrt(eps) under such a perturbation, so sqrtm agrees only to ~1e-8
+        p = SystemParams(gamma1=0.1, gamma2=0.2, gamma3=0.1, gamma4=0.2,
+                         p1=1.0, p2=-1.0)
+        rm = build_rate_matrices(p)
+        for gmat in (rm.gamma_to_1, rm.gamma_to_3):
+            assert np.linalg.eigvalsh(gmat).min() < 0
+        self.check(p, rng, 1e-7)
+        # (level-4, level-2) amplitudes orthogonal to (sqrt(g1), sqrt(g2)):
+        # the aligned channels to level 1 cancel
+        null = np.array([0.0, -np.sqrt(0.1), 0.0, np.sqrt(0.2)])
+        assert np.linalg.norm(jump_amplitudes_on_state(p, null)[0]) < 1e-15
 
 
 def test_dissipative_activity_dark_vs_bright(defaults):

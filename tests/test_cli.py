@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,45 @@ class TestCommands:
         code = run_cli(["calibrate", "--out", str(tmp_path)])
         assert code == 0
         assert "0.2938" in capsys.readouterr().out
+
+    def test_only_validate_loads_scipy(self, tmp_path):
+        """In a fresh interpreter, steady, a sweep, spectrum and calibrate
+        load no scipy module, whose import is about half of a short run's
+        start-up time; validate then loads the oracle, and scipy with it."""
+        import doublelambda
+        (tmp_path / "sweep.cfg").write_text(
+            "[sweep]\nselector = custom\naxis = delta1\ngrid = -1.0:1.0:5\n")
+        (tmp_path / "spectrum.cfg").write_text("[run]\nomega_grid = 0.0:1.0:3\n")
+        code = f"""
+import json, sys
+import doublelambda
+from doublelambda import cli
+out = {str(tmp_path)!r}
+loaded = {{}}
+for args in (["steady"], ["sweep", "--config", out + "/sweep.cfg"],
+             ["spectrum", "--config", out + "/spectrum.cfg"], ["calibrate"],
+             ["validate"]):
+    assert cli.main(args + ["--out", out]) == 0, args
+    loaded[args[0]] = sorted(m for m in sys.modules
+                             if m.partition(".")[0] == "scipy")
+oracle = sys.modules["doublelambda.oracle"]
+names = ("EvolutionResult", "ValidationReport", "cross_validate",
+         "lyapunov_covariance", "regression_covariance", "time_evolve")
+print(json.dumps([loaded, doublelambda.cross_validate is oracle.cross_validate,
+                  all(getattr(doublelambda, n) is getattr(oracle, n)
+                      for n in names)]))
+"""
+        src = Path(doublelambda.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded, same, exported = json.loads(proc.stdout.splitlines()[-1])
+        assert {cmd: loaded[cmd] for cmd in
+                ("steady", "sweep", "spectrum", "calibrate")} == {
+            "steady": [], "sweep": [], "spectrum": [], "calibrate": []}
+        assert "scipy.linalg" in loaded["validate"]
+        assert same and exported
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

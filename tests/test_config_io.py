@@ -11,8 +11,8 @@ import doublelambda
 from doublelambda.config import (OPTIONS, ConfigError, RunConfig, parse_config,
                                  render_config)
 from doublelambda.experiments import detuning_spec, run_sweep
-from doublelambda.io import (emit_plot, read_results_json, run_manifest,
-                             write_manifest, write_results)
+from doublelambda.io import (emit_plot, run_manifest, write_manifest,
+                             write_results)
 from doublelambda.params import SystemParams
 
 
@@ -243,7 +243,7 @@ class TestCsv:
 class TestJson:
     def test_bit_identical_roundtrip(self, small_sweep, tmp_path):
         path = write_results(small_sweep, "json", tmp_path / "fig2.json")
-        payload = read_results_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         for row, src in zip(payload["rows"], small_sweep.rows):
             assert row["v12"] == src.v12  # exact repr serialization
             assert row["axis_value"] == src.axis_value
@@ -257,7 +257,7 @@ class TestJson:
                                    rows=small_sweep.rows[:2] + (bad,),
                                    manifest=small_sweep.manifest)
         path = write_results(hacked, "json", tmp_path / "f.json")
-        payload = read_results_json(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["rows"][2]["error"] == "BoomError: x"
         assert payload["rows"][2]["v12"] is None
         assert payload["rows"][2]["axis_value"] == small_sweep.rows[2].axis_value

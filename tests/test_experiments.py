@@ -1,8 +1,5 @@
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -450,23 +447,6 @@ class TestCalibration:
         calibrate_coupling(defaults)
         assert len(contractions) == 1
         assert len(steps) > 2
-
-    def test_loads_no_scipy_optimize(self):
-        """A run through the command-line module and a calibration never
-        import scipy.optimize, whose import chain costs about a third of the
-        start-up time and 20 MB."""
-        import doublelambda
-        code = ("import sys, doublelambda.cli\n"
-                "from doublelambda import SystemParams, calibrate_coupling\n"
-                "calibrate_coupling(SystemParams())\n"
-                "print(sorted(m for m in sys.modules\n"
-                "             if m.startswith('scipy.optimize')))")
-        src = Path(doublelambda.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
 
 
 def _steep(x):

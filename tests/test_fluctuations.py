@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import (RADIATIVE_ENTRIES, build_generator,
-                               generator_with_fields)
+from doublelambda.atom import RADIATIVE_ENTRIES, build_generator
 from doublelambda.fluctuations import (FRAME, ResponseError,
                                        _state_products,
                                        diffusion_matrix_channelwise,
@@ -14,7 +13,7 @@ from doublelambda.fluctuations import (FRAME, ResponseError,
                                        response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.steady import solve_steady_state
-from conftest import random_params
+from conftest import fields_liouvillian, random_params
 
 
 def prepare(params):
@@ -130,8 +129,8 @@ class TestFieldCoupling:
                 vp, vm = v0.copy(), v0.copy()
                 vp[k] += h
                 vm[k] -= h
-                lp = generator_with_fields(p, *vp)
-                lm = generator_with_fields(p, *vm)
+                lp = fields_liouvillian(p, vp)
+                lm = fields_liouvillian(p, vm)
                 adj_diff = BASIS.swap @ ((lp - lm) / (2 * h)) @ BASIS.swap
                 col_fd = FRAME @ (adj_diff @ s_full)
                 assert np.max(np.abs(col_fd - b[:, k])) < 1e-8

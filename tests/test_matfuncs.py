@@ -1,0 +1,136 @@
+"""The in-package matrix exponential against scipy.linalg.expm."""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from doublelambda import SystemParams
+from doublelambda import propagation as pr
+from doublelambda.atom import build_generator
+from doublelambda.experiments import (SWEEP_SELECTORS, compute_point,
+                                      run_sweep, spectrum)
+from doublelambda.matfuncs import THETA, expm
+from test_invariants import OVERFLOWING
+
+RTOL = 1e-14
+
+
+def relative_error(got, want):
+    """Largest entry error of each matrix over its largest entry."""
+    return (np.max(np.abs(got - want), axis=(-2, -1))
+            / np.max(np.abs(want), axis=(-2, -1)))
+
+
+def one_norms(a):
+    return np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+
+
+@pytest.fixture(scope="module")
+def pipeline_stacks():
+    """The stacks propagate_stack exponentiates in the fig2 sweep and in the
+    spectrum-dense spectrum (n0 x1000, vacuum-reservoir, 128 frequencies)."""
+    stacks = {"fig2": [], "spectrum-dense": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, run in (
+                ("fig2", lambda: run_sweep(
+                    SWEEP_SELECTORS["fig2"](SystemParams()), workers=1)),
+                ("spectrum-dense", lambda: spectrum(
+                    SystemParams(n0=3e19), np.linspace(0.0, 5.0, 128),
+                    noise_model="vacuum-reservoir"))):
+            mp.setattr(pr, "expm",
+                       lambda a, name=name: stacks[name].append(a) or expm(a))
+            run()
+    return stacks
+
+
+@pytest.mark.parametrize("name", ["fig2", "spectrum-dense"])
+def test_pipeline_stacks_match_scipy(pipeline_stacks, name):
+    kinds = set()
+    for a in pipeline_stacks[name]:
+        kinds.add((a.shape[1:], a.dtype))
+        assert relative_error(expm(a), scipy.linalg.expm(a)).max() <= RTOL
+    assert kinds == {((17, 17), np.dtype(float)), ((4, 4), np.dtype(complex))}
+
+
+def test_spectrum_dense_reaches_degree_13(pipeline_stacks):
+    norms = np.concatenate([one_norms(a)
+                            for a in pipeline_stacks["spectrum-dense"]])
+    assert norms.max() > THETA[-2]
+
+
+def test_squaring_matches_scipy(pipeline_stacks):
+    # x16 takes the real spectrum-dense stacks up to four squarings
+    for a in pipeline_stacks["spectrum-dense"]:
+        if a.dtype == float:
+            a = 16.0 * a
+            assert one_norms(a).max() > 8 * THETA[-1]
+            assert relative_error(expm(a), scipy.linalg.expm(a)).max() <= RTOL
+
+
+def test_rotations_match_cos_sin():
+    # exp(t J) turns by t: its 1-norm t crosses every degree's bound and
+    # takes up to three squarings
+    t = np.linspace(0.0, 40.0, 4001)
+    a = t[:, None, None] * np.array([[0.0, -1.0], [1.0, 0.0]])
+    c, s = np.cos(t), np.sin(t)
+    exact = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    assert np.max(np.abs(expm(a) - exact)) <= 1e-14
+
+
+def test_zero_gives_the_exact_identity():
+    for dtype in (float, complex):
+        e = expm(np.zeros((3, 17, 17), dtype=dtype))
+        assert e.dtype == dtype
+        assert np.array_equal(e, np.broadcast_to(np.eye(17), (3, 17, 17)))
+
+
+def test_one_matrix_as_steady_passes():
+    # _integrate_to_steady's step: L / ||L||_2 of the reference Liouvillian
+    lmat = build_generator(SystemParams()).matrix
+    a = lmat / np.linalg.norm(lmat, 2)
+    e = expm(a)
+    assert e.shape == (16, 16)
+    assert relative_error(e, scipy.linalg.expm(a)) <= RTOL
+
+
+def test_nonfinite_entries_give_nan_silently():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    a[1, 2, 3] = np.nan
+    a[2, 0, 0] = np.inf
+    a[3, 1, 0] = -np.inf * 1j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = expm(a)
+    assert np.isnan(e[1:4]).all()
+    finite = [0, 4]
+    assert relative_error(e[finite], scipy.linalg.expm(a[finite])).max() <= RTOL
+
+
+def test_overflowing_norm_keeps_an_integer_scaling():
+    # the column sums overflow float64; the exponential itself is 0
+    big = np.finfo(float).max
+    a = np.array([[-big, 0.0], [-big, -big]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(expm(a), np.zeros((2, 2)))
+
+
+def test_overflowing_draw_fails_by_name():
+    # the pinned draw's generators need squaring, and their exponentials
+    # overflow as scipy's do; the row names the gain exponent
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pr, "expm", lambda a: seen.append(a) or expm(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = compute_point(OVERFLOWING, 0.0, "einstein")
+    assert row.error.endswith("gain exponent max Re eig(M)·L = 728.6")
+    assert "propagation overflow" in row.error
+    for a in seen:
+        assert np.isfinite(a).all() and one_norms(a).max() > THETA[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(expm(a)).any()
+            assert not np.isfinite(scipy.linalg.expm(a)).any()
