@@ -52,8 +52,8 @@ def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
                   validate_every=cfg.validate_every)
     if cfg.selector == "custom":
         return ex.SweepSpec(base=cfg.params, axis=cfg.axis,
-                            grid=cfg.grid_array(), scalings=cfg.scalings,
-                            **common)
+                            grid=np.linspace(*cfg.grid),
+                            scalings=cfg.scalings, **common)
     return ex.SWEEP_SELECTORS[cfg.selector](cfg.params, **common)
 
 
@@ -106,8 +106,14 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     rows = ex.spectrum(cfg.params, np.linspace(*cfg.omega_grid),
                        noise_model=cfg.noise_model)
     elapsed = time.perf_counter() - t0
+    failed = [r for r in rows if r.failed]
+    if failed:  # the first failed frequency, as the run's error
+        print(f"error: {failed[0].error}", file=sys.stderr)
+        return 1
+    records = [{"omega": r.axis_value, "v12": r.v12, "du2": r.du2,
+                "dv2": r.dv2, "warnings": list(r.warnings)} for r in rows]
     path = _write_manifest(cfg, elapsed, out / "spectrum.json",
-                           extra={"spectrum": rows})
+                           extra={"spectrum": records})
     print(f"spectrum: {len(rows)} frequencies in {elapsed:.2f} s -> {path}")
     return 0
 

@@ -3,7 +3,8 @@
 Sections: [params] (physical constants), [run] (command, integration and
 output options), [sweep] (selector, axis, grid, scalings).  Unknown sections
 or keys are rejected with the offending line number, as are malformed
-numbers, physically invalid parameter combinations and retired keys.
+numbers, physically invalid parameter combinations, retired keys and an
+axis, grid or scalings key under any selector but custom.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
-
-import numpy as np
 
 from .experiments import AXES, SWEEP_SELECTORS, ScalingRule
 from .fluctuations import NOISE_MODELS
@@ -62,10 +61,6 @@ class RunConfig:
     svg: bool = False
     validate_every: int = 0
 
-    def grid_array(self) -> np.ndarray:
-        start, stop, points = self.grid
-        return np.linspace(start, stop, int(points))
-
 
 def _strip_comment(line: str) -> str:
     """The line without its comment, which starts at a '#' after whitespace
@@ -87,11 +82,13 @@ def _parse_int(raw: str) -> int:
         raise ValueError(f"malformed integer {raw!r}") from None
 
 
-def _parse_workers(raw: str) -> int:
-    workers = _parse_int(raw)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+def _int_at_least(key: str, low: int) -> Callable[[str], int]:
+    def parse(raw: str) -> int:
+        value = _parse_int(raw)
+        if value < low:
+            raise ValueError(f"{key} must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _parse_bool(raw: str) -> bool:
@@ -107,11 +104,8 @@ def _parse_grid(raw: str) -> tuple:
     parts = [p.strip() for p in raw.split(":")]
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:points, got {raw!r}")
-    start, stop, points = (_parse_float(parts[0]), _parse_float(parts[1]),
-                           _parse_int(parts[2]))
-    if points < 1:
-        raise ValueError("grid needs at least one point")
-    return (start, stop, points)
+    return (_parse_float(parts[0]), _parse_float(parts[1]),
+            _int_at_least("grid points", 1)(parts[2]))
 
 
 def _render_grid(grid: tuple) -> str:
@@ -141,12 +135,13 @@ OPTIONS = {
         "format": ("fmt", _choice("format", FORMATS), str),
         "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS),
                         str),
-        "workers": ("workers", _parse_workers, str),
+        "workers": ("workers", _int_at_least("workers", 1), str),
         "omega": ("omega", _parse_float, repr),
         "omega_grid": ("omega_grid", _parse_grid, _render_grid),
         "out": ("out_dir", str, str),
         "svg": ("svg", _parse_bool, lambda v: "true" if v else "false"),
-        "validate_every": ("validate_every", _parse_int, str),
+        "validate_every": ("validate_every",
+                           _int_at_least("validate_every", 0), str),
     },
     "sweep": {
         "selector": ("selector", _choice("sweep selector", SELECTORS), str),
@@ -157,10 +152,14 @@ OPTIONS = {
     },
 }
 
+#: the [sweep] keys that only selector = custom reads
+CUSTOM_KEYS = ("axis", "grid", "scalings")
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key = value config; defaults are the reference setup."""
     values = {"params": {}, "run": {}}
+    custom_lines = {}  # line of each CUSTOM_KEYS key given
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = _strip_comment(rawline)
@@ -189,6 +188,8 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"unknown {section} option {key!r}", lineno)
             name, parse, _ = OPTIONS[section][key]
             target = values["run"]
+            if section == "sweep" and key in CUSTOM_KEYS:
+                custom_lines.setdefault(key, lineno)
         else:
             raise ConfigError(
                 f"unknown option {key!r} in retired section [{section}]", lineno)
@@ -196,6 +197,11 @@ def parse_config(text: str) -> RunConfig:
             target[name] = parse(raw)
         except ValueError as exc:
             raise ConfigError(str(exc), lineno) from None
+    selector = values["run"].get("selector", RunConfig.selector)
+    if custom_lines and selector != "custom":
+        key, lineno = next(iter(custom_lines.items()))  # the first given
+        raise ConfigError(f"[sweep] {key} applies to selector = custom only, "
+                          f"not {selector}", lineno)
     try:
         params = SystemParams(**values["params"])
     except ValueError as exc:
@@ -211,7 +217,11 @@ def render_config(cfg: RunConfig) -> str:
         lines += ["", f"[{section}]"]
         for key, (name, _, render) in options.items():
             value = getattr(cfg, name)
-            if value is not None and value != ():
+            if key in CUSTOM_KEYS and cfg.selector != "custom":
+                if value != getattr(RunConfig, name):
+                    raise ValueError(f"[sweep] {key} applies to selector = "
+                                     f"custom only, not {cfg.selector}")
+            elif value is not None and value != ():
                 text = render(value)
                 if _strip_comment(text) != text or len(text.splitlines()) > 1:
                     raise ValueError(f"[{section}] {key} = {text!r} would "

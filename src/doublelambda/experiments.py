@@ -3,7 +3,8 @@
 Each grid point runs the full pipeline: steady state -> linearization ->
 propagation -> Duan criterion, with per-point failures recorded rather than
 aborting the sweep.  A grid runs as stacks of up to STACK_POINTS points:
-every stage is one batched call on the points of a stack still live.
+every stage is one batched call on the points of a stack still live.  A
+spectrum is the same evaluation with one point at every frequency.
 Strictly dark working points (no dissipation channel fires) short-circuit
 to the transparent-medium limit where the zero-frequency response is
 undefined but the physical answer is exact: the fields pass through
@@ -122,6 +123,9 @@ class SweepSpec:
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {tuple(AXES)}, "
                              f"got {self.axis!r}")
+        if self.validate_every < 0:
+            raise ValueError("validate_every must be >= 0, "
+                             f"got {self.validate_every}")
         grid = np.asarray(self.grid, dtype=float)
         if grid.size == 0:
             raise ValueError("grid must be nonempty")
@@ -206,69 +210,61 @@ class _Stack:
 DARK = "dark-transparent"
 
 
-def _propagate(stack: _Stack, a, b, d, omegas, chi, lengths, noise) -> tuple:
-    """Response -> transfer -> propagation -> Duan on the live points.
+def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
+                    omegas: np.ndarray, noise_model: str) -> list:
+    """The pipeline on all rows at once: row i is the point ps[i], or the
+    one point of a one-point ps, at the frequency omegas[i].  See
+    evaluate_points.
 
-    a, b, d are the live points' linearized systems; omegas, chi (P, 2),
-    lengths and noise their frequencies, couplings, cell lengths and noise
-    scales.  Returns du2, dv2 and the warnings of the points still live
-    afterwards.
+    The stages up to the frequency (coefficients -> steady state -> dark
+    check -> drift, field coupling and diffusion) run once per point; each
+    live point's a, b and d are then spread to its rows, and response,
+    transfer, propagation and Duan run on the rows.
     """
-    m, m_minus, nfield, failures = pr.transfer_stack(a, b, d, omegas, chi,
-                                                     lengths, noise)
-    m, m_minus, nfield, lengths = stack.drop(failures, m, m_minus, nfield,
-                                             lengths)
-    c_in = pr.input_covariance().c
-    c_out, residual, converged, failures = pr.propagate_stack(
-        m, m_minus, nfield, lengths, c_in)
-    c_out, residual, converged = stack.drop(failures, c_out, residual,
-                                            converged)
-    du2, dv2, failures = duan_stack(c_out)
-    du2, dv2, residual, converged = stack.drop(failures, du2, dv2, residual,
-                                               converged)
-    warnings = [pr.self_check_warnings(r, ok) for r, ok in zip(residual, converged)]
-    return du2, dv2, warnings
-
-
-def _linearize_stack(ps: ParamStack, noise_model: str) -> tuple:
-    """The pipeline up to the frequency: coefficients -> steady state ->
-    dark check -> drift, field coupling and diffusion, on all points at once.
-
-    Returns the _Stack, whose outcomes hold the failed points' exceptions
-    and DARK for the strictly dark points; the live points' a, b and d; and
-    the steady states and methods of all points.
-    """
-    stack = _Stack(len(ps))
+    points = _Stack(len(ps))
     h, r = atom.coefficient_stack(ps)
     coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     rho_all, methods, failures = steady_state_stack(lmat)
-    coherent, lmat, r, rho = stack.drop(failures, coherent, lmat, r, rho_all)
+    coherent, lmat, r, rho = points.drop(failures, coherent, lmat, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
     dark = dict.fromkeys(np.flatnonzero(activity < DARK_ACTIVITY_TOL), DARK)
-    coherent, lmat, r, rho = stack.drop(dark, coherent, lmat, r, rho)
+    coherent, lmat, r, rho = points.drop(dark, coherent, lmat, r, rho)
     a, failures = fl.drift_stack(atom.adjoint_stack(lmat))
-    a, coherent, lmat, r, rho = stack.drop(failures, a, coherent, lmat, r, rho)
-    b = fl.field_coupling_stack(ps.g[stack.live], rho)
+    a, coherent, lmat, r, rho = points.drop(failures, a, coherent, lmat, r,
+                                            rho)
+    b = fl.field_coupling_stack(ps.g[points.live], rho)
     d, failures = fl.diffusion_stack(noise_model, lmat, coherent, r, rho)
-    a, b, d = stack.drop(failures, a, b, d)
-    return stack, a, b, d, rho_all, methods
-
-
-def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray, omega: float,
-                    noise_model: str) -> list:
-    """The pipeline on all points at once; see evaluate_points."""
-    stack, a, b, d, rho, methods = _linearize_stack(ps, noise_model)
-    live, n = stack.live, len(ps)
-    chi = np.stack([ps.chi1, ps.chi2], axis=1)[live]
-    u, v, warnings = _propagate(stack, a, b, d,
-                                np.full(live.size, float(omega)), chi,
-                                ps.cell_length[live], fl.noise_scale(ps)[live])
-    du2, dv2 = np.full((2, n), np.nan)
+    a, b, d = points.drop(failures, a, b, d)
+    # dropped before the row stages: kept alive, they doubled the minor page
+    # faults of a fig2 sweep (about 1600 -> 3000 per CLI pass)
+    del h, r, coherent, lmat, rho, activity
+    point = np.broadcast_to(np.arange(len(ps)), len(omegas))  # of each row
+    stack = _Stack(len(omegas))
+    stack.drop({i: points.outcomes[p] for i, p in enumerate(point.tolist())
+                if p in points.outcomes})
+    live = point[stack.live]
+    # a, b and d hold one point per live row, or the one point of all rows
+    a, b, d = (np.broadcast_to(x, (live.size,) + x.shape[1:])
+               for x in (a, b, d))
+    m, m_minus, nfield, failures = pr.transfer_stack(
+        a, b, d, omegas[stack.live], np.stack([ps.chi1, ps.chi2], 1)[live],
+        ps.cell_length[live], fl.noise_scale(ps)[live])
+    m, m_minus, nfield, lengths = stack.drop(failures, m, m_minus, nfield,
+                                             ps.cell_length[live])
+    c_out, residual, converged, failures = pr.propagate_stack(
+        m, m_minus, nfield, lengths, pr.input_covariance().c)
+    c_out, residual, converged = stack.drop(failures, c_out, residual,
+                                            converged)
+    u, v, failures = duan_stack(c_out)
+    u, v, residual, converged = stack.drop(failures, u, v, residual,
+                                           converged)
+    du2, dv2 = np.full((2, len(omegas)), np.nan)
     du2[stack.live], dv2[stack.live] = u, v
-    warnings = dict(zip(stack.live.tolist(), warnings))
+    warnings = {i: pr.self_check_warnings(res, ok) for i, res, ok in zip(
+        stack.live.tolist(), residual, converged)}
     dark = [i for i, outcome in stack.outcomes.items() if outcome is DARK]
     du2[dark] = dv2[dark] = 2.0
-    expectations = rho.transpose(0, 2, 1).reshape(n, 16)
+    expectations = rho_all.transpose(0, 2, 1).reshape(len(ps), 16)[point]
     _, _, alpha1, alpha2 = absorption(expectations, ps)
     alpha1[dark] = alpha2[dark] = 0.0
     rows = []
@@ -281,7 +277,7 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray, omega: float,
         if isinstance(outcome, Exception):
             rows.append(_error_row(outcome, cells[0]))
         else:
-            rows.append(SweepRow(*cells, method=methods[i] + (
+            rows.append(SweepRow(*cells, method=methods[point[i]] + (
                 "+" + DARK if outcome is DARK else ""),
                 warnings=warnings.get(i, ())))
     return rows
@@ -292,21 +288,24 @@ def _error_row(exc: Exception, axis_value: float) -> SweepRow:
                     error=f"{type(exc).__name__}: {exc}")
 
 
-def _evaluate(ps: ParamStack, axis_values: np.ndarray, omega: float,
+def _evaluate(ps: ParamStack, axis_values: np.ndarray, omegas: np.ndarray,
               noise_model: str) -> list:
-    """The rows of evaluate_points, each with its axis value."""
+    """The rows of _evaluate_stack, in stacks of at most STACK_POINTS
+    points; an exception re-runs the rows one at a time."""
     if len(ps) > STACK_POINTS:
         return [row for start in range(0, len(ps), STACK_POINTS)
                 for row in _evaluate(ps[start:start + STACK_POINTS],
                                      axis_values[start:start + STACK_POINTS],
-                                     omega, noise_model)]
+                                     omegas[start:start + STACK_POINTS],
+                                     noise_model)]
     try:
-        return _evaluate_stack(ps, axis_values, omega, noise_model)
+        return _evaluate_stack(ps, axis_values, omegas, noise_model)
     except Exception as exc:  # per-point failures must not kill the sweep
-        if len(ps) == 1:
+        if len(omegas) == 1:
             return [_error_row(exc, float(axis_values[0]))]
-    return [_evaluate(ps[i:i + 1], axis_values[i:i + 1], omega,
-                      noise_model)[0] for i in range(len(ps))]
+    return [_evaluate(ps if len(ps) == 1 else ps[i:i + 1],
+                      axis_values[i:i + 1], omegas[i:i + 1], noise_model)[0]
+            for i in range(len(omegas))]
 
 
 def evaluate_points(points, omega: float = 0.0,
@@ -322,7 +321,8 @@ def evaluate_points(points, omega: float = 0.0,
     rows come back in input order with axis_value NaN.
     """
     ps = ParamStack.of(points)
-    return _evaluate(ps, np.full(len(ps), np.nan), omega, noise_model)
+    return _evaluate(ps, np.full(len(ps), np.nan),
+                     np.full(len(ps), float(omega)), noise_model)
 
 
 def compute_point(params: SystemParams, omega: float = 0.0,
@@ -334,33 +334,15 @@ def compute_point(params: SystemParams, omega: float = 0.0,
 def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> list:
     """Duan spectrum of one working point over sideband frequencies.
 
-    The point is solved and linearized once, as in a sweep (a strictly dark
+    One SweepRow per frequency, with the frequency as its axis_value.  The
+    point is solved and linearized once, as in a sweep (a strictly dark
     point is transparent at every frequency); response, transfer,
-    propagation and Duan run on the stack of frequencies.  Returns one dict
-    per frequency (omega, v12, du2, dv2, warnings); raises the exception of
-    the point's failed check, else of the first frequency that fails.
+    propagation and Duan run on the stack of frequencies.  Never raises: a
+    failure of the point fails every row, and a failure at one frequency
+    only that frequency's row.
     """
-    ps = ParamStack.of([params])
-    point, a, b, d, _, _ = _linearize_stack(ps, noise_model)
     omegas = np.asarray(omegas, dtype=float)
-    count = omegas.size
-    if point.outcomes:
-        if point.outcomes[0] is not DARK:
-            raise point.outcomes[0]
-        du2, dv2, warnings = [2.0] * count, [2.0] * count, [()] * count
-    else:
-        stack = _Stack(count)
-        chi = np.stack([ps.chi1, ps.chi2], axis=1)
-        a, b, d, chi, lengths, noise = (
-            np.broadcast_to(x, (count,) + x.shape[1:])
-            for x in (a, b, d, chi, ps.cell_length, fl.noise_scale(ps)))
-        du2, dv2, warnings = _propagate(stack, a, b, d, omegas, chi, lengths,
-                                        noise)
-        if stack.outcomes:
-            raise stack.outcomes[min(stack.outcomes)]
-    return [{"omega": float(w), "v12": float(u + v), "du2": float(u),
-             "dv2": float(v), "warnings": list(warn)}
-            for w, u, v, warn in zip(omegas, du2, dv2, warnings)]
+    return _evaluate(ParamStack.of([params]), omegas, omegas, noise_model)
 
 
 def worker_count() -> int:
@@ -385,6 +367,7 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
     process evaluates one contiguous chunk of it as a stack.
     """
     ps = spec.param_stack()
+    omegas = np.full(len(ps), float(spec.omega))
     workers = pool_size(worker_count() if workers is None else workers,
                         len(ps))
     if workers > 1:
@@ -392,11 +375,11 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_evaluate, [ps[c] for c in chunks],
                              [spec.grid[c] for c in chunks],
-                             [spec.omega] * len(chunks),
+                             [omegas[c] for c in chunks],
                              [spec.noise_model] * len(chunks))
             rows = [row for part in parts for row in part]
     else:
-        rows = _evaluate(ps, spec.grid, spec.omega, spec.noise_model)
+        rows = _evaluate(ps, spec.grid, omegas, spec.noise_model)
     validations = {}
     if spec.validate_every > 0:
         from .oracle import cross_validate  # loads scipy, so only on demand

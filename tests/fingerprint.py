@@ -66,8 +66,8 @@ def compute() -> dict:
         rows = spectrum(params, OMEGAS, noise_model=noise_model)
         tables[f"spectrum/{name}"] = {
             "columns": SPECTRUM_COLUMNS,
-            "rows": [[r[c] if c != "warnings" else "; ".join(r[c])
-                      for c in SPECTRUM_COLUMNS] for r in rows]}
+            "rows": [[r.axis_value, r.v12, r.du2, r.dv2, "; ".join(r.warnings)]
+                     for r in rows]}
     tables["calibrated-g"] = {"columns": ["g"],
                               "rows": [[calibrate_coupling()]]}
     return tables

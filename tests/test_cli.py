@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from doublelambda import experiments as ex
@@ -105,6 +106,24 @@ class TestCommands:
         for row in rows:
             assert len(row["warnings"]) == 1
             assert "Kronecker residual" in row["warnings"][0]
+
+    def test_spectrum_dense_matches_benchmark_golden(self, tmp_path):
+        # the benchmark's spectrum-dense run at its default seed, checked by
+        # its rule: 1e-12 times the largest golden magnitude of each column
+        golden = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
+                             / "golden" / "spectrum-dense.json").read_text())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nn0 = 3e19\n[run]\ncommand = spectrum\n"
+                       "noise_model = vacuum-reservoir\n"
+                       "omega_grid = 0.0:5.0:128\n")
+        assert run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "spectrum.json").read_text())["spectrum"]
+        assert len(rows) == len(golden["rows"]) == 128
+        for column in golden["columns"]:
+            x = np.array([row[column] for row in rows])
+            y = np.array([row[column] for row in golden["rows"]])
+            assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), column
 
     def test_calibrate(self, tmp_path, capsys):
         code = run_cli(["calibrate", "--out", str(tmp_path)])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import doublelambda
-from doublelambda.config import (OPTIONS, ConfigError, RunConfig, parse_config,
-                                 render_config)
+from doublelambda.config import (CUSTOM_KEYS, OPTIONS, ConfigError, RunConfig,
+                                 parse_config, render_config)
 from doublelambda.experiments import detuning_spec, run_sweep
 from doublelambda.io import (emit_plot, run_manifest, write_manifest,
                              write_results)
@@ -56,6 +56,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(f"[run]\ncommand = sweep\nworkers = {value}\n")
         assert str(err.value) == f"line 3: workers must be >= 1, got {value}"
+
+    def test_negative_validate_every_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\ncommand = sweep\nvalidate_every = -3\n")
+        assert str(err.value) == "line 3: validate_every must be >= 0, got -3"
+
+    @pytest.mark.parametrize("selector", ["", "selector = fig2\n"])
+    def test_custom_keys_rejected_under_a_figure_selector(self, selector):
+        # under fig2 these would be ignored: the 201-point delta1 sweep ran
+        text = f"[sweep]\n{selector}axis = gamma0\ngrid = 0:1:3\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        line = 3 if selector else 2
+        assert str(err.value) == (f"line {line}: [sweep] axis applies to "
+                                  "selector = custom only, not fig2")
+        cfg = parse_config(text.replace(selector, "") + "selector = custom\n")
+        assert (cfg.axis, cfg.grid) == ("gamma0", (0.0, 1.0, 3))
+
+    def test_custom_keys_rendered_for_custom_only(self):
+        printed = render_config(RunConfig(selector="fig3"))
+        assert not any(line.startswith(CUSTOM_KEYS)
+                       for line in printed.splitlines())
+        with pytest.raises(ValueError, match=r"\[sweep\] grid applies to "
+                           "selector = custom only, not fig3"):
+            render_config(RunConfig(selector="fig3", grid=(0.0, 1.0, 3)))
 
     def test_hash_inside_a_value_is_kept(self):
         cfg = parse_config("[run]\nout = results#1\n")
@@ -131,7 +156,7 @@ scalings = n0=base*axis; gamma0=0.001*axis
         assert cfg.svg is True
         assert cfg.noise_model == "vacuum-reservoir"
         assert cfg.selector == "custom"
-        assert np.allclose(cfg.grid_array(), np.linspace(1, 9, 5))
+        assert np.allclose(np.linspace(*cfg.grid), np.linspace(1, 9, 5))
         assert cfg.scalings[0].param == "n0"
         assert cfg.scalings[0].mode == "base*axis"
         assert cfg.scalings[1].coef == 0.001
@@ -189,7 +214,10 @@ scalings = n0=base*axis
     @pytest.mark.parametrize("section, key", [
         (section, key) for section in OPTIONS for key in OPTIONS[section]])
     def test_every_option_roundtrips(self, section, key):
-        cfg = parse_config(f"[{section}]\n{key} = {self.NON_DEFAULT[key]}\n")
+        text = f"[{section}]\n{key} = {self.NON_DEFAULT[key]}\n"
+        if key in CUSTOM_KEYS:  # read under selector = custom only
+            text += "selector = custom\n"
+        cfg = parse_config(text)
         name = OPTIONS[section][key][0]
         assert getattr(cfg, name) != getattr(RunConfig(), name)
         assert parse_config(render_config(cfg)) == cfg

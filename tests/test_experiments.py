@@ -20,13 +20,20 @@ from doublelambda import propagation as pr
 from doublelambda.params import CALIBRATED_G, ParamStack
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
-from doublelambda.steady import solve_steady_state
+from doublelambda.steady import solve_steady_state, steady_state_stack
 
 
 class TestSweepSpec:
     def test_grid_must_be_monotone(self, defaults):
         with pytest.raises(ValueError):
             SweepSpec(base=defaults, axis="delta1", grid=[0.0, 1.0, 0.5])
+
+    def test_negative_validate_every_rejected(self, defaults):
+        # a negative stride would silently validate nothing
+        with pytest.raises(ValueError,
+                           match="validate_every must be >= 0, got -3"):
+            SweepSpec(base=defaults, axis="delta1", grid=[0.0, 1.0],
+                      validate_every=-3)
 
     def test_grid_must_be_nonempty(self, defaults):
         with pytest.raises(ValueError):
@@ -223,8 +230,8 @@ class TestBatchedStack:
                 # no per-point fallback here: the stack bookkeeping alone
                 # must put every outcome in its own row
                 rows = _evaluate_stack(ParamStack.of(stack),
-                                       np.full(len(stack), np.nan), 0.0,
-                                       noise_model)
+                                       np.full(len(stack), np.nan),
+                                       np.zeros(len(stack)), noise_model)
                 assert_rows_match(rows, ref, rtol=0.0)
 
     def test_stacks_split_long_grids(self, defaults):
@@ -247,29 +254,34 @@ class TestBatchedStack:
             res = propagate_covariance(make_setup(lin, p, omega=w),
                                        input_covariance(omega=w))
             duan = duan_v12(res.covariance)
-            assert row["omega"] == w
-            assert row["warnings"] == list(res.warnings)
+            assert row.axis_value == w
+            assert row.warnings == tuple(res.warnings)
             for name in ("v12", "du2", "dv2"):
-                assert row[name] == pytest.approx(getattr(duan, name),
-                                                  rel=1e-12, abs=0)
+                assert getattr(row, name) == pytest.approx(
+                    getattr(duan, name), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
     def test_dark_point_spectrum_is_transparent(self, defaults, noise_model):
         p = defaults.replace(gamma0=0.0)
         rows = spectrum(p, [0.0, 0.5], noise_model=noise_model)
-        for row, w in zip(rows, (0.0, 0.5)):
-            point = compute_point(p, omega=w, noise_model=noise_model)
-            assert point.method.endswith("+dark-transparent")
-            assert row == {"omega": w, "v12": point.v12, "du2": point.du2,
-                           "dv2": point.dv2, "warnings": list(point.warnings)}
+        assert [row.axis_value for row in rows] == [0.0, 0.5]
+        assert_rows_match(rows, [
+            compute_point(p, omega=w, noise_model=noise_model)
+            for w in (0.0, 0.5)], rtol=0.0)
+        assert rows[0].method.endswith("+dark-transparent")
+        assert rows[0].v12 == 4.0
 
-    def test_spectrum_raises_steady_failure(self, defaults, monkeypatch):
+    def test_spectrum_rows_carry_steady_failure(self, defaults, monkeypatch):
         from doublelambda import steady
 
         monkeypatch.setattr(steady, "_state_failures", lambda rhos: {
             0: steady.SteadyStateError("synthetic steady failure")})
-        with pytest.raises(steady.SteadyStateError, match="synthetic"):
-            spectrum(defaults, [0.0, 0.5])
+        rows = spectrum(defaults, [0.0, 0.5])
+        # the point fails once, and every frequency's row names it
+        assert [row.axis_value for row in rows] == [0.0, 0.5]
+        assert [row.error for row in rows] == [
+            "SteadyStateError: synthetic steady failure"] * 2
+        assert all(row.v12 is None for row in rows)
 
     def test_spectrum_through_zero_matches_one_point_stacks(self, defaults):
         # omega = 0 skips the R(-omega) inversion; mixed with nonzero
@@ -277,7 +289,33 @@ class TestBatchedStack:
         p = defaults.replace(n0=3e19)
         omegas = np.linspace(-1.0, 1.0, 5)  # includes 0
         rows = spectrum(p, omegas)
-        assert rows == [spectrum(p, [w])[0] for w in omegas]
+        assert [row.axis_value for row in rows] == omegas.tolist()
+        assert_rows_match(rows, [spectrum(p, [w])[0] for w in omegas],
+                          rtol=0.0)
+
+    def test_failed_frequency_leaves_the_other_rows(self, defaults):
+        # at this density only the zero-frequency Raman gain overflows
+        p = defaults.replace(n0=3e24, delta1=0.0)
+        omegas = np.linspace(-1.0, 1.0, 5)
+        rows = spectrum(p, omegas)
+        assert [bool(row.error) for row in rows] == [0, 0, 1, 0, 0]
+        assert "propagation overflow" in rows[2].error
+        assert_rows_match(rows, [spectrum(p, [w])[0] for w in omegas],
+                          rtol=0.0)
+
+    def test_spectrum_linearizes_its_point_once(self, defaults, monkeypatch):
+        # spectrum-dense's 128 frequencies share one steady solve
+        sizes = []
+
+        def counted(lmat):
+            sizes.append(len(lmat))
+            return steady_state_stack(lmat)
+
+        monkeypatch.setattr(experiments, "steady_state_stack", counted)
+        rows = spectrum(defaults.replace(n0=3e19), np.linspace(0.0, 5.0, 128),
+                        noise_model="vacuum-reservoir")
+        assert sizes == [1]
+        assert len(rows) == 128 and not any(row.failed for row in rows)
 
 
 def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
