@@ -30,7 +30,7 @@ from .steady import observables, solve_steady_state
 def _options():
     """(key, RunConfig field) of every [run] and [sweep] option."""
     return [(key, name) for options in OPTIONS.values()
-            for key, (name, _, _) in options.items()]
+            for key, (name, _) in options.items()]
 
 
 def _config_dict(cfg: RunConfig) -> dict:
@@ -60,6 +60,9 @@ def _sweep_spec(cfg: RunConfig) -> ex.SweepSpec:
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     spec = _sweep_spec(cfg)
+    if cfg.svg and spec.grid.size < 2:  # refused before anything is written
+        raise ValueError(f"svg needs a sweep of at least 2 points, "
+                         f"got {spec.grid.size}")
     cfg = dataclasses.replace(
         cfg, workers=ex.pool_size(cfg.workers, spec.grid.size))
     result = ex.run_sweep(spec, workers=cfg.workers)
@@ -106,14 +109,15 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     rows = ex.spectrum(cfg.params, np.linspace(*cfg.omega_grid),
                        noise_model=cfg.noise_model)
     elapsed = time.perf_counter() - t0
+    records = [{"omega": r.axis_value, "v12": r.v12, "du2": r.du2,
+                "dv2": r.dv2, "error": r.error, "warnings": list(r.warnings)}
+               for r in rows]
+    path = _write_manifest(cfg, elapsed, out / "spectrum.json",
+                           extra={"spectrum": records})
     failed = [r for r in rows if r.failed]
     if failed:  # the first failed frequency, as the run's error
         print(f"error: {failed[0].error}", file=sys.stderr)
         return 1
-    records = [{"omega": r.axis_value, "v12": r.v12, "du2": r.du2,
-                "dv2": r.dv2, "warnings": list(r.warnings)} for r in rows]
-    path = _write_manifest(cfg, elapsed, out / "spectrum.json",
-                           extra={"spectrum": records})
     print(f"spectrum: {len(rows)} frequencies in {elapsed:.2f} s -> {path}")
     return 0
 

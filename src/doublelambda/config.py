@@ -108,10 +108,6 @@ def _parse_grid(raw: str) -> tuple:
             _int_at_least("grid points", 1)(parts[2]))
 
 
-def _render_grid(grid: tuple) -> str:
-    return f"{grid[0]!r}:{grid[1]!r}:{grid[2]}"
-
-
 def _parse_scalings(raw: str) -> tuple:
     return tuple(ScalingRule.parse(chunk.strip())
                  for chunk in raw.split(";") if chunk.strip())
@@ -125,30 +121,26 @@ def _choice(what: str, choices) -> Callable[[str], str]:
     return parse
 
 
-#: section -> key -> (RunConfig field, parser, renderer).  A parser takes
-#: the raw text and raises ValueError naming what is wrong; a renderer
-#: writes the text that parser reads back.  Options left unset (None or
-#: empty) are not rendered.
+#: section -> key -> (RunConfig field, parser).  A parser takes the raw
+#: text and raises ValueError naming what is wrong.
 OPTIONS = {
     "run": {
-        "command": ("command", _choice("command", COMMANDS), str),
-        "format": ("fmt", _choice("format", FORMATS), str),
-        "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS),
-                        str),
-        "workers": ("workers", _int_at_least("workers", 1), str),
-        "omega": ("omega", _parse_float, repr),
-        "omega_grid": ("omega_grid", _parse_grid, _render_grid),
-        "out": ("out_dir", str, str),
-        "svg": ("svg", _parse_bool, lambda v: "true" if v else "false"),
+        "command": ("command", _choice("command", COMMANDS)),
+        "format": ("fmt", _choice("format", FORMATS)),
+        "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS)),
+        "workers": ("workers", _int_at_least("workers", 1)),
+        "omega": ("omega", _parse_float),
+        "omega_grid": ("omega_grid", _parse_grid),
+        "out": ("out_dir", str),
+        "svg": ("svg", _parse_bool),
         "validate_every": ("validate_every",
-                           _int_at_least("validate_every", 0), str),
+                           _int_at_least("validate_every", 0)),
     },
     "sweep": {
-        "selector": ("selector", _choice("sweep selector", SELECTORS), str),
-        "axis": ("axis", _choice("sweep axis", AXES), str),
-        "grid": ("grid", _parse_grid, _render_grid),
-        "scalings": ("scalings", _parse_scalings,
-                     lambda rules: "; ".join(map(str, rules))),
+        "selector": ("selector", _choice("sweep selector", SELECTORS)),
+        "axis": ("axis", _choice("sweep axis", AXES)),
+        "grid": ("grid", _parse_grid),
+        "scalings": ("scalings", _parse_scalings),
     },
 }
 
@@ -186,7 +178,7 @@ def parse_config(text: str) -> RunConfig:
         elif section in OPTIONS:
             if key not in OPTIONS[section]:
                 raise ConfigError(f"unknown {section} option {key!r}", lineno)
-            name, parse, _ = OPTIONS[section][key]
+            name, parse = OPTIONS[section][key]
             target = values["run"]
             if section == "sweep" and key in CUSTOM_KEYS:
                 custom_lines.setdefault(key, lineno)
@@ -207,24 +199,3 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid parameters: {exc}")
     return RunConfig(params=params, **values["run"])
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Serialize a config so that parse(render(cfg)) == cfg, else ValueError."""
-    lines = ["[params]"]
-    lines += [f"{key} = {getattr(cfg.params, key)!r}" for key in PARAM_KEYS]
-    for section, options in OPTIONS.items():
-        lines += ["", f"[{section}]"]
-        for key, (name, _, render) in options.items():
-            value = getattr(cfg, name)
-            if key in CUSTOM_KEYS and cfg.selector != "custom":
-                if value != getattr(RunConfig, name):
-                    raise ValueError(f"[sweep] {key} applies to selector = "
-                                     f"custom only, not {cfg.selector}")
-            elif value is not None and value != ():
-                text = render(value)
-                if _strip_comment(text) != text or len(text.splitlines()) > 1:
-                    raise ValueError(f"[{section}] {key} = {text!r} would "
-                                     "not read back as written")
-                lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"

@@ -39,6 +39,13 @@ DARK_ACTIVITY_TOL = 1e-12
 #: stack of 201 raised the peak RSS of a fig2 sweep by ~10 MB, 64 by ~3 MB)
 STACK_POINTS = 64
 
+#: rows per stack of transfer, propagation and Duan, which a spectrum runs
+#: on all its frequencies after one linearization.  At n0 = 3e19 (2-core VM,
+#: one BLAS thread, best CPU time) 1024 frequencies took 59.5 ms under this
+#: cap, 70.7 under 64 and 85.5 uncapped, 128 took 8.6 ms under 128 or none
+#: and 9.6 under 64, and a fresh process's peak RSS for 4096 fell 135 -> 41 MB
+STACK_ROWS = 128
+
 
 class Axis(NamedTuple):
     params: tuple  # the SystemParams fields set to the axis value
@@ -100,13 +107,6 @@ class ScalingRule:
             return cls(param, mode, float(raw))
         except ValueError:
             raise ValueError(f"malformed number {raw!r}") from None
-
-    def __str__(self) -> str:
-        if self.mode == "base*axis":
-            return f"{self.param}=base*axis"
-        if self.mode == "value*axis":
-            return f"{self.param}={self.coef!r}*axis"
-        return f"{self.param}={self.coef!r}"
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ class _Stack:
     """Stack positions of the points still being evaluated, and the outcome
     (DARK or the exception of a failed check) of those that left."""
 
-    def __init__(self, n: int):
-        self.live = np.arange(n)
+    def __init__(self, live: np.ndarray):
+        self.live = live
         self.outcomes = {}
 
     def drop(self, outcomes: dict, *arrays) -> list:
@@ -219,9 +219,10 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
     The stages up to the frequency (coefficients -> steady state -> dark
     check -> drift, field coupling and diffusion) run once per point; each
     live point's a, b and d are then spread to its rows, and response,
-    transfer, propagation and Duan run on the rows.
+    transfer, propagation and Duan run on the rows, in stacks of at most
+    STACK_ROWS rows.
     """
-    points = _Stack(len(ps))
+    points = _Stack(np.arange(len(ps)))
     h, r = atom.coefficient_stack(ps)
     coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     rho_all, methods, failures = steady_state_stack(lmat)
@@ -239,29 +240,36 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
     # faults of a fig2 sweep (about 1600 -> 3000 per CLI pass)
     del h, r, coherent, lmat, rho, activity
     point = np.broadcast_to(np.arange(len(ps)), len(omegas))  # of each row
-    stack = _Stack(len(omegas))
+    stack = _Stack(np.arange(len(omegas)))
     stack.drop({i: points.outcomes[p] for i, p in enumerate(point.tolist())
                 if p in points.outcomes})
     live = point[stack.live]
     # a, b and d hold one point per live row, or the one point of all rows
     a, b, d = (np.broadcast_to(x, (live.size,) + x.shape[1:])
                for x in (a, b, d))
-    m, m_minus, nfield, failures = pr.transfer_stack(
-        a, b, d, omegas[stack.live], np.stack([ps.chi1, ps.chi2], 1)[live],
-        ps.cell_length[live], fl.noise_scale(ps)[live])
-    m, m_minus, nfield, lengths = stack.drop(failures, m, m_minus, nfield,
-                                             ps.cell_length[live])
-    c_out, residual, converged, failures = pr.propagate_stack(
-        m, m_minus, nfield, lengths, pr.input_covariance().c)
-    c_out, residual, converged = stack.drop(failures, c_out, residual,
-                                            converged)
-    u, v, failures = duan_stack(c_out)
-    u, v, residual, converged = stack.drop(failures, u, v, residual,
-                                           converged)
+    chi = np.stack([ps.chi1, ps.chi2], 1)[live]
+    lengths, scale = ps.cell_length[live], fl.noise_scale(ps)[live]
     du2, dv2 = np.full((2, len(omegas)), np.nan)
-    du2[stack.live], dv2[stack.live] = u, v
-    warnings = {i: pr.self_check_warnings(res, ok) for i, res, ok in zip(
-        stack.live.tolist(), residual, converged)}
+    warnings = {}
+    for start in range(0, live.size, STACK_ROWS):
+        cut = slice(start, start + STACK_ROWS)
+        part = _Stack(stack.live[cut])
+        m, m_minus, nfield, failures = pr.transfer_stack(
+            a[cut], b[cut], d[cut], omegas[part.live], chi[cut],
+            lengths[cut], scale[cut])
+        m, m_minus, nfield, length = part.drop(failures, m, m_minus, nfield,
+                                               lengths[cut])
+        c_out, residual, converged, failures = pr.propagate_stack(
+            m, m_minus, nfield, length, pr.input_covariance().c)
+        c_out, residual, converged = part.drop(failures, c_out, residual,
+                                               converged)
+        u, v, failures = duan_stack(c_out)
+        u, v, residual, converged = part.drop(failures, u, v, residual,
+                                              converged)
+        du2[part.live], dv2[part.live] = u, v
+        warnings.update((i, pr.self_check_warnings(res, ok)) for i, res, ok
+                        in zip(part.live.tolist(), residual, converged))
+        stack.outcomes.update(part.outcomes)
     dark = [i for i, outcome in stack.outcomes.items() if outcome is DARK]
     du2[dark] = dv2[dark] = 2.0
     expectations = rho_all.transpose(0, 2, 1).reshape(len(ps), 16)[point]
@@ -283,9 +291,12 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
     return rows
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _error_row(exc: Exception, axis_value: float) -> SweepRow:
-    return SweepRow(axis_value=axis_value,
-                    error=f"{type(exc).__name__}: {exc}")
+    return SweepRow(axis_value=axis_value, error=_error_text(exc))
 
 
 def _evaluate(ps: ParamStack, axis_values: np.ndarray, omegas: np.ndarray,
@@ -337,9 +348,9 @@ def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> lis
     One SweepRow per frequency, with the frequency as its axis_value.  The
     point is solved and linearized once, as in a sweep (a strictly dark
     point is transparent at every frequency); response, transfer,
-    propagation and Duan run on the stack of frequencies.  Never raises: a
-    failure of the point fails every row, and a failure at one frequency
-    only that frequency's row.
+    propagation and Duan run on stacks of at most STACK_ROWS frequencies.
+    Never raises: a failure of the point fails every row, and a failure at
+    one frequency only that frequency's row.
     """
     omegas = np.asarray(omegas, dtype=float)
     return _evaluate(ParamStack.of([params]), omegas, omegas, noise_model)
@@ -353,10 +364,18 @@ def worker_count() -> int:
         return 1
 
 
+#: fewest grid points per sweep worker.  A fresh process's first delta1
+#: sweep (2-core VM, one BLAS thread) with two workers lost every pair to one
+#: up to 1501 points (201: 105 against 67 ms), split them at 2001 and won
+#: from 2501 (620 against 433 ms)
+POOL_MIN_POINTS = 1000
+
+
 def pool_size(requested: int, points: int) -> int:
     """Worker processes for a sweep of `points` points: the requested count,
-    at most one per CPU and one per point, and at least 1."""
-    return max(1, min(requested, os.cpu_count() or 1, points))
+    at most one per CPU and one per POOL_MIN_POINTS points, and at least 1."""
+    return max(1, min(requested, os.cpu_count() or 1,
+                      points // POOL_MIN_POINTS))
 
 
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
@@ -384,7 +403,10 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
     if spec.validate_every > 0:
         from .oracle import cross_validate  # loads scipy, so only on demand
         for idx in range(0, len(spec.grid), spec.validate_every):
-            validations[idx] = cross_validate(ps.point(idx)).as_dict()
+            try:
+                validations[idx] = cross_validate(ps.point(idx)).as_dict()
+            except Exception as exc:  # a sampled check must not kill the sweep
+                validations[idx] = {"passed": False, "error": _error_text(exc)}
     manifest = {
         "axis": spec.axis,
         "grid": {"start": float(spec.grid[0]), "stop": float(spec.grid[-1]),

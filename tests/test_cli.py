@@ -107,6 +107,61 @@ class TestCommands:
             assert len(row["warnings"]) == 1
             assert "Kronecker residual" in row["warnings"][0]
 
+    def test_failed_spectrum_replaces_the_previous_file(self, tmp_path,
+                                                       capsys):
+        # a failed run still writes its rows, so no earlier run's file stays
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nomega_grid = 0.0:1.0:3\n")
+        out = tmp_path / "out"
+        assert run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        # at this density only the zero-frequency Raman gain overflows
+        cfg.write_text("[params]\nn0 = 3e24\ndelta1 = 0.0\n"
+                       "[run]\nomega_grid = -1.0:1.0:5\n")
+        assert run_cli(["spectrum", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        rows = json.loads((out / "spectrum.json").read_text())["spectrum"]
+        assert [row["omega"] for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        failed = rows.pop(2)
+        assert "propagation overflow" in failed["error"]
+        assert capsys.readouterr().err == f"error: {failed['error']}\n"
+        assert [failed[k] for k in ("v12", "du2", "dv2")] == [None] * 3
+        for row in rows:
+            assert row["error"] == ""
+            assert all(isinstance(row[k], float)
+                       for k in ("v12", "du2", "dv2"))
+
+    def test_svg_of_one_point_refused_before_any_output(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nsvg = true\n[sweep]\nselector = custom\n"
+                       "grid = -1.0:1.0:1\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: svg needs a sweep of at least 2 points, "
+            "got 1\n")
+        assert list(out.iterdir()) == []
+
+    def test_sampled_validation_failure_keeps_the_sweep(self, tmp_path):
+        # fig4's first point (gamma0 = 0) has a degenerate null space, which
+        # the dual-method check refuses; the sweep and its outputs stay
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nworkers = 1\nvalidate_every = 50\n"
+                       "[sweep]\nselector = fig4\n")
+        assert run_cli(["sweep", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        table = (tmp_path / "fig4.csv").read_text().splitlines()
+        assert len([ln for ln in table if not ln.startswith("#")]) == 202
+        manifest = json.loads((tmp_path / "fig4_manifest.json").read_text())
+        validations = manifest["sweep_manifest"]["validations"]
+        assert sorted(validations, key=int) == ["0", "50", "100", "150", "200"]
+        assert validations["0"]["passed"] is False
+        assert validations["0"]["error"].startswith(
+            "SteadyStateError: null space degenerate")
+        assert all(validations[k]["passed"] for k in ("50", "100", "150",
+                                                      "200"))
+
     def test_spectrum_dense_matches_benchmark_golden(self, tmp_path):
         # the benchmark's spectrum-dense run at its default seed, checked by
         # its rule: 1e-12 times the largest golden magnitude of each column
@@ -198,6 +253,7 @@ print(json.dumps([loaded, doublelambda.cross_validate is oracle.cross_validate,
     def test_workers_key_beats_environment(self, tmp_path, monkeypatch, key,
                                            used):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool's bound
+        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)
         monkeypatch.setenv("SIMULATE_WORKERS", "2")
         real, seen = ex.run_sweep, []
 
@@ -221,6 +277,7 @@ print(json.dumps([loaded, doublelambda.cross_validate is oracle.cross_validate,
     def test_manifest_records_the_bounded_pool(self, tmp_path, monkeypatch,
                                                key, env):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)
         monkeypatch.setenv("SIMULATE_WORKERS", env)
         real, seen = ex.run_sweep, []
 

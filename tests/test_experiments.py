@@ -317,6 +317,32 @@ class TestBatchedStack:
         assert sizes == [1]
         assert len(rows) == 128 and not any(row.failed for row in rows)
 
+    def test_spectrum_rows_run_in_capped_stacks(self, defaults, monkeypatch):
+        # one linearization, then transfer, propagation and Duan on stacks
+        # of at most STACK_ROWS frequencies, each row as in its own piece
+        cap, steady_sizes, transfer_sizes = experiments.STACK_ROWS, [], []
+        transfer = pr.transfer_stack
+
+        def counted_steady(lmat):
+            steady_sizes.append(len(lmat))
+            return steady_state_stack(lmat)
+
+        def counted_transfer(a, *args):
+            transfer_sizes.append(len(a))
+            return transfer(a, *args)
+
+        monkeypatch.setattr(experiments, "steady_state_stack", counted_steady)
+        monkeypatch.setattr(pr, "transfer_stack", counted_transfer)
+        p, omegas = defaults.replace(n0=3e19), np.linspace(0.0, 5.0, 1001)
+        rows = spectrum(p, omegas, noise_model="vacuum-reservoir")
+        assert steady_sizes == [1]
+        assert max(transfer_sizes) <= cap
+        assert sum(transfer_sizes) == len(omegas) == len(rows)
+        pieces = [row for start in range(0, len(omegas), cap)
+                  for row in spectrum(p, omegas[start:start + cap],
+                                      noise_model="vacuum-reservoir")]
+        assert_rows_match(rows, pieces, rtol=0.0)
+
 
 def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
     # the 201 points travel as one ParamStack and every one of them is
@@ -347,9 +373,32 @@ class TestValidationSampling:
         assert set(result.manifest["validations"].keys()) == {0, 10, 20}
         assert all(v["passed"] for v in result.manifest["validations"].values())
 
+    def test_failed_validation_keeps_every_row(self, defaults):
+        # at gamma0 = 0 the null space is degenerate: the sweep's row takes
+        # the long-time integration, and the dual-method check, which asks
+        # for the null-space route, raises
+        from doublelambda.oracle import cross_validate
+        spec = dephasing_spec(defaults, points=5, validate_every=1)
+        result = run_sweep(spec, workers=1)
+        assert len(result.rows) == 5
+        assert not any(row.failed for row in result.rows)
+        with pytest.raises(Exception) as err:
+            cross_validate(spec.params_at(0.0))
+        validations = result.manifest["validations"]
+        assert sorted(validations) == [0, 1, 2, 3, 4]
+        assert validations[0] == {
+            "passed": False,
+            "error": f"{type(err.value).__name__}: {err.value}"}
+        assert validations[0]["error"].startswith(
+            "SteadyStateError: null space degenerate")
+        for idx in range(1, 5):
+            assert validations[idx]["passed"] is True
+            assert validations[idx]["checks"]
+
 
 class TestParallelism:
-    def test_workers_match_serial(self, defaults):
+    def test_workers_match_serial(self, defaults, monkeypatch):
+        monkeypatch.setattr(experiments, "POOL_MIN_POINTS", 1)  # a real pool
         spec = detuning_spec(defaults, points=5)
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
@@ -386,6 +435,7 @@ class TestWorkerBound:
         sizes = []
         monkeypatch.setattr(ex, "ProcessPoolExecutor", PoolRecorder(sizes))
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)  # test the other caps
         return sizes
 
     @pytest.mark.parametrize("points, workers, size", [
@@ -401,6 +451,21 @@ class TestWorkerBound:
         monkeypatch.setenv("SIMULATE_WORKERS", "5000")
         run_sweep(detuning_spec(defaults, points=5))
         assert pools == [3]
+
+
+def test_small_sweeps_stay_serial(defaults, monkeypatch):
+    # each worker gets at least POOL_MIN_POINTS points, so the figure
+    # sweeps run in one process whatever is asked for
+    sizes, least = [], experiments.POOL_MIN_POINTS
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                        PoolRecorder(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    points = (201, 2 * least - 1, 2 * least, 3 * least - 1, 3 * least,
+              9 * least)
+    assert [experiments.pool_size(5000, n) for n in points] == \
+        [1, 1, 2, 2, 3, 8]
+    run_sweep(detuning_spec(defaults, points=5), workers=2)
+    assert sizes == []  # no pool started
 
 
 def calibrate_by_generator(base, target=0.064, bracket=(0.05, 1.0)):
