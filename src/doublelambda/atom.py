@@ -108,12 +108,12 @@ JUMP_TRACES = np.array([(ln.conj().T @ lm).T.reshape(16) for ops in JUMP_GROUPS
 RADIATIVE_ENTRIES = sum(len(ops) ** 2 for ops in JUMP_GROUPS[:2])
 
 
-def _hamiltonian_coefficients(params, a1, a1d, a2, a2d) -> np.ndarray:
-    """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS): (6,)
-    for a SystemParams, (P, 6) for a ParamStack and field columns."""
-    g = params.g
+def _hamiltonian_coefficients(params) -> np.ndarray:
+    """Coefficients of HAMILTONIAN_OPERATORS (and of COHERENT_BASIS) at the
+    mean fields: (6,) for a SystemParams, (P, 6) for a ParamStack."""
+    g1, g2 = params.g * params.a1_mean, params.g * params.a2_mean
     return np.ascontiguousarray(np.array([params.delta1, params.delta2,
-                                          g * a1, g * a1d, g * a2, g * a2d]).T)
+                                          g1, g1, g2, g2]).T)
 
 
 def _rate_coefficients(params) -> np.ndarray:
@@ -133,9 +133,7 @@ def _rate_coefficients(params) -> np.ndarray:
 def coefficient_stack(ps: ParamStack) -> tuple[np.ndarray, np.ndarray]:
     """(P, 6) Hamiltonian and (P, 11) rate coefficients at the mean fields;
     (6,) and (11,) for one SystemParams."""
-    h = _hamiltonian_coefficients(ps, ps.a1_mean, ps.a1_mean, ps.a2_mean,
-                                  ps.a2_mean)
-    return h, _rate_coefficients(ps)
+    return _hamiltonian_coefficients(ps), _rate_coefficients(ps)
 
 
 def _contract(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -193,7 +191,6 @@ class Generator:
     adjoint: np.ndarray
     coherent: np.ndarray
     rates: np.ndarray
-    params: SystemParams
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return (self.matrix @ rho.reshape(16)).reshape(4, 4)
@@ -208,7 +205,7 @@ def build_generator(params: SystemParams) -> Generator:
     h, r = coefficient_stack(params)
     coherent, lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
     return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
-                     coherent=coherent[0], rates=r, params=params)
+                     coherent=coherent[0], rates=r)
 
 
 

@@ -4,8 +4,9 @@
                        [--svg] [--omega W] [--noise-model M]
 
 Commands: steady, spectrum, sweep, validate, calibrate.  Exit codes:
-0 success, 2 validation failure, 1 error.  SIMULATE_WORKERS sets the sweep
-worker count unless the config's [run] workers key sets it.
+0 success, 2 validation failure, 1 error.  Every command runs in this
+process; outputs go to --out, which is created with the first file written,
+so a run refused before it writes leaves no directory.
 """
 
 from __future__ import annotations
@@ -63,9 +64,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     if cfg.svg and spec.grid.size < 2:  # refused before anything is written
         raise ValueError(f"svg needs a sweep of at least 2 points, "
                          f"got {spec.grid.size}")
-    cfg = dataclasses.replace(
-        cfg, workers=ex.pool_size(cfg.workers, spec.grid.size))
-    result = ex.run_sweep(spec, workers=cfg.workers)
+    result = ex.run_sweep(spec)
     elapsed = time.perf_counter() - t0
     name = cfg.selector if cfg.selector != "custom" else f"sweep_{spec.axis}"
     table = out / f"{name}.{cfg.fmt}"
@@ -190,14 +189,8 @@ def main(argv=None) -> int:
         # each flag is named after the option it overrides
         overrides = {name: getattr(args, key) for key, name in _options()
                      if getattr(args, key, None) is not None}
-        if cfg.workers is None:
-            overrides["workers"] = ex.worker_count()
         cfg = dataclasses.replace(cfg, **overrides)
-        if cfg.command != "sweep":  # no pool runs: one process does the work
-            cfg = dataclasses.replace(cfg, workers=ex.pool_size(cfg.workers, 1))
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        return COMMAND_HANDLERS[cfg.command](cfg, out)
+        return COMMAND_HANDLERS[cfg.command](cfg, Path(cfg.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable
 
 from .experiments import AXES, SWEEP_SELECTORS, ScalingRule
 from .fluctuations import NOISE_MODELS
@@ -55,7 +55,7 @@ class RunConfig:
     omega: float = 0.0
     omega_grid: tuple = (0.0, 0.0, 1)  # for the spectrum command
     noise_model: str = "einstein"
-    workers: Optional[int] = None      # None: SIMULATE_WORKERS decides
+    workers: int = 1                   # sweeps run in one process
     out_dir: str = "out"
     fmt: str = "csv"
     svg: bool = False
@@ -89,6 +89,14 @@ def _int_at_least(key: str, low: int) -> Callable[[str], int]:
             raise ValueError(f"{key} must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _parse_workers(raw: str) -> int:
+    """The one accepted count, which manifests record."""
+    if _parse_int(raw) != 1:
+        raise ValueError(f"workers must be 1, got {raw}: sweeps run in one "
+                         "process")
+    return 1
 
 
 def _parse_bool(raw: str) -> bool:
@@ -128,7 +136,7 @@ OPTIONS = {
         "command": ("command", _choice("command", COMMANDS)),
         "format": ("fmt", _choice("format", FORMATS)),
         "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS)),
-        "workers": ("workers", _int_at_least("workers", 1)),
+        "workers": ("workers", _parse_workers),
         "omega": ("omega", _parse_float),
         "omega_grid": ("omega_grid", _parse_grid),
         "out": ("out_dir", str),

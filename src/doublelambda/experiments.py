@@ -14,10 +14,8 @@ unchanged.
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -88,6 +86,13 @@ class ScalingRule:
             return self.coef
         raise ValueError(f"unknown scaling mode {self.mode!r}")
 
+    def __str__(self) -> str:
+        """The text form (see parse)."""
+        if self.mode == "base*axis":
+            return f"{self.param}=base*axis"
+        suffix = "*axis" if self.mode == "value*axis" else ""
+        return f"{self.param}={self.coef!r}{suffix}"
+
     @classmethod
     def parse(cls, text: str) -> "ScalingRule":
         """The rule of a text form; ValueError names what is malformed."""
@@ -133,6 +138,19 @@ class SweepSpec:
         if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
+        seen = set()
+        for rule in self.scalings:
+            if rule.param in seen:
+                raise ValueError(f"scaling rule {rule} sets {rule.param} a "
+                                 f"second time (axis {self.axis})")
+            seen.add(rule.param)
+        swept = AXES[self.axis].params
+        if seen.issuperset(swept):
+            rules = "; ".join(str(r) for r in self.scalings
+                              if r.param in swept)
+            raise ValueError(f"scaling rules {rules} take over the "
+                             f"{self.axis} axis: they set every parameter "
+                             f"it sweeps ({', '.join(swept)})")
 
     def param_stack(self) -> ParamStack:
         """The grid's points: the axis sets its parameters, then each
@@ -356,49 +374,15 @@ def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> lis
     return _evaluate(ParamStack.of([params]), omegas, omegas, noise_model)
 
 
-def worker_count() -> int:
-    """SIMULATE_WORKERS, at least 1; a malformed value counts as 1."""
-    try:
-        return max(1, int(os.environ.get("SIMULATE_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-#: fewest grid points per sweep worker.  A fresh process's first delta1
-#: sweep (2-core VM, one BLAS thread) with two workers lost every pair to one
-#: up to 1501 points (201: 105 against 67 ms), split them at 2001 and won
-#: from 2501 (620 against 433 ms)
-POOL_MIN_POINTS = 1000
-
-
-def pool_size(requested: int, points: int) -> int:
-    """Worker processes for a sweep of `points` points: the requested count,
-    at most one per CPU and one per POOL_MIN_POINTS points, and at least 1."""
-    return max(1, min(requested, os.cpu_count() or 1,
-                      points // POOL_MIN_POINTS))
-
-
-def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the pipeline on every grid point, in grid order.
 
-    The grid runs as one stack (see evaluate_points); with more than one
-    worker (worker_count() if None, bounded by pool_size) each worker
-    process evaluates one contiguous chunk of it as a stack.
+    The grid runs in stacks of up to STACK_POINTS points (see
+    evaluate_points), all in this process.
     """
     ps = spec.param_stack()
-    omegas = np.full(len(ps), float(spec.omega))
-    workers = pool_size(worker_count() if workers is None else workers,
-                        len(ps))
-    if workers > 1:
-        chunks = np.array_split(np.arange(len(ps)), workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_evaluate, [ps[c] for c in chunks],
-                             [spec.grid[c] for c in chunks],
-                             [omegas[c] for c in chunks],
-                             [spec.noise_model] * len(chunks))
-            rows = [row for part in parts for row in part]
-    else:
-        rows = _evaluate(ps, spec.grid, omegas, spec.noise_model)
+    rows = _evaluate(ps, spec.grid, np.full(len(ps), float(spec.omega)),
+                     spec.noise_model)
     validations = {}
     if spec.validate_every > 0:
         from .oracle import cross_validate  # loads scipy, so only on demand
@@ -425,11 +409,10 @@ def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> SweepResult:
 
 # -- canonical figure protocols ---------------------------------------------
 
-def detuning_spec(base: SystemParams, points: int = 201,
-                  span: float = 4.0, **kw) -> SweepSpec:
-    """One-photon detuning sweep bracketing the doublet (fig2)."""
+def detuning_spec(base: SystemParams, points: int = 201, **kw) -> SweepSpec:
+    """One-photon detuning sweep over [-4, 4], bracketing the doublet (fig2)."""
     return SweepSpec(base=base, axis="delta1",
-                     grid=np.linspace(-span, span, points), **kw)
+                     grid=np.linspace(-4.0, 4.0, points), **kw)
 
 
 def alignment_spec(base: SystemParams, points: int = 201, **kw) -> SweepSpec:

@@ -59,8 +59,7 @@ def _state_failures(rhos: np.ndarray) -> dict:
     return failures
 
 
-def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray,
-                         residual_tol: float = STEADY_RESIDUAL_TOL) -> np.ndarray:
+def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     """Long-time integration by exact exponential stepping with doubling.
 
     Deterministic: the propagator over an initial interval is squared until
@@ -79,15 +78,15 @@ def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray,
         res = np.linalg.norm(lmat @ x)
         if best is None or res < best[0]:
             best = (res, x.copy())
-        if res < residual_tol:
+        if res < STEADY_RESIDUAL_TOL:
             return x.reshape(4, 4)
         prop = prop @ prop
     res, x = best
-    if res < residual_tol * 10:
+    if res < STEADY_RESIDUAL_TOL * 10:
         return x.reshape(4, 4)
     raise SteadyStateError(
         f"long-time integration did not converge: residual {res:.2e} "
-        f"(tolerance {residual_tol:.1e})")
+        f"(tolerance {STEADY_RESIDUAL_TOL:.1e})")
 
 
 def steady_state_stack(lmats: np.ndarray, method: str = "auto"

@@ -45,7 +45,7 @@ SPECTRUM_POINTS = {
 def _sweep_rows(selector: str, noise_model: str) -> list:
     spec = SWEEP_SELECTORS[selector](SystemParams(), noise_model=noise_model)
     rows = []
-    for r in run_sweep(spec, workers=1).rows:
+    for r in run_sweep(spec).rows:
         pops = [None] * 4 if r.populations is None else \
             [float(x) for x in r.populations]
         rows.append([float(r.axis_value), r.v12, r.du2, r.dv2, *pops,

@@ -237,7 +237,7 @@ def test_criterion_10_absorption_monotone():
 
 def test_criterion_11_performance():
     t0 = time.perf_counter()
-    result = run_sweep(detuning_spec(SystemParams(), points=201), workers=1)
+    result = run_sweep(detuning_spec(SystemParams(), points=201))
     sweep_time = time.perf_counter() - t0
     assert not any(r.failed for r in result.rows)
     t1 = time.perf_counter()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublelambda import experiments as ex
 from doublelambda import propagation as pr
 from doublelambda.cli import build_parser, main
 from doublelambda.config import OPTIONS
@@ -141,7 +141,25 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: ValueError: svg needs a sweep of at least 2 points, "
             "got 1\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rules, refused", [
+        ("delta1=0.5", "scaling rules delta1=0.5"),
+        ("delta1=base*axis", "scaling rules delta1=base*axis")],
+        ids=["value", "base-times-axis"])
+    def test_scaling_of_the_swept_parameter_refused(self, tmp_path, capsys,
+                                                    rules, refused):
+        # the first wrote one row labelled -2.0 at delta1 = 0.5, the second
+        # labelled the point at delta1 = +2 as -2.0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nselector = custom\naxis = delta1\n"
+                       f"grid = -2:2:3\nscalings = {rules}\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {refused} take over the delta1 axis: they "
+            "set every parameter it sweeps (delta1)\n")
+        assert not out.exists()
 
     def test_sampled_validation_failure_keeps_the_sweep(self, tmp_path):
         # fig4's first point (gamma0 = 0) has a degenerate null space, which
@@ -239,73 +257,9 @@ print(json.dumps([loaded, doublelambda.cross_validate is oracle.cross_validate,
             (tmp_path / "sweep_delta1_manifest.json").read_text())
         assert manifest["config"]["noise_model"] == "vacuum-reservoir"
 
-    def test_malformed_worker_count_falls_back_to_one(self, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("SIMULATE_WORKERS", "abc")
-        code = run_cli(["sweep", "--out", str(tmp_path),
-                        "--config", str(_mini(tmp_path))])
-        assert code == 0
-        manifest = json.loads(
-            (tmp_path / "sweep_delta1_manifest.json").read_text())
-        assert manifest["config"]["workers"] == 1
-
-    @pytest.mark.parametrize("key, used", [("workers = 1\n", 1), ("", 2)])
-    def test_workers_key_beats_environment(self, tmp_path, monkeypatch, key,
-                                           used):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool's bound
-        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)
-        monkeypatch.setenv("SIMULATE_WORKERS", "2")
-        real, seen = ex.run_sweep, []
-
-        def serial(spec, workers=None):
-            seen.append(workers)
-            return real(spec, workers=1)
-
-        monkeypatch.setattr(ex, "run_sweep", serial)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[run]\n" + key + _mini(tmp_path).read_text())
-        assert run_cli(["sweep", "--out", str(tmp_path),
-                        "--config", str(cfg)]) == 0
-        assert seen == [used]
-        manifest = json.loads(
-            (tmp_path / "sweep_delta1_manifest.json").read_text())
-        assert manifest["config"]["workers"] == used
-
-    @pytest.mark.parametrize("key, env", [("workers = 5000\n", "1"),
-                                          ("", "5000")],
-                             ids=["key", "environment"])
-    def test_manifest_records_the_bounded_pool(self, tmp_path, monkeypatch,
-                                               key, env):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)
-        monkeypatch.setenv("SIMULATE_WORKERS", env)
-        real, seen = ex.run_sweep, []
-
-        def serial(spec, workers=None):
-            seen.append(workers)
-            return real(spec, workers=1)
-
-        monkeypatch.setattr(ex, "run_sweep", serial)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("[run]\n" + key + _mini(tmp_path).read_text())
-        assert run_cli(["sweep", "--out", str(tmp_path),
-                        "--config", str(cfg)]) == 0
-        # 3 grid points: at most 3 workers, whatever was asked for
-        assert seen == [3]
-        manifest = json.loads(
-            (tmp_path / "sweep_delta1_manifest.json").read_text())
-        assert manifest["config"]["workers"] == 3
-
     @pytest.mark.parametrize("command", ["steady", "validate", "calibrate"])
-    def test_non_sweep_manifest_records_one_worker(self, tmp_path,
-                                                   monkeypatch, command):
-        # no pool runs outside a sweep, whatever SIMULATE_WORKERS asks for
-        monkeypatch.setenv("SIMULATE_WORKERS", "5000")
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    def test_non_sweep_manifest_records_one_worker(self, tmp_path, command):
+        # every command runs in one process, which its manifest records
         assert run_cli([command, "--out", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / f"{command}.json").read_text())
         assert manifest["config"]["workers"] == 1
@@ -324,9 +278,12 @@ def _mini(tmp_path):
 
 
 def test_readme_names_every_option():
+    """README's option table has one row per [run] and [sweep] key, and
+    names every flag."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(run|sweep)\]` \| `(\w+)` \|", readme, re.M)
+    assert sorted(rows) == sorted((section, key) for section in OPTIONS
+                                  for key in OPTIONS[section])
     flags = [flag for action in build_parser()._actions
              for flag in action.option_strings if flag.startswith("--")]
-    names = [f"`{key}`" for options in OPTIONS.values() for key in options]
-    names += [f"`{flag}" for flag in flags] + ["`SIMULATE_WORKERS"]
-    assert [name for name in names if name not in readme] == []
+    assert [flag for flag in flags if f"`{flag}" not in readme] == []

@@ -55,7 +55,15 @@ class TestConfigParsing:
     def test_workers_below_one_rejected(self, value):
         with pytest.raises(ConfigError) as err:
             parse_config(f"[run]\ncommand = sweep\nworkers = {value}\n")
-        assert str(err.value) == f"line 3: workers must be >= 1, got {value}"
+        assert str(err.value) == (f"line 3: workers must be 1, got {value}: "
+                                  "sweeps run in one process")
+
+    @pytest.mark.parametrize("value", ["2", "5000"])
+    def test_workers_above_one_rejected(self, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[run]\nworkers = {value}\n")
+        assert str(err.value) == (f"line 2: workers must be 1, got {value}: "
+                                  "sweeps run in one process")
 
     def test_negative_validate_every_rejected(self):
         with pytest.raises(ConfigError) as err:
@@ -172,7 +180,7 @@ delta1 = -0.75
 g = 0.31
 [run]
 command = sweep
-workers = 2
+workers = 1
 [sweep]
 selector = custom
 axis = p
@@ -181,15 +189,16 @@ scalings = n0=base*axis
 """
         assert parse_config(text) == RunConfig(
             params=SystemParams(delta1=-0.75, g=0.31), command="sweep",
-            workers=2, selector="custom", axis="p", grid=(0.0, 1.0, 11),
+            workers=1, selector="custom", axis="p", grid=(0.0, 1.0, 11),
             scalings=(ScalingRule("n0", "base*axis"),))
 
-    #: every option's text other than the default, and the value it reads to
+    #: every option's text other than the default, and the value it reads
+    #: to; workers accepts only its default, 1
     NON_DEFAULT = {
         "command": ("calibrate", "calibrate"),
         "format": ("json", "json"),
         "noise_model": ("vacuum-reservoir", "vacuum-reservoir"),
-        "workers": ("3", 3),
+        "workers": ("1", 1),
         "omega": ("0.25", 0.25),
         "omega_grid": ("-1.5:2.5:7", (-1.5, 2.5, 7)),
         "out": ("results/run 1", "results/run 1"),
@@ -215,7 +224,8 @@ scalings = n0=base*axis
         name = OPTIONS[section][key][0]
         value = getattr(parse_config(config), name)
         assert repr(value) == repr(expected)  # the type too: 3, not 3.0
-        assert value != getattr(RunConfig(), name)
+        if key != "workers":
+            assert value != getattr(RunConfig(), name)
 
 
 def read_csv_table(path):
@@ -494,3 +504,44 @@ class TestOneWriter:
             assert _in_place_writes(ast.parse(src)), src
         assert _in_place_writes(ast.parse(
             'open(p)\nopen(p, "rb")\np.open()\nq.read_text()')) == []
+
+
+#: os attributes that read the environment
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list:
+    """(line, source) of each os.environ / os.getenv reference in `tree`,
+    and of each import of those names from os."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and getattr(node.value, "id", None) == "os"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+              and any(a.name in _ENVIRONMENT for a in node.names)):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+class TestNoEnvironment:
+    """No package module reads an environment variable: a run is set by its
+    config and flags alone, which its manifest records."""
+
+    def test_no_module_reads_the_environment(self):
+        package = Path(doublelambda.__file__).parent
+        offenders = {}
+        for module in sorted(package.glob("*.py")):
+            found = _environment_reads(
+                ast.parse(module.read_text(encoding="utf-8")))
+            if found:
+                offenders[module.name] = found
+        assert offenders == {}
+
+    def test_the_reads_are_seen(self):
+        for src in ('os.environ.get("X", "1")', 'os.environ["X"]',
+                    'os.getenv("X")', "from os import environ",
+                    "from os import getenv as g", "dict(os.environ)"):
+            assert _environment_reads(ast.parse(src)), src
+        assert _environment_reads(ast.parse(
+            "os.cpu_count()\nenv.environ\nfrom os import path")) == []

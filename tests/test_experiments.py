@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ from hypothesis import strategies as st
 from doublelambda import SystemParams
 from doublelambda import experiments
 from doublelambda.entanglement import duan_v12
-from doublelambda.experiments import (SWEEP_SELECTORS, SweepSpec,
+from doublelambda.experiments import (SWEEP_SELECTORS, ScalingRule,
+                                      SweepSpec,
                                       alignment_spec, amplitude_spec,
                                       calibrate_coupling, compute_point,
                                       dephasing_spec, detuning_spec,
@@ -59,6 +59,33 @@ class TestSweepSpec:
         spec = SweepSpec(base=defaults, axis="p", grid=[0.5, 1.5, 2.5])
         with pytest.raises(ValueError, match=r"^\|p1\| must be <= 1, got 1.5$"):
             run_sweep(spec)
+
+    @pytest.mark.parametrize("axis, rules, message", [
+        ("delta1", "delta1=0.5", "scaling rules delta1=0.5 take over the "
+         "delta1 axis: they set every parameter it sweeps (delta1)"),
+        ("delta1", "delta1=base*axis", "scaling rules delta1=base*axis take "
+         "over the delta1 axis: they set every parameter it sweeps (delta1)"),
+        ("p", "p1=0.5; p2=-1*axis", "scaling rules p1=0.5; p2=-1.0*axis take "
+         "over the p axis: they set every parameter it sweeps (p1, p2)"),
+        ("delta1", "n0=base*axis; n0=0.001*axis", "scaling rule n0=0.001*axis "
+         "sets n0 a second time (axis delta1)"),
+    ], ids=["value", "base-times-axis", "both-of-a-pair", "twice"])
+    def test_scalings_may_not_take_over_the_axis(self, defaults, axis, rules,
+                                                 message):
+        # delta1=0.5 on -2:2:3 gave one row labelled -2.0 at delta1 = 0.5;
+        # delta1=base*axis labelled the point at delta1 = +2 as -2.0
+        scalings = tuple(ScalingRule.parse(r) for r in rules.split("; "))
+        with pytest.raises(ValueError) as err:
+            SweepSpec(base=defaults, axis=axis, grid=[-0.5, 0.0, 0.5],
+                      scalings=scalings)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("axis, rule", [("p", "p2=-1*axis"),
+                                            ("amplitude", "a2_mean=1.0")])
+    def test_scaling_one_parameter_of_a_pair(self, defaults, axis, rule):
+        spec = SweepSpec(base=defaults, axis=axis, grid=[0.25, 0.5],
+                         scalings=(ScalingRule.parse(rule),))
+        assert len(spec.param_stack()) == 2
 
     def test_variant_b_keeps_exchange_fixed(self, defaults):
         spec = amplitude_spec(defaults, points=3, variant="b")
@@ -130,7 +157,7 @@ class TestErrorMarking:
             return real(lmats, method)
 
         monkeypatch.setattr(ex, "steady_state_stack", flaky)
-        result = run_sweep(spec, workers=1)
+        result = run_sweep(spec)
         # the failing stack is re-run point by point
         assert stacks == [3, 1, 1, 1]
         assert result.rows[1].failed
@@ -173,7 +200,7 @@ class TestBatchedStack:
                                               noise_model):
         spec = SWEEP_SELECTORS[selector](defaults, points=21,
                                          noise_model=noise_model)
-        batched = run_sweep(spec, workers=1).rows
+        batched = run_sweep(spec).rows
         alone = [compute_point(spec.params_at(v), noise_model=noise_model)
                  for v in spec.grid]
         assert_rows_match(batched, alone)
@@ -237,7 +264,7 @@ class TestBatchedStack:
     def test_stacks_split_long_grids(self, defaults):
         from doublelambda.experiments import STACK_POINTS
         spec = detuning_spec(defaults, points=STACK_POINTS + 3)
-        rows = run_sweep(spec, workers=1).rows
+        rows = run_sweep(spec).rows
         ends = [0, STACK_POINTS - 1, STACK_POINTS, STACK_POINTS + 2]
         assert_rows_match([rows[i] for i in ends],
                           [compute_point(spec.params_at(spec.grid[i]))
@@ -360,7 +387,7 @@ def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", counted_cond)
     monkeypatch.setattr(SystemParams, "__post_init__", counted_check)
-    rows = run_sweep(detuning_spec(defaults), workers=1).rows
+    rows = run_sweep(detuning_spec(defaults)).rows
     assert len(rows) == 201 and not any(r.failed for r in rows)
     assert counts["cond"] == 0
     assert counts["points"] <= 2
@@ -379,7 +406,7 @@ class TestValidationSampling:
         # for the null-space route, raises
         from doublelambda.oracle import cross_validate
         spec = dephasing_spec(defaults, points=5, validate_every=1)
-        result = run_sweep(spec, workers=1)
+        result = run_sweep(spec)
         assert len(result.rows) == 5
         assert not any(row.failed for row in result.rows)
         with pytest.raises(Exception) as err:
@@ -394,78 +421,6 @@ class TestValidationSampling:
         for idx in range(1, 5):
             assert validations[idx]["passed"] is True
             assert validations[idx]["checks"]
-
-
-class TestParallelism:
-    def test_workers_match_serial(self, defaults, monkeypatch):
-        monkeypatch.setattr(experiments, "POOL_MIN_POINTS", 1)  # a real pool
-        spec = detuning_spec(defaults, points=5)
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
-        for ra, rb in zip(serial.rows, parallel.rows):
-            assert ra.axis_value == rb.axis_value
-            assert ra.v12 == rb.v12
-
-
-class PoolRecorder:
-    """Stands in for ProcessPoolExecutor: records the pool size it is asked
-    for and maps in this process, so no process is started."""
-
-    def __init__(self, sizes):
-        self.sizes = sizes
-
-    def __call__(self, max_workers):
-        self.sizes.append(max_workers)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-class TestWorkerBound:
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        import doublelambda.experiments as ex
-        sizes = []
-        monkeypatch.setattr(ex, "ProcessPoolExecutor", PoolRecorder(sizes))
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(ex, "POOL_MIN_POINTS", 1)  # test the other caps
-        return sizes
-
-    @pytest.mark.parametrize("points, workers, size", [
-        (5, 5000, 3), (2, 5000, 2), (5, 2, 2)])
-    def test_pool_is_bounded(self, defaults, pools, points, workers, size):
-        spec = detuning_spec(defaults, points=points)
-        rows = run_sweep(spec, workers=workers).rows
-        assert pools == [size]
-        assert_rows_match(rows, run_sweep(spec, workers=1).rows, rtol=0.0)
-        assert pools == [size]  # one worker starts no pool
-
-    def test_environment_is_bounded(self, defaults, pools, monkeypatch):
-        monkeypatch.setenv("SIMULATE_WORKERS", "5000")
-        run_sweep(detuning_spec(defaults, points=5))
-        assert pools == [3]
-
-
-def test_small_sweeps_stay_serial(defaults, monkeypatch):
-    # each worker gets at least POOL_MIN_POINTS points, so the figure
-    # sweeps run in one process whatever is asked for
-    sizes, least = [], experiments.POOL_MIN_POINTS
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor",
-                        PoolRecorder(sizes))
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    points = (201, 2 * least - 1, 2 * least, 3 * least - 1, 3 * least,
-              9 * least)
-    assert [experiments.pool_size(5000, n) for n in points] == \
-        [1, 1, 2, 2, 3, 8]
-    run_sweep(detuning_spec(defaults, points=5), workers=2)
-    assert sizes == []  # no pool started
 
 
 def calibrate_by_generator(base, target=0.064, bracket=(0.05, 1.0)):

@@ -35,7 +35,7 @@ def pipeline_stacks():
     with pytest.MonkeyPatch.context() as mp:
         for name, run in (
                 ("fig2", lambda: run_sweep(
-                    SWEEP_SELECTORS["fig2"](SystemParams()), workers=1)),
+                    SWEEP_SELECTORS["fig2"](SystemParams()))),
                 ("spectrum-dense", lambda: spectrum(
                     SystemParams(n0=3e19), np.linspace(0.0, 5.0, 128),
                     noise_model="vacuum-reservoir"))):
