@@ -25,6 +25,7 @@ from . import io as io_mod
 from .atom import build_generator
 from .config import (COMMANDS, FORMATS, OPTIONS, ConfigError, RunConfig,
                      parse_config)
+from .oracle import cross_validate
 from .steady import observables, solve_steady_state
 
 
@@ -122,8 +123,6 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig, out: Path) -> int:
-    from .oracle import cross_validate  # loads scipy; no other command does
-
     t0 = time.perf_counter()
     report = cross_validate(cfg.params)
     elapsed = time.perf_counter() - t0

@@ -3,8 +3,9 @@
 Sections: [params] (physical constants), [run] (command, integration and
 output options), [sweep] (selector, axis, grid, scalings).  Unknown sections
 or keys are rejected with the offending line number, as are malformed
-numbers, physically invalid parameter combinations, retired keys and an
-axis, grid or scalings key under any selector but custom.
+numbers, physically invalid parameter combinations, retired keys, an axis,
+grid or scalings key under any selector but custom, and scaling rules that
+set a parameter twice or take the axis over.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .experiments import AXES, SWEEP_SELECTORS, ScalingRule
+from .experiments import AXES, SWEEP_SELECTORS, ScalingRule, check_scalings
 from .fluctuations import NOISE_MODELS
 from .params import SystemParams
 
@@ -159,7 +160,7 @@ CUSTOM_KEYS = ("axis", "grid", "scalings")
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key = value config; defaults are the reference setup."""
     values = {"params": {}, "run": {}}
-    custom_lines = {}  # line of each CUSTOM_KEYS key given
+    custom_lines = {}  # last line of each CUSTOM_KEYS key given
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = _strip_comment(rawline)
@@ -189,7 +190,7 @@ def parse_config(text: str) -> RunConfig:
             name, parse = OPTIONS[section][key]
             target = values["run"]
             if section == "sweep" and key in CUSTOM_KEYS:
-                custom_lines.setdefault(key, lineno)
+                custom_lines[key] = lineno
         else:
             raise ConfigError(
                 f"unknown option {key!r} in retired section [{section}]", lineno)
@@ -202,6 +203,12 @@ def parse_config(text: str) -> RunConfig:
         key, lineno = next(iter(custom_lines.items()))  # the first given
         raise ConfigError(f"[sweep] {key} applies to selector = custom only, "
                           f"not {selector}", lineno)
+    if "scalings" in custom_lines:  # refused at the scalings line read
+        try:
+            check_scalings(values["run"].get("axis", RunConfig.axis),
+                           values["run"]["scalings"])
+        except ValueError as exc:
+            raise ConfigError(str(exc), custom_lines["scalings"]) from None
     try:
         params = SystemParams(**values["params"])
     except ValueError as exc:

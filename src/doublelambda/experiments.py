@@ -26,6 +26,7 @@ from . import fluctuations as fl
 from . import propagation as pr
 from .atom import build_generator  # noqa: F401  (the benchmark reads it)
 from .entanglement import duan_stack
+from .oracle import cross_validate
 from .params import BASIS, ParamStack, SystemParams
 from .steady import absorption, steady_state_stack
 
@@ -114,6 +115,22 @@ class ScalingRule:
             raise ValueError(f"malformed number {raw!r}") from None
 
 
+def check_scalings(axis: str, scalings) -> None:
+    """Refuse scaling rules that set a parameter twice or take the axis over."""
+    seen = set()
+    for rule in scalings:
+        if rule.param in seen:
+            raise ValueError(f"scaling rule {rule} sets {rule.param} a "
+                             f"second time (axis {axis})")
+        seen.add(rule.param)
+    swept = AXES[axis].params
+    if seen.issuperset(swept):
+        rules = "; ".join(str(r) for r in scalings if r.param in swept)
+        raise ValueError(f"scaling rules {rules} take over the {axis} axis: "
+                         f"they set every parameter it sweeps "
+                         f"({', '.join(swept)})")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     base: SystemParams
@@ -138,19 +155,7 @@ class SweepSpec:
         if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("grid must be strictly monotone")
         object.__setattr__(self, "grid", grid)
-        seen = set()
-        for rule in self.scalings:
-            if rule.param in seen:
-                raise ValueError(f"scaling rule {rule} sets {rule.param} a "
-                                 f"second time (axis {self.axis})")
-            seen.add(rule.param)
-        swept = AXES[self.axis].params
-        if seen.issuperset(swept):
-            rules = "; ".join(str(r) for r in self.scalings
-                              if r.param in swept)
-            raise ValueError(f"scaling rules {rules} take over the "
-                             f"{self.axis} axis: they set every parameter "
-                             f"it sweeps ({', '.join(swept)})")
+        check_scalings(self.axis, self.scalings)
 
     def param_stack(self) -> ParamStack:
         """The grid's points: the axis sets its parameters, then each
@@ -385,7 +390,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                      spec.noise_model)
     validations = {}
     if spec.validate_every > 0:
-        from .oracle import cross_validate  # loads scipy, so only on demand
         for idx in range(0, len(spec.grid), spec.validate_every):
             try:
                 validations[idx] = cross_validate(ps.point(idx)).as_dict()

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, schur
-from scipy.linalg.lapack import dtrsyl
 
 from . import fluctuations as fl
 from . import propagation as pr
@@ -164,7 +162,10 @@ def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
     With X = U^T S U the equation reads T X + X T^T = -2 U^T D U; the drift
     is real and D complex Hermitian, so the real and imaginary parts of the
     right side each take one real quasi-triangular solve (trsyl) on T.
+    scipy loads here, at the first solve, and not with this module.
     """
+    from scipy.linalg import schur
+    from scipy.linalg.lapack import dtrsyl
     t, u = schur(lin.a, output="real")
     max_re = float(np.max(np.diag(t)))
     if max_re >= -1e-14:
@@ -176,7 +177,8 @@ def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
     for c in (rhs.real, rhs.imag):
         x, scale, info = dtrsyl(t, t, c, tranb="T")
         if info < 0:
-            raise LinAlgError(f"Illegal value encountered in the {-info} term")
+            raise np.linalg.LinAlgError(
+                f"Illegal value encountered in the {-info} term")
         parts.append(x / scale)
     return u @ (parts[0] + 1j * parts[1]) @ u.T
 

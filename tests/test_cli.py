@@ -17,6 +17,18 @@ def run_cli(args):
     return main(args)
 
 
+def run_fresh(code: str):
+    """The JSON that `code` prints last, run in a new interpreter that
+    imports this package from the same source tree."""
+    import doublelambda
+    src = Path(doublelambda.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestCommands:
     def test_steady(self, tmp_path, capsys):
         code = run_cli(["steady", "--out", str(tmp_path)])
@@ -157,8 +169,8 @@ class TestCommands:
         out = tmp_path / "out"
         assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: ValueError: {refused} take over the delta1 axis: they "
-            "set every parameter it sweeps (delta1)\n")
+            f"config error: line 5: {refused} take over the delta1 axis: "
+            "they set every parameter it sweeps (delta1)\n")
         assert not out.exists()
 
     def test_sampled_validation_failure_keeps_the_sweep(self, tmp_path):
@@ -206,14 +218,12 @@ class TestCommands:
     def test_only_validate_loads_scipy(self, tmp_path):
         """In a fresh interpreter, steady, a sweep, spectrum and calibrate
         load no scipy module, whose import is about half of a short run's
-        start-up time; validate then loads the oracle, and scipy with it."""
-        import doublelambda
+        start-up time; validate's first Lyapunov solve loads scipy."""
         (tmp_path / "sweep.cfg").write_text(
             "[sweep]\nselector = custom\naxis = delta1\ngrid = -1.0:1.0:5\n")
         (tmp_path / "spectrum.cfg").write_text("[run]\nomega_grid = 0.0:1.0:3\n")
         code = f"""
 import json, sys
-import doublelambda
 from doublelambda import cli
 out = {str(tmp_path)!r}
 loaded = {{}}
@@ -223,24 +233,36 @@ for args in (["steady"], ["sweep", "--config", out + "/sweep.cfg"],
     assert cli.main(args + ["--out", out]) == 0, args
     loaded[args[0]] = sorted(m for m in sys.modules
                              if m.partition(".")[0] == "scipy")
-oracle = sys.modules["doublelambda.oracle"]
-names = ("EvolutionResult", "ValidationReport", "cross_validate",
-         "lyapunov_covariance", "regression_covariance", "time_evolve")
-print(json.dumps([loaded, doublelambda.cross_validate is oracle.cross_validate,
-                  all(getattr(doublelambda, n) is getattr(oracle, n)
-                      for n in names)]))
+print(json.dumps(loaded))
 """
-        src = Path(doublelambda.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        loaded, same, exported = json.loads(proc.stdout.splitlines()[-1])
+        loaded = run_fresh(code)
         assert {cmd: loaded[cmd] for cmd in
                 ("steady", "sweep", "spectrum", "calibrate")} == {
             "steady": [], "sweep": [], "spectrum": [], "calibrate": []}
         assert "scipy.linalg" in loaded["validate"]
-        assert same and exported
+
+    def test_oracle_imports_without_scipy(self):
+        """In a fresh interpreter, the package and its oracle module import
+        without scipy and export the oracle's names as its own; the first
+        Lyapunov solve loads scipy.linalg."""
+        code = """
+import json, sys
+import doublelambda, doublelambda.oracle
+from doublelambda.atom import build_generator
+from doublelambda.fluctuations import linearize
+from doublelambda.steady import solve_steady_state
+oracle = doublelambda.oracle
+names = ("EvolutionResult", "ValidationReport", "cross_validate",
+         "lyapunov_covariance", "regression_covariance", "time_evolve")
+exported = all(getattr(doublelambda, n) is getattr(oracle, n) for n in names)
+same = doublelambda.cross_validate is oracle.cross_validate
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+p = doublelambda.SystemParams()
+gen = build_generator(p)
+oracle.lyapunov_covariance(linearize(gen, solve_steady_state(gen, p), p))
+print(json.dumps([before, exported, same, "scipy.linalg" in sys.modules]))
+"""
+        assert run_fresh(code) == [[], True, True, True]
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

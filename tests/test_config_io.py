@@ -82,6 +82,25 @@ class TestConfigParsing:
         cfg = parse_config(text.replace(selector, "") + "selector = custom\n")
         assert (cfg.axis, cfg.grid) == ("gamma0", (0.0, 1.0, 3))
 
+    @pytest.mark.parametrize("axis, rules, message", [
+        ("delta1", "delta1=0.5", "scaling rules delta1=0.5 take over the "
+         "delta1 axis: they set every parameter it sweeps (delta1)"),
+        ("p", "p1=0.5; p2=-1*axis", "scaling rules p1=0.5; p2=-1.0*axis take "
+         "over the p axis: they set every parameter it sweeps (p1, p2)"),
+        ("delta1", "n0=base*axis; n0=0.001*axis", "scaling rule n0=0.001*axis "
+         "sets n0 a second time (axis delta1)"),
+    ], ids=["take-over", "both-of-a-pair", "twice"])
+    def test_scaling_rules_refused_at_their_line(self, axis, rules, message):
+        # the axis comes after the rules it refuses them for; a second
+        # scalings line replaces the first, so the error names the second
+        text = (f"[sweep]\nselector = custom\nscalings = n0=base*axis\n"
+                f"scalings = {rules}\naxis = {axis}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == f"line 4: {message}"
+        first = text.replace(f"scalings = {rules}\n", "")
+        assert parse_config(first).scalings == (ScalingRule("n0", "base*axis"),)
+
     def test_hash_inside_a_value_is_kept(self):
         cfg = parse_config("[run]\nout = results#1\n")
         assert cfg.out_dir == "results#1"
@@ -545,3 +564,57 @@ class TestNoEnvironment:
             assert _environment_reads(ast.parse(src)), src
         assert _environment_reads(ast.parse(
             "os.cpu_count()\nenv.environ\nfrom os import path")) == []
+
+
+def _scipy_imports(tree: ast.Module) -> list:
+    """(enclosing function or None, source) of each import of scipy in
+    `tree`, in source order; None marks an import run at module level."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.partition(".")[0] == "scipy" for name in names):
+            found.append((func, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+class TestScipyBoundary:
+    """No package module imports scipy at module level: it loads at the first
+    Lyapunov solve, the one function that needs it, and no run but
+    validation makes one."""
+
+    def test_scipy_imported_only_by_the_lyapunov_solver(self):
+        package = Path(doublelambda.__file__).parent
+        found = {}
+        for module in sorted(package.glob("*.py")):
+            imports = _scipy_imports(
+                ast.parse(module.read_text(encoding="utf-8")))
+            if imports:
+                found[module.name] = imports
+        assert found == {"oracle.py": [
+            ("lyapunov_covariance", "from scipy.linalg import schur"),
+            ("lyapunov_covariance", "from scipy.linalg.lapack import dtrsyl")]}
+
+    def test_the_imports_are_seen(self):
+        src = ("import scipy\n"
+               "import numpy, scipy.linalg as sl\n"
+               "from scipy import linalg\n"
+               "if x:\n    from scipy.linalg import expm\n"
+               "class C:\n    import scipy.sparse\n"
+               "def f():\n    def g():\n        import scipy.fft\n")
+        assert [func for func, _ in _scipy_imports(ast.parse(src))] == [
+            None, None, None, None, None, "g"]
+        assert _scipy_imports(ast.parse(
+            "import numpy\nimport scipyx\nfrom . import scipy\n"
+            "from .scipy import linalg")) == []

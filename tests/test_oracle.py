@@ -217,10 +217,10 @@ class TestLyapunov:
             lyapunov_covariance(lin)
 
     def test_one_real_schur_per_solve(self, defaults, monkeypatch):
-        from doublelambda import oracle
+        # lyapunov_covariance imports schur from scipy.linalg at call time
         _, _, lin = solved(defaults)
         calls = []
-        monkeypatch.setattr(oracle, "schur",
+        monkeypatch.setattr(scipy.linalg, "schur",
                             lambda *a, **k: calls.append(k) or schur(*a, **k))
 
         def refuse(*a, **k):
