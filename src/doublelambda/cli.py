@@ -75,8 +75,8 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
         written += [str(p) for p in io_mod.emit_plot(result, out / name)]
     _write_manifest(cfg, elapsed, out / f"{name}_manifest.json",
                     extra={"sweep_manifest": result.manifest})
-    failed = sum(1 for r in result.rows if r.failed)
-    print(f"sweep {cfg.selector}: {len(result.rows)} points "
+    failed = np.count_nonzero(result.columns["error"] != "")
+    print(f"sweep {cfg.selector}: {spec.grid.size} points "
           f"({failed} failed) in {elapsed:.2f} s -> {', '.join(written)}")
     return 0
 

@@ -160,7 +160,8 @@ CUSTOM_KEYS = ("axis", "grid", "scalings")
 def parse_config(text: str) -> RunConfig:
     """Parse a sectioned key = value config; defaults are the reference setup."""
     values = {"params": {}, "run": {}}
-    custom_lines = {}  # last line of each CUSTOM_KEYS key given
+    # last line of each [params] key and of each CUSTOM_KEYS key given
+    param_lines, custom_lines = {}, {}
     section = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = _strip_comment(rawline)
@@ -181,6 +182,7 @@ def parse_config(text: str) -> RunConfig:
             if key not in PARAM_KEYS:
                 raise ConfigError(f"unknown parameter {key!r}", lineno)
             target, name, parse = values["params"], key, _parse_float
+            param_lines[key] = lineno
         elif key in RETIRED_KEYS.get(section, {}):
             raise ConfigError(f"[{section}] {key} is retired: "
                               f"{RETIRED_KEYS[section][key]}", lineno)
@@ -211,6 +213,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(str(exc), custom_lines["scalings"]) from None
     try:
         params = SystemParams(**values["params"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters: {exc}")
+    except ValueError as exc:  # each check is on one field, named first
+        field_name = re.match(r"\|?(\w+)", str(exc))[1]
+        raise ConfigError(f"invalid parameters: {exc}",
+                          param_lines[field_name]) from None
     return RunConfig(params=params, **values["run"])

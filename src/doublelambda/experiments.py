@@ -3,8 +3,9 @@
 Each grid point runs the full pipeline: steady state -> linearization ->
 propagation -> Duan criterion, with per-point failures recorded rather than
 aborting the sweep.  A grid runs as stacks of up to STACK_POINTS points:
-every stage is one batched call on the points of a stack still live.  A
-spectrum is the same evaluation with one point at every frequency.
+every stage is one batched call on the points of a stack still live, and
+every point is evaluated at every frequency: a sweep is its points at one
+frequency, a spectrum one point at its frequencies.
 Strictly dark working points (no dissipation channel fires) short-circuit
 to the transparent-medium limit where the zero-frequency response is
 undefined but the physical answer is exact: the fields pass through
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -167,16 +168,12 @@ class SweepSpec:
                                              self.grid)
         return ParamStack(**columns)
 
-    def params_at(self, axis_value: float) -> SystemParams:
-        """The point at one axis value: param_stack on a one-point grid."""
-        return replace(self, grid=[axis_value]).param_stack().point(0)
-
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point's result.  The fields are the result-table columns in
-    order; a field's metadata gives its unit and, for an array, the columns
-    it splits into.  axis_value has the unit of the swept axis."""
+    """A point's result at one frequency.  The fields are the result-table
+    columns in order; a field's metadata gives its unit and, for an array,
+    the columns it splits into.  axis_value has the unit of the swept axis."""
 
     axis_value: float
     v12: Optional[float] = field(default=None, metadata={"unit": "[1]"})
@@ -195,64 +192,94 @@ class SweepRow:
         return bool(self.error)
 
 
+def _no_values(rows: int) -> dict:
+    """Columns of `rows` rows with no values: NaN for a number (one column
+    per entry of a split field), the field's default for a text field."""
+    columns = {}
+    for f in fields(SweepRow):
+        if isinstance(f.default, (str, tuple)):
+            columns[f.name] = np.empty(rows, dtype=object)
+            columns[f.name].fill(f.default)
+        else:
+            split = f.metadata.get("split")
+            columns[f.name] = np.full((rows, len(split)) if split else rows,
+                                      np.nan)
+    return columns
+
+
+def _values(f, column: np.ndarray) -> list:
+    """Field f's values from its column: the rows of a 2-D column as arrays,
+    and None where a field that may be None holds NaN."""
+    values = list(column) if column.ndim > 1 else column.tolist()
+    if f.default is not None:
+        return values
+    missing = np.isnan(column.reshape(len(column), -1)).any(1)
+    return [None if m else v for m, v in zip(missing.tolist(), values)]
+
+
+def _rows(columns: dict) -> list:
+    return [SweepRow(*cells) for cells in
+            zip(*(_values(f, columns[f.name]) for f in fields(SweepRow)))]
+
+
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's rows as columns: one array per SweepRow field, a number
+    NaN where a row has no value, populations of shape (rows, 4), and
+    method, error and warnings as object arrays."""
+
     axis: str
-    rows: tuple
+    columns: dict
     manifest: dict
 
-    def column(self, name: str) -> np.ndarray:
-        """One field of every row as floats, None as NaN."""
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
-
     @property
-    def axis_values(self) -> np.ndarray:
-        return np.array([r.axis_value for r in self.rows])
+    def rows(self) -> tuple:
+        """The rows as SweepRow objects, built on each call."""
+        return tuple(_rows(self.columns))
 
 
 class _Stack:
-    """Stack positions of the points still being evaluated, and the outcome
-    (DARK or the exception of a failed check) of those that left."""
+    """Stack positions of the points (or rows) still being evaluated, and
+    an error column that the points leaving on a failed check write to."""
 
-    def __init__(self, live: np.ndarray):
-        self.live = live
-        self.outcomes = {}
+    def __init__(self, live: np.ndarray, error: np.ndarray):
+        self.live, self.error = live, error
 
-    def drop(self, outcomes: dict, *arrays) -> list:
-        """Retire the live points keyed in outcomes; return arrays (aligned
+    def drop(self, failures: dict, *arrays) -> list:
+        """Retire the live points keyed in failures, writing the error text
+        of each exception (None leaves no error); return arrays (aligned
         with the live points) restricted to the points that stay."""
         keep = np.ones(self.live.size, dtype=bool)
-        for k, outcome in outcomes.items():
-            self.outcomes[int(self.live[k])] = outcome
+        for k, exc in failures.items():
+            if exc is not None:
+                self.error[self.live[k]] = _error_text(exc)
             keep[k] = False
         self.live = self.live[keep]
         return [x[keep] for x in arrays]
 
 
-#: outcome of a strictly dark point: the fields pass through unchanged
-DARK = "dark-transparent"
-
-
-def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
-                    omegas: np.ndarray, noise_model: str) -> list:
-    """The pipeline on all rows at once: row i is the point ps[i], or the
-    one point of a one-point ps, at the frequency omegas[i].  See
-    evaluate_points.
+def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
+                    noise_model: str) -> dict:
+    """The pipeline on every point of ps at every frequency of omegas, as
+    columns (see SweepResult) with no axis values: row p * len(omegas) + k
+    is the point ps[p] at omegas[k].
 
     The stages up to the frequency (coefficients -> steady state -> dark
-    check -> drift, field coupling and diffusion) run once per point; each
-    live point's a, b and d are then spread to its rows, and response,
-    transfer, propagation and Duan run on the rows, in stacks of at most
-    STACK_ROWS rows.
+    check -> drift, field coupling and diffusion) run once per point;
+    response, transfer, propagation and Duan run on the rows of the live
+    points in stacks of at most STACK_ROWS rows, each of which gathers its
+    rows' a, b and d.
     """
-    points = _Stack(np.arange(len(ps)))
+    points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
     coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     rho_all, methods, failures = steady_state_stack(lmat)
     coherent, lmat, r, rho = points.drop(failures, coherent, lmat, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
-    dark = dict.fromkeys(np.flatnonzero(activity < DARK_ACTIVITY_TOL), DARK)
-    coherent, lmat, r, rho = points.drop(dark, coherent, lmat, r, rho)
+    dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
+    dark[points.live] = activity < DARK_ACTIVITY_TOL
+    coherent, lmat, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
+        dark[points.live])), coherent, lmat, r, rho)
     a, failures = fl.drift_stack(atom.adjoint_stack(lmat))
     a, coherent, lmat, r, rho = points.drop(failures, a, coherent, lmat, r,
                                             rho)
@@ -262,26 +289,22 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
     # dropped before the row stages: kept alive, they doubled the minor page
     # faults of a fig2 sweep (about 1600 -> 3000 per CLI pass)
     del h, r, coherent, lmat, rho, activity
-    point = np.broadcast_to(np.arange(len(ps)), len(omegas))  # of each row
-    stack = _Stack(np.arange(len(omegas)))
-    stack.drop({i: points.outcomes[p] for i, p in enumerate(point.tolist())
-                if p in points.outcomes})
-    live = point[stack.live]
-    # a, b and d hold one point per live row, or the one point of all rows
-    a, b, d = (np.broadcast_to(x, (live.size,) + x.shape[1:])
-               for x in (a, b, d))
-    chi = np.stack([ps.chi1, ps.chi2], 1)[live]
-    lengths, scale = ps.cell_length[live], fl.noise_scale(ps)[live]
-    du2, dv2 = np.full((2, len(omegas)), np.nan)
-    warnings = {}
+    point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
+    omega = np.tile(omegas, len(ps))
+    columns = _no_values(point.size)
+    columns["error"] = points.error[point]
+    at = np.full(len(ps), -1)  # a live point's position in a, b and d
+    at[points.live] = np.arange(points.live.size)
+    live = np.flatnonzero(at[point] >= 0)  # the rows of the live points
+    chi, scale = np.stack([ps.chi1, ps.chi2], 1), fl.noise_scale(ps)
     for start in range(0, live.size, STACK_ROWS):
-        cut = slice(start, start + STACK_ROWS)
-        part = _Stack(stack.live[cut])
+        part = _Stack(live[start:start + STACK_ROWS], columns["error"])
+        p = point[part.live]
         m, m_minus, nfield, failures = pr.transfer_stack(
-            a[cut], b[cut], d[cut], omegas[part.live], chi[cut],
-            lengths[cut], scale[cut])
+            a[at[p]], b[at[p]], d[at[p]], omega[part.live], chi[p],
+            ps.cell_length[p], scale[p])
         m, m_minus, nfield, length = part.drop(failures, m, m_minus, nfield,
-                                               lengths[cut])
+                                               ps.cell_length[p])
         c_out, residual, converged, failures = pr.propagate_stack(
             m, m_minus, nfield, length, pr.input_covariance().c)
         c_out, residual, converged = part.drop(failures, c_out, residual,
@@ -289,74 +312,59 @@ def _evaluate_stack(ps: ParamStack, axis_values: np.ndarray,
         u, v, failures = duan_stack(c_out)
         u, v, residual, converged = part.drop(failures, u, v, residual,
                                               converged)
-        du2[part.live], dv2[part.live] = u, v
-        warnings.update((i, pr.self_check_warnings(res, ok)) for i, res, ok
-                        in zip(part.live.tolist(), residual, converged))
-        stack.outcomes.update(part.outcomes)
-    dark = [i for i, outcome in stack.outcomes.items() if outcome is DARK]
-    du2[dark] = dv2[dark] = 2.0
-    expectations = rho_all.transpose(0, 2, 1).reshape(len(ps), 16)[point]
-    _, _, alpha1, alpha2 = absorption(expectations, ps)
-    alpha1[dark] = alpha2[dark] = 0.0
-    rows = []
-    for i, cells in enumerate(zip(
-            axis_values.tolist(), (du2 + dv2).tolist(), du2.tolist(),
-            dv2.tolist(), expectations[:, BASIS.diagonal].real,
-            np.where(ps.a1_mean > 0, alpha1, None).tolist(),
-            np.where(ps.a2_mean > 0, alpha2, None).tolist())):
-        outcome = stack.outcomes.get(i, "")
-        if isinstance(outcome, Exception):
-            rows.append(_error_row(outcome, cells[0]))
-        else:
-            rows.append(SweepRow(*cells, method=methods[point[i]] + (
-                "+" + DARK if outcome is DARK else ""),
-                warnings=warnings.get(i, ())))
-    return rows
+        columns["du2"][part.live], columns["dv2"][part.live] = u, v
+        for i, res, ok in zip(part.live.tolist(), residual, converged):
+            columns["warnings"][i] = pr.self_check_warnings(res, ok)
+    columns["du2"][dark[point]] = columns["dv2"][dark[point]] = 2.0
+    columns["v12"] = columns["du2"] + columns["dv2"]
+    expectations = rho_all.transpose(0, 2, 1).reshape(len(ps), 16)
+    alphas = np.stack(absorption(expectations, ps)[2:])  # NaN at <a_i> = 0
+    alphas[dark & ~np.isnan(alphas)] = 0.0  # a dark medium absorbs nothing
+    method = np.array([name + ("+dark-transparent" if is_dark else "")
+                       for name, is_dark in zip(methods, dark)], dtype=object)
+    ok = columns["error"] == ""  # the rows that did not fail
+    p = point[ok]
+    columns["populations"][ok] = expectations[p][:, BASIS.diagonal].real
+    columns["alpha1"][ok], columns["alpha2"][ok] = alphas[:, p]
+    columns["method"][ok] = method[p]
+    return columns
 
 
 def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _error_row(exc: Exception, axis_value: float) -> SweepRow:
-    return SweepRow(axis_value=axis_value, error=_error_text(exc))
-
-
-def _evaluate(ps: ParamStack, axis_values: np.ndarray, omegas: np.ndarray,
-              noise_model: str) -> list:
-    """The rows of _evaluate_stack, in stacks of at most STACK_POINTS
-    points; an exception re-runs the rows one at a time."""
-    if len(ps) > STACK_POINTS:
-        return [row for start in range(0, len(ps), STACK_POINTS)
-                for row in _evaluate(ps[start:start + STACK_POINTS],
-                                     axis_values[start:start + STACK_POINTS],
-                                     omegas[start:start + STACK_POINTS],
-                                     noise_model)]
-    try:
-        return _evaluate_stack(ps, axis_values, omegas, noise_model)
-    except Exception as exc:  # per-point failures must not kill the sweep
-        if len(omegas) == 1:
-            return [_error_row(exc, float(axis_values[0]))]
-    return [_evaluate(ps if len(ps) == 1 else ps[i:i + 1],
-                      axis_values[i:i + 1], omegas[i:i + 1], noise_model)[0]
-            for i in range(len(omegas))]
+def _evaluate(ps: ParamStack, omegas: np.ndarray, noise_model: str) -> dict:
+    """The columns of _evaluate_stack, in stacks of at most STACK_POINTS
+    points.  An exception re-runs the points one at a time, and then a
+    point's frequencies one at a time, so it reaches only the rows it
+    raised on."""
+    if len(ps) <= STACK_POINTS:
+        try:
+            return _evaluate_stack(ps, omegas, noise_model)
+        except Exception as exc:  # per-point failures must not kill the sweep
+            if len(ps) == len(omegas) == 1:
+                return {**_no_values(1),
+                        "error": np.array([_error_text(exc)], dtype=object)}
+    if len(ps) > 1:
+        step = STACK_POINTS if len(ps) > STACK_POINTS else 1
+        parts = [_evaluate(ps[i:i + step], omegas, noise_model)
+                 for i in range(0, len(ps), step)]
+    else:
+        parts = [_evaluate(ps, omegas[k:k + 1], noise_model)
+                 for k in range(len(omegas))]
+    return {name: np.concatenate([part[name] for part in parts])
+            for name in parts[0]}
 
 
 def evaluate_points(points, omega: float = 0.0,
                     noise_model: str = "einstein") -> list:
-    """Full pipeline on a list of SystemParams, evaluated as stacks.
-
-    Consecutive runs of up to STACK_POINTS points form one stack each, and
-    every stage runs once per stack on the points still live; a point that
-    fails a check leaves the stack with the error row its own evaluation
-    gives, and strictly dark points leave it with the transparent-medium
-    row.  An exception raised by a stage re-runs the points one at a time,
-    so it reaches only the row of the point that raised it.  Never raises;
-    rows come back in input order with axis_value NaN.
-    """
-    ps = ParamStack.of(points)
-    return _evaluate(ps, np.full(len(ps), np.nan),
-                     np.full(len(ps), float(omega)), noise_model)
+    """Full pipeline on a list of SystemParams, evaluated as stacks (see
+    _evaluate): one row per point, in input order, with axis_value NaN.
+    Never raises; a point that fails gets the error row its own evaluation
+    gives, and a strictly dark point the transparent-medium row."""
+    return _rows(_evaluate(ParamStack.of(points), np.array([float(omega)]),
+                           noise_model))
 
 
 def compute_point(params: SystemParams, omega: float = 0.0,
@@ -376,18 +384,16 @@ def spectrum(params: SystemParams, omegas, noise_model: str = "einstein") -> lis
     one frequency only that frequency's row.
     """
     omegas = np.asarray(omegas, dtype=float)
-    return _evaluate(ParamStack.of([params]), omegas, omegas, noise_model)
+    return _rows({**_evaluate(ParamStack.of([params]), omegas, noise_model),
+                  "axis_value": omegas})
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the pipeline on every grid point, in grid order.
-
-    The grid runs in stacks of up to STACK_POINTS points (see
-    evaluate_points), all in this process.
-    """
+    """Evaluate the pipeline on every grid point, in grid order and in
+    stacks of up to STACK_POINTS points (see _evaluate), as columns."""
     ps = spec.param_stack()
-    rows = _evaluate(ps, spec.grid, np.full(len(ps), float(spec.omega)),
-                     spec.noise_model)
+    columns = {**_evaluate(ps, np.array([float(spec.omega)]),
+                           spec.noise_model), "axis_value": spec.grid.copy()}
     validations = {}
     if spec.validate_every > 0:
         for idx in range(0, len(spec.grid), spec.validate_every):
@@ -408,7 +414,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.axis == "gamma0":
         # the derived coherence decay accompanying the swept exchange rate
         manifest["gamma13"] = ps.gamma13.tolist()
-    return SweepResult(axis=spec.axis, rows=tuple(rows), manifest=manifest)
+    return SweepResult(axis=spec.axis, columns=columns, manifest=manifest)
 
 
 # -- canonical figure protocols ---------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from io import StringIO
 from pathlib import Path
 from typing import Optional
@@ -13,40 +13,31 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .experiments import AXES, SweepResult, SweepRow
+from .experiments import AXES, SweepResult, SweepRow, _values
 
 
 _ROW_FIELDS = fields(SweepRow)
 
 
-def _table(rows) -> dict:
-    """Table column -> its values over the rows: a split field gives one
-    column per entry, a tuple of strings one column joined with "; "."""
-    table = {}
-    for f in _ROW_FIELDS:
-        values = [getattr(row, f.name) for row in rows]
-        split = f.metadata.get("split")
-        if split:
-            table.update((name, [None if v is None else v[k] for v in values])
-                         for k, name in enumerate(split))
-        else:
-            table[f.name] = ["; ".join(v) if isinstance(v, tuple) else v
-                             for v in values]
+def _table(result: SweepResult) -> dict:
+    """Table column header -> its values over the rows: the axis in its
+    unit, then one column per field, or per entry of a split field."""
+    axis = AXES[result.axis]
+    table = {f"{result.axis} {axis.unit}": result.columns["axis_value"]}
+    for f in _ROW_FIELDS[1:]:
+        column, unit = result.columns[f.name], f.metadata.get("unit", "")
+        table.update((f"{name} {unit}".strip(), values) for name, values in
+                     zip(f.metadata.get("split") or (f.name,),
+                         column.reshape(len(column), -1).T))
     return table
 
 
-def _cells(values: list) -> list:
-    return [value if isinstance(value, str) else
-            "" if value is None else repr(float(value)) for value in values]
-
-
-def _header(axis: str) -> list:
-    header = [f"{axis} {AXES[axis].unit}"]  # the axis_value column
-    for f in _ROW_FIELDS[1:]:
-        unit = f.metadata.get("unit", "")
-        header += [f"{name} {unit}".strip()
-                   for name in f.metadata.get("split") or (f.name,)]
-    return header
+def _cells(values: np.ndarray) -> list:
+    """CSV cells: text as it is, a tuple of strings joined with "; ", a
+    number by repr and NaN as an empty cell."""
+    if values.dtype == object:
+        return [v if isinstance(v, str) else "; ".join(v) for v in values]
+    return ["" if v != v else repr(v) for v in values.tolist()]
 
 
 def _write_text(path, text: str) -> Path:
@@ -82,15 +73,17 @@ def write_results(result: SweepResult, fmt: str, path) -> Path:
         buf.write(f"# noise_model = {result.manifest.get('noise_model')}\n")
         buf.write(f"# omega = {result.manifest.get('omega')!r}\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(_header(result.axis))
-        columns = [_cells(c) for c in _table(result.rows).values()]
-        writer.writerows(zip(*columns))
+        table = _table(result)
+        writer.writerow(table)
+        writer.writerows(zip(*map(_cells, table.values())))
         text = buf.getvalue()
     elif fmt == "json":
         payload = {
             "manifest": result.manifest,
             "axis": result.axis,
-            "rows": [asdict(r) for r in result.rows],
+            "rows": [dict(zip((f.name for f in _ROW_FIELDS), cells))
+                     for cells in zip(*(_values(f, result.columns[f.name])
+                                        for f in _ROW_FIELDS))],
         }
         text = json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
     else:
@@ -174,13 +167,14 @@ def _svg_line_plot(x: np.ndarray, series: dict, xlabel: str, ylabel: str,
     return "\n".join(parts)
 
 
-#: one SVG per entry: file suffix, y label, title, legend label -> column
+#: one SVG per entry: file suffix, y label, title, legend label -> table
+#: column
 PLOTS = (
-    ("v12", "V12", "joint-quadrature correlation", {"V12": "v12"}),
+    ("v12", "V12", "joint-quadrature correlation", {"V12": "v12 [1]"}),
     ("populations", "population", "steady-state populations",
-     {f"pop{k}": f"pop{k}" for k in range(1, 5)}),
+     {f"pop{k}": f"pop{k} [1]" for k in range(1, 5)}),
     ("absorption", "alpha [1/m]", "absorption coefficients",
-     {"alpha1": "alpha1", "alpha2": "alpha2"}),
+     {"alpha1": "alpha1 [1/m]", "alpha2": "alpha2 [1/m]"}),
 )
 
 
@@ -190,9 +184,9 @@ def emit_plot(result: SweepResult, stem) -> list:
     Decorative output only; nothing downstream ever reads these files back.
     """
     stem = Path(stem)
-    if len(result.rows) < 2:
+    x = result.columns["axis_value"]
+    if len(x) < 2:
         raise ValueError("plot needs a sweep with at least 2 rows")
-    x = result.axis_values
     base = result.manifest.get("base_params", {})
 
     def fmt(key):
@@ -201,14 +195,11 @@ def emit_plot(result: SweepResult, stem) -> list:
 
     footer = (f"g={fmt('g')} n0={fmt('n0')} L={fmt('cell_length')} "
               f"noise={result.manifest.get('noise_model')}")
-    table = _table(result.rows)
+    table = _table(result)
     written = []
     for suffix, ylabel, title, legend in PLOTS:
-        series = {}
-        for label, column in legend.items():
-            vals = np.array(table[column], dtype=float)
-            if np.any(np.isfinite(vals)):
-                series[label] = vals
+        series = {label: table[column] for label, column in legend.items()
+                  if np.isfinite(table[column]).any()}
         if series:
             doc = _svg_line_plot(x, series, result.axis, ylabel, title, footer)
             path = stem.with_name(f"{stem.name}_{suffix}.svg")

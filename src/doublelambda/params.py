@@ -98,7 +98,8 @@ class SystemParams(_Derived):
 FIELDS = tuple(f.name for f in fields(SystemParams))
 
 #: the checks of a point, in order: fields (all if None), the test a valid
-#: number or column passes, the message of a failure
+#: number or column passes, the message of a failure, which starts with the
+#: field's name (parse_config reads it to name the field's line)
 _RULES = (
     (None, lambda x: abs(x) < math.inf, "{name} must be finite, got {value}"),
     (("gamma1", "gamma2", "gamma3", "gamma4", "gamma0", "gamma_phi",

@@ -177,7 +177,7 @@ def test_criterion_06_detuning_profile():
 def test_criterion_07_alignment_profile():
     spec = alignment_spec(SystemParams(), points=21)
     result = run_sweep(spec)
-    v = result.column("v12")
+    v = result.columns["v12"]
     ok = v[0] >= 3.8 and bool(np.all(np.diff(v) < 0))
     record(7, ok, f"V12(p=0) = {v[0]:.4f} (required >= 3.8), strictly "
                   f"decreasing toward p=1 on 21 points: {bool(np.all(np.diff(v) < 0))}")
@@ -193,7 +193,7 @@ def test_criterion_07_alignment_profile():
 def test_criterion_08_dephasing_profile():
     spec = dephasing_spec(SystemParams(), points=41, hi=0.005)
     result = run_sweep(spec)
-    v = result.column("v12")
+    v = result.columns["v12"]
     at_zero = v[0]
     interior_min = float(np.min(v[1:]))
     ok = abs(at_zero - 4.0) < 0.05 and interior_min < 0.5
@@ -211,7 +211,7 @@ def test_criterion_08_dephasing_profile():
 def test_criterion_09_amplitude_profile():
     spec = amplitude_spec(SystemParams(), points=41, variant="a")
     result = run_sweep(spec)
-    v = result.column("v12")
+    v = result.columns["v12"]
     imin = int(np.argmin(v))
     interior = 0 < imin < len(v) - 1
     ok = (interior and v[imin] < 0.5 and v[0] >= 3.5 and v[-1] >= 3.5)
@@ -225,8 +225,8 @@ def test_criterion_09_amplitude_profile():
 def test_criterion_10_absorption_monotone():
     spec = amplitude_spec(SystemParams(), points=41, variant="b")
     result = run_sweep(spec)
-    a1 = result.column("alpha1")
-    a2 = result.column("alpha2")
+    a1 = result.columns["alpha1"]
+    a2 = result.columns["alpha2"]
     ok = bool(np.all(np.diff(a1) < 0) and np.all(np.diff(a2) < 0))
     record(10, ok, f"alpha1 strictly decreasing: {bool(np.all(np.diff(a1) < 0))}, "
                    f"alpha2 strictly decreasing: {bool(np.all(np.diff(a2) < 0))} "

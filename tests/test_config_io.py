@@ -2,6 +2,7 @@ import ast
 import csv
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,40 @@ class TestConfigParsing:
             parse_config("[params]\np1 = 1.5\n")
         assert "p1" in str(err.value)
 
-    @pytest.mark.parametrize("text, field, value", [
-        ("[params]\ndelta1 = nan\n", "delta1", "nan"),
-        ("[params]\ng = 0.3\nn0 = inf\n", "n0", "inf")], ids=["nan", "inf"])
-    def test_nonfinite_parameter_rejected(self, text, field, value):
+    @pytest.mark.parametrize("text, field, value, line", [
+        ("[params]\ndelta1 = nan\n", "delta1", "nan", 2),
+        ("[params]\ng = 0.3\nn0 = inf\n", "n0", "inf", 3)],
+        ids=["nan", "inf"])
+    def test_nonfinite_parameter_rejected(self, text, field, value, line):
         with pytest.raises(ConfigError) as err:
             parse_config(text)
-        assert str(err.value) == (f"invalid parameters: {field} must be "
-                                  f"finite, got {value}")
+        assert str(err.value) == (f"line {line}: invalid parameters: {field} "
+                                  f"must be finite, got {value}")
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SystemParams(**{field: float(value)})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("p1", "2.0", "|p1| must be <= 1, got 2.0"),
+        ("gamma0", "-1", "gamma0 must be >= 0, got -1.0"),
+        ("cell_length", "0", "cell_length must be > 0, got 0.0")])
+    def test_invalid_parameter_names_its_line(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[params]\n{key} = {value}\n")
+        assert err.value.line == 2
+        assert str(err.value) == f"line 2: invalid parameters: {message}"
+
+    def test_refusal_names_the_last_assignment(self):
+        # the last assignment of a key is its value, and so its line
+        text = "[params]\ng = -1\na1_mean = -1\n\n[run]\n[params]\ng = -2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "line 3: invalid parameters: a1_mean must " \
+            "be >= 0 (mean fields real positive)"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("a1_mean = -1", "a1_mean = 1"))
+        assert str(err.value) == "line 7: invalid parameters: g must be >= 0"
+        # a bad value overridden by a later line is accepted
+        assert parse_config("[params]\np1 = 2.0\np1 = 0.5\n").params.p1 == 0.5
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_workers_below_one_rejected(self, value):
@@ -254,6 +279,15 @@ def read_csv_table(path):
     return list(csv.reader(lines))
 
 
+def with_cells(result, rows, **cells):
+    """result with the given cells of the given rows replaced."""
+    columns = dict(result.columns)
+    for name, value in cells.items():
+        columns[name] = columns[name].copy()
+        columns[name][rows] = value
+    return replace(result, columns=columns)
+
+
 class TestCsv:
     def test_parameter_block_preamble(self, small_sweep, tmp_path):
         path = write_results(small_sweep, "csv", tmp_path / "fig2.csv")
@@ -279,12 +313,9 @@ class TestCsv:
             assert float(row[1]) == src.v12
 
     def test_quoting(self, small_sweep, tmp_path):
-        from dataclasses import replace
-        bad = replace(small_sweep.rows[0], error='Cell died, "badly"',
-                      warnings=("residual 1e-3, tolerance 1e-10", "second"))
-        hacked = type(small_sweep)(axis=small_sweep.axis,
-                                   rows=(bad,) + small_sweep.rows[1:],
-                                   manifest=small_sweep.manifest)
+        hacked = with_cells(small_sweep, 0, error='Cell died, "badly"',
+                            warnings=("residual 1e-3, tolerance 1e-10",
+                                      "second"))
         path = write_results(hacked, "csv", tmp_path / "q.csv")
         rows = read_csv_table(path)
         assert rows[1][-2] == 'Cell died, "badly"'
@@ -303,11 +334,7 @@ class TestJson:
         assert payload["manifest"]["base_params"]["g"] == SystemParams().g
 
     def test_failed_row_marker(self, small_sweep, tmp_path):
-        from dataclasses import replace
-        bad = replace(small_sweep.rows[2], v12=None, error="BoomError: x")
-        hacked = type(small_sweep)(axis=small_sweep.axis,
-                                   rows=small_sweep.rows[:2] + (bad,),
-                                   manifest=small_sweep.manifest)
+        hacked = with_cells(small_sweep, 2, v12=np.nan, error="BoomError: x")
         path = write_results(hacked, "json", tmp_path / "f.json")
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["rows"][2]["error"] == "BoomError: x"
@@ -327,20 +354,61 @@ class TestSvg:
             assert "polyline" in text
 
     def test_single_row_rejected(self, small_sweep, tmp_path):
-        hacked = type(small_sweep)(axis=small_sweep.axis,
-                                   rows=small_sweep.rows[:1],
-                                   manifest=small_sweep.manifest)
+        hacked = replace(small_sweep, columns={
+            name: column[:1] for name, column in small_sweep.columns.items()})
         with pytest.raises(ValueError):
             emit_plot(hacked, tmp_path / "one")
 
     def test_degenerate_axis_named(self, small_sweep, tmp_path):
-        from dataclasses import replace
-        rows = tuple(replace(r, axis_value=0.5) for r in small_sweep.rows)
-        hacked = type(small_sweep)(axis="delta1", rows=rows,
-                                   manifest=small_sweep.manifest)
+        hacked = with_cells(small_sweep, slice(None), axis_value=0.5)
         with pytest.raises(ValueError) as err:
             emit_plot(hacked, tmp_path / "deg")
         assert "delta1" in str(err.value)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestWriterGolden:
+    """The writers' bytes against files written by the row-object writers:
+    a sweep with a successful row, a dark row with no second field, a
+    failed row and a row with no second field, and the spectrum.json
+    records of a spectrum with one overflowing frequency."""
+
+    @staticmethod
+    def four_row_sweep():
+        from doublelambda.experiments import SweepResult, _evaluate
+        from doublelambda.params import ParamStack
+        base = SystemParams()
+        points = [base.replace(delta1=-2.0),
+                  base.replace(delta1=-1.0, gamma0=0.0, gamma4=0.0,
+                               a2_mean=0.0),
+                  base.replace(delta1=0.0, gamma0=0.0, gamma1=0.0,
+                               gamma2=0.0, gamma3=0.0, gamma4=0.0),
+                  base.replace(delta1=1.0, a2_mean=0.0)]
+        columns = _evaluate(ParamStack.of(points), np.zeros(1), "einstein")
+        columns["axis_value"] = np.array([p.delta1 for p in points])
+        manifest = {"axis": "delta1", "noise_model": "einstein", "omega": 0.0,
+                    "base_params": base.as_dict()}
+        return SweepResult(axis="delta1", columns=columns, manifest=manifest)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_bytes(self, fmt, tmp_path):
+        path = write_results(self.four_row_sweep(), fmt, tmp_path / f"t.{fmt}")
+        golden = GOLDEN / f"writer_sweep.{fmt}"
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_spectrum_records(self, tmp_path):
+        from doublelambda import cli
+        config = tmp_path / "spectrum.ini"
+        config.write_text("[params]\nn0 = 3e24\ndelta1 = 0.0\n"
+                          "[run]\ncommand = spectrum\nomega_grid = -1.0:1.0:5\n"
+                          f"out = {tmp_path / 'run'}\n")
+        # the zero-frequency gain overflows: exit 1, and every record written
+        assert cli.main(["spectrum", "--config", str(config)]) == 1
+        written = json.loads((tmp_path / "run" / "spectrum.json").read_text())
+        text = json.dumps({"spectrum": written["spectrum"]}, indent=2) + "\n"
+        assert text.encode() == (GOLDEN / "writer_spectrum.json").read_bytes()
 
 
 class TestManifest:
@@ -449,9 +517,8 @@ class TestFailedSerialization:
     def test_json_results_keep_previous_file(self, small_sweep, tmp_path):
         path = write_results(small_sweep, "json", tmp_path / "r.json")
         before = path.read_bytes()
-        hacked = type(small_sweep)(
-            axis=small_sweep.axis, rows=small_sweep.rows,
-            manifest={**small_sweep.manifest, "bad": object()})
+        hacked = replace(small_sweep,
+                         manifest={**small_sweep.manifest, "bad": object()})
         with pytest.raises(TypeError):
             write_results(hacked, "json", path)
         assert path.read_bytes() == before

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestSweepSpec:
 
     def test_scalings_applied(self, defaults):
         spec = amplitude_spec(defaults, points=3, lo=1.0, hi=3.0, variant="a")
-        p = spec.params_at(3.0)
+        p = spec.param_stack().point(2)
         assert p.a1_mean == 3.0 and p.a2_mean == 3.0
         assert p.n0 == pytest.approx(defaults.n0 * 3.0)
         assert p.gamma0 == pytest.approx(0.003)
@@ -53,7 +54,7 @@ class TestSweepSpec:
         assert ps.n0.tolist() == [defaults.n0 * v for v in (1.0, 2.0, 3.0)]
         assert ps.gamma0.tolist() == [0.001 * v for v in (1.0, 2.0, 3.0)]
         assert [ps.point(i) for i in range(3)] == \
-            [spec.params_at(v) for v in spec.grid]
+            [replace(spec, grid=[v]).param_stack().point(0) for v in spec.grid]
 
     def test_invalid_grid_point_named(self, defaults):
         spec = SweepSpec(base=defaults, axis="p", grid=[0.5, 1.5, 2.5])
@@ -89,7 +90,7 @@ class TestSweepSpec:
 
     def test_variant_b_keeps_exchange_fixed(self, defaults):
         spec = amplitude_spec(defaults, points=3, variant="b")
-        p = spec.params_at(5.0)
+        p = replace(spec, grid=[5.0]).param_stack().point(0)
         assert p.gamma0 == defaults.gamma0
         assert p.n0 == pytest.approx(defaults.n0 * 5.0)
 
@@ -102,7 +103,7 @@ class TestDetuningSweep:
         assert not any(r.failed for r in result.rows)
         pops1 = np.array([r.populations[0] for r in result.rows])
         pops2 = np.array([r.populations[1] for r in result.rows])
-        mid = np.argmin(np.abs(result.axis_values + 1.0))
+        mid = np.argmin(np.abs(result.columns["axis_value"] + 1.0))
         # population dip/peak sit at the doublet midpoint
         assert np.argmin(pops1) == mid
         assert np.argmax(pops2) == mid
@@ -146,7 +147,7 @@ class TestErrorMarking:
 
         spec = detuning_spec(defaults, points=3)
         # the stack computes each generator exactly as build_generator does
-        poisoned = build_generator(spec.params_at(spec.grid[1])).matrix
+        poisoned = build_generator(spec.param_stack().point(1)).matrix
         real = ex.steady_state_stack
         stacks = []
 
@@ -164,7 +165,7 @@ class TestErrorMarking:
         assert "synthetic solver failure" in result.rows[1].error
         assert not result.rows[0].failed and not result.rows[2].failed
         # the failed row still carries its axis value
-        assert result.rows[1].axis_value == result.axis_values[1]
+        assert result.rows[1].axis_value == spec.grid[1]
 
 
 def _column(rows, name, k=None):
@@ -201,8 +202,9 @@ class TestBatchedStack:
         spec = SWEEP_SELECTORS[selector](defaults, points=21,
                                          noise_model=noise_model)
         batched = run_sweep(spec).rows
-        alone = [compute_point(spec.params_at(v), noise_model=noise_model)
-                 for v in spec.grid]
+        ps = spec.param_stack()
+        alone = [compute_point(ps.point(i), noise_model=noise_model)
+                 for i in range(len(ps))]
         assert_rows_match(batched, alone)
         if selector == "fig4":
             # the masked paths ran inside the stack
@@ -229,7 +231,7 @@ class TestBatchedStack:
     @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
     def test_mixed_outcomes_in_every_order(self, defaults, noise_model,
                                            monkeypatch):
-        from doublelambda.experiments import _evaluate_stack
+        from doublelambda.experiments import _evaluate_stack, _rows
 
         # Kronecker residuals: 3.3e-16 at defaults, 9.4e-15 at the gain
         # point; this bound warns the gain point alone
@@ -250,15 +252,16 @@ class TestBatchedStack:
         assert [bool(r.error) for r in alone] == [0, 0, 0, 1, 1, 1, 0]
         assert "propagation overflow" in alone[5].error
         assert [bool(r.warnings) for r in alone] == [0, 0, 0, 0, 0, 0, 1]
+        # dark with no second field: transparent, and no alpha2 at all
+        assert (alone[2].alpha1, alone[2].alpha2) == (0.0, None)
         for shift in range(len(points)):
             order = points[shift:] + points[:shift]
             for stack in (order, order[::-1]):
                 ref = [alone[points.index(p)] for p in stack]
                 # no per-point fallback here: the stack bookkeeping alone
                 # must put every outcome in its own row
-                rows = _evaluate_stack(ParamStack.of(stack),
-                                       np.full(len(stack), np.nan),
-                                       np.zeros(len(stack)), noise_model)
+                rows = _rows(_evaluate_stack(ParamStack.of(stack),
+                                             np.zeros(1), noise_model))
                 assert_rows_match(rows, ref, rtol=0.0)
 
     def test_stacks_split_long_grids(self, defaults):
@@ -267,7 +270,7 @@ class TestBatchedStack:
         rows = run_sweep(spec).rows
         ends = [0, STACK_POINTS - 1, STACK_POINTS, STACK_POINTS + 2]
         assert_rows_match([rows[i] for i in ends],
-                          [compute_point(spec.params_at(spec.grid[i]))
+                          [compute_point(spec.param_stack().point(i))
                            for i in ends], rtol=0.0)
 
     def test_spectrum_matches_pointwise(self, defaults):
@@ -371,11 +374,14 @@ class TestBatchedStack:
         assert_rows_match(rows, pieces, rtol=0.0)
 
 
-def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
+def test_fig2_sweep_runs_as_columns(defaults, monkeypatch, tmp_path):
     # the 201 points travel as one ParamStack and every one of them is
-    # accepted by the kappa_1 bracket, with no SVD condition number
-    counts = {"cond": 0, "points": 0}
+    # accepted by the kappa_1 bracket, with no SVD condition number; the
+    # rows stay columns through the CSV and SVG writers
+    from doublelambda.io import emit_plot, write_results
+    counts = {"cond": 0, "points": 0, "rows": 0}
     cond, check = np.linalg.cond, SystemParams.__post_init__
+    row_init = experiments.SweepRow.__init__
 
     def counted_cond(m):
         counts["cond"] += 1
@@ -385,12 +391,45 @@ def test_fig2_sweep_runs_as_columns(defaults, monkeypatch):
         counts["points"] += 1
         check(self)
 
+    def counted_row(self, *args, **kwargs):
+        counts["rows"] += 1
+        row_init(self, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "cond", counted_cond)
     monkeypatch.setattr(SystemParams, "__post_init__", counted_check)
-    rows = run_sweep(detuning_spec(defaults)).rows
-    assert len(rows) == 201 and not any(r.failed for r in rows)
+    monkeypatch.setattr(experiments.SweepRow, "__init__", counted_row)
+    result = run_sweep(detuning_spec(defaults))
+    write_results(result, "csv", tmp_path / "fig2.csv")
+    assert len(emit_plot(result, tmp_path / "fig2")) == 3
+    assert counts["rows"] == 0
+    assert len(result.columns["error"]) == 201
+    assert not any(result.columns["error"])
     assert counts["cond"] == 0
     assert counts["points"] <= 2
+    assert len(result.rows) == counts["rows"] == 201  # the view builds them
+
+
+def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):
+    # one evaluation of 3 points x 5 frequencies: a normal point, a dark
+    # point and a point whose zero-frequency gain overflows
+    from doublelambda.experiments import _evaluate, _rows
+    points = [defaults.replace(n0=3e19), defaults.replace(gamma0=0.0),
+              defaults.replace(n0=3e24, delta1=0.0)]
+    omegas = np.linspace(-1.0, 1.0, 5)
+    alone = [spectrum(p, omegas) for p in points]
+    sizes = []
+
+    def counted(lmat):
+        sizes.append(len(lmat))
+        return steady_state_stack(lmat)
+
+    monkeypatch.setattr(experiments, "steady_state_stack", counted)
+    rows = _rows(_evaluate(ParamStack.of(points), omegas, "einstein"))
+    assert sizes == [3]
+    assert [bool(row.error) for row in rows[10:]] == [0, 0, 1, 0, 0]
+    assert rows[5].method.endswith("+dark-transparent")
+    for k, ref in enumerate(alone):  # point-major rows
+        assert_rows_match(rows[5 * k:5 * k + 5], ref, rtol=0.0)
 
 
 class TestValidationSampling:
@@ -410,7 +449,7 @@ class TestValidationSampling:
         assert len(result.rows) == 5
         assert not any(row.failed for row in result.rows)
         with pytest.raises(Exception) as err:
-            cross_validate(spec.params_at(0.0))
+            cross_validate(spec.param_stack().point(0))
         validations = result.manifest["validations"]
         assert sorted(validations) == [0, 1, 2, 3, 4]
         assert validations[0] == {
@@ -607,7 +646,7 @@ class TestNoiseModels:
         spec = dephasing_spec(base, points=7, hi=0.01,
                               noise_model="vacuum-reservoir")
         result = run_sweep(spec)
-        v = result.column("v12")
+        v = result.columns["v12"]
         assert result.rows[0].v12 == pytest.approx(4.0)  # transparent endpoint
         interior = v[1:]
         assert np.min(interior) < 1.2
