@@ -1,8 +1,8 @@
 """Simulator for joint-quadrature entanglement of two bright pump fields in a
 closed double-Lambda four-level medium with interfering spontaneous decay.
 
-No module imports scipy at import time: the oracle's Lyapunov solver loads
-it at its first call, and only validation makes one.
+The package runs on numpy alone; scipy serves only as the tests' reference
+for the in-package matrix functions, root finder and Lyapunov solve.
 """
 
 from .atom import (DarkStateAnalysis, Generator, RateMatrices,

@@ -152,35 +152,49 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
     return x[:16].reshape(4, 4)
 
 
-def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
-    """Stationary covariance solving A S + S A^T + 2 D = 0 (Bartels-Stewart).
+#: Bound on the eigenbasis Lyapunov solve's relative residual
+#: ||A S + S A^T + 2D||_F / (2 ||A||_F ||S||_F + 2 ||D||_F).  On every
+#: point of the four figure grids at n0 and 1000 n0 and 500 random draws it
+#: stays below 2e-14, with kappa_1(V) <= 305.
+LYAPUNOV_RESIDUAL_BOUND = 1e-10
 
-    One real Schur form A = U T U^T [Bartels & Stewart, CACM 15, 820 (1972)]
-    serves the stability guard and the solve.  LAPACK standardizes each 2x2
-    block of T to equal diagonal entries, the real part of the block's
-    eigenvalue pair, so max Re eig(A) is the largest diagonal entry of T.
-    With X = U^T S U the equation reads T X + X T^T = -2 U^T D U; the drift
-    is real and D complex Hermitian, so the real and imaginary parts of the
-    right side each take one real quasi-triangular solve (trsyl) on T.
-    scipy loads here, at the first solve, and not with this module.
+
+def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
+    """Stationary covariance solving A S + S A^T + 2 D = 0 in the drift's
+    eigenbasis.
+
+    With A = V diag(lam) W, W = V^-1, the equation becomes
+    lam_i X_ij + X_ij lam_j = (W (-2D) W^T)_ij for S = V X V^T.  One
+    eigendecomposition serves the stability guard and the solve, all in
+    numpy.  The solve is only as good as V's conditioning: a defective or
+    nearly defective drift (a Jordan block) has no usable eigenbasis, so
+    the relative residual certifies each solution and a solve above
+    LYAPUNOV_RESIDUAL_BOUND, or not finite, raises OracleError with the
+    residual and kappa_1(V).
     """
-    from scipy.linalg import schur
-    from scipy.linalg.lapack import dtrsyl
-    t, u = schur(lin.a, output="real")
-    max_re = float(np.max(np.diag(t)))
+    a, d = lin.a, lin.d
+    lam, v = np.linalg.eig(a)
+    max_re = float(np.max(lam.real))
     if max_re >= -1e-14:
         raise OracleError(
             f"drift not strictly stable (max Re eigenvalue {max_re:.2e}); "
             "stationary covariance undefined")
-    rhs = u.T @ (-2.0 * lin.d) @ u
-    parts = []
-    for c in (rhs.real, rhs.imag):
-        x, scale, info = dtrsyl(t, t, c, tranb="T")
-        if info < 0:
-            raise np.linalg.LinAlgError(
-                f"Illegal value encountered in the {-info} term")
-        parts.append(x / scale)
-    return u @ (parts[0] + 1j * parts[1]) @ u.T
+    # a defective drift overflows W and the products: the residual refuses it
+    with np.errstate(all="ignore"):
+        w = np.linalg.inv(v)
+        s = v @ ((w @ (-2.0 * d) @ w.T) / (lam[:, None] + lam)) @ v.T
+        residual = float(
+            np.linalg.norm(a @ s + s @ a.T + 2.0 * d)
+            / (2.0 * np.linalg.norm(a) * np.linalg.norm(s)
+               + 2.0 * np.linalg.norm(d)))
+        if not residual <= LYAPUNOV_RESIDUAL_BOUND:
+            kappa = np.linalg.norm(v, 1) * np.linalg.norm(w, 1)
+            raise OracleError(
+                f"eigenbasis Lyapunov solve not certified (relative residual "
+                f"{residual:.2e} > {LYAPUNOV_RESIDUAL_BOUND:.0e}, "
+                f"kappa_1(V) = {kappa:.2e}); the drift is defective or "
+                "nearly so")
+    return s
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,17 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 
 from doublelambda import BASIS, SystemParams
+from doublelambda import oracle
 from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
+from doublelambda.experiments import SWEEP_SELECTORS
 from doublelambda.fluctuations import (FRAME, NOISE_MODELS,
                                        diffusion_matrix_channelwise,
                                        equal_time_covariance,
@@ -65,6 +68,48 @@ def lyapunov_kronecker(lin):
     eye = np.eye(n)
     lhs = np.kron(lin.a, eye) + np.kron(eye, lin.a)  # row-major vec(AS + SA^T)
     return np.linalg.solve(lhs, -2.0 * lin.d.reshape(n * n)).reshape(n, n)
+
+
+def lyapunov_bartels_stewart(lin):
+    """The Schur-form solve the eigenbasis solve replaced [Bartels &
+    Stewart, CACM 15, 820 (1972)]: one real Schur form A = U T U^T, and one
+    real quasi-triangular solve (trsyl) on T for each of the real and
+    imaginary parts of -2 U^T D U, with the stability guard read off the
+    diagonal of T."""
+    t, u = schur(lin.a, output="real")
+    max_re = float(np.max(np.diag(t)))
+    if max_re >= -1e-14:
+        raise OracleError(
+            f"drift not strictly stable (max Re eigenvalue {max_re:.2e}); "
+            "stationary covariance undefined")
+    rhs = u.T @ (-2.0 * lin.d) @ u
+    parts = []
+    for c in (rhs.real, rhs.imag):
+        x, scale, info = dtrsyl(t, t, c, tranb="T")
+        assert info >= 0
+        parts.append(x / scale)
+    return u @ (parts[0] + 1j * parts[1]) @ u.T
+
+
+def figure_points():
+    """(selector, n0 factor, grid index, point) of every 10th grid point of
+    the four figure sweeps, at the default n0 and at 1000 n0."""
+    points = []
+    for name, spec in SWEEP_SELECTORS.items():
+        for factor in (1, 1000):
+            base = SystemParams()
+            ps = spec(base.replace(n0=factor * base.n0)).param_stack()
+            points += [(name, factor, i, ps.point(i))
+                       for i in range(0, len(ps), 10)]
+    return points
+
+
+def battery_points():
+    """The validate-battery inputs at seed 0: the reference point and 63
+    draws."""
+    rng = np.random.default_rng(0)
+    return [SystemParams()] + [random_params(rng, with_fields=True)
+                               for _ in range(63)]
 
 
 def channelwise_einsum(gen, state):
@@ -195,20 +240,19 @@ class TestLyapunov:
     def test_unstable_drift_refused(self):
         lin = LinearizedSystem(a=np.zeros((15, 15)), b=np.zeros((15, 4)),
                                d=np.eye(15), noise_scale=1.0)
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match=re.escape(
+                "drift not strictly stable (max Re eigenvalue 0.00e+00); "
+                "stationary covariance undefined")):
             lyapunov_covariance(lin)
 
     def test_unstable_complex_pair_refused(self):
-        # the only unstable eigenvalues, 0.3 +- 2i, form a 2x2 block of the
-        # real Schur form: the guard reads its standardized diagonal
+        # the only unstable eigenvalues are the complex pair 0.3 +- 2i
         rng = np.random.default_rng(3)
         t = np.triu(rng.normal(size=(15, 15)), 1)
         t[np.diag_indices(15)] = -np.linspace(1.0, 3.0, 15)
         t[:2, :2] = [[0.3, 2.0], [-2.0, 0.3]]
         q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
         a = q @ t @ q.T
-        schur_t, _ = schur(a, output="real")
-        assert np.count_nonzero(np.diag(schur_t, -1)) == 1
         lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=np.eye(15),
                                noise_scale=1.0)
         with pytest.raises(OracleError, match=re.escape(
@@ -216,20 +260,39 @@ class TestLyapunov:
                 "stationary covariance undefined")):
             lyapunov_covariance(lin)
 
-    def test_one_real_schur_per_solve(self, defaults, monkeypatch):
-        # lyapunov_covariance imports schur from scipy.linalg at call time
+    def test_one_eig_per_solve(self, defaults, monkeypatch):
+        # one eigendecomposition serves the stability guard and the solve
         _, _, lin = solved(defaults)
         calls = []
-        monkeypatch.setattr(scipy.linalg, "schur",
-                            lambda *a, **k: calls.append(k) or schur(*a, **k))
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(a.shape) or eig(a))
 
         def refuse(*a, **k):
             raise AssertionError("eigvals called")
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        monkeypatch.setattr(scipy.linalg, "eigvals", refuse)
         lyapunov_covariance(lin)
-        assert calls == [{"output": "real"}]
+        assert calls == [(15, 15)]
+
+    @pytest.mark.parametrize("split", [0.0, 1e-8])
+    def test_defective_drift_refused(self, split):
+        # -I plus a superdiagonal of ones, exactly defective at split = 0:
+        # a Jordan block has no usable eigenbasis, so the residual
+        # certificate refuses it by name, and no RuntimeWarning (an error
+        # under pytest's settings) escapes the overflowing solve
+        a = (-np.eye(15) + np.diag(np.ones(14), 1)
+             + np.diag(split * np.arange(15)))
+        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=np.eye(15),
+                               noise_scale=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match=
+                               r"^eigenbasis Lyapunov solve not certified "
+                               r"\(relative residual \S+ > 1e-10, "
+                               r"kappa_1\(V\) = \S+\); the drift is "
+                               r"defective or nearly so$"):
+                lyapunov_covariance(lin)
 
 
 class TestFastOracles:
@@ -262,14 +325,35 @@ class TestFastOracles:
             assert np.linalg.norm(resid) / np.linalg.norm(lin.d) <= 1e-12
 
     def test_lyapunov_real_drift_complex_diffusion(self):
-        # a real drift with complex-Hermitian D: the real and imaginary
-        # parts of D are solved on the one real Schur form
+        # a real drift with complex-Hermitian D
         rng = np.random.default_rng(5)
         a = rng.normal(size=(15, 15)) - 8.0 * np.eye(15)
         x = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
         lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=x @ x.conj().T,
                                noise_scale=1.0)
         assert rel_diff(lyapunov_covariance(lin), lyapunov_kronecker(lin)) <= 1e-10
+
+    def test_lyapunov_matches_bartels_stewart_on_figure_grids(self):
+        refused = []
+        for name, factor, i, p in figure_points():
+            _, _, lin = solved(p)
+            try:
+                ref = lyapunov_bartels_stewart(lin)
+            except OracleError:
+                refused.append((name, factor, i))
+                with pytest.raises(OracleError, match="not strictly stable"):
+                    lyapunov_covariance(lin)
+                continue
+            assert rel_diff(lyapunov_covariance(lin), ref) <= 1e-12
+        # at gamma0 = 0 the drift is marginal: both stability guards refuse
+        assert refused == [("fig4", 1, 0), ("fig4", 1000, 0)]
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_lyapunov_matches_bartels_stewart_on_battery(self, noise_model):
+        for p in battery_points():
+            _, _, lin = solved(p, noise_model)
+            assert rel_diff(lyapunov_covariance(lin),
+                            lyapunov_bartels_stewart(lin)) <= 1e-12
 
     def test_channelwise_matches_einsum_form(self):
         for p in oracle_points(8):
@@ -368,6 +452,25 @@ class TestCrossValidate:
             float(np.max(np.abs(c_out - rk4_covariance(setup, c_in)))),
         ]
         assert [c.residual for c in cross_validate(p).checks] == reference
+
+    def test_battery_matches_bartels_stewart_battery(self, monkeypatch):
+        # the battery on the validate-battery inputs, against itself with the
+        # Schur-form solve: only the Lyapunov residual moves, by <= 1e-12
+        lyap = "Lyapunov vs regression covariance"
+        points = battery_points()
+        reports = [cross_validate(p) for p in points]
+        monkeypatch.setattr(oracle, "lyapunov_covariance",
+                            lyapunov_bartels_stewart)
+        for p, report in zip(points, reports):
+            ref = cross_validate(p)
+            assert report.passed and ref.passed
+            assert ([(c.name, c.tolerance, c.passed) for c in report.checks]
+                    == [(c.name, c.tolerance, c.passed) for c in ref.checks])
+            for c, r in zip(report.checks, ref.checks):
+                if c.name == lyap:
+                    assert abs(c.residual - r.residual) <= 1e-12
+                else:
+                    assert c.residual == r.residual, c.name
 
     def test_one_einstein_diffusion_per_battery(self, defaults, monkeypatch):
         from doublelambda import fluctuations as fl
