@@ -10,6 +10,7 @@ set a parameter twice or take the axis over.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -76,6 +77,16 @@ def _parse_float(raw: str) -> float:
         raise ValueError(f"malformed number {raw!r}") from None
 
 
+def finite(key: str) -> Callable[[str], float]:
+    """Parser of a number that must be finite, refused as key's value."""
+    def parse(raw: str) -> float:
+        value = _parse_float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        return value
+    return parse
+
+
 def _parse_int(raw: str) -> int:
     try:
         return int(raw)
@@ -109,12 +120,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"malformed boolean {raw!r}")
 
 
-def _parse_grid(raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(":")]
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:points, got {raw!r}")
-    return (_parse_float(parts[0]), _parse_float(parts[1]),
-            _int_at_least("grid points", 1)(parts[2]))
+def _grid(key: str) -> Callable[[str], tuple]:
+    def parse(raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(":")]
+        if len(parts) != 3:
+            raise ValueError(f"{key} must be start:stop:points, got {raw!r}")
+        return (finite(f"{key} start")(parts[0]),
+                finite(f"{key} stop")(parts[1]),
+                _int_at_least(f"{key} points", 1)(parts[2]))
+    return parse
 
 
 def _parse_scalings(raw: str) -> tuple:
@@ -138,8 +152,8 @@ OPTIONS = {
         "format": ("fmt", _choice("format", FORMATS)),
         "noise_model": ("noise_model", _choice("noise model", NOISE_MODELS)),
         "workers": ("workers", _parse_workers),
-        "omega": ("omega", _parse_float),
-        "omega_grid": ("omega_grid", _parse_grid),
+        "omega": ("omega", finite("omega")),
+        "omega_grid": ("omega_grid", _grid("omega_grid")),
         "out": ("out_dir", str),
         "svg": ("svg", _parse_bool),
         "validate_every": ("validate_every",
@@ -148,7 +162,7 @@ OPTIONS = {
     "sweep": {
         "selector": ("selector", _choice("sweep selector", SELECTORS)),
         "axis": ("axis", _choice("sweep axis", AXES)),
-        "grid": ("grid", _parse_grid),
+        "grid": ("grid", _grid("grid")),
         "scalings": ("scalings", _parse_scalings),
     },
 }

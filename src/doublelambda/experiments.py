@@ -34,16 +34,19 @@ from .steady import absorption, steady_state_stack
 DARK_ACTIVITY_TOL = 1e-12
 
 #: points per stack: larger stacks ran no faster (fig2 grid on a 2-core VM,
-#: one BLAS thread: 92 ms in stacks of 64, 94 ms as one stack of 201), and
-#: the cap bounds the memory of the stacked intermediates on any grid (one
-#: stack of 201 raised the peak RSS of a fig2 sweep by ~10 MB, 64 by ~3 MB)
+#: one BLAS thread, cli's heap policy, best CPU time, median of 5
+#: processes: 34.2 ms in stacks of 64, 36.0 ms as one stack of 201), and the
+#: cap bounds the memory of the stacked intermediates on any grid (one stack
+#: of 201 raised the peak RSS of a fig2 sweep by 10.7 MB, 64 by 5.2 MB)
 STACK_POINTS = 64
 
 #: rows per stack of transfer, propagation and Duan, which a spectrum runs
-#: on all its frequencies after one linearization.  At n0 = 3e19 (2-core VM,
-#: one BLAS thread, best CPU time) 1024 frequencies took 59.5 ms under this
-#: cap, 70.7 under 64 and 85.5 uncapped, 128 took 8.6 ms under 128 or none
-#: and 9.6 under 64, and a fresh process's peak RSS for 4096 fell 135 -> 41 MB
+#: on all its frequencies after one linearization.  At n0 = 3e19
+#: (vacuum-reservoir, 2-core VM, one BLAS thread, cli's heap policy, best CPU
+#: time, median of 5 processes) 1024 frequencies took 53.5 ms under this
+#: cap, 60.5 under 64 and 97.2 uncapped, 128 took 7.7 ms under 128 or none
+#: and 8.2 under 64, and a fresh process's peak RSS for 4096 is 46 MB (145
+#: uncapped)
 STACK_ROWS = 128
 
 
@@ -286,8 +289,8 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     b = fl.field_coupling_stack(ps.g[points.live], rho)
     d, failures = fl.diffusion_stack(noise_model, lmat, coherent, r, rho)
     a, b, d = points.drop(failures, a, b, d)
-    # dropped before the row stages: kept alive, they doubled the minor page
-    # faults of a fig2 sweep (about 1600 -> 3000 per CLI pass)
+    # dropped before the row stages: kept alive, they raised the peak RSS of
+    # a fig2 sweep by 0.9 MB and of a 128-frequency spectrum by 0.5 MB
     del h, r, coherent, lmat, rho, activity
     point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
     omega = np.tile(omegas, len(ps))

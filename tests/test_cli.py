@@ -1,6 +1,9 @@
+import ctypes
 import json
 import os
+import platform
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +292,17 @@ print(json.dumps([before, exported, same, scipy_modules()]))
         manifest = json.loads((tmp_path / f"{command}.json").read_text())
         assert manifest["config"]["workers"] == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_omega_flag_refused(self, tmp_path, capsys, value):
+        # refused by argparse, as a bad --format is
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sweep", "--omega", value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --omega: omega must be finite, got {value}\n")
+        assert not out.exists()
+
     def test_slabs_flag_retired(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(["sweep", "--out", str(tmp_path), "--slabs", "200"])
@@ -300,6 +314,45 @@ def _mini(tmp_path):
     cfg.write_text("[sweep]\nselector = custom\naxis = delta1\n"
                    "grid = -1.5:-0.5:3\n")
     return cfg
+
+
+class TestHeapPolicy:
+    """cli.main keeps the memory its stacked stages free (cli.MALLOPT)."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the trim and mmap thresholds are glibc's")
+    def test_second_spectrum_takes_no_page_faults(self, tmp_path):
+        # about 1,600 minor faults with glibc's default thresholds
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\nn0 = 3e19\n[run]\nnoise_model = "
+                       "vacuum-reservoir\nomega_grid = 0.0:5.0:128\n")
+        argv = ["spectrum", "--config", str(cfg), "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert run_cli(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before \
+            < 100
+
+    @pytest.mark.parametrize("loads", [False, True],
+                             ids=["no-library", "no-mallopt"])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, loads):
+        calls = []
+
+        class Library:  # a C library without mallopt
+            def __init__(self, name):
+                calls.append(name)
+                if not loads:
+                    raise OSError("no C library")
+
+        def run(out):
+            assert run_cli(["sweep", "--config", str(_mini(tmp_path)),
+                            "--out", str(out)]) == 0
+            return (out / "sweep_delta1.csv").read_bytes()
+
+        expected = run(tmp_path / "ref")
+        monkeypatch.setattr(ctypes, "CDLL", Library)
+        assert run(tmp_path / "out") == expected
+        assert calls == [None]
 
 
 def test_readme_names_every_option():

@@ -53,6 +53,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SystemParams(**{field: float(value)})
 
+    @pytest.mark.parametrize("text, message", [
+        ("[run]\nomega = nan\n", "line 2: omega must be finite, got nan"),
+        ("[run]\ncommand = spectrum\nomega_grid = 0.0:inf:3\n",
+         "line 3: omega_grid stop must be finite, got inf"),
+        ("[run]\nomega_grid = -inf:1.0:3\n",
+         "line 2: omega_grid start must be finite, got -inf"),
+        ("[sweep]\nselector = custom\ngrid = 0:nan:3\n",
+         "line 3: grid stop must be finite, got nan"),
+        ("[sweep]\nselector = custom\n\ngrid = inf:1:3\n",
+         "line 4: grid start must be finite, got inf")],
+        ids=["omega", "omega_grid-stop", "omega_grid-start", "grid-stop",
+             "grid-start"])
+    def test_nonfinite_run_value_rejected(self, text, message):
+        # before, omega = nan wrote a sweep of "SVD did not converge" rows
+        # and grid = 0:nan:3 was refused as not monotone, with no line
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("key, value, message", [
         ("p1", "2.0", "|p1| must be <= 1, got 2.0"),
         ("gamma0", "-1", "gamma0 must be >= 0, got -1.0"),
@@ -631,6 +650,51 @@ class TestNoEnvironment:
             assert _environment_reads(ast.parse(src)), src
         assert _environment_reads(ast.parse(
             "os.cpu_count()\nenv.environ\nfrom os import path")) == []
+
+
+#: names that reach the C allocator
+_ALLOCATOR = {"ctypes", "mallopt"}
+
+
+def _allocator_references(tree: ast.Module) -> list:
+    """(line, source) of each reference to ctypes or mallopt in `tree`:
+    a name, an attribute or an import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            names = [a.name for a in node.names] + [getattr(node, "module",
+                                                            None) or ""]
+            hit = any(n.split(".")[0] in _ALLOCATOR for n in names)
+        else:
+            hit = (isinstance(node, ast.Name) and node.id in _ALLOCATOR
+                   or isinstance(node, ast.Attribute)
+                   and node.attr in _ALLOCATOR)
+        if hit:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+class TestAllocatorLeftAlone:
+    """Only the simulate process sets the C allocator (cli._keep_freed_heap):
+    importing the package leaves it as the host program set it."""
+
+    def test_only_cli_references_the_allocator(self):
+        package = Path(doublelambda.__file__).parent
+        found = {module.name: _allocator_references(
+                     ast.parse(module.read_text(encoding="utf-8")))
+                 for module in sorted(package.glob("*.py"))}
+        assert {name: refs for name, refs in found.items() if refs} == {
+            "cli.py": found["cli.py"]}
+        assert found["cli.py"]
+
+    def test_the_references_are_seen(self):
+        for src in ("import ctypes", "import ctypes.util as u",
+                    "from ctypes import CDLL", "from ctypes.util import x",
+                    "ctypes.CDLL(None).mallopt(-1, 0)", "libc.mallopt",
+                    "from libc import mallopt", "f(ctypes)"):
+            assert _allocator_references(ast.parse(src)), src
+        assert _allocator_references(ast.parse(
+            "import os\nx.malloc\n'mallopt'\nctype = 1")) == []
 
 
 def _scipy_imports(tree: ast.Module) -> list:
