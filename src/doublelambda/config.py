@@ -15,7 +15,10 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from .experiments import AXES, SWEEP_SELECTORS, ScalingRule, check_scalings
+import numpy as np
+
+from .experiments import (AXES, SWEEP_SELECTORS, ScalingRule, check_grid,
+                          check_scalings)
 from .fluctuations import NOISE_MODELS
 from .params import SystemParams
 
@@ -225,6 +228,11 @@ def parse_config(text: str) -> RunConfig:
                            values["run"]["scalings"])
         except ValueError as exc:
             raise ConfigError(str(exc), custom_lines["scalings"]) from None
+    if "grid" in custom_lines:  # the points the sweep would run
+        try:
+            check_grid(np.linspace(*values["run"]["grid"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc), custom_lines["grid"]) from None
     try:
         params = SystemParams(**values["params"])
     except ValueError as exc:  # each check is on one field, named first

@@ -119,6 +119,15 @@ class ScalingRule:
             raise ValueError(f"malformed number {raw!r}") from None
 
 
+def check_grid(grid: np.ndarray) -> None:
+    """Refuse an empty sweep grid, or one that is not strictly monotone."""
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    diffs = np.diff(grid)
+    if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("grid must be strictly monotone")
+
+
 def check_scalings(axis: str, scalings) -> None:
     """Refuse scaling rules that set a parameter twice or take the axis over."""
     seen = set()
@@ -153,11 +162,7 @@ class SweepSpec:
             raise ValueError("validate_every must be >= 0, "
                              f"got {self.validate_every}")
         grid = np.asarray(self.grid, dtype=float)
-        if grid.size == 0:
-            raise ValueError("grid must be nonempty")
-        diffs = np.diff(grid)
-        if grid.size > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("grid must be strictly monotone")
+        check_grid(grid)
         object.__setattr__(self, "grid", grid)
         check_scalings(self.axis, self.scalings)
 

@@ -216,3 +216,6 @@ def hermitian_basis() -> np.ndarray:
 
 
 HERMITIAN_BASIS = hermitian_basis()
+#: unitary whose column k is vec(F_k): x = HERMITIAN_FRAME^H vec(X) are the
+#: real coordinates of a Hermitian X
+HERMITIAN_FRAME = HERMITIAN_BASIS.reshape(16, 16).T

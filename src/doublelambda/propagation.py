@@ -17,7 +17,8 @@ from .atom import FIELD_OPERATORS
 from . import fluctuations as fl
 from .fluctuations import FRAME, LinearizedSystem
 from .matfuncs import expm
-from .params import HERMITIAN_BASIS, SPEED_OF_LIGHT, SystemParams
+from .params import (HERMITIAN_BASIS, HERMITIAN_FRAME, SPEED_OF_LIGHT,
+                     SystemParams)
 
 #: bound on the relative disagreement between the propagator block of the
 #: augmented exponential and the real form of kron(exp(L M), conj(exp(L M)))
@@ -29,9 +30,6 @@ PAIRING_TOL = 1e-10
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
 
-#: unitary whose column k is vec(F_k): x = HERMITIAN_FRAME^H vec(X) are the
-#: real coordinates of a Hermitian X
-HERMITIAN_FRAME = HERMITIAN_BASIS.reshape(16, 16).T
 #: column k is vec(F_k Pi): a paired covariance C (C Pi Hermitian) is
 #: PAIRED_FRAME x with real x = PAIRED_FRAME^H vec(C)
 PAIRED_FRAME = HERMITIAN_BASIS[:, :, FIELD_PAIR].reshape(16, 16).T

@@ -9,13 +9,25 @@ import numpy as np
 
 from .atom import Generator
 from .matfuncs import expm
-from .params import BASIS, SystemParams
+from .params import BASIS, HERMITIAN_FRAME, SystemParams
 
 #: fallback initial state: unpolarized atoms entering the beam
 RHO_UNPOLARIZED = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
 
 DEGENERACY_RATIO = 1e-8
 STEADY_RESIDUAL_TOL = 1e-10
+
+#: row of the real-frame Liouvillian (the equation of <sigma_33>) that the
+#: bordered solve replaces by the trace functional
+BORDERED_ROW = 2
+#: the trace functional in HERMITIAN_BASIS coordinates: Tr F_k = 1 for the
+#: four diagonal F_k, 0 for the rest
+TRACE_ROW = np.repeat([1.0, 0.0], [4, 12])
+#: largest kappa_1 of a bordered matrix that certifies its solve: then
+#: s_-2/s_0 >= 1/(32 kappa_1) >= DEGENERACY_RATIO (see _bordered_stack)
+BORDERED_KAPPA_MAX = 1.0 / (32.0 * DEGENERACY_RATIO)
+#: U^H for U = HERMITIAN_FRAME: B = U^H L U is L in real coordinates
+_FROM_FRAME = HERMITIAN_FRAME.conj().T
 
 
 class SteadyStateError(RuntimeError):
@@ -89,40 +101,99 @@ def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
         f"(tolerance {STEADY_RESIDUAL_TOL:.1e})")
 
 
+def _norm_1(m: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum of |m|) of each matrix of a stack."""
+    return abs(m).sum(axis=1).max(axis=1)
+
+
+def _bordered_stack(lmats: np.ndarray) -> tuple:
+    """The steady state of each (16, 16) Liouvillian from one real solve.
+
+    In the Hermitian frame U = HERMITIAN_FRAME, B = U^H L U is real, since
+    L maps Hermitian matrices to Hermitian ones.  Replacing row BORDERED_ROW
+    of B by the trace functional gives the bordered matrix B'; column
+    BORDERED_ROW of its inverse holds the coordinates x of the state with
+    unit trace (B x = 0 in every other row).  Returns the (P, 4, 4) states,
+    which points the solve certifies, and each residual ||L rho|| = ||B x||.
+
+    Certificate: kappa_1 = ||B'||_1 ||B'^-1||_1 <= BORDERED_KAPPA_MAX.  B'
+    is B plus a rank-one change, so by interlacing s_min(B') <= s_-2(B) =
+    s_-2(L), and s_min(B') >= 1/(4 ||B'^-1||_1) (norm equivalence, n = 16).
+    L preserves the trace, so the replaced row is minus the sum of the
+    other three population rows and ||B||_1 <= 2 ||B'||_1, whence
+    s_0(L) = ||B||_2 <= 4 ||B||_1 <= 8 ||B'||_1.  A certified point thus
+    passes the SVD's gap test, s_-2/s_0 >= 1/(32 kappa_1) >= DEGENERACY_RATIO,
+    and its null space is one-dimensional.  It passes the SVD's trace test
+    too: the unit null vector x/||x|| has trace 1/||x||, and ||x|| <=
+    4 ||B'^-1||_1 <= 4 kappa_1 < 1e8, as ||B'||_1 >= 1.  NaN is not
+    certified.
+    """
+    frames = (_FROM_FRAME @ lmats @ HERMITIAN_FRAME).real
+    bordered = frames.copy()
+    bordered[:, BORDERED_ROW] = TRACE_ROW
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:
+        # one exactly singular matrix fails the whole batch: invert point
+        # by point, so only that point goes to the SVD
+        inverse = np.full_like(bordered, np.nan)
+        for k, b in enumerate(bordered):
+            try:
+                inverse[k] = np.linalg.inv(b)
+            except np.linalg.LinAlgError:
+                pass
+    x = inverse[:, :, BORDERED_ROW]
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: not certified
+        certified = _norm_1(bordered) * _norm_1(inverse) <= BORDERED_KAPPA_MAX
+    residual = np.linalg.norm((frames @ x[:, :, None])[:, :, 0], axis=1)
+    return (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4), certified, residual
+
+
 def steady_state_stack(lmats: np.ndarray, method: str = "auto"
                        ) -> tuple[np.ndarray, list, dict]:
     """Solve L(rho) = 0 with unit trace for a (P, 16, 16) Liouvillian stack.
 
     Returns the (P, 4, 4) states, the method used for each, and the
     failures as {stack position: SteadyStateError}.  The null spaces come
-    from one batched SVD; points whose null space is degenerate take the
-    long-time integration one by one.
+    from one batched bordered solve (_bordered_stack), whose certified
+    points must also pass ||L rho|| <= STEADY_RESIDUAL_TOL; the points it
+    does not certify take one batched SVD, and those whose null space is
+    degenerate take the long-time integration one by one.
     """
     if method not in ("auto", "null-space", "long-time-integration"):
         raise ValueError(f"unknown method {method!r}")
     n = len(lmats)
-    methods = [method] * n
+    methods = ["null-space" if method == "auto" else method] * n
     failures = {}
     if method == "long-time-integration":
         rhos = np.empty((n, 4, 4), dtype=complex)
         integrate = np.ones(n, dtype=bool)
     else:
-        _, svals, vh = np.linalg.svd(lmats)
-        vec = vh[:, -1].conj().reshape(n, 4, 4)
-        tr = vec.trace(axis1=1, axis2=2)
-        integrate = ((svals[:, -2] < DEGENERACY_RATIO * svals[:, 0])
-                     | (abs(tr) < 1e-8))
-        rhos = vec / np.where(integrate, 1.0, tr)[:, None, None]
-        if method == "auto":
-            methods = ["long-time-integration" if d else "null-space"
-                       for d in integrate]
-        else:
-            failures = {int(k): SteadyStateError(
-                "null space degenerate (singular-value ratio "
-                f"{svals[k, -2] / svals[k, 0]:.2e}); use long-time integration")
-                for k in np.flatnonzero(integrate)}
-            rhos[integrate] = RHO_UNPOLARIZED  # stand-ins for failed points
-            integrate[:] = False
+        rhos, certified, residual = _bordered_stack(lmats)
+        for k in np.flatnonzero(certified & (residual > STEADY_RESIDUAL_TOL)):
+            failures[int(k)] = SteadyStateError(
+                f"steady state residual {residual[k]:.2e} exceeds "
+                f"{STEADY_RESIDUAL_TOL:.1e}")
+        rest = np.flatnonzero(~certified)
+        integrate = np.zeros(n, dtype=bool)
+        if rest.size:
+            _, svals, vh = np.linalg.svd(lmats[rest])
+            vec = vh[:, -1].conj().reshape(rest.size, 4, 4)
+            tr = vec.trace(axis1=1, axis2=2)
+            degenerate = ((svals[:, -2] < DEGENERACY_RATIO * svals[:, 0])
+                          | (abs(tr) < 1e-8))
+            rhos[rest] = vec / np.where(degenerate, 1.0, tr)[:, None, None]
+            if method == "auto":
+                integrate[rest] = degenerate
+                for k in rest[degenerate]:
+                    methods[k] = "long-time-integration"
+            else:
+                for i in np.flatnonzero(degenerate):
+                    failures[int(rest[i])] = SteadyStateError(
+                        "null space degenerate (singular-value ratio "
+                        f"{svals[i, -2] / svals[i, 0]:.2e}); use long-time "
+                        "integration")
+                rhos[rest[degenerate]] = RHO_UNPOLARIZED  # stand-ins
     for k in np.flatnonzero(integrate):
         try:
             rhos[k] = _integrate_to_steady(lmats[k], RHO_UNPOLARIZED)
@@ -140,11 +211,12 @@ def solve_steady_state(gen: Generator, params: SystemParams,
                        method: str = "auto") -> AtomState:
     """Solve L(rho) = 0 with unit trace.
 
-    Primary route: null space of the 16x16 Liouvillian (SVD) with the trace
-    constraint used for normalization.  If the null space is numerically
-    degenerate (second-smallest singular value below 1e-8 * ||L||) the solver
-    falls back to long-time integration from an unpolarized lower-level
-    mixture and records the method used.
+    Primary route: null space of the 16x16 Liouvillian with the trace
+    constraint, from the certified bordered solve or else the SVD (see
+    steady_state_stack).  If the null space is numerically degenerate
+    (second-smallest singular value below 1e-8 * ||L||) the solver falls
+    back to long-time integration from an unpolarized lower-level mixture
+    and records the method used.
     """
     rhos, methods, failures = steady_state_stack(gen.matrix[None], method)
     if failures:

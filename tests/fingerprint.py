@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import math
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,57 +75,107 @@ def compute() -> dict:
     return tables
 
 
+@dataclass
+class Column:
+    """One column of a table, fresh and golden, and how it moved."""
+
+    table: str
+    column: str
+    got: list
+    ref: list
+    numeric: bool = False  # holds a number in both
+    worst: float = 0.0  # max relative move of its numbers
+    moved: list = field(default_factory=list)  # rows moved beyond RTOL
+    changed: list = field(default_factory=list)  # rows whose other cells differ
+
+
 def load() -> dict:
     with gzip.open(GOLDEN, "rt", encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def differences(tables: dict, golden: dict) -> list:
-    """One line per table column that differs from the golden file."""
-    lines = [f"{name}: missing" for name in golden if name not in tables]
-    lines += [f"{name}: not in the golden file"
-              for name in tables if name not in golden]
-    for name in golden.keys() & tables.keys():
+def _number(x) -> bool:
+    return isinstance(x, float) and not math.isnan(x)
+
+
+def compare(tables: dict, golden: dict) -> tuple[list, list]:
+    """The fresh tables against the golden file, column by column.
+
+    Returns the layout lines (a missing or extra table, or one whose column
+    list or row count differs) and, for each column of every other table,
+    a Column.  A cell that is not a number on both sides (None, a string,
+    NaN) is changed unless it is equal, and NaN never is.
+    """
+    layout = [f"{name}: missing" for name in golden if name not in tables]
+    layout += [f"{name}: not in the golden file"
+               for name in tables if name not in golden]
+    columns = []
+    for name in sorted(golden.keys() & tables.keys()):
         gold, new = golden[name], tables[name]
         if gold["columns"] != new["columns"] or \
                 len(gold["rows"]) != len(new["rows"]):
-            lines.append(f"{name}: layout differs")
+            layout.append(f"{name}: layout differs")
             continue
         for j, column in enumerate(gold["columns"]):
-            ref = [row[j] for row in gold["rows"]]
-            got = [row[j] for row in new["rows"]]
-            floats = [isinstance(y, float) for y in ref]
-            scale = max((abs(y) for y, f in zip(ref, floats) if f), default=0.0)
-            worst, bad = 0.0, []
-            for i, (x, y, f) in enumerate(zip(got, ref, floats)):
-                if f and isinstance(x, float):
+            col = Column(name, column, [row[j] for row in new["rows"]],
+                         [row[j] for row in gold["rows"]])
+            scale = max((abs(y) for y in col.ref if _number(y)), default=0.0)
+            for i, (x, y) in enumerate(zip(col.got, col.ref)):
+                if _number(x) and _number(y):
+                    col.numeric = True
                     dev = abs(x - y)
-                    worst = max(worst, dev / scale if scale else dev)
-                    if not dev <= RTOL * scale:  # NaN differs too
-                        bad.append(i)
+                    col.worst = max(col.worst, dev / scale if scale else dev)
+                    if dev > RTOL * scale:
+                        col.moved.append(i)
                 elif x != y:
-                    bad.append(i)
-            if bad:
-                lines.append(f"{name} {column}: {len(bad)} rows differ "
-                             f"(first {bad[0]}: {got[bad[0]]!r} vs golden "
-                             f"{ref[bad[0]]!r}; max relative {worst:.2e})")
+                    col.changed.append(i)
+            columns.append(col)
+    return layout, columns
+
+
+def differences(tables: dict, golden: dict) -> list:
+    """One line per table column that differs from the golden file."""
+    layout, columns = compare(tables, golden)
+    lines = list(layout)
+    for col in columns:
+        bad = sorted(col.moved + col.changed)
+        if bad:
+            lines.append(f"{col.table} {col.column}: {len(bad)} rows differ "
+                         f"(first {bad[0]}: {col.got[bad[0]]!r} vs golden "
+                         f"{col.ref[bad[0]]!r}; max relative {col.worst:.2e})")
     return sorted(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write", action="store_true",
-                        help="overwrite the golden file after the diff")
+                        help="overwrite the golden file after the diff, "
+                             "if only numbers moved")
     args = parser.parse_args(argv)
     tables = compute()
-    diff = differences(tables, load()) if GOLDEN.exists() else ["no golden file"]
+    golden = load() if GOLDEN.exists() else None
+    diff = differences(tables, golden) if golden else ["no golden file"]
     print("\n".join(diff) if diff else "fingerprint matches the golden file")
-    if args.write:
-        GOLDEN.parent.mkdir(exist_ok=True)
-        with gzip.GzipFile(GOLDEN, "wb", mtime=0) as fh:
-            fh.write(json.dumps(tables, separators=(",", ":")).encode("utf-8"))
-        print(f"wrote {GOLDEN}")
-    return 1 if diff and not args.write else 0
+    if not args.write:
+        return 1 if diff else 0
+    if golden:
+        layout, columns = compare(tables, golden)
+        refused = layout + [f"{c.table} {c.column}: {len(c.changed)} "
+                            f"non-numeric cells differ (first row "
+                            f"{c.changed[0]})" for c in columns if c.changed]
+        if refused:
+            print("not written, since only numbers may move:\n"
+                  + "\n".join(refused))
+            return 1
+        print("max relative move of each numeric column:")
+        for c in columns:
+            if c.numeric:
+                print(f"  {c.table} {c.column}: {c.worst:.2e}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with gzip.GzipFile(GOLDEN, "wb", mtime=0) as fh:
+        fh.write(json.dumps(tables, separators=(",", ":")).encode("utf-8"))
+    print(f"wrote {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -176,6 +176,16 @@ class TestCommands:
             "they set every parameter it sweeps (delta1)\n")
         assert not out.exists()
 
+    def test_degenerate_grid_refused_at_its_line(self, tmp_path, capsys):
+        # before: "error: ValueError: grid must be strictly monotone"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[sweep]\nselector = custom\ngrid = 1:1:3\n")
+        out = tmp_path / "out"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 3: grid must be strictly monotone\n")
+        assert not out.exists()
+
     def test_sampled_validation_failure_keeps_the_sweep(self, tmp_path):
         # fig4's first point (gamma0 = 0) has a degenerate null space, which
         # the dual-method check refuses; the sweep and its outputs stay

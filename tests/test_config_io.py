@@ -11,7 +11,8 @@ import pytest
 import doublelambda
 from doublelambda.config import (CUSTOM_KEYS, OPTIONS, ConfigError, RunConfig,
                                  parse_config)
-from doublelambda.experiments import ScalingRule, detuning_spec, run_sweep
+from doublelambda.experiments import (ScalingRule, SweepSpec, detuning_spec,
+                                      run_sweep)
 from doublelambda.io import (emit_plot, run_manifest, write_manifest,
                              write_results)
 from doublelambda.params import SystemParams
@@ -144,6 +145,19 @@ class TestConfigParsing:
         assert str(err.value) == f"line 4: {message}"
         first = text.replace(f"scalings = {rules}\n", "")
         assert parse_config(first).scalings == (ScalingRule("n0", "base*axis"),)
+
+    @pytest.mark.parametrize("grid", ["1:1:3", "-2.5:-2.5:2"])
+    def test_degenerate_grid_refused_at_its_line(self, grid):
+        # before, it parsed, and SweepSpec refused it with no line
+        text = f"[sweep]\nselector = custom\ngrid = {grid}\naxis = gamma0\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "line 3: grid must be strictly monotone"
+        start, stop, points = (float(x) for x in grid.split(":"))
+        with pytest.raises(ValueError, match="^grid must be strictly monotone$"):
+            SweepSpec(base=SystemParams(), axis="gamma0",
+                      grid=np.linspace(start, stop, int(points)))
+        assert parse_config(text.replace(grid, "1:1:1")).grid == (1.0, 1.0, 1)
 
     def test_hash_inside_a_value_is_kept(self):
         cfg = parse_config("[run]\nout = results#1\n")

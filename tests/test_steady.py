@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doublelambda import BASIS, SystemParams
-from doublelambda.atom import build_generator
+from doublelambda import BASIS, SystemParams, steady
+from doublelambda.atom import (build_generator, coefficient_stack,
+                               dissipator_stack, liouvillian_stack)
+from doublelambda.experiments import SWEEP_SELECTORS, dephasing_spec
+from doublelambda.params import ParamStack
 from doublelambda.steady import (observables, solve_steady_state,
                                  _integrate_to_steady)
 from conftest import random_params
@@ -117,3 +122,104 @@ def test_integrate_to_steady_preserves_result(defaults):
     gen = build_generator(defaults)
     rho = _integrate_to_steady(gen.matrix, np.diag([0.5, 0, 0.5, 0]).astype(complex))
     assert np.linalg.norm(gen.matrix @ rho.reshape(16)) < 1e-9
+
+
+def liouvillians(points):
+    h, r = coefficient_stack(ParamStack.of(points))
+    return liouvillian_stack(h, dissipator_stack(r))[1]
+
+
+def certified(lmats):
+    return steady._bordered_stack(lmats)[1]
+
+
+def svd_route(lmats, method="auto"):
+    """steady_state_stack as it was before the bordered solve: a bound of 0
+    certifies nothing, so every point takes the SVD."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(steady, "BORDERED_KAPPA_MAX", 0.0)
+        return steady.steady_state_stack(lmats, method)
+
+
+NO_RATES = SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                        gamma0=0.0)
+#: fig4's first point, gamma0 = 0: dark, with a degenerate null space
+FIG4_DARK = dephasing_spec(SystemParams()).param_stack().point(0)
+
+#: rates, fields and detunings each from 0, as the invariants draw them
+ANY_POINT = st.builds(
+    SystemParams, gamma1=st.floats(0, 2), gamma2=st.floats(0, 2),
+    gamma3=st.floats(0, 2), gamma4=st.floats(0, 2), gamma0=st.floats(0, 2),
+    gamma_phi=st.floats(0, 1), p1=st.floats(-1, 1), p2=st.floats(-1, 1),
+    omega42=st.floats(0, 3), delta1=st.floats(-4, 4), g=st.floats(0, 0.6),
+    a1_mean=st.floats(0, 2), a2_mean=st.floats(0, 2))
+
+
+class TestBorderedCertificate:
+    """The bordered solve certifies only points whose null space the SVD
+    finds one-dimensional; every other point keeps the SVD route."""
+
+    @pytest.mark.parametrize("n0", [3e16, 3e19], ids=["n0", "n0x1000"])
+    @pytest.mark.parametrize("selector", SWEEP_SELECTORS)
+    def test_figure_grids(self, selector, n0):
+        ps = SWEEP_SELECTORS[selector](SystemParams(n0=n0)).param_stack()
+        h, r = coefficient_stack(ps)
+        lmats = liouvillian_stack(h, dissipator_stack(r))[1]
+        methods = svd_route(lmats)[1]
+        # exactly the points the SVD solves: fig4's dark point alone is not
+        assert list(certified(lmats)) == [m == "null-space" for m in methods]
+        assert methods.count("null-space") == len(ps) - (selector == "fig4")
+
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(ANY_POINT, min_size=1, max_size=6))
+    def test_certified_points_are_svd_null_space_points(self, points):
+        lmats = liouvillians(points)
+        methods = svd_route(lmats)[1]
+        for k in np.flatnonzero(certified(lmats)):
+            assert methods[k] == "null-space"
+
+    @pytest.mark.parametrize("method", ["auto", "null-space"])
+    def test_refused_points_keep_the_svd_route(self, method):
+        lmats = liouvillians([FIG4_DARK, NO_RATES, SystemParams()])
+        assert list(certified(lmats)) == [False, False, True]
+        rhos, methods, failures = steady.steady_state_stack(lmats, method)
+        ref_rhos, ref_methods, ref_failures = svd_route(lmats, method)
+        np.testing.assert_array_equal(rhos[:2], ref_rhos[:2])
+        assert methods[:2] == ref_methods[:2]
+        assert {k: str(e) for k, e in failures.items()} == \
+            {k: str(e) for k, e in ref_failures.items()}
+        if method == "auto":
+            assert methods[:2] == ["long-time-integration"] * 2
+            assert list(failures) == [1]
+            assert str(failures[1]).startswith("steady state not positive")
+        else:
+            assert list(failures) == [0, 1]
+            assert all(str(e).startswith("null space degenerate (singular-"
+                                         "value ratio ") for e in
+                       failures.values())
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              database=None)
+    @given(st.builds(
+        SystemParams, gamma1=st.floats(0, 2), gamma2=st.floats(0, 2),
+        gamma3=st.just(0.0), gamma4=st.just(0.0), gamma0=st.just(0.0),
+        gamma_phi=st.floats(0, 1), p1=st.floats(-1, 1), delta1=st.floats(
+            -4, 4), g=st.floats(0, 0.6), a1_mean=st.floats(0, 2),
+        a2_mean=st.just(0.0)))
+    def test_two_decoupled_blocks_never_certified(self, params):
+        # nothing reaches level 3 or leaves it: the population it holds and
+        # the steady state of levels 1, 2, 4 span a two-dimensional null space
+        lmats = liouvillians([params])
+        assert not certified(lmats).any()
+        assert svd_route(lmats)[1] == ["long-time-integration"]
+
+    def test_corrupted_row_refused_by_the_residual(self):
+        lmats = liouvillians([SystemParams()])
+        # the equation of <sigma_33>, which the bordered solve replaces
+        lmats[0, 10, 0] += 1e-3
+        assert certified(lmats).all()
+        _, methods, failures = steady.steady_state_stack(lmats)
+        assert methods == ["null-space"]
+        assert str(failures[0]) == ("steady state residual 4.36e-04 exceeds "
+                                    "1.0e-10")
