@@ -18,6 +18,6 @@ from .oracle import (EvolutionResult, ValidationReport, cross_validate,
 from .params import CALIBRATED_G, AtomicBasis, BASIS, SystemParams
 from .propagation import (FieldCovariance, PropagationSetup, input_covariance,
                           make_setup, propagate_covariance)
-from .steady import AtomState, Observables, observables, solve_steady_state
+from .steady import AtomState, solve_steady_state
 
 __version__ = "0.1.0"

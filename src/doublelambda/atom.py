@@ -161,12 +161,6 @@ def liouvillian_stack(h: np.ndarray,
     return coherent, coherent + dissipators
 
 
-def adjoint_stack(lmats: np.ndarray) -> np.ndarray:
-    """Heisenberg drift in basis order: <sigma_ij> = rho_ji, so the adjoint
-    matrix is the Schroedinger one with both indices swapped."""
-    return lmats[..., BASIS.pair[:, None], BASIS.pair]
-
-
 def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Total jump rate sum_j r_j Tr(K_j rho) of each (rates, state) pair.
 
@@ -179,16 +173,13 @@ def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class Generator:
-    """Liouvillian of the model in both pictures.
+    """Liouvillian of the model.
 
-    matrix acts on row-major vec(rho); adjoint propagates the expectation
-    vector <sigma_ij> in the canonical AtomicBasis ordering; coherent is the
-    Hamiltonian part -i[H, .] of matrix; rates are its DISSIPATOR_BASIS
-    coefficients.
+    matrix acts on row-major vec(rho); coherent is its Hamiltonian part
+    -i[H, .]; rates are its DISSIPATOR_BASIS coefficients.
     """
 
     matrix: np.ndarray
-    adjoint: np.ndarray
     coherent: np.ndarray
     rates: np.ndarray
 
@@ -204,8 +195,7 @@ def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
     h, r = coefficient_stack(params)
     coherent, lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
-    return Generator(matrix=lmat[0], adjoint=adjoint_stack(lmat)[0],
-                     coherent=coherent[0], rates=r)
+    return Generator(matrix=lmat[0], coherent=coherent[0], rates=r)
 
 
 

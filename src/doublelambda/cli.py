@@ -28,7 +28,7 @@ from .atom import build_generator
 from .config import (COMMANDS, FORMATS, OPTIONS, ConfigError, RunConfig,
                      finite, parse_config)
 from .oracle import cross_validate
-from .steady import observables, solve_steady_state
+from .steady import absorption, solve_steady_state
 
 
 #: mallopt(3) parameters, from glibc's <malloc.h>
@@ -117,15 +117,16 @@ def cmd_steady(cfg: RunConfig, out: Path) -> int:
     t0 = time.perf_counter()
     gen = build_generator(cfg.params)
     state = solve_steady_state(gen, cfg.params)
-    obs = observables(state, cfg.params)
+    s1, s2, alpha1, alpha2 = absorption(state.expectations, cfg.params)
     elapsed = time.perf_counter() - t0
     record = {
         "method": state.method,
         "populations": [float(x) for x in state.populations],
-        "s1": [float(np.real(obs.s1)), float(np.imag(obs.s1))],
-        "s2": [float(np.real(obs.s2)), float(np.imag(obs.s2))],
-        "alpha1": obs.alpha1,
-        "alpha2": obs.alpha2,
+        "s1": [float(np.real(s1)), float(np.imag(s1))],
+        "s2": [float(np.real(s2)), float(np.imag(s2))],
+        # null for a field that is off, which absorption leaves NaN
+        "alpha1": float(alpha1) if cfg.params.a1_mean > 0 else None,
+        "alpha2": float(alpha2) if cfg.params.a2_mean > 0 else None,
         "expectations_re": [float(x) for x in np.real(state.expectations)],
         "expectations_im": [float(x) for x in np.imag(state.expectations)],
     }

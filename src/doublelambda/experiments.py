@@ -288,7 +288,7 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     dark[points.live] = activity < DARK_ACTIVITY_TOL
     coherent, lmat, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
         dark[points.live])), coherent, lmat, r, rho)
-    a, failures = fl.drift_stack(atom.adjoint_stack(lmat))
+    a, failures = fl.drift_stack(lmat)
     a, coherent, lmat, r, rho = points.drop(failures, a, coherent, lmat, r,
                                             rho)
     b = fl.field_coupling_stack(ps.g[points.live], rho)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .atom import (FIELD_SUPEROPERATORS, JUMP_GROUPS, RADIATIVE_ENTRIES,
                    Generator, dissipator_stack)
+from .matfuncs import inv_stack
 from .params import BASIS, HERMITIAN_BASIS, SystemParams
 from .steady import AtomState
 
@@ -53,19 +54,20 @@ class LinearizedSystem:
     noise_scale: float     # L / N
 
 
-def drift_stack(adjoints: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Drift FRAME A FRAME^H of each (P, 16, 16) Heisenberg generator A,
-    with the mean fields frozen.
+def drift_stack(lmats: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Drift of each (P, 16, 16) Liouvillian L, with the mean fields frozen.
 
-    The full 16-dim drift has the trace vector as an exact left null vector,
-    so fluctuations stay on the traceless subspace FRAME spans.  A
-    Heisenberg generator preserves Hermiticity, so its drift is real in
-    the Hermitian frame.  Returns the (P, 15, 15) float64 drifts and the
-    failures as {stack position: ResponseError}: a drift whose imaginary
-    part exceeds 1e-10 of its scale, or one with an eigenvalue in the right
-    half-plane.
+    <sigma_ij> = rho_ji, so the Heisenberg drift of the expectation vector
+    is L with both indices swapped, S L S, and its drift in FRAME is
+    FRAME S L S FRAME^H = FRAME.conj() L FRAME^T.  The full 16-dim drift
+    has the trace vector as an exact left null vector, so fluctuations stay
+    on the traceless subspace FRAME spans.  A Heisenberg generator
+    preserves Hermiticity, so its drift is real in the Hermitian frame.
+    Returns the (P, 15, 15) float64 drifts and the failures as {stack
+    position: ResponseError}: a drift whose imaginary part exceeds 1e-10 of
+    its scale, or one with an eigenvalue in the right half-plane.
     """
-    a = FRAME @ adjoints @ FRAME.conj().T
+    a = FRAME.conj() @ lmats @ FRAME.T
     scale = np.maximum(np.max(np.abs(a), axis=(1, 2)), np.finfo(float).tiny)
     imag = np.max(np.abs(a.imag), axis=(1, 2)) / scale
     failures = {int(k): ResponseError(
@@ -220,23 +222,18 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     inverse's kappa_1 brackets kappa_2 within n = 15 [Higham, Accuracy and
     Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 6.2]: a
     point whose inverse passes its residual and n kappa_1 (1 + 1e-9) <= 1e12
-    needs no SVD; the SVD decides the others, and every point of a stack
-    with an exactly singular member.  The drift is real, so R(-omega) =
-    conj(R(omega)) with no second inversion; its own residual ||(i omega -
-    A) R(-omega) - I|| checks that on every point.  Returns R(omega),
-    R(-omega) and the failures as {stack position: ResponseError}.
+    needs no SVD; the SVD decides the others, among them an exactly
+    singular member, whose inverse inv_stack leaves NaN.  The drift is
+    real, so R(-omega) = conj(R(omega)) with no second inversion; its own
+    residual ||(i omega - A) R(-omega) - I|| checks that on every point.
+    Returns R(omega), R(-omega) and the failures as {stack position:
+    ResponseError}.
     """
     eye = np.eye(a.shape[-1])
     iw = (1j * omegas)[:, None, None] * eye
     m = -iw - a
-    resid = kappa1 = np.full(len(m), np.inf)
-    try:
-        r = np.linalg.inv(m)
-        resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
-        kappa1 = (np.linalg.norm(m, 1, axis=(1, 2))
-                  * np.linalg.norm(r, 1, axis=(1, 2)))
-    except np.linalg.LinAlgError:  # an exactly singular member
-        r = None
+    r, kappa1 = inv_stack(m)  # NaN at an exactly singular member
+    resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
     svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
     cond = np.zeros(len(m))
     if svd.any():
@@ -249,12 +246,8 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
         failures[int(k)] = ResponseError(
             f"atomic response near-singular at omega={omegas[k]}: condition "
             f"{cond[k]:.2e}, offending eigenvalue {worst:.3e}")
-    if r is None:
-        r = np.zeros_like(m)
-        r[~singular] = np.linalg.inv(m[~singular])
-        resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
     r[singular] = 0.0
-    for k in np.flatnonzero(~singular & (resid > 1e-10)):
+    for k in np.flatnonzero(~singular & ~(resid <= 1e-10)):
         failures[int(k)] = ResponseError(
             f"response inversion residual {resid[k]:.2e}")
     r_minus = r.conj()
@@ -288,7 +281,7 @@ def linearize(gen: Generator, state: AtomState, params: SystemParams,
     "vacuum-reservoir" keeps only the spontaneous-emission forces.  Raises
     the drift's failure first, else the diffusion's.
     """
-    a, failures = drift_stack(gen.adjoint[None])
+    a, failures = drift_stack(gen.matrix[None])
     if not failures:
         d, failures = diffusion_stack(noise_model, gen.matrix[None],
                                       gen.coherent[None], gen.rates[None],

@@ -1,4 +1,5 @@
-"""Matrix exponential of a stack of matrices, in numpy alone.
+"""Matrix exponential and certified inverse of a stack of matrices, in
+numpy alone.
 
 Scaling and squaring with diagonal Padé approximants of degree 3, 5, 7, 9
 or 13 [Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)].  Each matrix
@@ -44,6 +45,30 @@ def _factors(m: int) -> np.ndarray:
 FACTORS = {m: _factors(m) for m in DEGREES}
 
 
+def norm_1(m: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum of |m|) of each matrix of a stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+def inv_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of each matrix of a (P, n, n) stack, and its kappa_1 =
+    ||m||_1 ||m^-1||_1, from one batched inv.
+
+    An exactly singular member (a zero pivot) fails the whole batch: the
+    other members are then inverted alone, and that member's inverse and
+    kappa_1 are NaN.
+    """
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inverse = np.full_like(m, np.nan)
+        # slogdet factors by the LU inv uses: sign 0 exactly at a zero pivot
+        regular = np.linalg.slogdet(m)[0] != 0
+        inverse[regular] = np.linalg.inv(m[regular])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return inverse, norm_1(m) * norm_1(inverse)
+
+
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
     """(V - U)^-1 (V + U) for a (K, n, n) stack, with U and V the odd and
     even parts of the degree-m numerator.
@@ -81,7 +106,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     x = a.reshape((-1,) + a.shape[-2:]).astype(np.result_type(a, float),
                                               copy=False)
     with np.errstate(over="ignore"):  # an infinite norm is dealt with below
-        norm = np.abs(x).sum(axis=1).max(axis=1)
+        norm = norm_1(x)
     # a norm past THETA[-1], infinite or NaN gives len(DEGREES)
     level = np.searchsorted(THETA, norm)
     if len(set(level.tolist())) == 1 and level[0] < len(DEGREES):  # usually

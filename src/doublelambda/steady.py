@@ -1,14 +1,13 @@
-"""Mean-field steady state of the generator and derived observables."""
+"""Mean-field steady state of the generator and the absorption it gives."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .atom import Generator
-from .matfuncs import expm
+from .matfuncs import expm, inv_stack
 from .params import BASIS, HERMITIAN_FRAME, SystemParams
 
 #: fallback initial state: unpolarized atoms entering the beam
@@ -101,11 +100,6 @@ def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
         f"(tolerance {STEADY_RESIDUAL_TOL:.1e})")
 
 
-def _norm_1(m: np.ndarray) -> np.ndarray:
-    """The 1-norm (largest column sum of |m|) of each matrix of a stack."""
-    return abs(m).sum(axis=1).max(axis=1)
-
-
 def _bordered_stack(lmats: np.ndarray) -> tuple:
     """The steady state of each (16, 16) Liouvillian from one real solve.
 
@@ -125,26 +119,15 @@ def _bordered_stack(lmats: np.ndarray) -> tuple:
     passes the SVD's gap test, s_-2/s_0 >= 1/(32 kappa_1) >= DEGENERACY_RATIO,
     and its null space is one-dimensional.  It passes the SVD's trace test
     too: the unit null vector x/||x|| has trace 1/||x||, and ||x|| <=
-    4 ||B'^-1||_1 <= 4 kappa_1 < 1e8, as ||B'||_1 >= 1.  NaN is not
-    certified.
+    4 ||B'^-1||_1 <= 4 kappa_1 < 1e8, as ||B'||_1 >= 1.  NaN, as at an
+    exactly singular B' (see inv_stack), is not certified.
     """
     frames = (_FROM_FRAME @ lmats @ HERMITIAN_FRAME).real
     bordered = frames.copy()
     bordered[:, BORDERED_ROW] = TRACE_ROW
-    try:
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:
-        # one exactly singular matrix fails the whole batch: invert point
-        # by point, so only that point goes to the SVD
-        inverse = np.full_like(bordered, np.nan)
-        for k, b in enumerate(bordered):
-            try:
-                inverse[k] = np.linalg.inv(b)
-            except np.linalg.LinAlgError:
-                pass
+    inverse, kappa = inv_stack(bordered)
     x = inverse[:, :, BORDERED_ROW]
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN: not certified
-        certified = _norm_1(bordered) * _norm_1(inverse) <= BORDERED_KAPPA_MAX
+    certified = kappa <= BORDERED_KAPPA_MAX
     residual = np.linalg.norm((frames @ x[:, :, None])[:, :, 0], axis=1)
     return (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4), certified, residual
 
@@ -225,17 +208,6 @@ def solve_steady_state(gen: Generator, params: SystemParams,
                      method=methods[0])
 
 
-@dataclass(frozen=True)
-class Observables:
-    """Populations, optical-coherence sums, and absorption coefficients."""
-
-    populations: np.ndarray
-    s1: complex  # <sigma_14> + <sigma_12>
-    s2: complex  # <sigma_34> + <sigma_32>
-    alpha1: Optional[float]  # intensity absorption, 1/m; None if <a1> = 0
-    alpha2: Optional[float]
-
-
 def absorption(expectations: np.ndarray, params) -> tuple:
     """s1, s2 and alpha_i = 2 chi_i Im(s_i) / <a_i> (NaN where <a_i> = 0),
     the intensity loss per meter of field i at the medium input, of
@@ -247,13 +219,3 @@ def absorption(expectations: np.ndarray, params) -> tuple:
         return s1, s2, *(np.where(a > 0, 2.0 * chi * np.imag(s) / a, np.nan)
                          for s, chi, a in ((s1, params.chi1, params.a1_mean),
                                            (s2, params.chi2, params.a2_mean)))
-
-
-def observables(state: AtomState, params: SystemParams) -> Observables:
-    """Input-plane observables of the solved steady state (see absorption);
-    the mean fields themselves are never depleted."""
-    s1, s2, alpha1, alpha2 = absorption(state.expectations, params)
-    return Observables(
-        populations=state.populations, s1=complex(s1), s2=complex(s2),
-        alpha1=float(alpha1) if params.a1_mean > 0 else None,
-        alpha2=float(alpha2) if params.a2_mean > 0 else None)

@@ -136,7 +136,7 @@ class TestGenerator:
         # total decay out of level 4 at the reference rates
         gen = build_generator(defaults)
         mu = BASIS.index(4, 4)
-        assert gen.adjoint[mu, mu] == pytest.approx(-4.0)
+        assert gen.matrix[mu, mu] == pytest.approx(-4.0)
 
 
 class TestDarkState:

@@ -41,6 +41,16 @@ class TestCommands:
         payload = json.loads((tmp_path / "steady.json").read_text())
         assert payload["steady_state"]["method"] == "null-space"
 
+    def test_steady_absorption_null_for_a_field_that_is_off(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\na2_mean = 0\n")
+        assert run_cli(["steady", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "steady.json").read_text())[
+            "steady_state"]
+        assert record["alpha2"] is None
+        assert record["alpha1"] > 0
+
     def test_sweep_csv_and_manifest(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[sweep]\nselector = custom\naxis = delta1\n"

@@ -666,6 +666,47 @@ class TestNoEnvironment:
             "os.cpu_count()\nenv.environ\nfrom os import path")) == []
 
 
+#: the modules that may invert a matrix with np.linalg.inv: the certified
+#: stack inverse, and the independent references of the oracle
+_INVERTERS = {"matfuncs.py", "oracle.py"}
+
+
+def _inv_calls(tree: ast.Module) -> list:
+    """(line, source) of each linalg.inv reference in `tree`, and of each
+    import of inv from numpy.linalg."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                and getattr(node.value, "attr", None) == "linalg"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module == "numpy.linalg"
+              and any(a.name == "inv" for a in node.names)):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+class TestOneInverse:
+    """A stage inverts its stack through matfuncs.inv_stack, which certifies
+    each inverse by its kappa_1 and isolates an exactly singular member."""
+
+    def test_only_the_inverters_call_inv(self):
+        package = Path(doublelambda.__file__).parent
+        found = {module.name: _inv_calls(
+                     ast.parse(module.read_text(encoding="utf-8")))
+                 for module in sorted(package.glob("*.py"))}
+        assert {name for name, calls in found.items() if calls} == _INVERTERS
+
+    def test_the_calls_are_seen(self):
+        for src in ("np.linalg.inv(m)", "numpy.linalg.inv(m)",
+                    "f = la.linalg.inv", "from numpy.linalg import inv",
+                    "from numpy.linalg import solve, inv as i"):
+            assert _inv_calls(ast.parse(src)), src
+        assert _inv_calls(ast.parse(
+            "np.linalg.pinv(m)\nnp.linalg.solve(m, b)\ninv_stack(m)\n"
+            "from numpy.linalg import pinv")) == []
+
+
 #: names that reach the C allocator
 _ALLOCATOR = {"ctypes", "mallopt"}
 

@@ -39,25 +39,25 @@ class TestDrift:
         gen = build_generator(defaults)
         trace_vec = np.zeros(16)
         trace_vec[BASIS.diagonal] = 1.0
-        assert np.linalg.norm(trace_vec @ gen.adjoint) < 1e-12
+        assert np.linalg.norm(trace_vec @ gen.matrix) < 1e-12
 
     def test_stability_at_defaults(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.adjoint[None])
+        a, failures = drift_stack(gen.matrix[None])
         assert failures == {}
         assert np.max(np.real(np.linalg.eigvals(a[0]))) <= 1e-10
         assert a.shape == (1, 15, 15)
 
     def test_real_form_keeps_the_eigenvalues(self):
-        # the 16-dim Heisenberg generator has the drift's eigenvalues plus
-        # the 0 of the conserved trace
+        # the 16-dim Liouvillian has the drift's eigenvalues plus the 0 of
+        # the conserved trace
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.adjoint[None])
+            a, failures = drift_stack(gen.matrix[None])
             assert failures == {}
             a = a[0]
             assert a.dtype == np.float64
-            evals = np.linalg.eigvals(gen.adjoint)
+            evals = np.linalg.eigvals(gen.matrix)
             mismatch = nearest_mismatch(
                 np.append(np.linalg.eigvals(a), 0.0), evals)
             assert mismatch <= 1e-12 * np.max(np.abs(evals))
@@ -73,17 +73,17 @@ class TestDrift:
         # i eps I does not preserve Hermiticity: its drift is i eps I in
         # the frame, so the guard names it before the stability check
         gen = build_generator(defaults)
-        adjoints = np.stack([gen.adjoint, gen.adjoint + 1e-6j * np.eye(16)])
-        _, failures = drift_stack(adjoints)
+        lmats = np.stack([gen.matrix, gen.matrix + 1e-6j * np.eye(16)])
+        _, failures = drift_stack(lmats)
         assert list(failures) == [1]
         assert "drift not real in the Hermitian frame" in str(failures[1])
 
     def test_unstable_drift_still_refused(self, defaults):
-        # shifting the Heisenberg generator by +0.5 pushes the slowest
-        # eigenvalue into the right half-plane
+        # shifting the Liouvillian by +0.5 pushes the slowest eigenvalue
+        # into the right half-plane
         gen = build_generator(defaults)
-        adjoints = np.stack([gen.adjoint, gen.adjoint + 0.5 * np.eye(16)])
-        _, failures = drift_stack(adjoints)
+        lmats = np.stack([gen.matrix, gen.matrix + 0.5 * np.eye(16)])
+        _, failures = drift_stack(lmats)
         assert list(failures) == [1]
         assert "drift matrix unstable" in str(failures[1])
 
@@ -92,7 +92,7 @@ class TestDrift:
         gen, state = prepare(p.replace(gamma0=0.1))
         gen0 = build_generator(p)
         mu = BASIS.index(4, 4)
-        assert gen0.adjoint[mu, mu] == pytest.approx(-4.0)
+        assert gen0.matrix[mu, mu] == pytest.approx(-4.0)
 
 
 class TestFieldCoupling:
@@ -206,6 +206,21 @@ class TestDiffusion:
             assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(d2)) > -1e-10
 
+    def test_hamiltonian_leak_refused(self, defaults):
+        # the dissipator is no commutator: its Einstein relation does not
+        # vanish, so the point that passes it as its coherent part fails
+        gen, state = prepare(defaults)
+        dissipator = gen.matrix - gen.coherent
+        d, failures = diffusion_stack(
+            "einstein", np.stack([gen.matrix] * 3),
+            np.stack([gen.coherent, dissipator, gen.coherent]),
+            np.stack([gen.rates] * 3), np.stack([state.rho] * 3))
+        assert list(failures) == [1]
+        assert isinstance(failures[1], ResponseError)
+        assert str(failures[1]).startswith(
+            "Hamiltonian part leaked into the diffusion matrix: ")
+        assert np.array_equal(d[0], d[2])
+
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
         stacks = (gen.matrix[None], gen.coherent[None], gen.rates[None],
@@ -233,7 +248,7 @@ class TestDiffusion:
 class TestResponse:
     def test_high_frequency_rolloff(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(np.stack([gen.adjoint, gen.adjoint]))
+        a, failures = drift_stack(np.stack([gen.matrix, gen.matrix]))
         assert failures == {}
         r, _, failures = response_stack(a, np.array([1e4, 2e4]))
         assert failures == {}
@@ -242,7 +257,7 @@ class TestResponse:
 
     def test_zero_frequency_is_inverse(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.adjoint[None])
+        a, failures = drift_stack(gen.matrix[None])
         assert failures == {}
         r, _, failures = response_stack(a, np.array([0.0]))
         assert failures == {}
@@ -254,7 +269,7 @@ class TestResponse:
         p = SystemParams(gamma1=0.1, gamma2=0.1, gamma3=0.1, gamma4=0.1,
                          gamma0=0.05, delta1=2.0, omega42=2.0, p1=0.3, p2=0.3)
         gen = build_generator(p)
-        a, failures = drift_stack(np.stack([gen.adjoint, gen.adjoint]))
+        a, failures = drift_stack(np.stack([gen.matrix, gen.matrix]))
         assert failures == {}
         evals = np.linalg.eigvals(a[0])
         osc = [ev for ev in evals if abs(ev.imag) > 0.5]
@@ -269,7 +284,7 @@ class TestResponse:
     def test_mirrored_response_matches_inversion(self, omega):
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.adjoint[None])
+            a, failures = drift_stack(gen.matrix[None])
             assert failures == {}
             _, mirrored, failures = response_stack(a, np.array([omega]))
             assert failures == {}
@@ -282,7 +297,7 @@ class TestResponse:
         # a drift that is not real inverts fine at +omega, but conj(R)
         # is then not R(-omega), and the mirrored residual says so
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.adjoint[None])
+        a, failures = drift_stack(gen.matrix[None])
         assert failures == {}
         a = a[0]
         bad = a.astype(complex)
@@ -295,7 +310,7 @@ class TestResponse:
     def test_singular_refused(self):
         p = SystemParams(gamma0=0.0, p1=1, p2=1, delta1=-1.0)
         gen = build_generator(p)
-        a, failures = drift_stack(gen.adjoint[None])
+        a, failures = drift_stack(gen.matrix[None])
         assert failures == {}
         _, _, failures = response_stack(a, np.array([0.0]))
         assert list(failures) == [0]
@@ -333,6 +348,10 @@ def response_svd_first(a, omegas):
     return r, r_minus, failures
 
 
+#: stack position of near_singular_drifts' exactly singular member
+SINGULAR_AT = 20
+
+
 def near_singular_drifts(omega, singular, seed=3):
     """Real similarity transforms of stable drifts whose eigenvalue pair
     -gap +- i omega sits gap from -i omega, for gaps from 1e-13 to 1e-9
@@ -352,8 +371,19 @@ def near_singular_drifts(omega, singular, seed=3):
         # -i omega - A has an exactly zero pivot: the stack's inv raises
         a = np.diag(-rng.uniform(0.5, 3.0, 15))
         a[:2, :2] = [[0.0, -omega], [omega, 0.0]]
-        drifts.insert(20, a)
+        drifts.insert(SINGULAR_AT, a)
     return np.array(drifts)
+
+
+def response_and_svd_rows(a, omegas, monkeypatch):
+    """response_stack(a, omegas), and how many rows it sent to the SVD."""
+    rows = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda m: rows.append(len(m)) or cond(m))
+    out = response_stack(a, omegas)
+    monkeypatch.undo()
+    return out, sum(rows)
 
 
 class TestResponseBracket:
@@ -365,12 +395,8 @@ class TestResponseBracket:
                                                      monkeypatch):
         a = near_singular_drifts(omega, singular)
         omegas = np.full(len(a), omega)
-        svd_rows = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond",
-                            lambda m: svd_rows.append(len(m)) or cond(m))
-        r, r_minus, failures = response_stack(a, omegas)
-        monkeypatch.undo()
+        (r, r_minus, failures), svd_rows = response_and_svd_rows(
+            a, omegas, monkeypatch)
         ref_r, ref_minus, ref_failures = response_svd_first(a, omegas)
         assert {k: str(e) for k, e in failures.items()} == \
             {k: str(e) for k, e in ref_failures.items()}
@@ -382,8 +408,12 @@ class TestResponseBracket:
         assert refused and len(failures) < len(a)
         assert any("inversion residual" in str(e) for e in failures.values())
         # points in the band were accepted by the SVD, the rest without
-        # one, unless the singular member sent the whole stack to it
-        assert len(failures) < sum(svd_rows) < len(a) or singular
+        # one; an exactly singular member sends only itself to it
+        assert len(failures) < svd_rows < len(a)
+        if singular:
+            regular = np.arange(len(a)) != SINGULAR_AT
+            assert response_and_svd_rows(a[regular], omegas[regular],
+                                         monkeypatch)[1] == svd_rows - 1
 
 
 class TestCovarianceConsistency:

@@ -70,7 +70,7 @@ def check_invariants(params, omega) -> bool:
            for row in rows):
         return False
     gen = build_generator(params)
-    a, failures = drift_stack(gen.adjoint[None])
+    a, failures = drift_stack(gen.matrix[None])
     assert failures == {}
     _, _, failures = response_stack(a, np.array([omega]))
     assert failures == {}

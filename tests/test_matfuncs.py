@@ -1,4 +1,5 @@
-"""The in-package matrix exponential against scipy.linalg.expm."""
+"""The in-package matrix exponential against scipy.linalg.expm, and the
+certified stack inverse."""
 
 import warnings
 
@@ -11,7 +12,7 @@ from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
 from doublelambda.experiments import (SWEEP_SELECTORS, compute_point,
                                       run_sweep, spectrum)
-from doublelambda.matfuncs import THETA, expm
+from doublelambda.matfuncs import THETA, expm, inv_stack
 from test_invariants import OVERFLOWING
 
 RTOL = 1e-14
@@ -134,3 +135,15 @@ def test_overflowing_draw_fails_by_name():
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(expm(a)).any()
             assert not np.isfinite(scipy.linalg.expm(a)).any()
+
+
+def test_inv_stack_leaves_only_the_singular_member_nan():
+    m = np.random.default_rng(5).normal(size=(4, 6, 6))
+    m[2, 3] = 0.0  # a zero row: an exact zero pivot fails the batch
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(m)
+    inverse, kappa = inv_stack(m)
+    assert np.isnan(inverse[2]).all() and np.isnan(kappa[2])
+    for k in (0, 1, 3):
+        np.testing.assert_array_equal(inverse[k], np.linalg.inv(m[k]))
+        assert kappa[k] == pytest.approx(np.linalg.cond(m[k], 1), rel=1e-12)

@@ -8,7 +8,7 @@ from doublelambda.atom import (build_generator, coefficient_stack,
                                dissipator_stack, liouvillian_stack)
 from doublelambda.experiments import SWEEP_SELECTORS, dephasing_spec
 from doublelambda.params import ParamStack
-from doublelambda.steady import (observables, solve_steady_state,
+from doublelambda.steady import (absorption, solve_steady_state,
                                  _integrate_to_steady)
 from conftest import random_params
 
@@ -79,24 +79,27 @@ class TestSolve:
         assert st.populations[0] + st.populations[1] == pytest.approx(0.5, abs=1e-3)
 
 
+def alphas(params):
+    """alpha1, alpha2 of the solved steady state at params."""
+    return absorption(solve(params).expectations, params)[2:]
+
+
 class TestObservables:
     def test_no_coupling_no_absorption(self):
-        p = SystemParams(g=0.0, gamma0=0.2)
-        obs = observables(solve(p), p)
-        assert obs.alpha1 == pytest.approx(0.0, abs=1e-15)
-        assert obs.alpha2 == pytest.approx(0.0, abs=1e-15)
+        alpha1, alpha2 = alphas(SystemParams(g=0.0, gamma0=0.2))
+        assert alpha1 == pytest.approx(0.0, abs=1e-15)
+        assert alpha2 == pytest.approx(0.0, abs=1e-15)
 
     def test_absent_for_dark_field(self):
-        p = SystemParams(a2_mean=0.0, delta1=0.3)
-        obs = observables(solve(p), p)
-        assert obs.alpha2 is None
-        assert obs.alpha1 is not None
+        alpha1, alpha2 = alphas(SystemParams(a2_mean=0.0, delta1=0.3))
+        assert np.isnan(alpha2)
+        assert np.isfinite(alpha1)
 
     def test_transparent_at_zero_ground_relaxation(self):
-        p = SystemParams(gamma0=0.0, a1_mean=2.0, a2_mean=2.0, delta1=-1.0)
-        obs = observables(solve(p), p)
-        assert abs(obs.alpha1) < 1e-12
-        assert abs(obs.alpha2) < 1e-12
+        alpha1, alpha2 = alphas(SystemParams(gamma0=0.0, a1_mean=2.0,
+                                             a2_mean=2.0, delta1=-1.0))
+        assert abs(alpha1) < 1e-12
+        assert abs(alpha2) < 1e-12
 
     def test_two_level_reduction_matches_closed_form(self):
         # decouple level 4 (far detuned, still decaying) and park half the
@@ -107,7 +110,7 @@ class TestObservables:
                              gamma0=1e-3, p1=0, p2=0, omega42=50.0,
                              delta1=delta2 - 50.0, a1_mean=amp, a2_mean=0.0)
             st = solve(p)
-            obs = observables(st, p)
+            alpha1 = absorption(st.expectations, p)[2]
             # closed form: rho22 = W^2/(g2^2+d^2+2W^2) per unit ground pop,
             # Im(s1) = g*a*gamma2*w/(gamma2^2+d^2) with w the 1-2 inversion
             frac = st.populations[0] + st.populations[1]  # rest sits in 3
@@ -115,7 +118,7 @@ class TestObservables:
             w = frac * (gam**2 + delta2**2) / (gam**2 + delta2**2
                                                + 2 * (g * amp)**2)
             alpha_pred = 2 * p.chi1 * g * gam * w / (gam**2 + delta2**2)
-            assert obs.alpha1 == pytest.approx(alpha_pred, rel=2e-3)
+            assert alpha1 == pytest.approx(alpha_pred, rel=2e-3)
 
 
 def test_integrate_to_steady_preserves_result(defaults):
@@ -143,6 +146,8 @@ def svd_route(lmats, method="auto"):
 
 NO_RATES = SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
                         gamma0=0.0)
+#: nothing moves population: the bordered matrix has zero population rows
+FROZEN = NO_RATES.replace(g=0.0)
 #: fig4's first point, gamma0 = 0: dark, with a degenerate null space
 FIG4_DARK = dephasing_spec(SystemParams()).param_stack().point(0)
 
@@ -198,6 +203,25 @@ class TestBorderedCertificate:
             assert all(str(e).startswith("null space degenerate (singular-"
                                          "value ratio ") for e in
                        failures.values())
+
+    @pytest.mark.parametrize("method", ["auto", "null-space"])
+    def test_singular_member_sends_only_itself_to_the_svd(self, method):
+        lmats = liouvillians([SystemParams(), FROZEN,
+                              SystemParams(delta1=0.5)])
+        frames = (steady._FROM_FRAME @ lmats @ steady.HERMITIAN_FRAME).real
+        frames[:, steady.BORDERED_ROW] = steady.TRACE_ROW
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(frames)  # the batch fails on FROZEN
+        assert list(certified(lmats)) == [True, False, True]
+        rhos, methods, failures = steady.steady_state_stack(lmats, method)
+        for k in range(len(lmats)):
+            one = steady.steady_state_stack(lmats[k:k + 1], method)
+            np.testing.assert_array_equal(rhos[k], one[0][0])
+            assert methods[k] == one[1][0]
+            assert str(failures.get(k)) == str(one[2].get(0))
+        assert methods[1] == ("long-time-integration" if method == "auto"
+                              else "null-space")
+        assert list(failures) == ([] if method == "auto" else [1])
 
     @settings(max_examples=20, derandomize=True, deadline=None,
               database=None)
