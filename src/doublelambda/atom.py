@@ -183,13 +183,6 @@ class Generator:
     coherent: np.ndarray
     rates: np.ndarray
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ rho.reshape(16)).reshape(4, 4)
-
-    def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        """Heisenberg action on an operator given as a 4x4 matrix."""
-        return (self.matrix.conj().T @ x.reshape(16)).reshape(4, 4)
-
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""

@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .propagation import FieldCovariance
 
 #: joint quadratures: u = x1 + x2 (symmetric), v = p1 - p2 (antisymmetric),
 #: with x = a + a+ and p = -i (a - a+)
@@ -15,14 +11,6 @@ V_WEIGHTS = np.array([-1j, 1j, 1j, -1j], dtype=complex)
 
 #: separability bound for these quadrature normalizations
 DUAN_BOUND = 4.0
-
-
-@dataclass(frozen=True)
-class DuanResult:
-    v12: float
-    du2: float
-    dv2: float
-    entangled: bool
 
 
 def quadrature_variance_stack(c: np.ndarray, weights) -> tuple[np.ndarray, dict]:
@@ -47,22 +35,13 @@ def quadrature_variance_stack(c: np.ndarray, weights) -> tuple[np.ndarray, dict]
     return value.real, failures
 
 
-
 def duan_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
     """(<du^2>, <dv^2>) of a (P, 4, 4) covariance stack, with failures as
-    {stack position: ValueError}; V12 is their sum."""
+    {stack position: ValueError}; V12 is their sum, and V12 < DUAN_BOUND
+    certifies bipartite entanglement."""
     du2, failures = quadrature_variance_stack(c, U_WEIGHTS)
     dv2, more = quadrature_variance_stack(c, V_WEIGHTS)
     for k, exc in more.items():
         failures.setdefault(k, exc)
     return du2, dv2, failures
 
-
-def duan_v12(cov: FieldCovariance) -> DuanResult:
-    """V12 = <du^2> + <dv^2>; values below 4 certify bipartite entanglement."""
-    du2, dv2, failures = duan_stack(cov.c[None])
-    if failures:
-        raise failures[0]
-    du2, dv2 = float(du2[0]), float(dv2[0])
-    v12 = du2 + dv2
-    return DuanResult(v12=v12, du2=du2, dv2=dv2, entangled=bool(v12 < DUAN_BOUND))

@@ -11,14 +11,12 @@ follows from the generalized Einstein relation evaluated in the steady state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .atom import (FIELD_SUPEROPERATORS, JUMP_GROUPS, RADIATIVE_ENTRIES,
-                   Generator, dissipator_stack)
+                   dissipator_stack)
 from .matfuncs import inv_stack
-from .params import BASIS, HERMITIAN_BASIS, SystemParams
+from .params import BASIS, HERMITIAN_BASIS
 from .steady import AtomState
 
 
@@ -36,22 +34,6 @@ FRAME = np.concatenate([
               [1, 1, 1, -3] / np.sqrt(12.0)])
     @ HERMITIAN_BASIS[:4].reshape(4, 16),
     HERMITIAN_BASIS[4:].reshape(12, 16)])
-
-
-@dataclass(frozen=True)
-class LinearizedSystem:
-    """Drift A, field-coupling columns B, diffusion D in FRAME coordinates.
-
-    a is real, b and d complex; the columns of b are (da1, da1+, da2, da2+)
-    in the mean-field normalization of the pump amplitudes.  d is the
-    diffusion matrix of the collective Langevin forces: <F_k(z,t) F_l(z',t')>
-    = noise_scale * 2 d_[k,l] * delta(z-z') delta(t-t') with noise_scale = L/N.
-    """
-
-    a: np.ndarray          # 15 x 15, real
-    b: np.ndarray          # 15 x 4
-    d: np.ndarray          # 15 x 15
-    noise_scale: float     # L / N
 
 
 def drift_stack(lmats: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -79,7 +61,6 @@ def drift_stack(lmats: np.ndarray) -> tuple[np.ndarray, dict]:
         failures.setdefault(int(k), ResponseError(
             f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}"))
     return a, failures
-
 
 
 #: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
@@ -265,29 +246,9 @@ NOISE_MODELS = ("einstein", "vacuum-reservoir")
 
 def noise_scale(params) -> np.ndarray:
     """L / N, the scale of the collective Langevin correlator (0 if N = 0),
-    of a SystemParams or, as a column, of a ParamStack."""
+    of a SystemParams or, as a column, of a ParamStack: <F_k(z,t)
+    F_l(z',t')> = (L/N) 2 D_kl delta(z-z') delta(t-t')."""
     n_atoms = np.asarray(params.atom_number)
     return np.divide(params.cell_length, n_atoms, where=n_atoms > 0,
                      out=np.zeros(n_atoms.shape))
 
-
-def linearize(gen: Generator, state: AtomState, params: SystemParams,
-              noise_model: str = "einstein") -> LinearizedSystem:
-    """Assemble the full linearized system about the solved steady state.
-
-    noise_model selects the Langevin-force content: "einstein" applies the
-    generalized Einstein relation to every dissipation channel (exact
-    fluctuation-dissipation bookkeeping, commutator-preserving);
-    "vacuum-reservoir" keeps only the spontaneous-emission forces.  Raises
-    the drift's failure first, else the diffusion's.
-    """
-    a, failures = drift_stack(gen.matrix[None])
-    if not failures:
-        d, failures = diffusion_stack(noise_model, gen.matrix[None],
-                                      gen.coherent[None], gen.rates[None],
-                                      state.rho[None])
-    if failures:
-        raise failures[0]
-    b = field_coupling_stack(np.array([params.g]), state.rho[None])
-    return LinearizedSystem(a=a[0], b=b[0], d=d[0],
-                            noise_scale=float(noise_scale(params)))

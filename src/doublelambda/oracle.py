@@ -159,9 +159,9 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
 LYAPUNOV_RESIDUAL_BOUND = 1e-10
 
 
-def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
+def lyapunov_covariance(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Stationary covariance solving A S + S A^T + 2 D = 0 in the drift's
-    eigenbasis.
+    eigenbasis, for a real (15, 15) drift a and diffusion d.
 
     With A = V diag(lam) W, W = V^-1, the equation becomes
     lam_i X_ij + X_ij lam_j = (W (-2D) W^T)_ij for S = V X V^T.  One
@@ -172,7 +172,6 @@ def lyapunov_covariance(lin: fl.LinearizedSystem) -> np.ndarray:
     LYAPUNOV_RESIDUAL_BOUND, or not finite, raises OracleError with the
     residual and kappa_1(V).
     """
-    a, d = lin.a, lin.d
     lam, v = np.linalg.eig(a)
     max_re = float(np.max(lam.real))
     if max_re >= -1e-14:
@@ -267,19 +266,28 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("steady-state dual-method agreement",
            float(np.max(np.abs(other.expectations - state.expectations))), 1e-8)
 
-    # lin.d is the sandwich route: the Einstein D of fl.diffusion_stack
-    lin = fl.linearize(gen, state, params)
+    # d is the sandwich route; the drift's failure is raised before the
+    # diffusion's, which is not formed on a failed drift
+    a, failures = fl.drift_stack(gen.matrix[None])
+    if not failures:
+        d, failures = fl.diffusion_stack("einstein", gen.matrix[None],
+                                         gen.coherent[None], gen.rates[None],
+                                         rho[None])
+    if failures:
+        raise failures[0]
+    a, d = a[0], d[0]
+    b = fl.field_coupling_stack(np.array([params.g]), rho[None])[0]
     d_channel = fl.diffusion_matrix_channelwise(gen.rates[None], rho[None])[0]
     record("Einstein-relation dual-path identity",
-           float(np.max(np.abs(lin.d - d_channel))), 1e-12)
+           float(np.max(np.abs(d - d_channel))), 1e-12)
 
     sigma_direct = fl.equal_time_covariance(state)
-    sigma_lyap = lyapunov_covariance(lin)
+    sigma_lyap = lyapunov_covariance(a, d)
     scale = max(float(np.max(np.abs(sigma_direct))), 1e-30)
     record("Lyapunov vs regression covariance",
            float(np.max(np.abs(sigma_lyap - sigma_direct))) / scale, 1e-6)
 
-    setup = pr.make_setup(lin, params)
+    setup = pr.make_setup(a, b, d, params)
     c_in = pr.input_covariance()
     res = pr.propagate_covariance(setup, c_in)
     c1, c2 = res.covariance.commutator_blocks()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atom import FIELD_OPERATORS
 from . import fluctuations as fl
-from .fluctuations import FRAME, LinearizedSystem
+from .fluctuations import FRAME
 from .matfuncs import expm
 from .params import (HERMITIAN_BASIS, HERMITIAN_FRAME, SPEED_OF_LIGHT,
                      SystemParams)
@@ -124,22 +124,23 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     return m, m_minus, nfield, failures
 
 
-def make_setup(lin: LinearizedSystem, params: SystemParams,
-               omega: float = 0.0) -> PropagationSetup:
-    """Setup with the transfer generator M(omega) and noise injection Nfield.
+def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
+               params: SystemParams, omega: float = 0.0) -> PropagationSetup:
+    """Setup with the transfer generator M(omega) and noise injection Nfield
+    of one point's drift a, field-coupling columns b and diffusion d.
 
     M = K S R(omega) B with K = diag(i chi1, -i chi1, i chi2, -i chi2) and S
     the selector of the optical-coherence sums.  The field covariance is kept
     in flux normalization (vacuum C = 1), which converts the collective noise
     correlator (L/N) 2D into a per-length injection carrying c/L on top of
-    the stored noise scale; this is the unique scaling that preserves the
+    the noise scale L/N; this is the unique scaling that preserves the
     canonical commutators through the medium, and the test suite enforces it.
     Raises on a response failure and on a non-finite result.
     """
     m, m_minus, nfield, failures = transfer_stack(
-        lin.a[None], lin.b[None], lin.d[None], np.array([omega], dtype=float),
+        a[None], b[None], d[None], np.array([omega], dtype=float),
         np.array([[params.chi1, params.chi2]]),
-        np.array([params.cell_length]), np.array([lin.noise_scale]))
+        np.array([params.cell_length]), np.array([fl.noise_scale(params)]))
     if failures:
         raise failures[0]
     return PropagationSetup(m=m[0], m_minus=m_minus[0], nfield=nfield[0],

@@ -48,9 +48,6 @@ class AtomState:
     def populations(self) -> np.ndarray:
         return np.real(self.expectations[BASIS.diagonal])
 
-    def expectation(self, i: int, j: int) -> complex:
-        return complex(self.expectations[BASIS.index(i, j)])
-
 
 def _state_failures(rhos: np.ndarray) -> dict:
     """Trace, Hermiticity and positivity of each state, in that order."""
@@ -128,7 +125,9 @@ def _bordered_stack(lmats: np.ndarray) -> tuple:
     inverse, kappa = inv_stack(bordered)
     x = inverse[:, :, BORDERED_ROW]
     certified = kappa <= BORDERED_KAPPA_MAX
-    residual = np.linalg.norm((frames @ x[:, :, None])[:, :, 0], axis=1)
+    # an uncertified inverse may overflow; only certified residuals are read
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm((frames @ x[:, :, None])[:, :, 0], axis=1)
     return (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4), certified, residual
 
 

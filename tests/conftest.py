@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from doublelambda import SystemParams
+from doublelambda import fluctuations as fl
 from doublelambda.atom import (JUMP_GROUPS, coefficient_stack,
                                dissipator_stack, liouvillian_stack)
 
@@ -20,6 +21,18 @@ def random_params(rng, with_fields=False) -> SystemParams:
         kw["a1_mean"] = rng.uniform(0.5, 2)
         kw["a2_mean"] = rng.uniform(0.5, 2)
     return SystemParams(**kw)
+
+
+def linearized(gen, state, params, noise_model="einstein"):
+    """Drift A, field-coupling columns B and diffusion D of one solved
+    point, from the stack kernels; asserts that neither kernel failed."""
+    a, failures = fl.drift_stack(gen.matrix[None])
+    d, more = fl.diffusion_stack(noise_model, gen.matrix[None],
+                                 gen.coherent[None], gen.rates[None],
+                                 state.rho[None])
+    assert failures == {} and more == {}, (failures, more)
+    b = fl.field_coupling_stack(np.array([params.g]), state.rho[None])
+    return a[0], b[0], d[0]
 
 
 def rate_groups(rates):

@@ -26,13 +26,14 @@ from doublelambda.atom import build_generator
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       compute_point, dephasing_spec,
                                       detuning_spec, run_sweep)
-from doublelambda.fluctuations import FRAME, linearize
+from doublelambda.fluctuations import FRAME
 from doublelambda.oracle import (cross_validate, lyapunov_covariance,
                                  regression_covariance)
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state
 from doublelambda import fluctuations as fl
+from conftest import linearized
 
 RESULTS = []
 
@@ -113,8 +114,8 @@ def test_criterion_03_lyapunov_vs_regression():
         p = draw_params(rng, with_fields=True)
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
-        lin = linearize(gen, state, p)
-        sigma = lyapunov_covariance(lin)
+        a, _, d = linearized(gen, state, p)
+        sigma = lyapunov_covariance(a, d)
         reg = FRAME @ regression_covariance(gen, state, 0.0) @ FRAME.T
         scale = max(float(np.max(np.abs(reg))), 1e-30)
         worst = max(worst, float(np.max(np.abs(sigma - reg))) / scale)
@@ -134,8 +135,7 @@ def test_criterion_04_commutator_preservation():
     for p in configs:
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
-        lin = linearize(gen, state, p)
-        setup = make_setup(lin, p)
+        setup = make_setup(*linearized(gen, state, p), p)
         res = propagate_covariance(setup, input_covariance())
         c1, c2 = res.covariance.commutator_blocks()
         worst = max(worst, abs(c1 - 1.0), abs(c2 - 1.0))

@@ -267,14 +267,11 @@ print(json.dumps(loaded))
 
     def test_oracle_imports_without_scipy(self):
         """In a fresh interpreter, the package and its oracle module import
-        without scipy and export the oracle's names as its own, and a
-        Lyapunov solve loads no scipy module either."""
+        without scipy and export the oracle's names as its own, and the
+        battery, with its Lyapunov solve, loads no scipy module either."""
         code = """
 import json, sys
 import doublelambda, doublelambda.oracle
-from doublelambda.atom import build_generator
-from doublelambda.fluctuations import linearize
-from doublelambda.steady import solve_steady_state
 oracle = doublelambda.oracle
 names = ("EvolutionResult", "ValidationReport", "cross_validate",
          "lyapunov_covariance", "regression_covariance", "time_evolve")
@@ -283,9 +280,7 @@ same = doublelambda.cross_validate is oracle.cross_validate
 def scipy_modules():
     return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 before = scipy_modules()
-p = doublelambda.SystemParams()
-gen = build_generator(p)
-oracle.lyapunov_covariance(linearize(gen, solve_steady_state(gen, p), p))
+oracle.cross_validate(doublelambda.SystemParams())
 print(json.dumps([before, exported, same, scipy_modules()]))
 """
         assert run_fresh(code) == [[], True, True, []]

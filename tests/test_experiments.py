@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from doublelambda import SystemParams
 from doublelambda import experiments
-from doublelambda.entanglement import duan_v12
+from doublelambda.entanglement import duan_stack
 from doublelambda.experiments import (SWEEP_SELECTORS, ScalingRule,
                                       SweepSpec,
                                       alignment_spec, amplitude_spec,
@@ -16,12 +16,12 @@ from doublelambda.experiments import (SWEEP_SELECTORS, ScalingRule,
                                       dephasing_spec, detuning_spec,
                                       evaluate_points, run_sweep, spectrum)
 from doublelambda.atom import build_generator
-from doublelambda.fluctuations import linearize
 from doublelambda import propagation as pr
 from doublelambda.params import CALIBRATED_G, ParamStack
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state, steady_state_stack
+from conftest import linearized
 
 
 class TestSweepSpec:
@@ -278,17 +278,19 @@ class TestBatchedStack:
         omegas = np.linspace(-2.0, 3.0, 11)  # includes 0
         rows = spectrum(p, omegas, noise_model="vacuum-reservoir")
         gen = build_generator(p)
-        lin = linearize(gen, solve_steady_state(gen, p), p,
-                        noise_model="vacuum-reservoir")
+        lin = linearized(gen, solve_steady_state(gen, p), p,
+                         noise_model="vacuum-reservoir")
         for row, w in zip(rows, omegas):
-            res = propagate_covariance(make_setup(lin, p, omega=w),
+            res = propagate_covariance(make_setup(*lin, p, omega=w),
                                        input_covariance(omega=w))
-            duan = duan_v12(res.covariance)
+            du2, dv2, failures = duan_stack(res.covariance.c[None])
+            assert failures == {}
+            duan = {"v12": du2[0] + dv2[0], "du2": du2[0], "dv2": dv2[0]}
             assert row.axis_value == w
             assert row.warnings == tuple(res.warnings)
-            for name in ("v12", "du2", "dv2"):
+            for name, value in duan.items():
                 assert getattr(row, name) == pytest.approx(
-                    getattr(duan, name), rel=1e-12, abs=0)
+                    value, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
     def test_dark_point_spectrum_is_transparent(self, defaults, noise_model):

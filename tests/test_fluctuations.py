@@ -9,11 +9,10 @@ from doublelambda.fluctuations import (FRAME, ResponseError,
                                        diffusion_matrix_channelwise,
                                        diffusion_stack, drift_stack,
                                        equal_time_covariance,
-                                       field_coupling_stack, linearize,
-                                       response_stack)
+                                       field_coupling_stack, response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.steady import solve_steady_state
-from conftest import fields_liouvillian, random_params
+from conftest import fields_liouvillian, linearized, random_params
 
 
 def prepare(params):
@@ -423,9 +422,9 @@ class TestCovarianceConsistency:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            lin = linearize(gen, state, p)
+            a, _, d = linearized(gen, state, p)
             direct = equal_time_covariance(state)
-            sigma = lyapunov_covariance(lin)
+            sigma = lyapunov_covariance(a, d)
             scale = max(np.max(np.abs(direct)), 1e-30)
             assert np.max(np.abs(sigma - direct)) / scale < 1e-6
 
@@ -434,9 +433,9 @@ class TestCovarianceConsistency:
         for _ in range(3):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            lin = linearize(gen, state, p)
+            a = linearized(gen, state, p)[0]
             sigma = equal_time_covariance(state)
-            analytic = expm(lin.a * tau) @ sigma
+            analytic = expm(a * tau) @ sigma
             oracle16 = regression_covariance(gen, state, tau)
             oracle15 = FRAME @ oracle16 @ FRAME.T
             scale = max(np.max(np.abs(oracle15)), 1e-30)

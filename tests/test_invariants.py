@@ -24,11 +24,12 @@ from doublelambda.atom import build_generator
 from doublelambda.experiments import compute_point
 from doublelambda.fluctuations import (NOISE_MODELS,
                                        diffusion_matrix_channelwise,
-                                       diffusion_stack, drift_stack, linearize,
+                                       diffusion_stack, drift_stack,
                                        response_stack)
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state
+from conftest import linearized
 
 OMEGAS = [0.0, 0.5, 3.0]
 #: sideband frequencies drawn by the properties; 0 is always in reach
@@ -58,7 +59,7 @@ OVERFLOWING = SystemParams(
 
 
 def field_covariance(lin, params, omega):
-    setup = make_setup(lin, params, omega=omega)
+    setup = make_setup(*lin, params, omega=omega)
     c_in = input_covariance(omega=omega)
     return propagate_covariance(setup, c_in).covariance
 
@@ -75,7 +76,7 @@ def check_invariants(params, omega) -> bool:
     _, _, failures = response_stack(a, np.array([omega]))
     assert failures == {}
     # under vacuum-reservoir the commutator deficit is physical
-    lin = linearize(gen, solve_steady_state(gen, params), params, "einstein")
+    lin = linearized(gen, solve_steady_state(gen, params), params, "einstein")
     plus = field_covariance(lin, params, omega)
     if omega == 0.0:
         c1, c2 = plus.commutator_blocks()
@@ -182,7 +183,7 @@ def test_reflection_symmetry(params, omega):
         if row.method.endswith("dark-transparent"):
             continue
         gen = build_generator(params)
-        lin = linearize(gen, solve_steady_state(gen, params), params, model)
+        lin = linearized(gen, solve_steady_state(gen, params), params, model)
         c = field_covariance(lin, params, omega).c
         swapped = c[np.ix_(MODE_SWAP, MODE_SWAP)]
         scale = max(1.0, float(np.max(np.abs(c))))

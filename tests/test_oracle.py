@@ -14,13 +14,12 @@ from doublelambda.atom import build_generator
 from doublelambda.experiments import SWEEP_SELECTORS
 from doublelambda.fluctuations import (FRAME, NOISE_MODELS,
                                        diffusion_matrix_channelwise,
-                                       equal_time_covariance,
-                                       linearize, LinearizedSystem)
+                                       equal_time_covariance)
 from doublelambda.oracle import (OracleError, cross_validate,
                                  lyapunov_covariance, regression_covariance,
                                  rk4_covariance, time_evolve)
 from doublelambda.steady import AtomState, solve_steady_state
-from conftest import random_params, rate_groups
+from conftest import linearized, random_params, rate_groups
 
 
 def state_from_rho(rho):
@@ -37,7 +36,7 @@ def oracle_points(draws: int):
 def solved(p, noise_model="einstein"):
     gen = build_generator(p)
     state = solve_steady_state(gen, p)
-    return gen, state, linearize(gen, state, p, noise_model)
+    return gen, state, linearized(gen, state, p, noise_model)
 
 
 def rel_diff(x, ref):
@@ -63,26 +62,26 @@ def rk4_per_slab(setup, c_in, slabs):
     return c
 
 
-def lyapunov_kronecker(lin):
-    n = lin.a.shape[0]
+def lyapunov_kronecker(a, d):
+    n = a.shape[0]
     eye = np.eye(n)
-    lhs = np.kron(lin.a, eye) + np.kron(eye, lin.a)  # row-major vec(AS + SA^T)
-    return np.linalg.solve(lhs, -2.0 * lin.d.reshape(n * n)).reshape(n, n)
+    lhs = np.kron(a, eye) + np.kron(eye, a)  # row-major vec(AS + SA^T)
+    return np.linalg.solve(lhs, -2.0 * d.reshape(n * n)).reshape(n, n)
 
 
-def lyapunov_bartels_stewart(lin):
+def lyapunov_bartels_stewart(a, d):
     """The Schur-form solve the eigenbasis solve replaced [Bartels &
     Stewart, CACM 15, 820 (1972)]: one real Schur form A = U T U^T, and one
     real quasi-triangular solve (trsyl) on T for each of the real and
     imaginary parts of -2 U^T D U, with the stability guard read off the
     diagonal of T."""
-    t, u = schur(lin.a, output="real")
+    t, u = schur(a, output="real")
     max_re = float(np.max(np.diag(t)))
     if max_re >= -1e-14:
         raise OracleError(
             f"drift not strictly stable (max Re eigenvalue {max_re:.2e}); "
             "stationary covariance undefined")
-    rhs = u.T @ (-2.0 * lin.d) @ u
+    rhs = u.T @ (-2.0 * d) @ u
     parts = []
     for c in (rhs.real, rhs.imag):
         x, scale, info = dtrsyl(t, t, c, tranb="T")
@@ -224,26 +223,24 @@ class TestLyapunov:
                          gamma0=0.4, delta1=0.8)
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
-        lin = linearize(gen, state, p)
-        sigma = lyapunov_covariance(lin)
+        a, _, d = linearized(gen, state, p)
+        sigma = lyapunov_covariance(a, d)
         direct = equal_time_covariance(state)
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
         e_mu = FRAME[:, mu].conj()
         e_nu = FRAME[:, nu].conj()
         val = e_mu @ sigma @ e_nu
-        s11 = state.expectation(1, 1)
-        s12 = state.expectation(1, 2)
+        s11 = state.expectations[BASIS.index(1, 1)]
+        s12 = state.expectations[BASIS.index(1, 2)]
         assert val == pytest.approx(np.real(s11) - abs(s12)**2, abs=1e-10)
         assert np.max(np.abs(sigma - direct)) < 1e-10
 
     def test_unstable_drift_refused(self):
-        lin = LinearizedSystem(a=np.zeros((15, 15)), b=np.zeros((15, 4)),
-                               d=np.eye(15), noise_scale=1.0)
         with pytest.raises(OracleError, match=re.escape(
                 "drift not strictly stable (max Re eigenvalue 0.00e+00); "
                 "stationary covariance undefined")):
-            lyapunov_covariance(lin)
+            lyapunov_covariance(np.zeros((15, 15)), np.eye(15))
 
     def test_unstable_complex_pair_refused(self):
         # the only unstable eigenvalues are the complex pair 0.3 +- 2i
@@ -253,16 +250,14 @@ class TestLyapunov:
         t[:2, :2] = [[0.3, 2.0], [-2.0, 0.3]]
         q, _ = np.linalg.qr(rng.normal(size=(15, 15)))
         a = q @ t @ q.T
-        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=np.eye(15),
-                               noise_scale=1.0)
         with pytest.raises(OracleError, match=re.escape(
                 "drift not strictly stable (max Re eigenvalue 3.00e-01); "
                 "stationary covariance undefined")):
-            lyapunov_covariance(lin)
+            lyapunov_covariance(a, np.eye(15))
 
     def test_one_eig_per_solve(self, defaults, monkeypatch):
         # one eigendecomposition serves the stability guard and the solve
-        _, _, lin = solved(defaults)
+        _, _, (a, _, d) = solved(defaults)
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig",
@@ -272,7 +267,7 @@ class TestLyapunov:
             raise AssertionError("eigvals called")
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
-        lyapunov_covariance(lin)
+        lyapunov_covariance(a, d)
         assert calls == [(15, 15)]
 
     @pytest.mark.parametrize("split", [0.0, 1e-8])
@@ -283,8 +278,6 @@ class TestLyapunov:
         # under pytest's settings) escapes the overflowing solve
         a = (-np.eye(15) + np.diag(np.ones(14), 1)
              + np.diag(split * np.arange(15)))
-        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=np.eye(15),
-                               noise_scale=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OracleError, match=
@@ -292,7 +285,7 @@ class TestLyapunov:
                                r"\(relative residual \S+ > 1e-10, "
                                r"kappa_1\(V\) = \S+\); the drift is "
                                r"defective or nearly so$"):
-                lyapunov_covariance(lin)
+                lyapunov_covariance(a, np.eye(15))
 
 
 class TestFastOracles:
@@ -304,7 +297,7 @@ class TestFastOracles:
         c_in = pr.input_covariance()
         for p in oracle_points(8):
             _, _, lin = solved(p, noise_model)
-            setup = pr.make_setup(lin, p, omega)
+            setup = pr.make_setup(*lin, p, omega)
             for slabs in (1, 7, 200, 400):
                 ref = rk4_per_slab(setup, c_in, slabs)
                 assert rel_diff(rk4_covariance(setup, c_in, slabs), ref) <= 1e-12
@@ -312,48 +305,47 @@ class TestFastOracles:
     def test_rk4_slab_guard(self, defaults):
         _, _, lin = solved(defaults)
         with pytest.raises(ValueError):
-            rk4_covariance(pr.make_setup(lin, defaults), pr.input_covariance(),
+            rk4_covariance(pr.make_setup(*lin, defaults), pr.input_covariance(),
                            slabs=0)
 
     @pytest.mark.parametrize("noise_model", NOISE_MODELS)
     def test_lyapunov_matches_kronecker_solve(self, noise_model):
         for p in oracle_points(8):
-            _, _, lin = solved(p, noise_model)
-            sigma = lyapunov_covariance(lin)
-            assert rel_diff(sigma, lyapunov_kronecker(lin)) <= 1e-10
-            resid = lin.a @ sigma + sigma @ lin.a.T + 2.0 * lin.d
-            assert np.linalg.norm(resid) / np.linalg.norm(lin.d) <= 1e-12
+            _, _, (a, _, d) = solved(p, noise_model)
+            sigma = lyapunov_covariance(a, d)
+            assert rel_diff(sigma, lyapunov_kronecker(a, d)) <= 1e-10
+            resid = a @ sigma + sigma @ a.T + 2.0 * d
+            assert np.linalg.norm(resid) / np.linalg.norm(d) <= 1e-12
 
     def test_lyapunov_real_drift_complex_diffusion(self):
         # a real drift with complex-Hermitian D
         rng = np.random.default_rng(5)
         a = rng.normal(size=(15, 15)) - 8.0 * np.eye(15)
         x = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-        lin = LinearizedSystem(a=a, b=np.zeros((15, 4)), d=x @ x.conj().T,
-                               noise_scale=1.0)
-        assert rel_diff(lyapunov_covariance(lin), lyapunov_kronecker(lin)) <= 1e-10
+        d = x @ x.conj().T
+        assert rel_diff(lyapunov_covariance(a, d), lyapunov_kronecker(a, d)) <= 1e-10
 
     def test_lyapunov_matches_bartels_stewart_on_figure_grids(self):
         refused = []
         for name, factor, i, p in figure_points():
-            _, _, lin = solved(p)
+            _, _, (a, _, d) = solved(p)
             try:
-                ref = lyapunov_bartels_stewart(lin)
+                ref = lyapunov_bartels_stewart(a, d)
             except OracleError:
                 refused.append((name, factor, i))
                 with pytest.raises(OracleError, match="not strictly stable"):
-                    lyapunov_covariance(lin)
+                    lyapunov_covariance(a, d)
                 continue
-            assert rel_diff(lyapunov_covariance(lin), ref) <= 1e-12
+            assert rel_diff(lyapunov_covariance(a, d), ref) <= 1e-12
         # at gamma0 = 0 the drift is marginal: both stability guards refuse
         assert refused == [("fig4", 1, 0), ("fig4", 1000, 0)]
 
     @pytest.mark.parametrize("noise_model", NOISE_MODELS)
     def test_lyapunov_matches_bartels_stewart_on_battery(self, noise_model):
         for p in battery_points():
-            _, _, lin = solved(p, noise_model)
-            assert rel_diff(lyapunov_covariance(lin),
-                            lyapunov_bartels_stewart(lin)) <= 1e-12
+            _, _, (a, _, d) = solved(p, noise_model)
+            assert rel_diff(lyapunov_covariance(a, d),
+                            lyapunov_bartels_stewart(a, d)) <= 1e-12
 
     def test_channelwise_matches_einsum_form(self):
         for p in oracle_points(8):
@@ -383,12 +375,10 @@ class TestCrossValidate:
         # agreement well beyond its tolerance
         gen = build_generator(defaults)
         state = solve_steady_state(gen, defaults)
-        lin = linearize(gen, state, defaults)
-        d_bad = lin.d.copy()
+        a, _, d = linearized(gen, state, defaults)
+        d_bad = d.copy()
         d_bad[2, 3] += 1e-3
-        lin_bad = LinearizedSystem(a=lin.a, b=lin.b, d=d_bad,
-                                   noise_scale=lin.noise_scale)
-        sigma_bad = lyapunov_covariance(lin_bad)
+        sigma_bad = lyapunov_covariance(a, d_bad)
         direct = equal_time_covariance(state)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(sigma_bad - direct)) / scale > 1e-6
@@ -408,7 +398,7 @@ class TestCrossValidate:
         # perturbing one entry of the M fed only to RK4 must break the
         # "propagation: closed form vs RK4" agreement beyond its tolerance
         _, _, lin = solved(defaults)
-        setup = pr.make_setup(lin, defaults)
+        setup = pr.make_setup(*lin, defaults)
         c_in = pr.input_covariance()
         m_bad = setup.m.copy()
         m_bad[0, 2] += 1e-3
@@ -419,7 +409,7 @@ class TestCrossValidate:
     @pytest.mark.parametrize("k", range(9))
     def test_residuals_match_separate_diffusion_route(self, k):
         # reference: the battery with the sandwich D from its own
-        # diffusion_stack call instead of lin.d
+        # diffusion_stack call
         from doublelambda.fluctuations import diffusion_stack
         p = oracle_points(8)[k]
         gen = build_generator(p)
@@ -428,9 +418,9 @@ class TestCrossValidate:
         other = solve_steady_state(
             gen, p, method="long-time-integration"
             if state.method == "null-space" else "null-space")
-        lin = linearize(gen, state, p)
+        a, b, d_lin = linearized(gen, state, p)
         direct = equal_time_covariance(state)
-        setup = pr.make_setup(lin, p)
+        setup = pr.make_setup(a, b, d_lin, p)
         c_in = pr.input_covariance()
         c_out = pr.propagate_covariance(setup, c_in).covariance.c
         d, failures = diffusion_stack("einstein", gen.matrix[None],
@@ -445,7 +435,7 @@ class TestCrossValidate:
             float(np.max(np.abs(other.expectations - state.expectations))),
             float(np.max(np.abs(d[0] - diffusion_matrix_channelwise(
                 gen.rates[None], rho[None])[0]))),
-            float(np.max(np.abs(lyapunov_covariance(lin) - direct)))
+            float(np.max(np.abs(lyapunov_covariance(a, d_lin) - direct)))
             / max(float(np.max(np.abs(direct))), 1e-30),
             max(abs(c_out[0, 1] - c_out[1, 0] - 1.0),
                 abs(c_out[2, 3] - c_out[3, 2] - 1.0)),
@@ -471,6 +461,20 @@ class TestCrossValidate:
                     assert abs(c.residual - r.residual) <= 1e-12
                 else:
                     assert c.residual == r.residual, c.name
+
+    @pytest.mark.parametrize("failing", [
+        ("drift_stack",), ("diffusion_stack",),
+        ("drift_stack", "diffusion_stack")])
+    def test_drift_failure_raised_before_diffusion_failure(
+            self, defaults, monkeypatch, failing):
+        from doublelambda import fluctuations as fl
+        for name in failing:
+            def failed(*args, kernel=getattr(fl, name), name=name):
+                return kernel(*args)[0], {0: fl.ResponseError(f"{name} failed")}
+
+            monkeypatch.setattr(fl, name, failed)
+        with pytest.raises(fl.ResponseError, match=f"^{failing[0]} failed$"):
+            cross_validate(defaults)
 
     def test_one_einstein_diffusion_per_battery(self, defaults, monkeypatch):
         from doublelambda import fluctuations as fl

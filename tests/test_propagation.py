@@ -7,21 +7,20 @@ from scipy.linalg import expm
 from doublelambda import SystemParams
 from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
-from doublelambda.fluctuations import linearize
 from doublelambda.oracle import rk4_covariance
 from doublelambda.propagation import (SELF_CHECK_TOL, FieldCovariance,
                                       PropagationSetup, input_covariance,
                                       make_setup, propagate_covariance,
                                       propagate_stack)
 from doublelambda.steady import solve_steady_state
-from conftest import random_params
+from conftest import linearized, random_params
 
 
 def pipeline(params, noise_model="einstein", **kw):
     gen = build_generator(params)
     state = solve_steady_state(gen, params)
-    lin = linearize(gen, state, params, noise_model=noise_model)
-    return make_setup(lin, params, **kw)
+    return make_setup(*linearized(gen, state, params, noise_model), params,
+                      **kw)
 
 
 def complex_van_loan(setup, c_in):
@@ -58,12 +57,12 @@ class TestTransferMatrix:
         # R(-omega) = conj(R(omega)): one inversion at every frequency
         from doublelambda import fluctuations as fl
         gen = build_generator(defaults)
-        lin = linearize(gen, solve_steady_state(gen, defaults), defaults)
+        lin = linearized(gen, solve_steady_state(gen, defaults), defaults)
         seen = []
         response = fl.response_stack
         monkeypatch.setattr(fl, "response_stack",
                             lambda *a: seen.append(1) or response(*a))
-        make_setup(lin, defaults, omega=omega)
+        make_setup(*lin, defaults, omega=omega)
         assert len(seen) == calls
 
     def test_no_cross_coupling_between_field_sectors(self):

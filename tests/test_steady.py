@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublelambda import BASIS, SystemParams, steady
@@ -231,6 +231,11 @@ class TestBorderedCertificate:
         gamma_phi=st.floats(0, 1), p1=st.floats(-1, 1), delta1=st.floats(
             -4, 4), g=st.floats(0, 0.6), a1_mean=st.floats(0, 2),
         a2_mean=st.just(0.0)))
+    # a subnormal coupling: the uncertified inverse overflows, silently
+    @example(SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                          gamma0=0.0, gamma_phi=1.0, p1=0.0, delta1=0.0,
+                          g=0.25, a1_mean=2.2250738585072014e-308,
+                          a2_mean=0.0))
     def test_two_decoupled_blocks_never_certified(self, params):
         # nothing reaches level 3 or leaves it: the population it holds and
         # the steady state of levels 1, 2, 4 span a two-dimensional null space
