@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import BASIS, ParamStack, SystemParams
+from .params import BASIS, HERMITIAN_FRAME, ParamStack, SystemParams
 
 I4 = np.eye(4, dtype=complex)
 
@@ -100,6 +100,16 @@ DISSIPATOR_BASIS = np.array([_dissipator(lm, ln) for ops in JUMP_GROUPS
 FIELD_SUPEROPERATORS = COHERENT_BASIS[2:]
 
 
+#: the COHERENT_BASIS + DISSIPATOR_BASIS entries with one coefficient at
+#: every point (a field's two entries, a cross rate's two): each group's sum
+#: preserves Hermiticity, so its table U^H T U in REAL_BASIS is real
+HERMITIAN_GROUPS = ((0,), (1,), (2, 3), (4, 5), (6,), (7, 8), (9,), (10,),
+                    (11, 12), (13,), (14,), (15,), (16,))
+_ALL = np.concatenate([COHERENT_BASIS, DISSIPATOR_BASIS])
+REAL_BASIS = (HERMITIAN_FRAME.conj().T @ np.array(
+    [_ALL[list(g)].sum(0) for g in HERMITIAN_GROUPS]) @ HERMITIAN_FRAME).real
+_LEADS = np.array([group[0] for group in HERMITIAN_GROUPS])
+
 #: K_j = L_n^+ L_m for each DISSIPATOR_BASIS entry j = (group, m, n), as
 #: rows of vec(K_j^T) so that Tr(K_j rho) = JUMP_TRACES[j] @ vec(rho)
 JUMP_TRACES = np.array([(ln.conj().T @ lm).T.reshape(16) for ops in JUMP_GROUPS
@@ -161,6 +171,12 @@ def liouvillian_stack(h: np.ndarray,
     return coherent, coherent + dissipators
 
 
+def real_generator_stack(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(P, 16, 16) real generators B = U^H L U, U = HERMITIAN_FRAME, from
+    coefficient_stack's (P, 6) and (P, 11) coefficients, with no complex L."""
+    return _contract(np.concatenate([h, r], axis=1)[:, _LEADS], REAL_BASIS)
+
+
 def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """Total jump rate sum_j r_j Tr(K_j rho) of each (rates, state) pair.
 
@@ -176,19 +192,21 @@ class Generator:
     """Liouvillian of the model.
 
     matrix acts on row-major vec(rho); coherent is its Hamiltonian part
-    -i[H, .]; rates are its DISSIPATOR_BASIS coefficients.
+    -i[H, .]; rates are its DISSIPATOR_BASIS coefficients; real is U^H L U.
     """
 
     matrix: np.ndarray
     coherent: np.ndarray
     rates: np.ndarray
+    real: np.ndarray
 
 
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
     h, r = coefficient_stack(params)
     coherent, lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
-    return Generator(matrix=lmat[0], coherent=coherent[0], rates=r)
+    return Generator(matrix=lmat[0], coherent=coherent[0], rates=r,
+                     real=real_generator_stack(h[None], r[None])[0])
 
 
 

@@ -257,6 +257,8 @@ class _Stack:
         """Retire the live points keyed in failures, writing the error text
         of each exception (None leaves no error); return arrays (aligned
         with the live points) restricted to the points that stay."""
+        if not failures:  # no copies when every point stays
+            return list(arrays)
         keep = np.ones(self.live.size, dtype=bool)
         for k, exc in failures.items():
             if exc is not None:
@@ -281,14 +283,16 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
     coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
-    rho_all, methods, failures = steady_state_stack(lmat)
-    coherent, lmat, r, rho = points.drop(failures, coherent, lmat, r, rho_all)
+    real = atom.real_generator_stack(h, r)
+    rho_all, methods, failures = steady_state_stack(real, lmat)
+    real, coherent, lmat, r, rho = points.drop(failures, real, coherent, lmat,
+                                               r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
     dark[points.live] = activity < DARK_ACTIVITY_TOL
-    coherent, lmat, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
-        dark[points.live])), coherent, lmat, r, rho)
-    a, failures = fl.drift_stack(lmat)
+    real, coherent, lmat, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
+        dark[points.live])), real, coherent, lmat, r, rho)
+    a, failures = fl.drift_stack(real)
     a, coherent, lmat, r, rho = points.drop(failures, a, coherent, lmat, r,
                                             rho)
     b = fl.field_coupling_stack(ps.g[points.live], rho)
@@ -296,7 +300,7 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     a, b, d = points.drop(failures, a, b, d)
     # dropped before the row stages: kept alive, they raised the peak RSS of
     # a fig2 sweep by 0.9 MB and of a 128-frequency spectrum by 0.5 MB
-    del h, r, coherent, lmat, rho, activity
+    del h, r, real, coherent, lmat, rho, activity
     point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
     omega = np.tile(omegas, len(ps))
     columns = _no_values(point.size)
@@ -577,7 +581,8 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
     def objective(g: float) -> float:
         h[0, 2:] = g * a1, g * a1, g * a2, g * a2
         lmat = atom.liouvillian_stack(h, dissipator)[1]
-        rho, _, failures = steady_state_stack(lmat)
+        rho, _, failures = steady_state_stack(atom.real_generator_stack(h, r),
+                                              lmat)
         if failures:
             raise failures[0]
         return rho[0, 1, 1].real - target

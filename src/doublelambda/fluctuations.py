@@ -24,42 +24,37 @@ class ResponseError(RuntimeError):
     pass
 
 
-#: rows: the three zero-sum combinations of the diagonal F_k, then the
-#: off-diagonal F_k of HERMITIAN_BASIS, each flattened in expectation order,
-#: so y_k = <dF_k> = FRAME[k] @ d<sigma> are the real coordinates of the
-#: traceless fluctuations; FRAME @ BASIS.swap == FRAME.conj()
-FRAME = np.concatenate([
-    np.array([[1, -1, 0, 0] / np.sqrt(2.0),
-              [1, 1, -2, 0] / np.sqrt(6.0),
-              [1, 1, 1, -3] / np.sqrt(12.0)])
-    @ HERMITIAN_BASIS[:4].reshape(4, 16),
-    HERMITIAN_BASIS[4:].reshape(12, 16)])
+#: O: on the four population coordinates of HERMITIAN_BASIS, row 0 their
+#: sum over 2 and rows 1-3 the zero-sum combinations; the identity on the
+#: 12 coherences
+ROTATION = np.eye(16)
+ROTATION[:4, :4] = [[1, 1, 1, 1], [1, -1, 0, 0], [1, 1, -2, 0], [1, 1, 1, -3]]
+ROTATION[:4] /= np.sqrt([[4.0], [2.0], [6.0], [12.0]])
+#: rows 1-15 of O U^T, U = HERMITIAN_FRAME: the three zero-sum combinations
+#: of the diagonal F_k, then the off-diagonal F_k, each flattened in
+#: expectation order, so y_k = <dF_k> = FRAME[k] @ d<sigma> are the real
+#: coordinates of the traceless fluctuations; FRAME @ BASIS.swap == FRAME.conj()
+FRAME = ROTATION[1:] @ HERMITIAN_BASIS.reshape(16, 16)
 
 
-def drift_stack(lmats: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Drift of each (P, 16, 16) Liouvillian L, with the mean fields frozen.
+def drift_stack(real: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Drift of each (P, 16, 16) real generator B = U^H L U (see
+    atom.real_generator_stack), with the mean fields frozen.
 
     <sigma_ij> = rho_ji, so the Heisenberg drift of the expectation vector
     is L with both indices swapped, S L S, and its drift in FRAME is
-    FRAME S L S FRAME^H = FRAME.conj() L FRAME^T.  The full 16-dim drift
-    has the trace vector as an exact left null vector, so fluctuations stay
-    on the traceless subspace FRAME spans.  A Heisenberg generator
-    preserves Hermiticity, so its drift is real in the Hermitian frame.
-    Returns the (P, 15, 15) float64 drifts and the failures as {stack
-    position: ResponseError}: a drift whose imaginary part exceeds 1e-10 of
-    its scale, or one with an eigenvalue in the right half-plane.
+    FRAME S L S FRAME^H = FRAME.conj() L FRAME^T = (O B O^T)[1:, 1:], with
+    O = ROTATION: real, and O touches only the four populations.  The full
+    16-dim drift has the trace vector as an exact left null vector, so
+    fluctuations stay on the traceless subspace FRAME spans.  Returns the
+    (P, 15, 15) drifts and the failures as {stack position: ResponseError}
+    of the drifts with an eigenvalue in the right half-plane.
     """
-    a = FRAME.conj() @ lmats @ FRAME.T
-    scale = np.maximum(np.max(np.abs(a), axis=(1, 2)), np.finfo(float).tiny)
-    imag = np.max(np.abs(a.imag), axis=(1, 2)) / scale
-    failures = {int(k): ResponseError(
-        f"drift not real in the Hermitian frame: imaginary part {imag[k]:.2e} "
-        "of its scale") for k in np.flatnonzero(~(imag <= 1e-10))}
-    a = np.ascontiguousarray(a.real)
+    a = ROTATION[1:] @ real @ ROTATION[1:].T
     max_re = np.max(np.real(np.linalg.eigvals(a)), axis=1)
-    for k in np.flatnonzero(max_re > 1e-10):
-        failures.setdefault(int(k), ResponseError(
-            f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}"))
+    failures = {int(k): ResponseError(
+        f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}")
+        for k in np.flatnonzero(max_re > 1e-10)}
     return a, failures
 
 
@@ -204,14 +199,26 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 6.2]: a
     point whose inverse passes its residual and n kappa_1 (1 + 1e-9) <= 1e12
     needs no SVD; the SVD decides the others, among them an exactly
-    singular member, whose inverse inv_stack leaves NaN.  The drift is
-    real, so R(-omega) = conj(R(omega)) with no second inversion; its own
-    residual ||(i omega - A) R(-omega) - I|| checks that on every point.
-    Returns R(omega), R(-omega) and the failures as {stack position:
-    ResponseError}.
+    singular member, whose inverse inv_stack leaves NaN.  A row at omega = 0
+    inverts the real -A, and R(-0) = R(0) (the same array if every row is at
+    0); at omega != 0, R(-omega) = conj(R(omega)) of the real drift, checked
+    by its own residual ||(i omega - A) R(-omega) - I||.  Each row is decided
+    by its own frequency.  Returns R(omega), R(-omega) and the failures as
+    {stack position: ResponseError}.
     """
+    zero = omegas == 0
+    if zero.any() and not zero.all():  # each kind of row as a stack alone
+        parts = [(rows, *response_stack(a[rows], omegas[rows]))
+                 for rows in (np.flatnonzero(zero), np.flatnonzero(~zero))]
+        r, r_minus = np.empty((2,) + a.shape, dtype=complex)
+        failures = {}
+        for rows, r_rows, r_minus_rows, refused in parts:
+            r[rows], r_minus[rows] = r_rows, r_minus_rows
+            failures.update((int(rows[k]), e) for k, e in refused.items())
+        return r, r_minus, failures
     eye = np.eye(a.shape[-1])
-    iw = (1j * omegas)[:, None, None] * eye
+    mirrored = not zero.all()
+    iw = (1j * omegas)[:, None, None] * eye if mirrored else 0.0
     m = -iw - a
     r, kappa1 = inv_stack(m)  # NaN at an exactly singular member
     resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
@@ -231,6 +238,8 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     for k in np.flatnonzero(~singular & ~(resid <= 1e-10)):
         failures[int(k)] = ResponseError(
             f"response inversion residual {resid[k]:.2e}")
+    if not mirrored:  # R(-0) = R(0)
+        return r, r, failures
     r_minus = r.conj()
     # i omega - A, not conj(-i omega - A): only a real drift passes this
     resid = np.linalg.norm((iw - a) @ r_minus - eye, axis=(1, 2))

@@ -17,7 +17,7 @@ import numpy as np
 from . import fluctuations as fl
 from . import propagation as pr
 from .atom import Generator, build_generator
-from .params import BASIS, SystemParams
+from .params import BASIS, HERMITIAN_FRAME, SystemParams
 from .steady import AtomState, solve_steady_state
 
 
@@ -236,7 +236,8 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     """Full consistency battery at one parameter point.
 
     Covers: state invariants (trace, Hermiticity, positivity), dual-method
-    steady-state agreement, the dual-path Einstein-relation identity,
+    steady-state agreement, the real generator of the tables against
+    U^H L U of the complex build, the dual-path Einstein-relation identity,
     Lyapunov vs regression covariance, commutator preservation through the
     propagation, and the closed-form propagation against RK4.  Each check
     records the wall time since the previous one; the first also covers the
@@ -266,9 +267,13 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("steady-state dual-method agreement",
            float(np.max(np.abs(other.expectations - state.expectations))), 1e-8)
 
+    built = HERMITIAN_FRAME.conj().T @ gen.matrix @ HERMITIAN_FRAME
+    record("real generator: tables vs complex build", float(np.max(np.abs(
+        gen.real - built))) / max(float(np.max(np.abs(built))), 1e-30), 1e-12)
+
     # d is the sandwich route; the drift's failure is raised before the
     # diffusion's, which is not formed on a failed drift
-    a, failures = fl.drift_stack(gen.matrix[None])
+    a, failures = fl.drift_stack(gen.real[None])
     if not failures:
         d, failures = fl.diffusion_stack("einstein", gen.matrix[None],
                                          gen.coherent[None], gen.rates[None],

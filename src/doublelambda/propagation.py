@@ -114,7 +114,7 @@ def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     injection = SPEED_OF_LIGHT / lengths * noise
     ks = chi[:, :, None] * SELECTOR  # K S with K = diag(chi)
     ksr_plus = ks @ r_plus
-    ksr_minus = ks @ r_minus
+    ksr_minus = ksr_plus if r_minus is r_plus else ks @ r_minus  # R(-0) = R(0)
     m = ksr_plus @ b
     m_minus = ksr_minus @ b
     nfield = (injection[:, None, None] * ksr_plus @ (2.0 * d)

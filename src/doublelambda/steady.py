@@ -25,8 +25,6 @@ TRACE_ROW = np.repeat([1.0, 0.0], [4, 12])
 #: largest kappa_1 of a bordered matrix that certifies its solve: then
 #: s_-2/s_0 >= 1/(32 kappa_1) >= DEGENERACY_RATIO (see _bordered_stack)
 BORDERED_KAPPA_MAX = 1.0 / (32.0 * DEGENERACY_RATIO)
-#: U^H for U = HERMITIAN_FRAME: B = U^H L U is L in real coordinates
-_FROM_FRAME = HERMITIAN_FRAME.conj().T
 
 
 class SteadyStateError(RuntimeError):
@@ -49,11 +47,11 @@ class AtomState:
         return np.real(self.expectations[BASIS.diagonal])
 
 
-def _state_failures(rhos: np.ndarray) -> dict:
-    """Trace, Hermiticity and positivity of each state, in that order."""
-    dev = abs(rhos.trace(axis1=1, axis2=2) - 1.0)
-    herm = abs(rhos - rhos.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    # eigvalsh reads one triangle; the Hermiticity check covers the other
+def _state_failures(raw: np.ndarray, rhos: np.ndarray) -> dict:
+    """Trace and Hermiticity of each state as the solve gave it (raw), and
+    positivity of its Hermitian, unit-trace part (rhos), in that order."""
+    dev = abs(raw.trace(axis1=1, axis2=2) - 1.0)
+    herm = abs(raw - raw.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     min_eig = np.linalg.eigvalsh(rhos).min(axis=1)
     failures = {}
     for k in np.flatnonzero((dev > 1e-10) | (herm > 1e-10) | (min_eig < -1e-10)):
@@ -97,8 +95,8 @@ def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
         f"(tolerance {STEADY_RESIDUAL_TOL:.1e})")
 
 
-def _bordered_stack(lmats: np.ndarray) -> tuple:
-    """The steady state of each (16, 16) Liouvillian from one real solve.
+def _bordered_stack(real: np.ndarray) -> tuple:
+    """The steady state of each (16, 16) real generator from one real solve.
 
     In the Hermitian frame U = HERMITIAN_FRAME, B = U^H L U is real, since
     L maps Hermitian matrices to Hermitian ones.  Replacing row BORDERED_ROW
@@ -119,28 +117,30 @@ def _bordered_stack(lmats: np.ndarray) -> tuple:
     4 ||B'^-1||_1 <= 4 kappa_1 < 1e8, as ||B'||_1 >= 1.  NaN, as at an
     exactly singular B' (see inv_stack), is not certified.
     """
-    frames = (_FROM_FRAME @ lmats @ HERMITIAN_FRAME).real
-    bordered = frames.copy()
+    bordered = real.copy()
     bordered[:, BORDERED_ROW] = TRACE_ROW
     inverse, kappa = inv_stack(bordered)
     x = inverse[:, :, BORDERED_ROW]
     certified = kappa <= BORDERED_KAPPA_MAX
     # an uncertified inverse may overflow; only certified residuals are read
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm((frames @ x[:, :, None])[:, :, 0], axis=1)
+        residual = np.linalg.norm((real @ x[:, :, None])[:, :, 0], axis=1)
     return (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4), certified, residual
 
 
-def steady_state_stack(lmats: np.ndarray, method: str = "auto"
-                       ) -> tuple[np.ndarray, list, dict]:
-    """Solve L(rho) = 0 with unit trace for a (P, 16, 16) Liouvillian stack.
+def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
+                       method: str = "auto") -> tuple[np.ndarray, list, dict]:
+    """Solve L(rho) = 0 with unit trace for a (P, 16, 16) Liouvillian stack
+    lmats and its real generators real (atom.real_generator_stack).
 
     Returns the (P, 4, 4) states, the method used for each, and the
     failures as {stack position: SteadyStateError}.  The null spaces come
-    from one batched bordered solve (_bordered_stack), whose certified
-    points must also pass ||L rho|| <= STEADY_RESIDUAL_TOL; the points it
-    does not certify take one batched SVD, and those whose null space is
-    degenerate take the long-time integration one by one.
+    from one batched bordered solve of real (_bordered_stack), whose
+    certified points must also pass ||L rho|| <= STEADY_RESIDUAL_TOL; the
+    points it does not certify take one batched SVD of lmats, and those
+    whose null space is degenerate take the long-time integration one by
+    one.  Each state's trace and Hermiticity are checked as solved, before
+    it is made Hermitian with unit trace.
     """
     if method not in ("auto", "null-space", "long-time-integration"):
         raise ValueError(f"unknown method {method!r}")
@@ -151,7 +151,7 @@ def steady_state_stack(lmats: np.ndarray, method: str = "auto"
         rhos = np.empty((n, 4, 4), dtype=complex)
         integrate = np.ones(n, dtype=bool)
     else:
-        rhos, certified, residual = _bordered_stack(lmats)
+        rhos, certified, residual = _bordered_stack(real)
         for k in np.flatnonzero(certified & (residual > STEADY_RESIDUAL_TOL)):
             failures[int(k)] = SteadyStateError(
                 f"steady state residual {residual[k]:.2e} exceeds "
@@ -182,11 +182,11 @@ def steady_state_stack(lmats: np.ndarray, method: str = "auto"
         except SteadyStateError as exc:
             rhos[k] = RHO_UNPOLARIZED
             failures[int(k)] = exc
-    rhos = (rhos + rhos.conj().transpose(0, 2, 1)) / 2
-    rhos = rhos / rhos.trace(axis1=1, axis2=2).real[:, None, None]
-    for k, exc in _state_failures(rhos).items():
+    final = (rhos + rhos.conj().transpose(0, 2, 1)) / 2
+    final = final / final.trace(axis1=1, axis2=2).real[:, None, None]
+    for k, exc in _state_failures(rhos, final).items():
         failures.setdefault(k, exc)
-    return rhos, methods, failures
+    return final, methods, failures
 
 
 def solve_steady_state(gen: Generator, params: SystemParams,
@@ -200,7 +200,8 @@ def solve_steady_state(gen: Generator, params: SystemParams,
     back to long-time integration from an unpolarized lower-level mixture
     and records the method used.
     """
-    rhos, methods, failures = steady_state_stack(gen.matrix[None], method)
+    rhos, methods, failures = steady_state_stack(gen.real[None],
+                                                 gen.matrix[None], method)
     if failures:
         raise failures[0]
     return AtomState(expectations=BASIS.expectations(rhos[0]),

@@ -26,7 +26,7 @@ def random_params(rng, with_fields=False) -> SystemParams:
 def linearized(gen, state, params, noise_model="einstein"):
     """Drift A, field-coupling columns B and diffusion D of one solved
     point, from the stack kernels; asserts that neither kernel failed."""
-    a, failures = fl.drift_stack(gen.matrix[None])
+    a, failures = fl.drift_stack(gen.real[None])
     d, more = fl.diffusion_stack(noise_model, gen.matrix[None],
                                  gen.coherent[None], gen.rates[None],
                                  state.rho[None])

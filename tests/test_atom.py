@@ -3,11 +3,14 @@ import pytest
 import scipy.linalg
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import (HAMILTONIAN_OPERATORS, _contract,
-                               build_generator, build_rate_matrices,
-                               dark_state_analysis,
+from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
+                               HAMILTONIAN_OPERATORS, HERMITIAN_GROUPS,
+                               REAL_BASIS, _contract, build_generator,
+                               build_rate_matrices, dark_state_analysis,
                                dissipative_activity_stack,
                                jump_amplitudes_on_state)
+from doublelambda.fluctuations import FRAME, ROTATION
+from doublelambda.params import HERMITIAN_BASIS, HERMITIAN_FRAME
 from conftest import (field_coefficients, fields_liouvillian, random_params,
                       rate_groups)
 
@@ -138,6 +141,49 @@ class TestGenerator:
         gen = build_generator(defaults)
         mu = BASIS.index(4, 4)
         assert gen.matrix[mu, mu] == pytest.approx(-4.0)
+
+
+#: every COHERENT_BASIS and DISSIPATOR_BASIS entry, in coefficient order
+ENTRIES = np.concatenate([COHERENT_BASIS, DISSIPATOR_BASIS])
+
+
+def in_frame(table):
+    """U^H T U for U = HERMITIAN_FRAME: T in real coordinates, if it
+    preserves Hermiticity."""
+    return HERMITIAN_FRAME.conj().T @ table @ HERMITIAN_FRAME
+
+
+class TestRealTables:
+    """The real generator's tables, once: what the per-point drift and
+    bordered solve no longer check."""
+
+    def test_each_group_is_real_in_the_frame(self):
+        assert sorted(k for group in HERMITIAN_GROUPS for k in group) == \
+            list(range(len(ENTRIES)))
+        for group, table in zip(HERMITIAN_GROUPS, REAL_BASIS):
+            product = in_frame(ENTRIES[list(group)].sum(0))
+            assert np.max(np.abs(product.imag)) <= 1e-15
+            assert np.array_equal(product.real, table)
+
+    def test_an_unpaired_entry_is_complex(self):
+        # one field entry, or one entry of a cross rate, alone does not
+        # preserve Hermiticity: its frame table has an imaginary part
+        for group in HERMITIAN_GROUPS:
+            for k in group[:len(group) - 1]:
+                assert np.max(np.abs(in_frame(ENTRIES[k]).imag)) > 0.1
+
+    def test_rotation_is_orthogonal_and_gives_frame(self):
+        assert np.max(np.abs(ROTATION @ ROTATION.T - np.eye(16))) <= 1e-15
+        assert np.array_equal(ROTATION[4:], np.eye(16)[4:])
+        assert np.array_equal(ROTATION[:, 4:], np.eye(16)[:, 4:])
+        # the frame built directly from its three zero-sum rows
+        before = np.concatenate([
+            np.array([[1, -1, 0, 0] / np.sqrt(2.0),
+                      [1, 1, -2, 0] / np.sqrt(6.0),
+                      [1, 1, 1, -3] / np.sqrt(12.0)])
+            @ HERMITIAN_BASIS[:4].reshape(4, 16),
+            HERMITIAN_BASIS[4:].reshape(12, 16)])
+        assert np.array_equal(FRAME, before)
 
 
 class TestDarkState:

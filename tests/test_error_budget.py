@@ -1,10 +1,14 @@
-"""A 40-digit error budget of the steady stage at four fixed points.
+"""A 40-digit error budget of the steady stage, the drift and R(0) at four
+fixed points.
 
 The reference Liouvillian is built in mpmath from the point's
 double-precision coefficient rows (atom.coefficient_stack) and the
 superoperator tables, whose entries are exact (0, +-1/2, +-1, +-2, +-i).  It
 is therefore exactly trace-preserving, and its bordered solve is the exact
-steady state of the inputs both double-precision routes see.
+steady state of the inputs both double-precision routes see.  Its real
+generator B = U^H L U, drift A = (O B O^T)[1:, 1:] and R(0) = (-A)^-1 are
+formed at 40 digits with U = HERMITIAN_FRAME and the population rotation O
+exact (entries 0, 1, 1/sqrt(n)).
 """
 
 import numpy as np
@@ -12,7 +16,9 @@ import pytest
 
 from doublelambda import atom, steady
 from doublelambda.experiments import amplitude_spec, dephasing_spec
-from doublelambda.params import ParamStack, SystemParams
+from doublelambda.fluctuations import FRAME, drift_stack, response_stack
+from doublelambda.matfuncs import inv_stack
+from doublelambda.params import HERMITIAN_FRAME, ParamStack, SystemParams
 
 mpmath = pytest.importorskip(
     "mpmath", reason="mpmath (the test extra) is not installed: no "
@@ -34,7 +40,8 @@ POINTS = {
 
 
 def liouvillians(params):
-    """(double-precision L as the pipeline builds it, the same at DIGITS)."""
+    """(the real generator and L as the pipeline builds them, L at
+    DIGITS)."""
     h, r = atom.coefficient_stack(ParamStack.of([params]))
     lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))[1]
     tables = np.concatenate([atom.COHERENT_BASIS, atom.DISSIPATOR_BASIS])
@@ -44,7 +51,7 @@ def liouvillians(params):
             for i, j in zip(*np.nonzero(table)):
                 exact[i, j] += mpmath.mpf(float(c)) * mpmath.mpc(
                     table[i, j].real, table[i, j].imag)
-    return lmat, exact
+    return atom.real_generator_stack(h, r), lmat, exact
 
 
 def exact_state(lmat, row: int = 0):
@@ -63,7 +70,7 @@ def relative_error(rho, exact) -> float:
 
 
 def test_reference_does_not_depend_on_the_replaced_row():
-    _, exact = liouvillians(POINTS["fig4-next-to-dark"])
+    _, _, exact = liouvillians(POINTS["fig4-next-to-dark"])
     x0, x5 = exact_state(exact, 0), exact_state(exact, 5)
     with mpmath.workdps(DIGITS):
         assert max(abs(a - b) for a, b in zip(x0, x5)) < mpmath.mpf("1e-40")
@@ -72,15 +79,84 @@ def test_reference_does_not_depend_on_the_replaced_row():
 @pytest.mark.parametrize("name", POINTS)
 def test_bordered_route_within_budget_and_no_worse_than_svd(name,
                                                             monkeypatch):
-    lmat, exact = liouvillians(POINTS[name])
+    real, lmat, exact = liouvillians(POINTS[name])
     exact = exact_state(exact)
-    assert steady._bordered_stack(lmat)[1].all()  # certified
-    rhos, methods, failures = steady.steady_state_stack(lmat)
+    assert steady._bordered_stack(real)[1].all()  # certified
+    rhos, methods, failures = steady.steady_state_stack(real, lmat)
     assert (methods, failures) == (["null-space"], {})
     error = relative_error(rhos[0], exact)
     # a bound of 0 certifies nothing, so every point takes the SVD
     monkeypatch.setattr(steady, "BORDERED_KAPPA_MAX", 0.0)
-    rhos, methods, _ = steady.steady_state_stack(lmat)
+    rhos, methods, _ = steady.steady_state_stack(real, lmat)
     assert methods == ["null-space"]
     assert error <= 1e-12
     assert error <= relative_error(rhos[0], exact)
+
+
+def exact_frame():
+    """U = HERMITIAN_FRAME at DIGITS: its entries are 0, 1 and
+    +-1/sqrt(2), times 1 or i."""
+    def exact(v: float):
+        return mpmath.mpf(v) if v in (0, 1) else np.sign(v) / mpmath.sqrt(2)
+    assert set(np.abs(HERMITIAN_FRAME).ravel()) == {0, 1, 1 / np.sqrt(2)}
+    return mpmath.matrix([[mpmath.mpc(exact(v.real), exact(v.imag))
+                           for v in row] for row in HERMITIAN_FRAME])
+
+
+def exact_rotation():
+    """O at DIGITS: the sum over 2 and the zero-sum rows on the four
+    populations, the identity on the coherences."""
+    o = mpmath.eye(16)
+    rows = [[1, 1, 1, 1], [1, -1, 0, 0], [1, 1, -2, 0], [1, 1, 1, -3]]
+    for i, (row, n) in enumerate(zip(rows, (4, 2, 6, 12))):
+        for j, v in enumerate(row):
+            o[i, j] = v / mpmath.sqrt(n)
+    return o
+
+
+def exact_linearization(lmat):
+    """B = U^H L U, A and R(0) at DIGITS, as float64 arrays of their
+    (real) values."""
+    with mpmath.workdps(DIGITS):
+        u, o = exact_frame(), exact_rotation()
+        b = u.H * lmat * u
+        ob = o * b * o.T
+        a = mpmath.matrix([[mpmath.re(ob[i, j]) for j in range(1, 16)]
+                           for i in range(1, 16)])
+        r0 = (-a) ** -1
+        return [np.array(x.tolist(), dtype=complex).real for x in (b, a, r0)]
+
+
+def product_route(lmat):
+    """B, A and R(0) as the frame products built them before the real
+    tables: B = (U^H L U).real, A = (FRAME.conj() L FRAME^T).real, and
+    R(0) from a complex inverse of -A."""
+    b = (HERMITIAN_FRAME.conj().T @ lmat @ HERMITIAN_FRAME).real
+    a = (FRAME.conj() @ lmat @ FRAME.T).real
+    return b[0], a[0], inv_stack(-a.astype(complex))[0][0].real
+
+
+def forward_error(x, exact) -> float:
+    return float(np.max(np.abs(x - exact)) / np.max(np.abs(exact)))
+
+
+#: the budget of B, A and R(0), relative to each exact matrix's largest
+#: entry.  Worst over the four points, tables (products): B 2.2e-16
+#: (2.2e-16), A 2.2e-16 (2.2e-16), R(0) 7.6e-13 (7.0e-13); R(0) at the
+#: reference point 1.7e-14 (6.4e-14), at fig3-worst 5.4e-13 (4.3e-13)
+LINEARIZATION_BUDGET = (1e-15, 1e-15, 2e-12)
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_real_tables_within_budget_and_no_worse_than_products(name):
+    real, lmat, exact = liouvillians(POINTS[name])
+    exact = exact_linearization(exact)
+    a, failures = drift_stack(real)
+    r0, _, more = response_stack(a, np.zeros(1))
+    assert failures == more == {}
+    tables = (real[0], a[0], r0[0].real)
+    for x, old, ref, budget in zip(tables, product_route(lmat), exact,
+                                   LINEARIZATION_BUDGET):
+        error = forward_error(x, ref)
+        assert error <= budget
+        assert error <= 2.0 * forward_error(old, ref)

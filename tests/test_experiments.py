@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doublelambda import SystemParams
@@ -148,14 +148,14 @@ class TestErrorMarking:
         spec = detuning_spec(defaults, points=3)
         # the stack computes each generator exactly as build_generator does
         poisoned = build_generator(spec.param_stack().point(1)).matrix
-        real = ex.steady_state_stack
+        solve = ex.steady_state_stack
         stacks = []
 
-        def flaky(lmats, method="auto"):
+        def flaky(real, lmats, method="auto"):
             stacks.append(len(lmats))
             if any(np.array_equal(lmat, poisoned) for lmat in lmats):
                 raise RuntimeError("synthetic solver failure")
-            return real(lmats, method)
+            return solve(real, lmats, method)
 
         monkeypatch.setattr(ex, "steady_state_stack", flaky)
         result = run_sweep(spec)
@@ -210,7 +210,8 @@ class TestBatchedStack:
             # the masked paths ran inside the stack
             assert batched[0].method == "long-time-integration+dark-transparent"
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              database=None)
     @given(st.lists(st.builds(
         SystemParams,
         gamma1=st.floats(0, 2), gamma2=st.floats(0, 2),
@@ -222,6 +223,11 @@ class TestBatchedStack:
         n0=st.sampled_from([3e16, 3e19, 3e22])), min_size=1, max_size=6),
         st.sampled_from([0.0, 0.5]),
         st.sampled_from(["einstein", "vacuum-reservoir"]))
+    # a dark point, a point whose steady state fails and a normal point
+    @example([SystemParams(gamma0=0.0),
+              SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                           gamma0=0.0),
+              SystemParams()], 0.0, "einstein")
     def test_stack_matches_points_alone(self, points, omega, noise_model):
         batched = evaluate_points(points, omega, noise_model)
         alone = [compute_point(p, omega, noise_model) for p in points]
@@ -306,7 +312,7 @@ class TestBatchedStack:
     def test_spectrum_rows_carry_steady_failure(self, defaults, monkeypatch):
         from doublelambda import steady
 
-        monkeypatch.setattr(steady, "_state_failures", lambda rhos: {
+        monkeypatch.setattr(steady, "_state_failures", lambda raw, rhos: {
             0: steady.SteadyStateError("synthetic steady failure")})
         rows = spectrum(defaults, [0.0, 0.5])
         # the point fails once, and every frequency's row names it
@@ -339,9 +345,9 @@ class TestBatchedStack:
         # spectrum-dense's 128 frequencies share one steady solve
         sizes = []
 
-        def counted(lmat):
+        def counted(real, lmat):
             sizes.append(len(lmat))
-            return steady_state_stack(lmat)
+            return steady_state_stack(real, lmat)
 
         monkeypatch.setattr(experiments, "steady_state_stack", counted)
         rows = spectrum(defaults.replace(n0=3e19), np.linspace(0.0, 5.0, 128),
@@ -355,9 +361,9 @@ class TestBatchedStack:
         cap, steady_sizes, transfer_sizes = experiments.STACK_ROWS, [], []
         transfer = pr.transfer_stack
 
-        def counted_steady(lmat):
+        def counted_steady(real, lmat):
             steady_sizes.append(len(lmat))
-            return steady_state_stack(lmat)
+            return steady_state_stack(real, lmat)
 
         def counted_transfer(a, *args):
             transfer_sizes.append(len(a))
@@ -421,9 +427,9 @@ def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):
     alone = [spectrum(p, omegas) for p in points]
     sizes = []
 
-    def counted(lmat):
+    def counted(real, lmat):
         sizes.append(len(lmat))
-        return steady_state_stack(lmat)
+        return steady_state_stack(real, lmat)
 
     monkeypatch.setattr(experiments, "steady_state_stack", counted)
     rows = _rows(_evaluate(ParamStack.of(points), omegas, "einstein"))

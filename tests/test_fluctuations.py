@@ -3,7 +3,11 @@ import pytest
 from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import RADIATIVE_ENTRIES, build_generator
+from doublelambda.atom import (RADIATIVE_ENTRIES, build_generator,
+                               coefficient_stack, dissipator_stack,
+                               liouvillian_stack, real_generator_stack)
+from doublelambda.experiments import (alignment_spec, amplitude_spec,
+                                      dephasing_spec, detuning_spec)
 from doublelambda.fluctuations import (FRAME, ResponseError,
                                        _state_products,
                                        diffusion_matrix_channelwise,
@@ -11,6 +15,7 @@ from doublelambda.fluctuations import (FRAME, ResponseError,
                                        equal_time_covariance,
                                        field_coupling_stack, response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
+from doublelambda.params import HERMITIAN_FRAME, ParamStack
 from doublelambda.steady import solve_steady_state
 from conftest import fields_liouvillian, linearized, random_params
 
@@ -42,7 +47,7 @@ class TestDrift:
 
     def test_stability_at_defaults(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.matrix[None])
+        a, failures = drift_stack(gen.real[None])
         assert failures == {}
         assert np.max(np.real(np.linalg.eigvals(a[0]))) <= 1e-10
         assert a.shape == (1, 15, 15)
@@ -52,7 +57,7 @@ class TestDrift:
         # the conserved trace
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.matrix[None])
+            a, failures = drift_stack(gen.real[None])
             assert failures == {}
             a = a[0]
             assert a.dtype == np.float64
@@ -68,21 +73,37 @@ class TestDrift:
         trace_vec[BASIS.diagonal] = 1.0
         assert np.max(np.abs(FRAME @ trace_vec)) <= 1e-15
 
-    def test_non_hermitian_generator_refused(self, defaults):
-        # i eps I does not preserve Hermiticity: its drift is i eps I in
-        # the frame, so the guard names it before the stability check
-        gen = build_generator(defaults)
-        lmats = np.stack([gen.matrix, gen.matrix + 1e-6j * np.eye(16)])
-        _, failures = drift_stack(lmats)
-        assert list(failures) == [1]
-        assert "drift not real in the Hermitian frame" in str(failures[1])
+    def test_rotation_drift_is_the_frame_product(self):
+        # B against U^H L U and (O B O^T)[1:, 1:] against FRAME.conj() L
+        # FRAME^T, the drift of the complex L, on every figure grid at n0
+        # and n0 x1000 and 500 draws
+        rng = np.random.default_rng(20240811)
+        stacks = [spec(SystemParams(n0=n0), **kw).param_stack()
+                  for n0 in (3e16, 3e19)
+                  for spec, kw in ((detuning_spec, {}), (alignment_spec, {}),
+                                   (amplitude_spec, {"variant": "a"}),
+                                   (amplitude_spec, {"variant": "b"}),
+                                   (dephasing_spec, {}))]
+        stacks.append(ParamStack.of([random_params(rng, with_fields=True)
+                                     for _ in range(500)]))
+        for ps in stacks:
+            h, r = coefficient_stack(ps)
+            lmats = liouvillian_stack(h, dissipator_stack(r))[1]
+            real = real_generator_stack(h, r)
+            a, _ = drift_stack(real)
+            u = HERMITIAN_FRAME
+            for x, product in ((real, u.conj().T @ lmats @ u),
+                               (a, FRAME.conj() @ lmats @ FRAME.T)):
+                scale = np.max(np.abs(product), axis=(1, 2))
+                assert np.all(np.max(np.abs(x - product), axis=(1, 2))
+                              <= 1e-15 * scale)
 
     def test_unstable_drift_still_refused(self, defaults):
-        # shifting the Liouvillian by +0.5 pushes the slowest eigenvalue
+        # shifting the generator by +0.5 pushes the slowest eigenvalue
         # into the right half-plane
         gen = build_generator(defaults)
-        lmats = np.stack([gen.matrix, gen.matrix + 0.5 * np.eye(16)])
-        _, failures = drift_stack(lmats)
+        real = np.stack([gen.real, gen.real + 0.5 * np.eye(16)])
+        _, failures = drift_stack(real)
         assert list(failures) == [1]
         assert "drift matrix unstable" in str(failures[1])
 
@@ -245,9 +266,25 @@ class TestDiffusion:
 
 
 class TestResponse:
+    def test_zero_rows_real_whatever_the_stack(self, defaults):
+        # rows at omega = 0 invert the real -A, with R(-0) = R(0), and each
+        # row of a mixed stack is what its own one-row stack gives
+        a = drift_stack(build_generator(defaults).real[None])[0][0]
+        omegas = np.array([0.0, 0.5, 0.0])
+        r, r_minus, failures = response_stack(np.stack([a] * 3), omegas)
+        assert failures == {}
+        assert np.array_equal(r[[0, 2]].imag, np.zeros((2, 15, 15)))
+        assert np.array_equal(r_minus[[0, 2]], r[[0, 2]])
+        for k in range(len(omegas)):
+            one, one_minus, _ = response_stack(a[None], omegas[k:k + 1])
+            assert np.array_equal(r[k], one[0])
+            assert np.array_equal(r_minus[k], one_minus[0])
+        alone = response_stack(a[None], np.zeros(1))
+        assert alone[1] is alone[0] and alone[0].dtype == np.float64
+
     def test_high_frequency_rolloff(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(np.stack([gen.matrix, gen.matrix]))
+        a, failures = drift_stack(np.stack([gen.real, gen.real]))
         assert failures == {}
         r, _, failures = response_stack(a, np.array([1e4, 2e4]))
         assert failures == {}
@@ -256,7 +293,7 @@ class TestResponse:
 
     def test_zero_frequency_is_inverse(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.matrix[None])
+        a, failures = drift_stack(gen.real[None])
         assert failures == {}
         r, _, failures = response_stack(a, np.array([0.0]))
         assert failures == {}
@@ -268,7 +305,7 @@ class TestResponse:
         p = SystemParams(gamma1=0.1, gamma2=0.1, gamma3=0.1, gamma4=0.1,
                          gamma0=0.05, delta1=2.0, omega42=2.0, p1=0.3, p2=0.3)
         gen = build_generator(p)
-        a, failures = drift_stack(np.stack([gen.matrix, gen.matrix]))
+        a, failures = drift_stack(np.stack([gen.real, gen.real]))
         assert failures == {}
         evals = np.linalg.eigvals(a[0])
         osc = [ev for ev in evals if abs(ev.imag) > 0.5]
@@ -283,7 +320,7 @@ class TestResponse:
     def test_mirrored_response_matches_inversion(self, omega):
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.matrix[None])
+            a, failures = drift_stack(gen.real[None])
             assert failures == {}
             _, mirrored, failures = response_stack(a, np.array([omega]))
             assert failures == {}
@@ -296,7 +333,7 @@ class TestResponse:
         # a drift that is not real inverts fine at +omega, but conj(R)
         # is then not R(-omega), and the mirrored residual says so
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.matrix[None])
+        a, failures = drift_stack(gen.real[None])
         assert failures == {}
         a = a[0]
         bad = a.astype(complex)
@@ -309,7 +346,7 @@ class TestResponse:
     def test_singular_refused(self):
         p = SystemParams(gamma0=0.0, p1=1, p2=1, delta1=-1.0)
         gen = build_generator(p)
-        a, failures = drift_stack(gen.matrix[None])
+        a, failures = drift_stack(gen.real[None])
         assert failures == {}
         _, _, failures = response_stack(a, np.array([0.0]))
         assert list(failures) == [0]
@@ -321,7 +358,7 @@ def response_svd_first(a, omegas):
     the SVD condition number of every point taken before inverting."""
     eye = np.eye(a.shape[-1])
     iw = (1j * omegas)[:, None, None] * eye
-    m = -iw - a
+    m = -iw - a if np.any(omegas) else -a  # real at omega = 0
     cond = np.linalg.cond(m)
     singular = ~np.isfinite(cond) | (cond > 1e12)
     failures = {}

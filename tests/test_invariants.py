@@ -3,8 +3,8 @@
 Every valid point has a steady state that is a density matrix, and a
 sandwich diffusion matrix that the channelwise route reproduces.  Every
 point whose rows under both noise models are neither errors nor dark
-must have a drift that is real in the frame, an R(-omega) = conj(R(omega))
-that passes its own residual, and, under the einstein noise model, field
+must have a stable drift, an R(-omega) = conj(R(omega)) that passes its
+own residual, and, under the einstein noise model, field
 commutators that survive the medium: C01 - C10 = 1 at omega = 0 and
 C01(omega) - C10(-omega) = 1 at omega != 0.  No row that reports success
 holds a non-finite number.  A point symmetric under the reflection that
@@ -71,7 +71,7 @@ def check_invariants(params, omega) -> bool:
            for row in rows):
         return False
     gen = build_generator(params)
-    a, failures = drift_stack(gen.matrix[None])
+    a, failures = drift_stack(gen.real[None])
     assert failures == {}
     _, _, failures = response_stack(a, np.array([omega]))
     assert failures == {}

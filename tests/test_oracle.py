@@ -18,6 +18,7 @@ from doublelambda.fluctuations import (FRAME, NOISE_MODELS,
 from doublelambda.oracle import (OracleError, cross_validate,
                                  lyapunov_covariance, regression_covariance,
                                  rk4_covariance, time_evolve)
+from doublelambda.params import HERMITIAN_FRAME
 from doublelambda.steady import AtomState, solve_steady_state
 from conftest import linearized, random_params, rate_groups
 
@@ -427,12 +428,14 @@ class TestCrossValidate:
                                       gen.coherent[None], gen.rates[None],
                                       rho[None])
         assert failures == {}
+        built = HERMITIAN_FRAME.conj().T @ gen.matrix @ HERMITIAN_FRAME
         reference = [
             abs(np.trace(rho) - 1.0),
             float(np.max(np.abs(rho - rho.conj().T))),
             max(0.0, -float(np.min(np.linalg.eigvalsh((rho + rho.conj().T)
                                                       / 2)))),
             float(np.max(np.abs(other.expectations - state.expectations))),
+            float(np.max(np.abs(gen.real - built)) / np.max(np.abs(built))),
             float(np.max(np.abs(d[0] - diffusion_matrix_channelwise(
                 gen.rates[None], rho[None])[0]))),
             float(np.max(np.abs(lyapunov_covariance(a, d_lin) - direct)))
@@ -489,7 +492,7 @@ class TestCrossValidate:
         report = cross_validate(defaults)
         payload = report.as_dict()
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 8
+        assert len(payload["checks"]) == 9
         names = {c["name"] for c in payload["checks"]}
         assert "commutator preservation" in names
         assert "propagation: closed form vs RK4" in names

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from doublelambda import BASIS, SystemParams, steady
 from doublelambda.atom import (build_generator, coefficient_stack,
-                               dissipator_stack, liouvillian_stack)
+                               dissipator_stack, liouvillian_stack,
+                               real_generator_stack)
 from doublelambda.experiments import SWEEP_SELECTORS, dephasing_spec
 from doublelambda.params import ParamStack
 from doublelambda.steady import (absorption, solve_steady_state,
@@ -127,21 +128,28 @@ def test_integrate_to_steady_preserves_result(defaults):
     assert np.linalg.norm(gen.matrix @ rho.reshape(16)) < 1e-9
 
 
+def generators(ps):
+    """(real generators, Liouvillians) of a ParamStack, as a sweep builds
+    them."""
+    h, r = coefficient_stack(ps)
+    return (real_generator_stack(h, r),
+            liouvillian_stack(h, dissipator_stack(r))[1])
+
+
 def liouvillians(points):
-    h, r = coefficient_stack(ParamStack.of(points))
-    return liouvillian_stack(h, dissipator_stack(r))[1]
+    return generators(ParamStack.of(points))
 
 
-def certified(lmats):
-    return steady._bordered_stack(lmats)[1]
+def certified(real):
+    return steady._bordered_stack(real)[1]
 
 
-def svd_route(lmats, method="auto"):
+def svd_route(real, lmats, method="auto"):
     """steady_state_stack as it was before the bordered solve: a bound of 0
     certifies nothing, so every point takes the SVD."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(steady, "BORDERED_KAPPA_MAX", 0.0)
-        return steady.steady_state_stack(lmats, method)
+        return steady.steady_state_stack(real, lmats, method)
 
 
 NO_RATES = SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
@@ -168,28 +176,28 @@ class TestBorderedCertificate:
     @pytest.mark.parametrize("selector", SWEEP_SELECTORS)
     def test_figure_grids(self, selector, n0):
         ps = SWEEP_SELECTORS[selector](SystemParams(n0=n0)).param_stack()
-        h, r = coefficient_stack(ps)
-        lmats = liouvillian_stack(h, dissipator_stack(r))[1]
-        methods = svd_route(lmats)[1]
+        real, lmats = generators(ps)
+        methods = svd_route(real, lmats)[1]
         # exactly the points the SVD solves: fig4's dark point alone is not
-        assert list(certified(lmats)) == [m == "null-space" for m in methods]
+        assert list(certified(real)) == [m == "null-space" for m in methods]
         assert methods.count("null-space") == len(ps) - (selector == "fig4")
 
     @settings(max_examples=50, derandomize=True, deadline=None,
               database=None)
     @given(st.lists(ANY_POINT, min_size=1, max_size=6))
     def test_certified_points_are_svd_null_space_points(self, points):
-        lmats = liouvillians(points)
-        methods = svd_route(lmats)[1]
-        for k in np.flatnonzero(certified(lmats)):
+        real, lmats = liouvillians(points)
+        methods = svd_route(real, lmats)[1]
+        for k in np.flatnonzero(certified(real)):
             assert methods[k] == "null-space"
 
     @pytest.mark.parametrize("method", ["auto", "null-space"])
     def test_refused_points_keep_the_svd_route(self, method):
-        lmats = liouvillians([FIG4_DARK, NO_RATES, SystemParams()])
-        assert list(certified(lmats)) == [False, False, True]
-        rhos, methods, failures = steady.steady_state_stack(lmats, method)
-        ref_rhos, ref_methods, ref_failures = svd_route(lmats, method)
+        real, lmats = liouvillians([FIG4_DARK, NO_RATES, SystemParams()])
+        assert list(certified(real)) == [False, False, True]
+        rhos, methods, failures = steady.steady_state_stack(real, lmats,
+                                                            method)
+        ref_rhos, ref_methods, ref_failures = svd_route(real, lmats, method)
         np.testing.assert_array_equal(rhos[:2], ref_rhos[:2])
         assert methods[:2] == ref_methods[:2]
         assert {k: str(e) for k, e in failures.items()} == \
@@ -197,7 +205,8 @@ class TestBorderedCertificate:
         if method == "auto":
             assert methods[:2] == ["long-time-integration"] * 2
             assert list(failures) == [1]
-            assert str(failures[1]).startswith("steady state not positive")
+            # the integration's raw state has trace 1 - 0.62i
+            assert str(failures[1]).startswith("steady state trace deviates")
         else:
             assert list(failures) == [0, 1]
             assert all(str(e).startswith("null space degenerate (singular-"
@@ -206,16 +215,18 @@ class TestBorderedCertificate:
 
     @pytest.mark.parametrize("method", ["auto", "null-space"])
     def test_singular_member_sends_only_itself_to_the_svd(self, method):
-        lmats = liouvillians([SystemParams(), FROZEN,
-                              SystemParams(delta1=0.5)])
-        frames = (steady._FROM_FRAME @ lmats @ steady.HERMITIAN_FRAME).real
-        frames[:, steady.BORDERED_ROW] = steady.TRACE_ROW
+        real, lmats = liouvillians([SystemParams(), FROZEN,
+                                    SystemParams(delta1=0.5)])
+        bordered = real.copy()
+        bordered[:, steady.BORDERED_ROW] = steady.TRACE_ROW
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(frames)  # the batch fails on FROZEN
-        assert list(certified(lmats)) == [True, False, True]
-        rhos, methods, failures = steady.steady_state_stack(lmats, method)
+            np.linalg.inv(bordered)  # the batch fails on FROZEN
+        assert list(certified(real)) == [True, False, True]
+        rhos, methods, failures = steady.steady_state_stack(real, lmats,
+                                                            method)
         for k in range(len(lmats)):
-            one = steady.steady_state_stack(lmats[k:k + 1], method)
+            one = steady.steady_state_stack(real[k:k + 1], lmats[k:k + 1],
+                                            method)
             np.testing.assert_array_equal(rhos[k], one[0][0])
             assert methods[k] == one[1][0]
             assert str(failures.get(k)) == str(one[2].get(0))
@@ -239,16 +250,32 @@ class TestBorderedCertificate:
     def test_two_decoupled_blocks_never_certified(self, params):
         # nothing reaches level 3 or leaves it: the population it holds and
         # the steady state of levels 1, 2, 4 span a two-dimensional null space
-        lmats = liouvillians([params])
-        assert not certified(lmats).any()
-        assert svd_route(lmats)[1] == ["long-time-integration"]
+        real, lmats = liouvillians([params])
+        assert not certified(real).any()
+        assert svd_route(real, lmats)[1] == ["long-time-integration"]
 
     def test_corrupted_row_refused_by_the_residual(self):
-        lmats = liouvillians([SystemParams()])
+        real, lmats = liouvillians([SystemParams()])
         # the equation of <sigma_33>, which the bordered solve replaces
-        lmats[0, 10, 0] += 1e-3
-        assert certified(lmats).all()
-        _, methods, failures = steady.steady_state_stack(lmats)
+        real[0, steady.BORDERED_ROW, 0] += 1e-3
+        assert certified(real).all()
+        _, methods, failures = steady.steady_state_stack(real, lmats)
         assert methods == ["null-space"]
         assert str(failures[0]) == ("steady state residual 4.36e-04 exceeds "
                                     "1.0e-10")
+
+    def test_non_hermitian_raw_state_refused(self):
+        # L = P - I, with P the projector onto vec(x) for a non-Hermitian x
+        # of unit trace, has x as its null space; L has no real generator,
+        # so a zero one, which certifies nothing, sends it to the SVD.  The
+        # raw state is checked: made Hermitian first, it would pass.
+        x = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
+        x[0, 2] = 0.3
+        v = x.reshape(16)
+        lmat = np.outer(v, v.conj()) / (v.conj() @ v) - np.eye(16)
+        rhos, methods, failures = steady.steady_state_stack(
+            np.zeros((1, 16, 16)), lmat[None])
+        assert methods == ["null-space"]
+        assert str(failures[0]) == ("steady state not Hermitian, residual "
+                                    "3.00e-01")
+        assert np.linalg.eigvalsh(rhos[0]).min() >= -1e-10  # positive
