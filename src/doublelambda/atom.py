@@ -161,14 +161,11 @@ def dissipator_stack(rates: np.ndarray) -> np.ndarray:
     return _contract(rates, DISSIPATOR_BASIS)
 
 
-def liouvillian_stack(h: np.ndarray,
-                      dissipators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(coherent part, full Liouvillian), each (P, 16, 16), from the
-    Hamiltonian coefficient stack of coefficient_stack and the
-    dissipator_stack of its rates, which a caller that varies only the
-    Hamiltonian contracts once."""
-    coherent = _contract(h, COHERENT_BASIS)
-    return coherent, coherent + dissipators
+def liouvillian_stack(h: np.ndarray, dissipators: np.ndarray) -> np.ndarray:
+    """(P, 16, 16) Liouvillians from the Hamiltonian coefficient stack of
+    coefficient_stack and the dissipator_stack of its rates, which a caller
+    that varies only the Hamiltonian contracts once."""
+    return _contract(h, COHERENT_BASIS) + dissipators
 
 
 def real_generator_stack(h: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -191,12 +188,11 @@ def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarra
 class Generator:
     """Liouvillian of the model.
 
-    matrix acts on row-major vec(rho); coherent is its Hamiltonian part
-    -i[H, .]; rates are its DISSIPATOR_BASIS coefficients; real is U^H L U.
+    matrix acts on row-major vec(rho); rates are its DISSIPATOR_BASIS
+    coefficients; real is U^H L U.
     """
 
     matrix: np.ndarray
-    coherent: np.ndarray
     rates: np.ndarray
     real: np.ndarray
 
@@ -204,8 +200,8 @@ class Generator:
 def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
     h, r = coefficient_stack(params)
-    coherent, lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
-    return Generator(matrix=lmat[0], coherent=coherent[0], rates=r,
+    lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
+    return Generator(matrix=lmat[0], rates=r,
                      real=real_generator_stack(h[None], r[None])[0])
 
 

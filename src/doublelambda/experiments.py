@@ -282,25 +282,23 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     """
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
-    coherent, lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     real = atom.real_generator_stack(h, r)
-    rho_all, methods, failures = steady_state_stack(real, lmat)
-    real, coherent, lmat, r, rho = points.drop(failures, real, coherent, lmat,
-                                               r, rho_all)
+    # the complex L serves only the steady fallbacks
+    rho_all, methods, failures = steady_state_stack(
+        real, atom.liouvillian_stack(h, atom.dissipator_stack(r)))
+    real, r, rho = points.drop(failures, real, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
     dark[points.live] = activity < DARK_ACTIVITY_TOL
-    real, coherent, lmat, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
-        dark[points.live])), real, coherent, lmat, r, rho)
+    real, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
+        dark[points.live])), real, r, rho)
     a, failures = fl.drift_stack(real)
-    a, coherent, lmat, r, rho = points.drop(failures, a, coherent, lmat, r,
-                                            rho)
+    a, r, rho = points.drop(failures, a, r, rho)
     b = fl.field_coupling_stack(ps.g[points.live], rho)
-    d, failures = fl.diffusion_stack(noise_model, lmat, coherent, r, rho)
-    a, b, d = points.drop(failures, a, b, d)
+    d = fl.diffusion_stack(noise_model, r, rho)
     # dropped before the row stages: kept alive, they raised the peak RSS of
     # a fig2 sweep by 0.9 MB and of a 128-frequency spectrum by 0.5 MB
-    del h, r, real, coherent, lmat, rho, activity
+    del h, r, real, rho, activity
     point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
     omega = np.tile(omegas, len(ps))
     columns = _no_values(point.size)
@@ -580,7 +578,7 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
 
     def objective(g: float) -> float:
         h[0, 2:] = g * a1, g * a1, g * a2, g * a2
-        lmat = atom.liouvillian_stack(h, dissipator)[1]
+        lmat = atom.liouvillian_stack(h, dissipator)
         rho, _, failures = steady_state_stack(atom.real_generator_stack(h, r),
                                               lmat)
         if failures:

@@ -138,8 +138,8 @@ def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
     from one batched bordered solve of real (_bordered_stack), whose
     certified points must also pass ||L rho|| <= STEADY_RESIDUAL_TOL; the
     points it does not certify take one batched SVD of lmats, and those
-    whose null space is degenerate take the long-time integration one by
-    one.  Each state's trace and Hermiticity are checked as solved, before
+    whose null space is degenerate, or (in "auto") whose SVD state fails its
+    raw Hermiticity check, take the long-time integration one by one.  Each state's trace and Hermiticity are checked as solved, before
     it is made Hermitian with unit trace.
     """
     if method not in ("auto", "null-space", "long-time-integration"):
@@ -166,8 +166,11 @@ def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
                           | (abs(tr) < 1e-8))
             rhos[rest] = vec / np.where(degenerate, 1.0, tr)[:, None, None]
             if method == "auto":
-                integrate[rest] = degenerate
-                for k in rest[degenerate]:
+                # integrated too: a state that fails its raw Hermiticity
+                # check (vec / tr has trace 1 to rounding)
+                herm = abs(rhos[rest] - rhos[rest].conj().transpose(0, 2, 1))
+                integrate[rest] = degenerate | (herm.max(axis=(1, 2)) > 1e-10)
+                for k in np.flatnonzero(integrate):
                     methods[k] = "long-time-integration"
             else:
                 for i in np.flatnonzero(degenerate):
@@ -196,9 +199,10 @@ def solve_steady_state(gen: Generator, params: SystemParams,
     Primary route: null space of the 16x16 Liouvillian with the trace
     constraint, from the certified bordered solve or else the SVD (see
     steady_state_stack).  If the null space is numerically degenerate
-    (second-smallest singular value below 1e-8 * ||L||) the solver falls
-    back to long-time integration from an unpolarized lower-level mixture
-    and records the method used.
+    (second-smallest singular value below 1e-8 * ||L||), or in "auto" the
+    SVD state fails its raw checks, the solver falls back to long-time
+    integration from an unpolarized lower-level mixture and records the
+    method used.
     """
     rhos, methods, failures = steady_state_stack(gen.real[None],
                                                  gen.matrix[None], method)

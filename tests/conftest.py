@@ -25,14 +25,20 @@ def random_params(rng, with_fields=False) -> SystemParams:
 
 def linearized(gen, state, params, noise_model="einstein"):
     """Drift A, field-coupling columns B and diffusion D of one solved
-    point, from the stack kernels; asserts that neither kernel failed."""
+    point, from the stack kernels; asserts that the drift did not fail."""
     a, failures = fl.drift_stack(gen.real[None])
-    d, more = fl.diffusion_stack(noise_model, gen.matrix[None],
-                                 gen.coherent[None], gen.rates[None],
-                                 state.rho[None])
-    assert failures == {} and more == {}, (failures, more)
+    d = fl.diffusion_stack(noise_model, gen.rates[None], state.rho[None])
+    assert failures == {}, failures
     b = fl.field_coupling_stack(np.array([params.g]), state.rho[None])
     return a[0], b[0], d[0]
+
+
+def full_generator_diffusion(lmats, rhos):
+    """(P, 15, 15) D in FRAME from the Einstein relation under whole
+    generators lmats, Hamiltonian part included: the route diffusion_stack
+    took before it read the rates alone."""
+    d_full = fl._einstein_diffusion(lmats, fl._state_products(rhos))
+    return fl.FRAME @ d_full @ fl.FRAME.T
 
 
 def rate_groups(rates):
@@ -62,7 +68,7 @@ def fields_liouvillian(params, fields):
     exact mean-field evolution map."""
     h = field_coefficients(params, fields)
     rates = coefficient_stack(params)[1]
-    return liouvillian_stack(h[None], dissipator_stack(rates[None]))[1][0]
+    return liouvillian_stack(h[None], dissipator_stack(rates[None]))[0]
 
 
 @pytest.fixture

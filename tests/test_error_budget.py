@@ -1,5 +1,5 @@
-"""A 40-digit error budget of the steady stage, the drift and R(0) at four
-fixed points.
+"""A 40-digit error budget of the steady stage, the drift, R(0) and the
+diffusion D at four fixed points.
 
 The reference Liouvillian is built in mpmath from the point's
 double-precision coefficient rows (atom.coefficient_stack) and the
@@ -8,7 +8,9 @@ is therefore exactly trace-preserving, and its bordered solve is the exact
 steady state of the inputs both double-precision routes see.  Its real
 generator B = U^H L U, drift A = (O B O^T)[1:, 1:] and R(0) = (-A)^-1 are
 formed at 40 digits with U = HERMITIAN_FRAME and the population rotation O
-exact (entries 0, 1, 1/sqrt(n)).
+exact (entries 0, 1, 1/sqrt(n)).  D is the channelwise sandwich sum of the
+exact state and the exact rate row, whose tensor entries are integers, in
+FRAME = (O U^T)[1:] at 40 digits.
 """
 
 import numpy as np
@@ -16,9 +18,12 @@ import pytest
 
 from doublelambda import atom, steady
 from doublelambda.experiments import amplitude_spec, dephasing_spec
-from doublelambda.fluctuations import FRAME, drift_stack, response_stack
+from doublelambda.fluctuations import (CHANNEL_SANDWICHES, FRAME,
+                                       diffusion_stack, drift_stack,
+                                       response_stack)
 from doublelambda.matfuncs import inv_stack
 from doublelambda.params import HERMITIAN_FRAME, ParamStack, SystemParams
+from conftest import full_generator_diffusion
 
 mpmath = pytest.importorskip(
     "mpmath", reason="mpmath (the test extra) is not installed: no "
@@ -43,7 +48,7 @@ def liouvillians(params):
     """(the real generator and L as the pipeline builds them, L at
     DIGITS)."""
     h, r = atom.coefficient_stack(ParamStack.of([params]))
-    lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))[1]
+    lmat = atom.liouvillian_stack(h, atom.dissipator_stack(r))
     tables = np.concatenate([atom.COHERENT_BASIS, atom.DISSIPATOR_BASIS])
     with mpmath.workdps(DIGITS):
         exact = mpmath.zeros(16, 16)
@@ -160,3 +165,43 @@ def test_real_tables_within_budget_and_no_worse_than_products(name):
         error = forward_error(x, ref)
         assert error <= budget
         assert error <= 2.0 * forward_error(old, ref)
+
+
+def exact_diffusion(rates, x):
+    """D in FRAME at DIGITS, as a complex array, of the rate row and the
+    exact vec(rho) x: sum_j r_j Tr(rho S_j[mu, nu]) / 2 over the integer
+    CHANNEL_SANDWICHES entries S_j, which act on vec(rho)."""
+    assert np.array_equal(CHANNEL_SANDWICHES, CHANNEL_SANDWICHES.real.round())
+    with mpmath.workdps(DIGITS):
+        d = mpmath.zeros(16, 16)
+        for j, mu, nu, k in zip(*np.nonzero(CHANNEL_SANDWICHES)):
+            d[mu, nu] += (mpmath.mpf(float(rates[j]))
+                          * int(CHANNEL_SANDWICHES[j, mu, nu, k].real) * x[int(k)])
+        frame = exact_rotation()[1:, :] * exact_frame().T
+        return np.array((frame * d * frame.T / 2).tolist(), dtype=complex)
+
+
+#: the budget of D, relative to the exact D's largest entry, from the
+#: pipeline's state and (formation alone) from the exact state rounded to
+#: double.  Worst over the four points, rates (full L): 2.7e-13 (2.7e-13)
+#: at fig4-next-to-dark, set by the state; formed from the exact state,
+#: 5.1e-16 (2.5e-16)
+DIFFUSION_BUDGET = (1e-12, 1e-15)
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_rates_diffusion_within_budget_and_no_worse_than_full_l(name):
+    real, lmat, exact = liouvillians(POINTS[name])
+    x = exact_state(exact)
+    rates = atom.coefficient_stack(POINTS[name])[1]
+    ref = exact_diffusion(rates, x)
+    rho, _, failures = steady.steady_state_stack(real, lmat)
+    assert failures == {}
+    rounded = np.array([complex(v) for v in x]).reshape(1, 4, 4)
+    for state, budget in zip((rho, rounded), DIFFUSION_BUDGET):
+        d = diffusion_stack("einstein", rates[None], state)[0]
+        error = forward_error(d, ref)
+        assert error <= budget
+        if state is rho:
+            old = full_generator_diffusion(lmat, state)[0]
+            assert error <= 2.0 * forward_error(old, ref)

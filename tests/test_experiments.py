@@ -417,6 +417,26 @@ def test_fig2_sweep_runs_as_columns(defaults, monkeypatch, tmp_path):
     assert len(result.rows) == counts["rows"] == 201  # the view builds them
 
 
+@pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+def test_sweep_stack_diffusion_reads_the_dissipators(defaults, monkeypatch,
+                                                     noise_model):
+    # one Einstein relation per stack, on the dissipators of the live
+    # points' rates (the radiative entries alone under vacuum-reservoir):
+    # no Hamiltonian part reaches it.  fig4's first point is dark.
+    from doublelambda import atom
+    from doublelambda import fluctuations as fl
+    calls, einstein = [], fl._einstein_diffusion
+    monkeypatch.setattr(fl, "_einstein_diffusion", lambda lmats, products: (
+        calls.append(lmats) or einstein(lmats, products)))
+    spec = dephasing_spec(defaults, points=9, noise_model=noise_model)
+    result = run_sweep(spec)
+    assert not any(result.columns["error"])
+    rates = atom.coefficient_stack(spec.param_stack())[1]
+    n = atom.RADIATIVE_ENTRIES if noise_model == "vacuum-reservoir" else 11
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], atom.dissipator_stack(rates[1:, :n]))
+
+
 def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):
     # one evaluation of 3 points x 5 frequencies: a normal point, a dark
     # point and a point whose zero-frequency gain overflows

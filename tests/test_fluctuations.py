@@ -3,13 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import (RADIATIVE_ENTRIES, build_generator,
+from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
+                               RADIATIVE_ENTRIES, build_generator,
                                coefficient_stack, dissipator_stack,
                                liouvillian_stack, real_generator_stack)
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       dephasing_spec, detuning_spec)
 from doublelambda.fluctuations import (FRAME, ResponseError,
-                                       _state_products,
+                                       _einstein_diffusion, _state_products,
                                        diffusion_matrix_channelwise,
                                        diffusion_stack, drift_stack,
                                        equal_time_covariance,
@@ -88,7 +89,7 @@ class TestDrift:
                                      for _ in range(500)]))
         for ps in stacks:
             h, r = coefficient_stack(ps)
-            lmats = liouvillian_stack(h, dissipator_stack(r))[1]
+            lmats = liouvillian_stack(h, dissipator_stack(r))
             real = real_generator_stack(h, r)
             a, _ = drift_stack(real)
             u = HERMITIAN_FRAME
@@ -180,10 +181,7 @@ class TestDiffusion:
         p = SystemParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0, gamma0=0)
         gen = build_generator(p)
         rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
-        d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                      gen.coherent[None], gen.rates[None],
-                                      rho[None])
-        assert failures == {}
+        d = diffusion_stack("einstein", gen.rates[None], rho[None])
         assert np.max(np.abs(d)) < 1e-12
 
     def test_two_level_hand_value(self):
@@ -192,10 +190,7 @@ class TestDiffusion:
                          g=0.0)
         gen = build_generator(p)
         rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
-        d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                      gen.coherent[None], gen.rates[None],
-                                      rho[None])
-        assert failures == {}
+        d = diffusion_stack("einstein", gen.rates[None], rho[None])
         d16 = FRAME.conj().T @ d[0] @ FRAME.conj()
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
@@ -206,10 +201,7 @@ class TestDiffusion:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d1, failures = diffusion_stack("einstein", gen.matrix[None],
-                                           gen.coherent[None], gen.rates[None],
-                                           state.rho[None])
-            assert failures == {}
+            d1 = diffusion_stack("einstein", gen.rates[None], state.rho[None])
             d2 = diffusion_matrix_channelwise(gen.rates[None], state.rho[None])
             assert np.max(np.abs(d1[0] - d2[0])) < 1e-12
 
@@ -218,37 +210,33 @@ class TestDiffusion:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                          gen.coherent[None], gen.rates[None],
-                                          state.rho[None])
-            assert failures == {}
+            d = diffusion_stack("einstein", gen.rates[None], state.rho[None])
             d2 = 2 * d[0]
             assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(d2)) > -1e-10
 
-    def test_hamiltonian_leak_refused(self, defaults):
-        # the dissipator is no commutator: its Einstein relation does not
-        # vanish, so the point that passes it as its coherent part fails
-        gen, state = prepare(defaults)
-        dissipator = gen.matrix - gen.coherent
-        d, failures = diffusion_stack(
-            "einstein", np.stack([gen.matrix] * 3),
-            np.stack([gen.coherent, dissipator, gen.coherent]),
-            np.stack([gen.rates] * 3), np.stack([state.rho] * 3))
-        assert list(failures) == [1]
-        assert isinstance(failures[1], ResponseError)
-        assert str(failures[1]).startswith(
-            "Hamiltonian part leaked into the diffusion matrix: ")
-        assert np.array_equal(d[0], d[2])
+    def test_hamiltonian_tables_drop_out(self, defaults, rng):
+        # L_H+(XY) = L_H+(X) Y + X L_H+(Y) for each commutator table, so its
+        # Einstein relation vanishes on any state: the diffusion needs the
+        # dissipator alone.  A dissipator table is no derivation and does not
+        # vanish.
+        x = rng.normal(size=(8, 4, 4)) + 1j * rng.normal(size=(8, 4, 4))
+        rhos = x @ x.conj().transpose(0, 2, 1)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        rhos = np.concatenate([prepare(defaults)[1].rho[None], rhos])
+        products = _state_products(np.repeat(rhos, 6, axis=0))
+        d = _einstein_diffusion(np.tile(COHERENT_BASIS, (len(rhos), 1, 1)),
+                                products)
+        assert np.max(np.abs(d)) <= 1e-15
+        leak = _einstein_diffusion(DISSIPATOR_BASIS[:1],
+                                   _state_products(rhos[:1]))
+        assert np.max(np.abs(leak)) > 1e-3
 
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
-        stacks = (gen.matrix[None], gen.coherent[None], gen.rates[None],
-                  state.rho[None])
-        d_full, failures = diffusion_stack("einstein", *stacks)
-        assert failures == {}
-        d_se, failures = diffusion_stack("vacuum-reservoir", *stacks)
-        assert failures == {}
+        stacks = (gen.rates[None], state.rho[None])
+        d_full = diffusion_stack("einstein", *stacks)
+        d_se = diffusion_stack("vacuum-reservoir", *stacks)
         # dropping channels must change the diffusion (collisions carry noise)
         assert np.max(np.abs(d_full - d_se)) > 1e-6
         # and it equals the channelwise sum over the two radiative groups
@@ -258,10 +246,8 @@ class TestDiffusion:
             radiative = gen.rates.copy()
             radiative[RADIATIVE_ENTRIES:] = 0.0
             d_cw = diffusion_matrix_channelwise(radiative[None], state.rho[None])[0]
-            d_se, failures = diffusion_stack(
-                "vacuum-reservoir", gen.matrix[None], gen.coherent[None],
-                gen.rates[None], state.rho[None])
-            assert failures == {}
+            d_se = diffusion_stack("vacuum-reservoir", gen.rates[None],
+                                   state.rho[None])
             assert np.max(np.abs(d_se[0] - d_cw)) < 1e-12
 
 

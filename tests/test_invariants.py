@@ -57,6 +57,13 @@ OVERFLOWING = SystemParams(
     gamma0=0.004152890026941264, p1=-0.8291193461202715,
     p2=-0.8358600652967656, delta1=0.696354758036855, n0=3e22)
 
+#: the bordered solve does not certify this valid point, and the SVD's raw
+#: state fails Hermiticity by 1.84e-10; long-time integration returns the
+#: state (its symmetrized SVD state is within 2.9e-12 of the 40-digit one)
+SVD_NOT_HERMITIAN = SystemParams(
+    gamma1=2.0**-24, gamma2=0.0, gamma3=0.0, gamma4=1.5, gamma0=1.0, p1=0.0,
+    p2=0.0, omega42=0.0, delta1=2.0, g=0.0, a1_mean=0.0, a2_mean=0.0)
+
 
 def field_covariance(lin, params, omega):
     setup = make_setup(*lin, params, omega=omega)
@@ -119,6 +126,7 @@ def test_successful_rows_are_finite(params, omega):
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(VALID_PARAMS)
+@example(SVD_NOT_HERMITIAN)
 def test_steady_state_is_a_density_matrix(params):
     gen = build_generator(params)
     rho = solve_steady_state(gen, params).rho
@@ -129,14 +137,13 @@ def test_steady_state_is_a_density_matrix(params):
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(VALID_PARAMS)
+@example(SVD_NOT_HERMITIAN)
 def test_einstein_dual_path_identity(params):
     # the generator sandwich against the channel tensor, which is built
     # from the jump operators alone
     gen = build_generator(params)
     rho = solve_steady_state(gen, params).rho[None]
-    d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                  gen.coherent[None], gen.rates[None], rho)
-    assert failures == {}
+    d = diffusion_stack("einstein", gen.rates[None], rho)
     d_channel = diffusion_matrix_channelwise(gen.rates[None], rho)
     assert np.max(np.abs(d - d_channel)) <= 1e-12
 

@@ -20,7 +20,8 @@ from doublelambda.oracle import (OracleError, cross_validate,
                                  rk4_covariance, time_evolve)
 from doublelambda.params import HERMITIAN_FRAME
 from doublelambda.steady import AtomState, solve_steady_state
-from conftest import linearized, random_params, rate_groups
+from conftest import (full_generator_diffusion, linearized, random_params,
+                      rate_groups)
 
 
 def state_from_rho(rho):
@@ -424,10 +425,8 @@ class TestCrossValidate:
         setup = pr.make_setup(a, b, d_lin, p)
         c_in = pr.input_covariance()
         c_out = pr.propagate_covariance(setup, c_in).covariance.c
-        d, failures = diffusion_stack("einstein", gen.matrix[None],
-                                      gen.coherent[None], gen.rates[None],
-                                      rho[None])
-        assert failures == {}
+        d = diffusion_stack("einstein", gen.rates[None], rho[None])
+        d_full = full_generator_diffusion(gen.matrix[None], rho[None])
         built = HERMITIAN_FRAME.conj().T @ gen.matrix @ HERMITIAN_FRAME
         reference = [
             abs(np.trace(rho) - 1.0),
@@ -438,6 +437,7 @@ class TestCrossValidate:
             float(np.max(np.abs(gen.real - built)) / np.max(np.abs(built))),
             float(np.max(np.abs(d[0] - diffusion_matrix_channelwise(
                 gen.rates[None], rho[None])[0]))),
+            float(np.max(np.abs(d_full[0] - d[0]))),
             float(np.max(np.abs(lyapunov_covariance(a, d_lin) - direct)))
             / max(float(np.max(np.abs(direct))), 1e-30),
             max(abs(c_out[0, 1] - c_out[1, 0] - 1.0),
@@ -465,19 +465,36 @@ class TestCrossValidate:
                 else:
                     assert c.residual == r.residual, c.name
 
-    @pytest.mark.parametrize("failing", [
-        ("drift_stack",), ("diffusion_stack",),
-        ("drift_stack", "diffusion_stack")])
-    def test_drift_failure_raised_before_diffusion_failure(
-            self, defaults, monkeypatch, failing):
+    def test_drift_failure_raised_before_the_diffusion(self, defaults,
+                                                       monkeypatch):
+        # the diffusion cannot fail; no diffusion is formed on a failed drift
         from doublelambda import fluctuations as fl
-        for name in failing:
-            def failed(*args, kernel=getattr(fl, name), name=name):
-                return kernel(*args)[0], {0: fl.ResponseError(f"{name} failed")}
-
-            monkeypatch.setattr(fl, name, failed)
-        with pytest.raises(fl.ResponseError, match=f"^{failing[0]} failed$"):
+        drift, models = fl.drift_stack, []
+        monkeypatch.setattr(fl, "drift_stack", lambda real: (
+            drift(real)[0], {0: fl.ResponseError("drift_stack failed")}))
+        monkeypatch.setattr(fl, "diffusion_stack", lambda *a: models.append(a))
+        with pytest.raises(fl.ResponseError, match="^drift_stack failed$"):
             cross_validate(defaults)
+        assert models == []
+
+    def test_generator_term_the_rates_lack_detected(self, defaults,
+                                                    monkeypatch):
+        # a 1-3 dephasing channel in the generator but not in its rates: the
+        # full-generator Einstein relation no longer matches the rates route.
+        # The state and drift follow the generator while D follows the rates,
+        # so the Lyapunov covariance and the field commutators miss the
+        # channel's noise too; every other check passes.
+        from doublelambda import atom
+        extra = 0.1 * atom.DISSIPATOR_BASIS[-1]
+        gen = build_generator(defaults)
+        real = (HERMITIAN_FRAME.conj().T @ extra @ HERMITIAN_FRAME).real
+        bad = dataclasses.replace(gen, matrix=gen.matrix + extra,
+                                  real=gen.real + real)
+        monkeypatch.setattr(oracle, "build_generator", lambda p: bad)
+        report = cross_validate(defaults)
+        assert [c.name for c in report.failures] == [
+            "Einstein relation: full generator vs dissipator",
+            "Lyapunov vs regression covariance", "commutator preservation"]
 
     def test_one_einstein_diffusion_per_battery(self, defaults, monkeypatch):
         from doublelambda import fluctuations as fl
@@ -492,7 +509,7 @@ class TestCrossValidate:
         report = cross_validate(defaults)
         payload = report.as_dict()
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 9
+        assert len(payload["checks"]) == 10
         names = {c["name"] for c in payload["checks"]}
         assert "commutator preservation" in names
         assert "propagation: closed form vs RK4" in names

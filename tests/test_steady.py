@@ -133,7 +133,7 @@ def generators(ps):
     them."""
     h, r = coefficient_stack(ps)
     return (real_generator_stack(h, r),
-            liouvillian_stack(h, dissipator_stack(r))[1])
+            liouvillian_stack(h, dissipator_stack(r)))
 
 
 def liouvillians(points):
@@ -268,14 +268,34 @@ class TestBorderedCertificate:
         # L = P - I, with P the projector onto vec(x) for a non-Hermitian x
         # of unit trace, has x as its null space; L has no real generator,
         # so a zero one, which certifies nothing, sends it to the SVD.  The
-        # raw state is checked: made Hermitian first, it would pass.
+        # raw state is checked: made Hermitian first, it would pass.  Only
+        # "null-space" refuses it here: "auto" integrates such a state.
         x = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         x[0, 2] = 0.3
         v = x.reshape(16)
         lmat = np.outer(v, v.conj()) / (v.conj() @ v) - np.eye(16)
         rhos, methods, failures = steady.steady_state_stack(
-            np.zeros((1, 16, 16)), lmat[None])
+            np.zeros((1, 16, 16)), lmat[None], "null-space")
         assert methods == ["null-space"]
         assert str(failures[0]) == ("steady state not Hermitian, residual "
                                     "3.00e-01")
         assert np.linalg.eigvalsh(rhos[0]).min() >= -1e-10  # positive
+
+    def test_svd_state_failing_raw_checks_integrated(self):
+        # valid, not certified, and its SVD state is 1.84e-10 from Hermitian
+        # by rounding: "auto" integrates it, "null-space" refuses it
+        params = SystemParams(gamma1=2.0**-24, gamma2=0.0, gamma3=0.0,
+                              gamma4=1.5, gamma0=1.0, p1=0.0, p2=0.0,
+                              omega42=0.0, delta1=2.0, g=0.0, a1_mean=0.0,
+                              a2_mean=0.0)
+        real, lmats = liouvillians([params])
+        assert not certified(real).any()
+        rhos, methods, failures = steady.steady_state_stack(real, lmats)
+        assert (methods, failures) == (["long-time-integration"], {})
+        np.testing.assert_allclose(rhos[0], np.diag([0.5, 0, 0.5, 0]),
+                                   atol=1e-12)
+        _, methods, failures = steady.steady_state_stack(real, lmats,
+                                                         "null-space")
+        assert methods == ["null-space"]
+        assert str(failures[0]) == ("steady state not Hermitian, residual "
+                                    "1.84e-10")
