@@ -168,6 +168,48 @@ def liouvillian_stack(h: np.ndarray, dissipators: np.ndarray) -> np.ndarray:
     return _contract(h, COHERENT_BASIS) + dissipators
 
 
+#: slack of gksl_defects' determinant test: 4 eps relative to r_aa r_bb
+#: covers the rounding of the cross rate 2 p sqrt(gamma_a gamma_b), which at
+#: p = +-1 leaves the exact determinant 0 negative in about a quarter of
+#: draws; 8 subnormal spacings cover r_aa r_bb when it underflows
+PSD_SLACK = 4 * np.finfo(float).eps
+PSD_FLOOR = 8 * np.finfo(float).smallest_subnormal
+
+
+def gksl_defects(rates: np.ndarray) -> dict:
+    """What keeps each (P, 11) rate row from a GKSL dissipator, as {stack
+    position: text}; a row that is not a key passes, and NaN passes nothing.
+
+    A row passes when both radiative rate matrices [[r_aa, r_ab], [r_ba,
+    r_bb]] are symmetric and positive semidefinite up to rounding (r_aa,
+    r_bb >= 0 and r_aa r_bb - r_ab^2 >= -(PSD_SLACK r_aa r_bb + PSD_FLOOR))
+    and the exchange and dephasing rates are >= 0.  With the real
+    Hamiltonian coefficients of coefficient_stack, L is then a GKSL
+    generator, whose spectrum lies in the closed left half-plane [Lindblad,
+    Commun. Math. Phys. 48, 119 (1976); Gorini, Kossakowski and Sudarshan,
+    J. Math. Phys. 17, 821 (1976)].  O(P): no eigenvalue is computed.
+    """
+    aa, ab, ba, bb = rates[:, :RADIATIVE_ENTRIES].reshape(-1, 2, 4).transpose(
+        2, 0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = aa * bb
+        psd = ((aa >= 0) & (bb >= 0) & (ab == ba)
+               & (prod - ab * ab >= -(PSD_SLACK * prod + PSD_FLOOR)))
+    collisional = rates[:, RADIATIVE_ENTRIES:] >= 0
+    defects = {}
+    for k in np.flatnonzero(~(psd.all(axis=1) & collisional.all(axis=1))):
+        texts = [f"rate matrix of the decay to level {level} not positive "
+                 f"semidefinite: [[{aa[k, f]:.2e}, {ab[k, f]:.2e}], "
+                 f"[{ba[k, f]:.2e}, {bb[k, f]:.2e}]]"
+                 for f, level in ((0, 1), (1, 3)) if not psd[k, f]]
+        if not collisional[k].all():
+            texts.append("negative exchange or dephasing rate: "
+                         + ", ".join(f"{x:.2e}" for x
+                                     in rates[k, RADIATIVE_ENTRIES:]))
+        defects[int(k)] = "; ".join(texts)
+    return defects
+
+
 def real_generator_stack(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(P, 16, 16) real generators B = U^H L U, U = HERMITIAN_FRAME, from
     coefficient_stack's (P, 6) and (P, 11) coefficients, with no complex L."""
@@ -188,11 +230,12 @@ def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarra
 class Generator:
     """Liouvillian of the model.
 
-    matrix acts on row-major vec(rho); rates are its DISSIPATOR_BASIS
-    coefficients; real is U^H L U.
+    matrix acts on row-major vec(rho); hamiltonian and rates are its
+    COHERENT_BASIS and DISSIPATOR_BASIS coefficients; real is U^H L U.
     """
 
     matrix: np.ndarray
+    hamiltonian: np.ndarray
     rates: np.ndarray
     real: np.ndarray
 
@@ -201,7 +244,7 @@ def build_generator(params: SystemParams) -> Generator:
     """Generator at the mean field amplitudes."""
     h, r = coefficient_stack(params)
     lmat = liouvillian_stack(h[None], dissipator_stack(r[None]))
-    return Generator(matrix=lmat[0], rates=r,
+    return Generator(matrix=lmat[0], hamiltonian=h, rates=r,
                      real=real_generator_stack(h[None], r[None])[0])
 
 

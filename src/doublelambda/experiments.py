@@ -283,16 +283,14 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
     real = atom.real_generator_stack(h, r)
-    # the complex L serves only the steady fallbacks
-    rho_all, methods, failures = steady_state_stack(
-        real, atom.liouvillian_stack(h, atom.dissipator_stack(r)))
+    rho_all, _, methods, failures = steady_state_stack(real, h, r)
     real, r, rho = points.drop(failures, real, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
     dark[points.live] = activity < DARK_ACTIVITY_TOL
     real, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
         dark[points.live])), real, r, rho)
-    a, failures = fl.drift_stack(real)
+    a, failures = fl.drift_stack(real, r)
     a, r, rho = points.drop(failures, a, r, rho)
     b = fl.field_coupling_stack(ps.g[points.live], rho)
     d = fl.diffusion_stack(noise_model, r, rho)
@@ -563,9 +561,9 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
     Solves <sigma_22>(g) = target at the symmetric working point with
     _brentq; the companion value <sigma_11> = 1/2 - target follows from the
     reflection symmetry of the configuration.  Only the field coefficients
-    g*a depend on g: the dissipator is contracted once, and each step
-    rewrites the field coefficients, contracts the coherent part and runs
-    the steady solve with all checks.
+    g*a depend on g: each step rewrites them, contracts the real generator
+    and runs the steady solve with all checks, which contracts the complex
+    L only at a step its bordered solve does not certify.
     """
     if base is None:
         base = SystemParams()
@@ -573,14 +571,12 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
     for g in bracket:
         base.replace(g=g)  # same ValueError as a step at that end would give
     h, r = (x[None] for x in atom.coefficient_stack(base))
-    dissipator = atom.dissipator_stack(r)
     a1, a2 = base.a1_mean, base.a2_mean
 
     def objective(g: float) -> float:
         h[0, 2:] = g * a1, g * a1, g * a2, g * a2
-        lmat = atom.liouvillian_stack(h, dissipator)
-        rho, _, failures = steady_state_stack(atom.real_generator_stack(h, r),
-                                              lmat)
+        rho, _, _, failures = steady_state_stack(
+            atom.real_generator_stack(h, r), h, r)
         if failures:
             raise failures[0]
         return rho[0, 1, 1].real - target

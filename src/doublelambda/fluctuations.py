@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .atom import (FIELD_SUPEROPERATORS, JUMP_GROUPS, RADIATIVE_ENTRIES,
-                   dissipator_stack)
+                   dissipator_stack, gksl_defects)
 from .matfuncs import inv_stack
 from .params import BASIS, HERMITIAN_BASIS
 from .steady import AtomState
@@ -40,24 +40,27 @@ ROTATION[:4] /= np.sqrt([[4.0], [2.0], [6.0], [12.0]])
 FRAME = ROTATION[1:] @ HERMITIAN_BASIS.reshape(16, 16)
 
 
-def drift_stack(real: np.ndarray) -> tuple[np.ndarray, dict]:
+def drift_stack(real: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, dict]:
     """Drift of each (P, 16, 16) real generator B = U^H L U (see
-    atom.real_generator_stack), with the mean fields frozen.
+    atom.real_generator_stack), with the mean fields frozen, and its
+    stability certificate from the (P, 11) rate coefficients.
 
     <sigma_ij> = rho_ji, so the Heisenberg drift of the expectation vector
     is L with both indices swapped, S L S, and its drift in FRAME is
     FRAME S L S FRAME^H = FRAME.conj() L FRAME^T = (O B O^T)[1:, 1:], with
     O = ROTATION: real, and O touches only the four populations.  The full
     16-dim drift has the trace vector as an exact left null vector, so
-    fluctuations stay on the traceless subspace FRAME spans.  Returns the
-    (P, 15, 15) drifts and the failures as {stack position: ResponseError}
-    of the drifts with an eigenvalue in the right half-plane.
+    fluctuations stay on the traceless subspace FRAME spans, and its
+    spectrum is L's less that 0.  A GKSL generator has its spectrum in the
+    closed left half-plane, so a row whose rates pass atom.gksl_defects has
+    a stable drift with no eigenvalue computed; the eigenvalues are checked
+    by the validate battery ("drift stability").  Returns the (P, 15, 15)
+    drifts and the failures as {stack position: ResponseError} of the rows
+    the certificate refuses.
     """
     a = ROTATION[1:] @ real @ ROTATION[1:].T
-    max_re = np.max(np.real(np.linalg.eigvals(a)), axis=1)
-    failures = {int(k): ResponseError(
-        f"drift matrix unstable: max Re eigenvalue {max_re[k]:.2e}")
-        for k in np.flatnonzero(max_re > 1e-10)}
+    failures = {k: ResponseError(f"drift stability not certified: {text}")
+                for k, text in gksl_defects(rates).items()}
     return a, failures
 
 

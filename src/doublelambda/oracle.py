@@ -159,20 +159,22 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
 LYAPUNOV_RESIDUAL_BOUND = 1e-10
 
 
-def lyapunov_covariance(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+def lyapunov_covariance(a: np.ndarray, d: np.ndarray,
+                        eig: Optional[tuple] = None) -> np.ndarray:
     """Stationary covariance solving A S + S A^T + 2 D = 0 in the drift's
     eigenbasis, for a real (15, 15) drift a and diffusion d.
 
     With A = V diag(lam) W, W = V^-1, the equation becomes
     lam_i X_ij + X_ij lam_j = (W (-2D) W^T)_ij for S = V X V^T.  One
-    eigendecomposition serves the stability guard and the solve, all in
-    numpy.  The solve is only as good as V's conditioning: a defective or
+    eigendecomposition (lam, V) = np.linalg.eig(a), taken here unless the
+    caller passes it as eig, serves the stability guard and the solve, all
+    in numpy.  The solve is only as good as V's conditioning: a defective or
     nearly defective drift (a Jordan block) has no usable eigenbasis, so
     the relative residual certifies each solution and a solve above
     LYAPUNOV_RESIDUAL_BOUND, or not finite, raises OracleError with the
     residual and kappa_1(V).
     """
-    lam, v = np.linalg.eig(a)
+    lam, v = np.linalg.eig(a) if eig is None else eig
     max_re = float(np.max(lam.real))
     if max_re >= -1e-14:
         raise OracleError(
@@ -235,12 +237,17 @@ class ValidationReport:
 def cross_validate(params: SystemParams) -> ValidationReport:
     """Full consistency battery at one parameter point.
 
-    Covers: state invariants (trace, Hermiticity, positivity), dual-method
+    Covers, in order: trace and Hermiticity of the state as the steady
+    solve gave it and positivity of the final state, dual-method
     steady-state agreement, the real generator of the tables against
     U^H L U of the complex build, the dual-path Einstein-relation identity,
     the Einstein relation under the full generator against the rates route,
-    Lyapunov vs regression covariance, commutator preservation through the
-    propagation, and the closed-form propagation against RK4.  Each check
+    drift stability (max Re eigenvalue of A <= 1e-10, which the sweep
+    certifies from the rates alone), Lyapunov vs regression covariance,
+    commutator preservation through the propagation, and the closed-form
+    propagation against RK4.  The drift's one eigendecomposition serves the
+    stability check and the Lyapunov solve; a drift that fails the check
+    has no stationary covariance, and the report ends there.  Each check
     records the wall time since the previous one; the first also covers the
     generator build and the steady solve.
     """
@@ -255,9 +262,9 @@ def cross_validate(params: SystemParams) -> ValidationReport:
 
     gen = build_generator(params)
     state = solve_steady_state(gen, params)
-    rho = state.rho
-    record("trace", abs(np.trace(rho) - 1.0), 1e-10)
-    record("hermiticity", float(np.max(np.abs(rho - rho.conj().T))), 1e-10)
+    rho, raw = state.rho, state.raw
+    record("trace", abs(np.trace(raw) - 1.0), 1e-10)
+    record("hermiticity", float(np.max(np.abs(raw - raw.conj().T))), 1e-10)
     min_eig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
     record("positivity", max(0.0, -min_eig), 1e-10)
 
@@ -274,7 +281,7 @@ def cross_validate(params: SystemParams) -> ValidationReport:
 
     # d is the sandwich route, from the rates; no diffusion is formed on a
     # failed drift
-    a, failures = fl.drift_stack(gen.real[None])
+    a, failures = fl.drift_stack(gen.real[None], gen.rates[None])
     if failures:
         raise failures[0]
     a, d = a[0], fl.diffusion_stack("einstein", gen.rates[None], rho[None])[0]
@@ -289,8 +296,12 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("Einstein relation: full generator vs dissipator",
            float(np.max(np.abs(d_full - d))), 1e-12)
 
+    eig = np.linalg.eig(a)
+    record("drift stability", float(np.max(eig[0].real)), 1e-10)
+    if not checks[-1].passed:
+        return ValidationReport(checks=tuple(checks))
     sigma_direct = fl.equal_time_covariance(state)
-    sigma_lyap = lyapunov_covariance(a, d)
+    sigma_lyap = lyapunov_covariance(a, d, eig)
     scale = max(float(np.max(np.abs(sigma_direct))), 1e-30)
     record("Lyapunov vs regression covariance",
            float(np.max(np.abs(sigma_lyap - sigma_direct))) / scale, 1e-6)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from . import atom
 from .atom import Generator
 from .matfuncs import expm, inv_stack
 from .params import BASIS, HERMITIAN_FRAME, SystemParams
@@ -37,6 +39,9 @@ class AtomState:
 
     expectations: np.ndarray
     method: str  # "null-space" | "long-time-integration"
+    #: the state as the solve gave it, before it was made Hermitian with
+    #: unit trace (None for a state not from solve_steady_state)
+    raw: Optional[np.ndarray] = None
 
     @property
     def rho(self) -> np.ndarray:
@@ -73,7 +78,9 @@ def _integrate_to_steady(lmat: np.ndarray, rho0: np.ndarray) -> np.ndarray:
     the tolerance.
     """
     scale = np.linalg.norm(lmat, 2)
-    if scale == 0:
+    # below the smallest normal float, ||L rho0|| is far inside the
+    # tolerance, and dividing the complex L by ||L|| gives NaN
+    if scale < np.finfo(float).tiny:
         return rho0.copy()
     prop = expm(lmat / scale)  # time step 1/||L||
     x = rho0.reshape(16)
@@ -122,34 +129,42 @@ def _bordered_stack(real: np.ndarray) -> tuple:
     inverse, kappa = inv_stack(bordered)
     x = inverse[:, :, BORDERED_ROW]
     certified = kappa <= BORDERED_KAPPA_MAX
-    # an uncertified inverse may overflow; only certified residuals are read
+    # an uncertified inverse may overflow; only certified states and
+    # residuals are read
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm((real @ x[:, :, None])[:, :, 0], axis=1)
-    return (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4), certified, residual
+        states = (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4)
+    return states, certified, residual
 
 
-def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
-                       method: str = "auto") -> tuple[np.ndarray, list, dict]:
-    """Solve L(rho) = 0 with unit trace for a (P, 16, 16) Liouvillian stack
-    lmats and its real generators real (atom.real_generator_stack).
+def steady_state_stack(real: np.ndarray, h: np.ndarray, r: np.ndarray,
+                       method: str = "auto"
+                       ) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    """Solve L(rho) = 0 with unit trace at each point of a stack, from its
+    real generators real = atom.real_generator_stack(h, r) and its (P, 6)
+    Hamiltonian and (P, 11) rate coefficients h and r.
 
-    Returns the (P, 4, 4) states, the method used for each, and the
-    failures as {stack position: SteadyStateError}.  The null spaces come
-    from one batched bordered solve of real (_bordered_stack), whose
-    certified points must also pass ||L rho|| <= STEADY_RESIDUAL_TOL; the
-    points it does not certify take one batched SVD of lmats, and those
-    whose null space is degenerate, or (in "auto") whose SVD state fails its
-    raw Hermiticity check, take the long-time integration one by one.  Each state's trace and Hermiticity are checked as solved, before
-    it is made Hermitian with unit trace.
+    Returns the (P, 4, 4) states, the states as solved (raw), the method
+    used for each, and the failures as {stack position: SteadyStateError}.
+    The null spaces come from one batched bordered solve of real
+    (_bordered_stack), whose certified points must also pass ||L rho|| <=
+    STEADY_RESIDUAL_TOL.  The complex L is contracted only for the points
+    it does not certify, or for every point under "long-time-integration".
+    Those take one batched SVD of L, and the ones whose null space is
+    degenerate, or (in "auto") whose SVD state fails its raw Hermiticity
+    check, take the long-time integration one by one.  Each state's trace
+    and Hermiticity are checked as solved, before it is made Hermitian with
+    unit trace.  A failed point whose rates are all 0 has no dissipation,
+    and its failure says so.
     """
     if method not in ("auto", "null-space", "long-time-integration"):
         raise ValueError(f"unknown method {method!r}")
-    n = len(lmats)
+    n = len(real)
     methods = ["null-space" if method == "auto" else method] * n
     failures = {}
     if method == "long-time-integration":
         rhos = np.empty((n, 4, 4), dtype=complex)
-        integrate = np.ones(n, dtype=bool)
+        rest = np.arange(n)
     else:
         rhos, certified, residual = _bordered_stack(real)
         for k in np.flatnonzero(certified & (residual > STEADY_RESIDUAL_TOL)):
@@ -157,9 +172,11 @@ def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
                 f"steady state residual {residual[k]:.2e} exceeds "
                 f"{STEADY_RESIDUAL_TOL:.1e}")
         rest = np.flatnonzero(~certified)
-        integrate = np.zeros(n, dtype=bool)
-        if rest.size:
-            _, svals, vh = np.linalg.svd(lmats[rest])
+    if rest.size:
+        lmats = atom.liouvillian_stack(h[rest], atom.dissipator_stack(r[rest]))
+        integrate = np.full(rest.size, method == "long-time-integration")
+        if method != "long-time-integration":
+            _, svals, vh = np.linalg.svd(lmats)
             vec = vh[:, -1].conj().reshape(rest.size, 4, 4)
             tr = vec.trace(axis1=1, axis2=2)
             degenerate = ((svals[:, -2] < DEGENERACY_RATIO * svals[:, 0])
@@ -169,8 +186,8 @@ def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
                 # integrated too: a state that fails its raw Hermiticity
                 # check (vec / tr has trace 1 to rounding)
                 herm = abs(rhos[rest] - rhos[rest].conj().transpose(0, 2, 1))
-                integrate[rest] = degenerate | (herm.max(axis=(1, 2)) > 1e-10)
-                for k in np.flatnonzero(integrate):
+                integrate = degenerate | (herm.max(axis=(1, 2)) > 1e-10)
+                for k in rest[integrate]:
                     methods[k] = "long-time-integration"
             else:
                 for i in np.flatnonzero(degenerate):
@@ -179,17 +196,22 @@ def steady_state_stack(real: np.ndarray, lmats: np.ndarray,
                         f"{svals[i, -2] / svals[i, 0]:.2e}); use long-time "
                         "integration")
                 rhos[rest[degenerate]] = RHO_UNPOLARIZED  # stand-ins
-    for k in np.flatnonzero(integrate):
-        try:
-            rhos[k] = _integrate_to_steady(lmats[k], RHO_UNPOLARIZED)
-        except SteadyStateError as exc:
-            rhos[k] = RHO_UNPOLARIZED
-            failures[int(k)] = exc
+        for i in np.flatnonzero(integrate):
+            try:
+                rhos[rest[i]] = _integrate_to_steady(lmats[i], RHO_UNPOLARIZED)
+            except SteadyStateError as exc:
+                rhos[rest[i]] = RHO_UNPOLARIZED
+                failures[int(rest[i])] = exc
     final = (rhos + rhos.conj().transpose(0, 2, 1)) / 2
     final = final / final.trace(axis1=1, axis2=2).real[:, None, None]
     for k, exc in _state_failures(rhos, final).items():
         failures.setdefault(k, exc)
-    return final, methods, failures
+    for k in failures:
+        if not r[k].any():
+            failures[k] = SteadyStateError(
+                "no dissipation (every rate is 0) and so no unique steady "
+                f"state: {failures[k]}")
+    return final, rhos, methods, failures
 
 
 def solve_steady_state(gen: Generator, params: SystemParams,
@@ -197,19 +219,19 @@ def solve_steady_state(gen: Generator, params: SystemParams,
     """Solve L(rho) = 0 with unit trace.
 
     Primary route: null space of the 16x16 Liouvillian with the trace
-    constraint, from the certified bordered solve or else the SVD (see
-    steady_state_stack).  If the null space is numerically degenerate
-    (second-smallest singular value below 1e-8 * ||L||), or in "auto" the
-    SVD state fails its raw checks, the solver falls back to long-time
-    integration from an unpolarized lower-level mixture and records the
-    method used.
+    constraint, from the certified bordered solve of gen.real or else the
+    SVD of L contracted from gen's coefficients (see steady_state_stack).
+    If the null space is numerically degenerate (second-smallest singular
+    value below 1e-8 * ||L||), or in "auto" the SVD state fails its raw
+    checks, the solver falls back to long-time integration from an
+    unpolarized lower-level mixture and records the method used.
     """
-    rhos, methods, failures = steady_state_stack(gen.real[None],
-                                                 gen.matrix[None], method)
+    rhos, raw, methods, failures = steady_state_stack(
+        gen.real[None], gen.hamiltonian[None], gen.rates[None], method)
     if failures:
         raise failures[0]
     return AtomState(expectations=BASIS.expectations(rhos[0]),
-                     method=methods[0])
+                     method=methods[0], raw=raw[0])
 
 
 def absorption(expectations: np.ndarray, params) -> tuple:

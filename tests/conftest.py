@@ -26,7 +26,7 @@ def random_params(rng, with_fields=False) -> SystemParams:
 def linearized(gen, state, params, noise_model="einstein"):
     """Drift A, field-coupling columns B and diffusion D of one solved
     point, from the stack kernels; asserts that the drift did not fail."""
-    a, failures = fl.drift_stack(gen.real[None])
+    a, failures = fl.drift_stack(gen.real[None], gen.rates[None])
     d = fl.diffusion_stack(noise_model, gen.rates[None], state.rho[None])
     assert failures == {}, failures
     b = fl.field_coupling_stack(np.array([params.g]), state.rho[None])

@@ -59,6 +59,14 @@ def liouvillians(params):
     return atom.real_generator_stack(h, r), lmat, exact
 
 
+def steady_stack(params):
+    """steady_state_stack's states, methods and failures at params."""
+    h, r = atom.coefficient_stack(ParamStack.of([params]))
+    rhos, _, methods, failures = steady.steady_state_stack(
+        atom.real_generator_stack(h, r), h, r)
+    return rhos, methods, failures
+
+
 def exact_state(lmat, row: int = 0):
     """The state with unit trace, from L with `row` replaced by the trace."""
     with mpmath.workdps(DIGITS):
@@ -87,12 +95,12 @@ def test_bordered_route_within_budget_and_no_worse_than_svd(name,
     real, lmat, exact = liouvillians(POINTS[name])
     exact = exact_state(exact)
     assert steady._bordered_stack(real)[1].all()  # certified
-    rhos, methods, failures = steady.steady_state_stack(real, lmat)
+    rhos, methods, failures = steady_stack(POINTS[name])
     assert (methods, failures) == (["null-space"], {})
     error = relative_error(rhos[0], exact)
     # a bound of 0 certifies nothing, so every point takes the SVD
     monkeypatch.setattr(steady, "BORDERED_KAPPA_MAX", 0.0)
-    rhos, methods, _ = steady.steady_state_stack(real, lmat)
+    rhos, methods, _ = steady_stack(POINTS[name])
     assert methods == ["null-space"]
     assert error <= 1e-12
     assert error <= relative_error(rhos[0], exact)
@@ -156,7 +164,8 @@ LINEARIZATION_BUDGET = (1e-15, 1e-15, 2e-12)
 def test_real_tables_within_budget_and_no_worse_than_products(name):
     real, lmat, exact = liouvillians(POINTS[name])
     exact = exact_linearization(exact)
-    a, failures = drift_stack(real)
+    a, failures = drift_stack(real, atom.coefficient_stack(
+        ParamStack.of([POINTS[name]]))[1])
     r0, _, more = response_stack(a, np.zeros(1))
     assert failures == more == {}
     tables = (real[0], a[0], r0[0].real)
@@ -191,11 +200,11 @@ DIFFUSION_BUDGET = (1e-12, 1e-15)
 
 @pytest.mark.parametrize("name", POINTS)
 def test_rates_diffusion_within_budget_and_no_worse_than_full_l(name):
-    real, lmat, exact = liouvillians(POINTS[name])
+    _, lmat, exact = liouvillians(POINTS[name])
     x = exact_state(exact)
     rates = atom.coefficient_stack(POINTS[name])[1]
     ref = exact_diffusion(rates, x)
-    rho, _, failures = steady.steady_state_stack(real, lmat)
+    rho, _, failures = steady_stack(POINTS[name])
     assert failures == {}
     rounded = np.array([complex(v) for v in x]).reshape(1, 4, 4)
     for state, budget in zip((rho, rounded), DIFFUSION_BUDGET):

@@ -146,16 +146,17 @@ class TestErrorMarking:
         from doublelambda.atom import build_generator
 
         spec = detuning_spec(defaults, points=3)
-        # the stack computes each generator exactly as build_generator does
-        poisoned = build_generator(spec.param_stack().point(1)).matrix
+        # the stack computes each real generator exactly as build_generator
+        # does
+        poisoned = build_generator(spec.param_stack().point(1)).real
         solve = ex.steady_state_stack
         stacks = []
 
-        def flaky(real, lmats, method="auto"):
-            stacks.append(len(lmats))
-            if any(np.array_equal(lmat, poisoned) for lmat in lmats):
+        def flaky(real, h, r, method="auto"):
+            stacks.append(len(real))
+            if any(np.array_equal(x, poisoned) for x in real):
                 raise RuntimeError("synthetic solver failure")
-            return solve(real, lmats, method)
+            return solve(real, h, r, method)
 
         monkeypatch.setattr(ex, "steady_state_stack", flaky)
         result = run_sweep(spec)
@@ -345,9 +346,9 @@ class TestBatchedStack:
         # spectrum-dense's 128 frequencies share one steady solve
         sizes = []
 
-        def counted(real, lmat):
-            sizes.append(len(lmat))
-            return steady_state_stack(real, lmat)
+        def counted(real, h, r):
+            sizes.append(len(real))
+            return steady_state_stack(real, h, r)
 
         monkeypatch.setattr(experiments, "steady_state_stack", counted)
         rows = spectrum(defaults.replace(n0=3e19), np.linspace(0.0, 5.0, 128),
@@ -361,9 +362,9 @@ class TestBatchedStack:
         cap, steady_sizes, transfer_sizes = experiments.STACK_ROWS, [], []
         transfer = pr.transfer_stack
 
-        def counted_steady(real, lmat):
-            steady_sizes.append(len(lmat))
-            return steady_state_stack(real, lmat)
+        def counted_steady(real, h, r):
+            steady_sizes.append(len(real))
+            return steady_state_stack(real, h, r)
 
         def counted_transfer(a, *args):
             transfer_sizes.append(len(a))
@@ -417,6 +418,22 @@ def test_fig2_sweep_runs_as_columns(defaults, monkeypatch, tmp_path):
     assert len(result.rows) == counts["rows"] == 201  # the view builds them
 
 
+def test_fig2_sweep_takes_no_eigenvalues_and_no_complex_l(defaults,
+                                                         monkeypatch):
+    # drift stability is certified from the rates, and every point is
+    # certified by the bordered solve, which reads the real generator
+    from doublelambda import atom
+    calls = []
+    for owner, name in ((np.linalg, "eigvals"), (np.linalg, "eig"),
+                        (atom, "liouvillian_stack")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: (
+            calls.append(name)))
+    result = run_sweep(detuning_spec(defaults))
+    assert len(result.columns["error"]) == 201
+    assert not any(result.columns["error"])
+    assert calls == []
+
+
 @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
 def test_sweep_stack_diffusion_reads_the_dissipators(defaults, monkeypatch,
                                                      noise_model):
@@ -447,9 +464,9 @@ def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):
     alone = [spectrum(p, omegas) for p in points]
     sizes = []
 
-    def counted(real, lmat):
-        sizes.append(len(lmat))
-        return steady_state_stack(real, lmat)
+    def counted(real, h, r):
+        sizes.append(len(real))
+        return steady_state_stack(real, h, r)
 
     monkeypatch.setattr(experiments, "steady_state_stack", counted)
     rows = _rows(_evaluate(ParamStack.of(points), omegas, "einstein"))
@@ -561,16 +578,19 @@ class TestCalibration:
         st = solve_steady_state(build_generator(p), p)
         assert st.populations[1] == pytest.approx(0.064, abs=1e-9)
 
-    def test_dissipator_contracted_once(self, defaults, monkeypatch):
+    def test_certified_steps_build_no_complex_l(self, defaults, monkeypatch):
+        # every step's point is certified by the bordered solve, which reads
+        # the real generator alone
         from doublelambda import atom
-        contractions, steps = [], []
-        dissipators, liouvillians = atom.dissipator_stack, atom.liouvillian_stack
-        monkeypatch.setattr(atom, "dissipator_stack",
-                            lambda r: contractions.append(1) or dissipators(r))
-        monkeypatch.setattr(atom, "liouvillian_stack",
-                            lambda *a: steps.append(1) or liouvillians(*a))
+        complex_builds, steps = [], []
+        generators = atom.real_generator_stack
+        for name in ("dissipator_stack", "liouvillian_stack"):
+            monkeypatch.setattr(atom, name,
+                                lambda *a: complex_builds.append(a))
+        monkeypatch.setattr(atom, "real_generator_stack",
+                            lambda *a: steps.append(1) or generators(*a))
         calibrate_coupling(defaults)
-        assert len(contractions) == 1
+        assert complex_builds == []
         assert len(steps) > 2
 
 

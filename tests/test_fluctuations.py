@@ -6,7 +6,8 @@ from doublelambda import BASIS, SystemParams
 from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
                                RADIATIVE_ENTRIES, build_generator,
                                coefficient_stack, dissipator_stack,
-                               liouvillian_stack, real_generator_stack)
+                               gksl_defects, liouvillian_stack,
+                               real_generator_stack)
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       dephasing_spec, detuning_spec)
 from doublelambda.fluctuations import (FRAME, ResponseError,
@@ -33,6 +34,20 @@ def reference_points(draws: int):
         random_params(rng, with_fields=True) for _ in range(draws)]
 
 
+def survey_stacks(n0s):
+    """The five figure grids (fig2, fig2-inset, fig3 a and b, fig4) at each
+    density of n0s, then 500 seeded draws, as ParamStacks."""
+    rng = np.random.default_rng(20240811)
+    stacks = [spec(SystemParams(n0=n0), **kw).param_stack() for n0 in n0s
+              for spec, kw in ((detuning_spec, {}), (alignment_spec, {}),
+                               (amplitude_spec, {"variant": "a"}),
+                               (amplitude_spec, {"variant": "b"}),
+                               (dephasing_spec, {}))]
+    stacks.append(ParamStack.of([random_params(rng, with_fields=True)
+                                 for _ in range(500)]))
+    return stacks
+
+
 def nearest_mismatch(x, y):
     """Largest distance from an entry of either set to the other set."""
     dist = np.abs(x[:, None] - y[None, :])
@@ -48,7 +63,7 @@ class TestDrift:
 
     def test_stability_at_defaults(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.real[None])
+        a, failures = drift_stack(gen.real[None], gen.rates[None])
         assert failures == {}
         assert np.max(np.real(np.linalg.eigvals(a[0]))) <= 1e-10
         assert a.shape == (1, 15, 15)
@@ -58,7 +73,7 @@ class TestDrift:
         # the conserved trace
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.real[None])
+            a, failures = drift_stack(gen.real[None], gen.rates[None])
             assert failures == {}
             a = a[0]
             assert a.dtype == np.float64
@@ -78,20 +93,11 @@ class TestDrift:
         # B against U^H L U and (O B O^T)[1:, 1:] against FRAME.conj() L
         # FRAME^T, the drift of the complex L, on every figure grid at n0
         # and n0 x1000 and 500 draws
-        rng = np.random.default_rng(20240811)
-        stacks = [spec(SystemParams(n0=n0), **kw).param_stack()
-                  for n0 in (3e16, 3e19)
-                  for spec, kw in ((detuning_spec, {}), (alignment_spec, {}),
-                                   (amplitude_spec, {"variant": "a"}),
-                                   (amplitude_spec, {"variant": "b"}),
-                                   (dephasing_spec, {}))]
-        stacks.append(ParamStack.of([random_params(rng, with_fields=True)
-                                     for _ in range(500)]))
-        for ps in stacks:
+        for ps in survey_stacks((3e16, 3e19)):
             h, r = coefficient_stack(ps)
             lmats = liouvillian_stack(h, dissipator_stack(r))
             real = real_generator_stack(h, r)
-            a, _ = drift_stack(real)
+            a, _ = drift_stack(real, r)
             u = HERMITIAN_FRAME
             for x, product in ((real, u.conj().T @ lmats @ u),
                                (a, FRAME.conj() @ lmats @ FRAME.T)):
@@ -99,14 +105,59 @@ class TestDrift:
                 assert np.all(np.max(np.abs(x - product), axis=(1, 2))
                               <= 1e-15 * scale)
 
-    def test_unstable_drift_still_refused(self, defaults):
-        # shifting the generator by +0.5 pushes the slowest eigenvalue
-        # into the right half-plane
+    def test_figure_grids_and_draws_are_stable(self):
+        # the sweep certifies stability from the rates and computes no
+        # eigenvalue; the spectrum it no longer checks per point, by one
+        # batched eigvals over the five figure grids (the drift does not
+        # read n0) and 500 draws
+        h, r = (np.concatenate(x) for x in zip(
+            *(coefficient_stack(ps) for ps in survey_stacks((3e16,)))))
+        a, failures = drift_stack(real_generator_stack(h, r), r)
+        assert failures == {} and len(a) == 5 * 201 + 500
+        assert np.max(np.linalg.eigvals(a).real) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1.0, -1.0])
+    def test_certificate_accepts_full_alignment(self, p):
+        # at p = +-1 each radiative rate matrix is singular, and the rounded
+        # cross rate 2 p sqrt(gamma_a gamma_b) leaves its determinant a few
+        # eps below 0 at many unequal pairs: the slack accepts them
+        rng = np.random.default_rng(5)
+        pairs = rng.uniform(0.01, 2.0, (200, 2))
+        ps = ParamStack.of([SystemParams(gamma1=x, gamma2=y, gamma3=y,
+                                         gamma4=x, p1=p, p2=p)
+                            for x, y in pairs])
+        r = coefficient_stack(ps)[1]
+        det = r[:, 0] * r[:, 3] - r[:, 1] ** 2
+        assert np.mean(det < 0) > 0.1
+        assert np.all(det >= -4 * np.finfo(float).eps * r[:, 0] * r[:, 3])
+        assert gksl_defects(r) == {}
+
+    def test_certificate_accepts_underflowing_rate_products(self):
+        # gamma1 gamma2 subnormal: the determinant is a subnormal unit below 0
+        ps = ParamStack.of([SystemParams(gamma1=1.9476265e-318 / 2,
+                                         gamma2=0.42705622, p1=1.0)])
+        r = coefficient_stack(ps)[1]
+        assert r[0, 0] * r[0, 3] - r[0, 1] ** 2 < 0
+        assert gksl_defects(r) == {}
+
+    def test_certificate_refuses_hand_made_rows_by_name(self, defaults):
         gen = build_generator(defaults)
-        real = np.stack([gen.real, gen.real + 0.5 * np.eye(16)])
-        _, failures = drift_stack(real)
-        assert list(failures) == [1]
-        assert "drift matrix unstable" in str(failures[1])
+        rates = np.stack([gen.rates] * 4)
+        rates[1, [1, 2]] = 3.0   # |r_ab| > sqrt(r_aa r_bb) to level 1
+        rates[2, 10] = -0.1      # negative dephasing
+        rates[3, 5] = 1.0        # asymmetric matrix to level 3
+        _, failures = drift_stack(np.stack([gen.real] * 4), rates)
+        assert list(failures) == [1, 2, 3]
+        assert all(isinstance(e, ResponseError) for e in failures.values())
+        assert [str(e) for e in failures.values()] == [
+            "drift stability not certified: rate matrix of the decay to "
+            "level 1 not positive semidefinite: [[2.00e+00, 3.00e+00], "
+            "[3.00e+00, 2.00e+00]]",
+            "drift stability not certified: negative exchange or dephasing "
+            "rate: 2.00e-03, 2.00e-03, -1.00e-01",
+            "drift stability not certified: rate matrix of the decay to "
+            "level 3 not positive semidefinite: [[2.00e+00, 1.00e+00], "
+            "[2.00e+00, 2.00e+00]]"]
 
     def test_rate_bookkeeping_with_drive_off(self):
         p = SystemParams(g=0.0, gamma0=0.0)
@@ -255,7 +306,8 @@ class TestResponse:
     def test_zero_rows_real_whatever_the_stack(self, defaults):
         # rows at omega = 0 invert the real -A, with R(-0) = R(0), and each
         # row of a mixed stack is what its own one-row stack gives
-        a = drift_stack(build_generator(defaults).real[None])[0][0]
+        gen = build_generator(defaults)
+        a = drift_stack(gen.real[None], gen.rates[None])[0][0]
         omegas = np.array([0.0, 0.5, 0.0])
         r, r_minus, failures = response_stack(np.stack([a] * 3), omegas)
         assert failures == {}
@@ -270,7 +322,7 @@ class TestResponse:
 
     def test_high_frequency_rolloff(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(np.stack([gen.real, gen.real]))
+        a, failures = drift_stack(np.stack([gen.real] * 2), np.stack([gen.rates] * 2))
         assert failures == {}
         r, _, failures = response_stack(a, np.array([1e4, 2e4]))
         assert failures == {}
@@ -279,7 +331,7 @@ class TestResponse:
 
     def test_zero_frequency_is_inverse(self, defaults):
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.real[None])
+        a, failures = drift_stack(gen.real[None], gen.rates[None])
         assert failures == {}
         r, _, failures = response_stack(a, np.array([0.0]))
         assert failures == {}
@@ -291,7 +343,7 @@ class TestResponse:
         p = SystemParams(gamma1=0.1, gamma2=0.1, gamma3=0.1, gamma4=0.1,
                          gamma0=0.05, delta1=2.0, omega42=2.0, p1=0.3, p2=0.3)
         gen = build_generator(p)
-        a, failures = drift_stack(np.stack([gen.real, gen.real]))
+        a, failures = drift_stack(np.stack([gen.real] * 2), np.stack([gen.rates] * 2))
         assert failures == {}
         evals = np.linalg.eigvals(a[0])
         osc = [ev for ev in evals if abs(ev.imag) > 0.5]
@@ -306,7 +358,7 @@ class TestResponse:
     def test_mirrored_response_matches_inversion(self, omega):
         for p in reference_points(8):
             gen = build_generator(p)
-            a, failures = drift_stack(gen.real[None])
+            a, failures = drift_stack(gen.real[None], gen.rates[None])
             assert failures == {}
             _, mirrored, failures = response_stack(a, np.array([omega]))
             assert failures == {}
@@ -319,7 +371,7 @@ class TestResponse:
         # a drift that is not real inverts fine at +omega, but conj(R)
         # is then not R(-omega), and the mirrored residual says so
         gen = build_generator(defaults)
-        a, failures = drift_stack(gen.real[None])
+        a, failures = drift_stack(gen.real[None], gen.rates[None])
         assert failures == {}
         a = a[0]
         bad = a.astype(complex)
@@ -332,7 +384,7 @@ class TestResponse:
     def test_singular_refused(self):
         p = SystemParams(gamma0=0.0, p1=1, p2=1, delta1=-1.0)
         gen = build_generator(p)
-        a, failures = drift_stack(gen.real[None])
+        a, failures = drift_stack(gen.real[None], gen.rates[None])
         assert failures == {}
         _, _, failures = response_stack(a, np.array([0.0]))
         assert list(failures) == [0]

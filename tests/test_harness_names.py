@@ -39,7 +39,7 @@ def test_experiments_reexports():
 def test_one_point_views():
     p = SystemParams()
     report = oracle.cross_validate(p)
-    assert report.passed and len(report.checks) == 10
+    assert report.passed and len(report.checks) == 11
     assert list(inspect.signature(steady.solve_steady_state).parameters) \
         == ["gen", "params", "method"]
     gen = atom.build_generator(p)

@@ -78,7 +78,7 @@ def check_invariants(params, omega) -> bool:
            for row in rows):
         return False
     gen = build_generator(params)
-    a, failures = drift_stack(gen.real[None])
+    a, failures = drift_stack(gen.real[None], gen.rates[None])
     assert failures == {}
     _, _, failures = response_stack(a, np.array([omega]))
     assert failures == {}

@@ -428,9 +428,10 @@ class TestCrossValidate:
         d = diffusion_stack("einstein", gen.rates[None], rho[None])
         d_full = full_generator_diffusion(gen.matrix[None], rho[None])
         built = HERMITIAN_FRAME.conj().T @ gen.matrix @ HERMITIAN_FRAME
+        raw = state.raw
         reference = [
-            abs(np.trace(rho) - 1.0),
-            float(np.max(np.abs(rho - rho.conj().T))),
+            abs(np.trace(raw) - 1.0),
+            float(np.max(np.abs(raw - raw.conj().T))),
             max(0.0, -float(np.min(np.linalg.eigvalsh((rho + rho.conj().T)
                                                       / 2)))),
             float(np.max(np.abs(other.expectations - state.expectations))),
@@ -438,6 +439,7 @@ class TestCrossValidate:
             float(np.max(np.abs(d[0] - diffusion_matrix_channelwise(
                 gen.rates[None], rho[None])[0]))),
             float(np.max(np.abs(d_full[0] - d[0]))),
+            float(np.max(np.linalg.eig(a)[0].real)),
             float(np.max(np.abs(lyapunov_covariance(a, d_lin) - direct)))
             / max(float(np.max(np.abs(direct))), 1e-30),
             max(abs(c_out[0, 1] - c_out[1, 0] - 1.0),
@@ -453,7 +455,7 @@ class TestCrossValidate:
         points = battery_points()
         reports = [cross_validate(p) for p in points]
         monkeypatch.setattr(oracle, "lyapunov_covariance",
-                            lyapunov_bartels_stewart)
+                            lambda a, d, eig: lyapunov_bartels_stewart(a, d))
         for p, report in zip(points, reports):
             ref = cross_validate(p)
             assert report.passed and ref.passed
@@ -470,8 +472,8 @@ class TestCrossValidate:
         # the diffusion cannot fail; no diffusion is formed on a failed drift
         from doublelambda import fluctuations as fl
         drift, models = fl.drift_stack, []
-        monkeypatch.setattr(fl, "drift_stack", lambda real: (
-            drift(real)[0], {0: fl.ResponseError("drift_stack failed")}))
+        monkeypatch.setattr(fl, "drift_stack", lambda real, rates: (
+            drift(real, rates)[0], {0: fl.ResponseError("drift_stack failed")}))
         monkeypatch.setattr(fl, "diffusion_stack", lambda *a: models.append(a))
         with pytest.raises(fl.ResponseError, match="^drift_stack failed$"):
             cross_validate(defaults)
@@ -483,7 +485,9 @@ class TestCrossValidate:
         # full-generator Einstein relation no longer matches the rates route.
         # The state and drift follow the generator while D follows the rates,
         # so the Lyapunov covariance and the field commutators miss the
-        # channel's noise too; every other check passes.
+        # channel's noise too.  The long-time solve contracts L from the
+        # coefficients, which lack the channel, so the dual-method check
+        # sees it as well; every other check passes.
         from doublelambda import atom
         extra = 0.1 * atom.DISSIPATOR_BASIS[-1]
         gen = build_generator(defaults)
@@ -493,8 +497,52 @@ class TestCrossValidate:
         monkeypatch.setattr(oracle, "build_generator", lambda p: bad)
         report = cross_validate(defaults)
         assert [c.name for c in report.failures] == [
+            "steady-state dual-method agreement",
             "Einstein relation: full generator vs dissipator",
             "Lyapunov vs regression covariance", "commutator preservation"]
+
+    def test_unstable_drift_still_refused(self, defaults, monkeypatch):
+        # shifting the generator the drift reads by +0.5 pushes the slowest
+        # eigenvalue into the right half-plane; the rates still pass the
+        # sweep's certificate, and the battery stops at its failed check
+        from doublelambda import fluctuations as fl
+        drift, solves = fl.drift_stack, []
+        monkeypatch.setattr(fl, "drift_stack", lambda real, rates: drift(
+            real + 0.5 * np.eye(16), rates))
+        monkeypatch.setattr(oracle, "lyapunov_covariance",
+                            lambda *a: solves.append(a))
+        report = cross_validate(defaults)
+        assert [c.name for c in report.failures] == ["drift stability"]
+        assert report.checks[-1].name == "drift stability"
+        assert 0.4 < report.checks[-1].residual <= 0.5
+        assert solves == []
+
+    @pytest.mark.parametrize("check", ["trace", "hermiticity"])
+    def test_raw_state_checks_read_the_solve(self, defaults, monkeypatch,
+                                             check):
+        # the checks read the state as solved, not the final state made
+        # Hermitian with unit trace, on which neither could fail
+        solve = oracle.solve_steady_state
+        bump = np.zeros((4, 4))
+        bump[(0, 0) if check == "trace" else (0, 2)] = 1e-6
+
+        def perturbed(gen, params, method="auto"):
+            state = solve(gen, params, method)
+            return dataclasses.replace(state, raw=state.raw + bump)
+
+        monkeypatch.setattr(oracle, "solve_steady_state", perturbed)
+        report = cross_validate(defaults)
+        assert [c.name for c in report.failures] == [check]
+
+    def test_one_eig_per_battery(self, defaults, monkeypatch):
+        # the drift's one eigendecomposition serves "drift stability" and
+        # the Lyapunov solve
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: calls.append(a.shape) or eig(a))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a))
+        report = cross_validate(defaults)
+        assert report.passed and calls == [(15, 15)]
 
     def test_one_einstein_diffusion_per_battery(self, defaults, monkeypatch):
         from doublelambda import fluctuations as fl
@@ -509,7 +557,7 @@ class TestCrossValidate:
         report = cross_validate(defaults)
         payload = report.as_dict()
         assert payload["passed"] is True
-        assert len(payload["checks"]) == 10
+        assert len(payload["checks"]) == 11
         names = {c["name"] for c in payload["checks"]}
         assert "commutator preservation" in names
         assert "propagation: closed form vs RK4" in names

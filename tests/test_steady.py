@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from doublelambda import BASIS, SystemParams, steady
+from doublelambda import BASIS, SystemParams, atom, steady
 from doublelambda.atom import (build_generator, coefficient_stack,
-                               dissipator_stack, liouvillian_stack,
                                real_generator_stack)
-from doublelambda.experiments import SWEEP_SELECTORS, dephasing_spec
+from doublelambda.experiments import (SWEEP_SELECTORS, compute_point,
+                                      dephasing_spec)
 from doublelambda.params import ParamStack
 from doublelambda.steady import (absorption, solve_steady_state,
                                  _integrate_to_steady)
@@ -129,14 +129,13 @@ def test_integrate_to_steady_preserves_result(defaults):
 
 
 def generators(ps):
-    """(real generators, Liouvillians) of a ParamStack, as a sweep builds
-    them."""
+    """(real generators, Hamiltonian coefficients, rate coefficients) of a
+    ParamStack, as a sweep builds them: steady_state_stack's arguments."""
     h, r = coefficient_stack(ps)
-    return (real_generator_stack(h, r),
-            liouvillian_stack(h, dissipator_stack(r)))
+    return real_generator_stack(h, r), h, r
 
 
-def liouvillians(points):
+def generators_of(points):
     return generators(ParamStack.of(points))
 
 
@@ -144,12 +143,18 @@ def certified(real):
     return steady._bordered_stack(real)[1]
 
 
-def svd_route(real, lmats, method="auto"):
-    """steady_state_stack as it was before the bordered solve: a bound of 0
+def solve_stack(real, h, r, method="auto"):
+    """steady_state_stack's states, methods and failures."""
+    rhos, _, methods, failures = steady.steady_state_stack(real, h, r, method)
+    return rhos, methods, failures
+
+
+def svd_route(real, h, r, method="auto"):
+    """solve_stack as it was before the bordered solve: a bound of 0
     certifies nothing, so every point takes the SVD."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(steady, "BORDERED_KAPPA_MAX", 0.0)
-        return steady.steady_state_stack(real, lmats, method)
+        return solve_stack(real, h, r, method)
 
 
 NO_RATES = SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
@@ -176,8 +181,8 @@ class TestBorderedCertificate:
     @pytest.mark.parametrize("selector", SWEEP_SELECTORS)
     def test_figure_grids(self, selector, n0):
         ps = SWEEP_SELECTORS[selector](SystemParams(n0=n0)).param_stack()
-        real, lmats = generators(ps)
-        methods = svd_route(real, lmats)[1]
+        real, h, r = generators(ps)
+        methods = svd_route(real, h, r)[1]
         # exactly the points the SVD solves: fig4's dark point alone is not
         assert list(certified(real)) == [m == "null-space" for m in methods]
         assert methods.count("null-space") == len(ps) - (selector == "fig4")
@@ -185,19 +190,21 @@ class TestBorderedCertificate:
     @settings(max_examples=50, derandomize=True, deadline=None,
               database=None)
     @given(st.lists(ANY_POINT, min_size=1, max_size=6))
+    # a subnormal generator: the long-time integration keeps rho0
+    @example([NO_RATES.replace(omega42=0.0, delta1=2.225073858507e-311,
+                               g=0.0, a1_mean=0.0, a2_mean=0.0)])
     def test_certified_points_are_svd_null_space_points(self, points):
-        real, lmats = liouvillians(points)
-        methods = svd_route(real, lmats)[1]
+        real, h, r = generators_of(points)
+        methods = svd_route(real, h, r)[1]
         for k in np.flatnonzero(certified(real)):
             assert methods[k] == "null-space"
 
     @pytest.mark.parametrize("method", ["auto", "null-space"])
     def test_refused_points_keep_the_svd_route(self, method):
-        real, lmats = liouvillians([FIG4_DARK, NO_RATES, SystemParams()])
+        real, h, r = generators_of([FIG4_DARK, NO_RATES, SystemParams()])
         assert list(certified(real)) == [False, False, True]
-        rhos, methods, failures = steady.steady_state_stack(real, lmats,
-                                                            method)
-        ref_rhos, ref_methods, ref_failures = svd_route(real, lmats, method)
+        rhos, methods, failures = solve_stack(real, h, r, method)
+        ref_rhos, ref_methods, ref_failures = svd_route(real, h, r, method)
         np.testing.assert_array_equal(rhos[:2], ref_rhos[:2])
         assert methods[:2] == ref_methods[:2]
         assert {k: str(e) for k, e in failures.items()} == \
@@ -206,27 +213,29 @@ class TestBorderedCertificate:
             assert methods[:2] == ["long-time-integration"] * 2
             assert list(failures) == [1]
             # the integration's raw state has trace 1 - 0.62i
-            assert str(failures[1]).startswith("steady state trace deviates")
+            assert str(failures[1]) == (
+                "no dissipation (every rate is 0) and so no unique steady "
+                "state: steady state trace deviates from 1 by 6.16e-01")
         else:
             assert list(failures) == [0, 1]
-            assert all(str(e).startswith("null space degenerate (singular-"
-                                         "value ratio ") for e in
-                       failures.values())
+            assert str(failures[0]).startswith("null space degenerate "
+                                               "(singular-value ratio ")
+            assert str(failures[1]).startswith(
+                "no dissipation (every rate is 0) and so no unique steady "
+                "state: null space degenerate (singular-value ratio ")
 
     @pytest.mark.parametrize("method", ["auto", "null-space"])
     def test_singular_member_sends_only_itself_to_the_svd(self, method):
-        real, lmats = liouvillians([SystemParams(), FROZEN,
-                                    SystemParams(delta1=0.5)])
+        real, h, r = generators_of([SystemParams(), FROZEN,
+                                   SystemParams(delta1=0.5)])
         bordered = real.copy()
         bordered[:, steady.BORDERED_ROW] = steady.TRACE_ROW
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(bordered)  # the batch fails on FROZEN
         assert list(certified(real)) == [True, False, True]
-        rhos, methods, failures = steady.steady_state_stack(real, lmats,
-                                                            method)
-        for k in range(len(lmats)):
-            one = steady.steady_state_stack(real[k:k + 1], lmats[k:k + 1],
-                                            method)
+        rhos, methods, failures = solve_stack(real, h, r, method)
+        for k in range(len(real)):
+            one = solve_stack(real[k:k + 1], h[k:k + 1], r[k:k + 1], method)
             np.testing.assert_array_equal(rhos[k], one[0][0])
             assert methods[k] == one[1][0]
             assert str(failures.get(k)) == str(one[2].get(0))
@@ -247,39 +256,65 @@ class TestBorderedCertificate:
                           gamma0=0.0, gamma_phi=1.0, p1=0.0, delta1=0.0,
                           g=0.25, a1_mean=2.2250738585072014e-308,
                           a2_mean=0.0))
+    @example(SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                          gamma0=0.0, gamma_phi=1.0, p1=0.0, delta1=1.0,
+                          g=5e-324, a1_mean=1.0, a2_mean=0.0))
     def test_two_decoupled_blocks_never_certified(self, params):
         # nothing reaches level 3 or leaves it: the population it holds and
         # the steady state of levels 1, 2, 4 span a two-dimensional null space
-        real, lmats = liouvillians([params])
+        real, h, r = generators_of([params])
         assert not certified(real).any()
-        assert svd_route(real, lmats)[1] == ["long-time-integration"]
+        assert svd_route(real, h, r)[1] == ["long-time-integration"]
 
     def test_corrupted_row_refused_by_the_residual(self):
-        real, lmats = liouvillians([SystemParams()])
+        real, h, r = generators_of([SystemParams()])
         # the equation of <sigma_33>, which the bordered solve replaces
         real[0, steady.BORDERED_ROW, 0] += 1e-3
         assert certified(real).all()
-        _, methods, failures = steady.steady_state_stack(real, lmats)
+        _, methods, failures = solve_stack(real, h, r)
         assert methods == ["null-space"]
         assert str(failures[0]) == ("steady state residual 4.36e-04 exceeds "
                                     "1.0e-10")
 
-    def test_non_hermitian_raw_state_refused(self):
+    def test_non_hermitian_raw_state_refused(self, monkeypatch):
         # L = P - I, with P the projector onto vec(x) for a non-Hermitian x
-        # of unit trace, has x as its null space; L has no real generator,
-        # so a zero one, which certifies nothing, sends it to the SVD.  The
-        # raw state is checked: made Hermitian first, it would pass.  Only
+        # of unit trace, has x as its null space; L has no coefficients, so
+        # it stands in for the contraction, and no real generator, so a zero
+        # one, which certifies nothing, sends it to the SVD.  The raw state
+        # is checked: made Hermitian first, it would pass.  Only
         # "null-space" refuses it here: "auto" integrates such a state.
         x = np.diag([0.5, 0.0, 0.5, 0.0]).astype(complex)
         x[0, 2] = 0.3
         v = x.reshape(16)
         lmat = np.outer(v, v.conj()) / (v.conj() @ v) - np.eye(16)
-        rhos, methods, failures = steady.steady_state_stack(
-            np.zeros((1, 16, 16)), lmat[None], "null-space")
+        monkeypatch.setattr(atom, "liouvillian_stack",
+                            lambda h, d: lmat[None])
+        rhos, methods, failures = solve_stack(
+            np.zeros((1, 16, 16)), np.zeros((1, 6)), np.ones((1, 11)),
+            "null-space")
         assert methods == ["null-space"]
         assert str(failures[0]) == ("steady state not Hermitian, residual "
                                     "3.00e-01")
         assert np.linalg.eigvalsh(rhos[0]).min() >= -1e-10  # positive
+
+    def test_complex_l_contracted_for_uncertified_rows_alone(self,
+                                                            monkeypatch):
+        # fig4's dark point alone is not certified: L is contracted for its
+        # row, and equals build_generator's to the last bit
+        built = build_generator(FIG4_DARK).matrix
+        calls, contract = [], atom.liouvillian_stack
+        monkeypatch.setattr(atom, "liouvillian_stack", lambda h, d: (
+            calls.append(contract(h, d)) or calls[-1]))
+        real, h, r = generators_of([SystemParams(), FIG4_DARK,
+                                   SystemParams(delta1=0.5)])
+        _, methods, failures = solve_stack(real, h, r)
+        assert methods == ["null-space", "long-time-integration",
+                           "null-space"] and failures == {}
+        assert len(calls) == 1 and calls[0].shape == (1, 16, 16)
+        assert np.array_equal(calls[0][0], built)
+        # every row under long-time integration
+        solve_stack(real, h, r, "long-time-integration")
+        assert len(calls) == 2 and len(calls[1]) == 3
 
     def test_svd_state_failing_raw_checks_integrated(self):
         # valid, not certified, and its SVD state is 1.84e-10 from Hermitian
@@ -288,14 +323,34 @@ class TestBorderedCertificate:
                               gamma4=1.5, gamma0=1.0, p1=0.0, p2=0.0,
                               omega42=0.0, delta1=2.0, g=0.0, a1_mean=0.0,
                               a2_mean=0.0)
-        real, lmats = liouvillians([params])
+        real, h, r = generators_of([params])
         assert not certified(real).any()
-        rhos, methods, failures = steady.steady_state_stack(real, lmats)
+        rhos, methods, failures = solve_stack(real, h, r)
         assert (methods, failures) == (["long-time-integration"], {})
         np.testing.assert_allclose(rhos[0], np.diag([0.5, 0, 0.5, 0]),
                                    atol=1e-12)
-        _, methods, failures = steady.steady_state_stack(real, lmats,
-                                                         "null-space")
+        _, methods, failures = solve_stack(real, h, r, "null-space")
         assert methods == ["null-space"]
         assert str(failures[0]) == ("steady state not Hermitian, residual "
                                     "1.84e-10")
+
+
+class TestNoDissipation:
+    """With every rate 0, L = -i[H, .] keeps every function of H: the
+    steady state is not unique."""
+
+    def test_failure_names_the_missing_dissipation(self):
+        row = compute_point(NO_RATES)
+        assert row.error == (
+            "SteadyStateError: no dissipation (every rate is 0) and so no "
+            "unique steady state: steady state trace deviates from 1 by "
+            "6.16e-01")
+        with pytest.raises(steady.SteadyStateError, match="^no dissipation"):
+            solve(NO_RATES)
+
+    def test_undriven_point_stays_transparent(self):
+        # g = 0: the unpolarized initial state is already stationary
+        row = compute_point(FROZEN)
+        assert row.error == ""
+        assert row.method == "long-time-integration+dark-transparent"
+        assert row.v12 == 4.0
