@@ -268,6 +268,20 @@ class _Stack:
         return [x[keep] for x in arrays]
 
 
+def _underflowed_couplings(ps: ParamStack, h: np.ndarray) -> dict:
+    """{stack position: ValueError} of the points where a nonzero mean field
+    a_i meets a nonzero g but its coupling g·a_i (column 2 or 4 of the
+    Hamiltonian coefficients h) rounds to 0: the field then drives nothing,
+    and its absorption would read 0 where the weak-field limit is finite."""
+    failures = {}
+    for i, a, coupling in ((1, ps.a1_mean, h[:, 2]), (2, ps.a2_mean, h[:, 4])):
+        for k in np.flatnonzero((a > 0) & (ps.g > 0) & (coupling == 0)):
+            failures.setdefault(int(k), ValueError(
+                f"mean field a{i} = {a[k]:.3g} underflows its coupling: "
+                f"g·a{i} rounds to 0 (g = {ps.g[k]:.6g})"))
+    return failures
+
+
 def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
                     noise_model: str) -> dict:
     """The pipeline on every point of ps at every frequency of omegas, as
@@ -284,6 +298,7 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     h, r = atom.coefficient_stack(ps)
     real = atom.real_generator_stack(h, r)
     rho_all, _, methods, failures = steady_state_stack(real, h, r)
+    failures = {**failures, **_underflowed_couplings(ps, h)}
     real, r, rho = points.drop(failures, real, r, rho_all)
     activity = atom.dissipative_activity_stack(r, rho)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent

@@ -4,7 +4,8 @@ numpy alone.
 Scaling and squaring with diagonal Padé approximants of degree 3, 5, 7, 9
 or 13 [Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)].  Each matrix
 takes the lowest degree whose bound THETA covers its 1-norm; past the last
-bound it is halved s times into range and its approximant squared s times.
+bound it is halved s times into range (`squarings`) and its approximant
+squared s times.
 The stack is evaluated one degree at a time, so a stack costs a few batched
 products per degree present, not a Python loop over its matrices.
 """
@@ -69,6 +70,18 @@ def inv_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return inverse, norm_1(m) * norm_1(inverse)
 
 
+def squarings(norm: np.ndarray, n: int) -> np.ndarray:
+    """The fewest halvings s >= 0 that bring each 1-norm within THETA[-1].
+
+    s is capped at what any finite n x n matrix needs (its 1-norm is below
+    n 2^1024); an infinite norm gets the cap.
+    """
+    s_max = 1024 + math.ceil(math.log2(n / THETA[-1]))
+    with np.errstate(divide="ignore"):  # a zero norm needs no halving
+        s = np.ceil(np.log2(norm / THETA[-1]))
+    return np.clip(s, 0, s_max).astype(int)
+
+
 def _pade(a: np.ndarray, m: int) -> np.ndarray:
     """(V - U)^-1 (V + U) for a (K, n, n) stack, with U and V the odd and
     even parts of the degree-m numerator.
@@ -115,8 +128,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     s = np.zeros(len(x), dtype=int)
     big = finite & (level == len(DEGREES))
     if big.any():
-        s_max = 1024 + math.ceil(math.log2(x.shape[-1] / THETA[-1]))
-        s[big] = np.minimum(np.ceil(np.log2(norm[big] / THETA[-1])), s_max)
+        s[big] = squarings(norm[big], x.shape[-1])
         level[big] = len(DEGREES) - 1
         x = x.copy()
         x[big] *= np.ldexp(1.0, -s[big])[:, None, None]

@@ -123,7 +123,7 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
     matrices (the zero matrix with the source term, then the 16 unit
     matrices E_k without it); their images are the columns of the 17 x 17
     augmented step matrix, which is applied `slabs` times by repeated
-    squaring.  The step is built from f alone, never from the Kronecker
+    squaring.  The step is built from f alone, never from the Van Loan
     generator the closed form exponentiates, so the two routes share no code.
     """
     if slabs < 1:

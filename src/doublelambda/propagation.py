@@ -5,6 +5,9 @@ dv/dz = M(omega) v + xi(z, omega) after the atomic fluctuations are solved
 in the frequency domain and substituted into the field equations.  The
 covariance convention is <v_i(omega) v_j(omega')> = 2 pi delta(omega+omega')
 C_ij with vacuum inputs normalized to C_12 = C_34 = 1 (flux units).
+M and the noise are z-constant, so the covariance crosses the cell in
+closed form on 4 x 4 blocks: one 8 x 8 Van Loan exponential over a slice
+of the cell, doubled back to its length (propagate_stack).
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import numpy as np
 from .atom import FIELD_OPERATORS
 from . import fluctuations as fl
 from .fluctuations import FRAME
-from .matfuncs import expm
-from .params import (HERMITIAN_BASIS, HERMITIAN_FRAME, SPEED_OF_LIGHT,
-                     SystemParams)
+from .matfuncs import expm, norm_1, squarings
+from .params import SPEED_OF_LIGHT, SystemParams
 
-#: bound on the relative disagreement between the propagator block of the
-#: augmented exponential and the real form of kron(exp(L M), conj(exp(L M)))
+#: bound on the relative disagreement between the propagator carried with the
+#: noise integral and the direct exp(L M)
 SELF_CHECK_TOL = 1e-10
 
 #: bound on the relative residual of each adjoint-pairing guard
@@ -29,14 +31,6 @@ PAIRING_TOL = 1e-10
 
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
-
-#: column k is vec(F_k Pi): a paired covariance C (C Pi Hermitian) is
-#: PAIRED_FRAME x with real x = PAIRED_FRAME^H vec(C)
-PAIRED_FRAME = HERMITIAN_BASIS[:, :, FIELD_PAIR].reshape(16, 16).T
-#: row 4 a + b, column 16 k + l is Tr(F_k E_ab F_l) = (F_l F_k)[b, a], so
-#: 2 Re(vec(M) @ PAIRED_GENERATOR) is the real matrix of X -> M X + X M^H
-PAIRED_GENERATOR = np.einsum("lbc,kca->abkl", HERMITIAN_BASIS,
-                             HERMITIAN_BASIS).reshape(16, 256)
 
 #: 4 x 15 selector of the coherence sums sourcing the field equations, in
 #: FRAME coordinates: field k is driven by the transpose of -dH/dv_k,
@@ -147,25 +141,14 @@ def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
                             cell_length=params.cell_length, omega=omega)
 
 
-def input_covariance(kind: str = "vacuum", nbar: float = 0.0,
-                     omega: float = 0.0) -> FieldCovariance:
-    """Input covariance at z = 0.
+def input_covariance(*, omega: float = 0.0) -> FieldCovariance:
+    """The vacuum input covariance at z = 0 (C_12 = C_34 = 1).
 
-    Coherent displacement does not change the fluctuation covariance, so
-    "coherent" and "vacuum" coincide; "thermal" adds nbar to the occupation
-    of both modes.
+    A coherent displacement does not change the fluctuation covariance, so
+    this is also the covariance of the coherent pump inputs.
     """
     c = np.zeros((4, 4), dtype=complex)
     c[0, 1] = c[2, 3] = 1.0
-    if kind in ("vacuum", "coherent"):
-        pass
-    elif kind == "thermal":
-        if nbar < 0:
-            raise ValueError(f"thermal occupation must be >= 0, got {nbar}")
-        c[1, 0] = c[3, 2] = nbar
-        c[0, 1] = c[2, 3] = 1.0 + nbar
-    else:
-        raise ValueError(f"unknown input kind {kind!r}")
     return FieldCovariance(c=c, omega=omega)
 
 
@@ -173,16 +156,21 @@ def input_covariance(kind: str = "vacuum", nbar: float = 0.0,
 class PropagationResult:
     covariance: FieldCovariance
     converged: bool
-    residual: float  # relative Kronecker self-check residual
+    residual: float  # relative propagator self-check residual
     slabs: int = 0   # RK4 slabs integrated for this result (closed form: 0)
     warnings: tuple = field(default_factory=tuple)
+
+
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a (P, n, n) stack."""
+    return x.conj().transpose(0, 2, 1)
 
 
 def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
                       c_in: np.ndarray) -> dict:
     """{stack position: ValueError} naming the first broken pairing.
 
-    The real propagation reads only M; it holds when M(-omega) =
+    The propagation reads only M; it holds when M(-omega) =
     Pi conj(M(omega)) Pi and Nfield Pi and the input C Pi are Hermitian,
     each to PAIRING_TOL relative.
     """
@@ -192,7 +180,7 @@ def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
 
     def hermitian_residual(x):
         y = x[..., FIELD_PAIR]
-        return relative(y, y.conj().transpose(0, 2, 1))
+        return relative(y, _adjoint(y))
 
     failures = {}
     for name, resid in (
@@ -207,26 +195,6 @@ def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
     return failures
 
 
-def _per_point(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """vec(x_p) @ table for each point p of a stack, one vector-matrix
-    product per point, so no point's result depends on the stack."""
-    return (x.reshape(len(x), 1, len(table)) @ table)[:, 0]
-
-
-def _paired_generators(m: np.ndarray, nfield: np.ndarray) -> np.ndarray:
-    """(P, 17, 17) real Van Loan generators of dX/dz = M X + X M^H + Nfield Pi.
-
-    X = C Pi is Hermitian, so it propagates as its 16 real coordinates in
-    HERMITIAN_BASIS; the constant source rides in the last column.
-    """
-    n = len(m)
-    g = np.zeros((n, 17, 17))
-    g[:, :16, :16] = 2.0 * np.real(_per_point(m, PAIRED_GENERATOR)
-                                   ).reshape(n, 16, 16)
-    g[:, :16, 16] = np.real(_per_point(nfield, PAIRED_FRAME.conj()))
-    return g
-
-
 def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
                     lengths: np.ndarray, c_in: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
@@ -239,30 +207,44 @@ def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
     points whose adjoint pairing is broken or whose output is not finite.
 
     With M(-omega) = Pi conj(M) Pi, X = C Pi obeys dX/dz = M X + X M^H +
-    Nfield Pi and stays Hermitian, so one real 17 x 17 exponential carries
-    it; the output C = X Pi is paired by construction.  The propagator
-    block must equal the real form of kron(exp(L M), conj(exp(L M))).
+    Nfield Pi, so X(L) = E X(0) E^H + W with E = exp(L M) and the noise
+    integral W = int_0^L exp(z M) Nfield Pi exp(z M^H) dz.  Over a slice
+    h = L / 2^s, with s the fewest halvings that bring ||L G||_1 within
+    the last Pade bound, one 8 x 8 exponential of G = [[-M, Nfield Pi],
+    [0, M^H]] gives E_h = F22^H and W_h = E_h F12 [Van Loan, IEEE TAC 23,
+    395 (1978)]; s doublings W <- W + E W E^H, E <- E^2 carry them to the
+    cell, as the squarings of scaling and squaring do.  X is symmetrized,
+    so the output C = X Pi is paired by construction.  The doubled E must
+    equal the direct exp(L M).
     """
     n = len(m)
     c_in = np.broadcast_to(c_in, (n, 4, 4))
     failures = _pairing_failures(m, m_minus, nfield, c_in)
-    scaled = lengths[:, None, None]
+    g = np.zeros((n, 8, 8), dtype=complex)
+    g[:, :4, :4] = -m
+    g[:, :4, 4:] = nfield[..., FIELD_PAIR]
+    g[:, 4:, 4:] = _adjoint(m)
     # an overflowing point is named below, so its inf and NaN stay silent
     with np.errstate(over="ignore", invalid="ignore"):
-        e = expm(scaled * _paired_generators(m, nfield))
-        phi = e[:, :16, :16]
-        x_in = np.real(_per_point(c_in, PAIRED_FRAME.conj()))
-        x_out = (phi @ x_in[:, :, None])[..., 0] + e[:, :16, 16]
-        c_out = _per_point(x_out, PAIRED_FRAME.T).reshape(n, 4, 4)
-        ea = expm(scaled * m)
-        kron = (ea[:, :, None, :, None] * ea.conj()[:, None, :, None, :]
-                ).reshape(n, 16, 16)
-        kron = HERMITIAN_FRAME.conj().T @ kron @ HERMITIAN_FRAME
+        g *= lengths[:, None, None]
+        s = squarings(norm_1(g), 8)
+        g *= np.ldexp(1.0, -s)[:, None, None]  # h G, h = L / 2^s
+        f = expm(g)
+        e = _adjoint(f[:, 4:, 4:])
+        w = e @ f[:, :4, 4:]
+        for i in range(s.max(initial=0)):
+            sel = s > i
+            es = e[sel]
+            w[sel] += es @ w[sel] @ _adjoint(es)
+            e[sel] = es @ es
+        x = e @ c_in[..., FIELD_PAIR] @ _adjoint(e) + w
+        c_out = (0.5 * (x + _adjoint(x)))[..., FIELD_PAIR]
+        direct = expm(lengths[:, None, None] * m)
         # exp(L M) may underflow to zero in a strongly absorbing medium
-        scale = np.maximum(np.maximum(np.max(np.abs(phi), axis=(1, 2)),
-                                      np.max(np.abs(kron), axis=(1, 2))),
+        scale = np.maximum(np.maximum(np.max(np.abs(e), axis=(1, 2)),
+                                      np.max(np.abs(direct), axis=(1, 2))),
                            np.finfo(float).tiny)
-        residual = np.max(np.abs(phi - kron), axis=(1, 2)) / scale
+        residual = np.max(np.abs(e - direct), axis=(1, 2)) / scale
     # C grows like exp(2 L max Re eig(M)): past ~355 float64 overflows
     for k in np.flatnonzero(~np.all(np.isfinite(c_out), axis=(1, 2))):
         gain = np.max(np.linalg.eigvals(m[k]).real) * lengths[k]
@@ -276,7 +258,7 @@ def self_check_warnings(residual: float, converged: bool) -> tuple:
     """Row warnings of one propagation: empty, or the failed self-check."""
     if converged:
         return ()
-    return (f"closed-form propagation failed its self-check: Kronecker "
+    return (f"closed-form propagation failed its self-check: propagator "
             f"residual {residual:.2e} (tolerance {SELF_CHECK_TOL:.0e})",)
 
 
@@ -285,15 +267,13 @@ def propagate_covariance(setup: PropagationSetup,
     """Solve dC/dz = M C + C M(-omega)^T + Nfield over the cell in closed form.
 
     M and Nfield are z-constant because the mean fields are never depleted,
-    so exp(L G) of the augmented generator G carries both the propagator
-    (top-left block) and the accumulated noise (last column) [Van Loan,
-    IEEE TAC 23, 395 (1978)]; G is the real 17 x 17 generator of X = C Pi
-    (see propagate_stack).  The propagator block must equal the real form of
-    kron(exp(L M), conj(exp(L M))); a larger disagreement clears
-    `converged` and names the residual in `warnings`.  Raises ValueError,
-    naming the residual, when M(-omega), Nfield or the input breaks the
-    adjoint pairing, and naming the gain exponent when the output
-    covariance overflows.
+    so the covariance is an exponential propagator plus a noise integral,
+    both read off one Van Loan exponential (see propagate_stack).  The
+    doubled propagator must equal the direct exp(L M); a larger
+    disagreement clears `converged` and names the residual in `warnings`.
+    Raises ValueError, naming the residual, when M(-omega), Nfield or the
+    input breaks the adjoint pairing, and naming the gain exponent when the
+    output covariance overflows.
     """
     c_out, residual, converged, failures = propagate_stack(
         setup.m[None], setup.m_minus[None], setup.nfield[None],

@@ -3,6 +3,7 @@ import pytest
 
 from doublelambda import SystemParams
 from doublelambda import fluctuations as fl
+from doublelambda.propagation import FieldCovariance
 from doublelambda.atom import (JUMP_GROUPS, coefficient_stack,
                                dissipator_stack, liouvillian_stack)
 
@@ -21,6 +22,15 @@ def random_params(rng, with_fields=False) -> SystemParams:
         kw["a1_mean"] = rng.uniform(0.5, 2)
         kw["a2_mean"] = rng.uniform(0.5, 2)
     return SystemParams(**kw)
+
+
+def thermal_covariance(nbar, omega=0.0) -> FieldCovariance:
+    """A non-vacuum input: both modes thermally occupied with nbar quanta,
+    so C_21 = C_43 = nbar and C_12 = C_34 = 1 + nbar."""
+    c = np.zeros((4, 4), dtype=complex)
+    c[1, 0] = c[3, 2] = nbar
+    c[0, 1] = c[2, 3] = 1.0 + nbar
+    return FieldCovariance(c=c, omega=omega)
 
 
 def linearized(gen, state, params, noise_model="einstein"):

@@ -130,7 +130,7 @@ class TestCommands:
         assert len(rows) == 2
         for row in rows:
             assert len(row["warnings"]) == 1
-            assert "Kronecker residual" in row["warnings"][0]
+            assert "propagator residual" in row["warnings"][0]
 
     def test_failed_spectrum_replaces_the_previous_file(self, tmp_path,
                                                        capsys):

@@ -7,13 +7,15 @@ from scipy.linalg import expm
 from doublelambda import SystemParams
 from doublelambda import propagation as pr
 from doublelambda.atom import build_generator
+from doublelambda.experiments import detuning_spec
+from doublelambda.matfuncs import squarings
 from doublelambda.oracle import rk4_covariance
 from doublelambda.propagation import (SELF_CHECK_TOL, FieldCovariance,
                                       PropagationSetup, input_covariance,
                                       make_setup, propagate_covariance,
                                       propagate_stack)
 from doublelambda.steady import solve_steady_state
-from conftest import linearized, random_params
+from conftest import linearized, random_params, thermal_covariance
 
 
 def pipeline(params, noise_model="einstein", **kw):
@@ -88,34 +90,33 @@ class TestTransferMatrix:
         setup = pipeline(p)
         assert np.max(np.abs(setup.m)) < 1e-14
         assert np.max(np.abs(setup.nfield)) < 1e-14
-        cin = input_covariance("thermal", nbar=0.7)
+        cin = thermal_covariance(0.7)
         res = propagate_covariance(setup, cin)
         assert np.max(np.abs(res.covariance.c - cin.c)) < 1e-14
 
 
 class TestInputCovariance:
     def test_vacuum(self):
-        c = input_covariance("vacuum").c
+        c = input_covariance().c
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[2, 3] = 1.0
         assert np.array_equal(c, expected)
 
-    def test_coherent_equals_vacuum(self):
-        assert np.array_equal(input_covariance("coherent").c,
-                              input_covariance("vacuum").c)
+    def test_nonvacuum_helper_keeps_the_commutator(self):
+        # the non-vacuum input the propagation tests use: occupation nbar
+        # in both modes, canonical commutators, paired
+        c = thermal_covariance(2.0)
+        assert c.c[1, 0] == 2.0 and c.c[3, 2] == 2.0
+        assert c.commutator_blocks() == (1.0, 1.0)
+        assert c.pairing_residual() == 0.0
 
-    def test_thermal(self):
-        c = input_covariance("thermal", nbar=2.0).c
-        assert c[1, 0] == 2.0 and c[3, 2] == 2.0
-        assert c[0, 1] == 3.0 and c[2, 3] == 3.0
-
-    def test_negative_occupation_rejected(self):
-        with pytest.raises(ValueError):
-            input_covariance("thermal", nbar=-0.5)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            input_covariance("squeezed")
+    def test_frequency_is_the_only_argument(self):
+        # the input is the vacuum at every frequency; no kind is chosen
+        c = input_covariance(omega=0.5)
+        assert c.omega == 0.5
+        assert np.array_equal(c.c, input_covariance().c)
+        with pytest.raises(TypeError):
+            input_covariance("thermal")
 
 
 class TestPropagation:
@@ -131,7 +132,7 @@ class TestPropagation:
         for p in (defaults, defaults.replace(n0=3e19)):
             setup = pipeline(p, noise_model=noise_model, omega=omega)
             for cin in (input_covariance(omega=omega),
-                        input_covariance("thermal", nbar=0.4, omega=omega)):
+                        thermal_covariance(0.4, omega=omega)):
                 ref = complex_van_loan(setup, cin.c)
                 c = propagate_covariance(setup, cin).covariance.c
                 assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -140,21 +141,21 @@ class TestPropagation:
                                                    monkeypatch):
         def corrupted(x):
             e = expm(x)
-            if x.shape[-1] == 17:
-                e[..., 0, 5] += 1e-6 * np.max(np.abs(e))
+            if x.shape[-1] == 8:  # the Van Loan slice, not the direct one
+                e[..., 5, 6] += 1e-6 * np.max(np.abs(e))
             return e
 
         monkeypatch.setattr(pr, "expm", corrupted)
         res = propagate_covariance(pipeline(defaults), input_covariance())
         assert not res.converged
         assert res.residual > SELF_CHECK_TOL
-        assert "Kronecker residual" in res.warnings[0]
+        assert "propagator residual" in res.warnings[0]
 
     def test_trivial_generator_identity(self):
         setup = PropagationSetup(m=np.zeros((4, 4)),
                                  m_minus=np.zeros((4, 4)),
                                  nfield=np.zeros((4, 4)), cell_length=0.06)
-        cin = input_covariance("thermal", nbar=1.0)
+        cin = thermal_covariance(1.0)
         res = propagate_covariance(setup, cin)
         assert np.array_equal(res.covariance.c, cin.c)
 
@@ -175,7 +176,7 @@ class TestPropagation:
     def test_semigroup_over_half_cells(self, defaults):
         setup = pipeline(defaults, omega=0.5)
         half = replace(setup, cell_length=setup.cell_length / 2)
-        cin = input_covariance("thermal", nbar=0.3, omega=0.5)
+        cin = thermal_covariance(0.3, omega=0.5)
         full = propagate_covariance(setup, cin).covariance
         mid = propagate_covariance(half, cin).covariance
         twice = propagate_covariance(half, mid).covariance
@@ -255,6 +256,61 @@ class TestPropagation:
             rk4_covariance(pipeline(defaults), input_covariance(), slabs=0)
 
 
+def halvings_seen(monkeypatch):
+    """The halvings s of every propagate_stack call, as they are chosen."""
+    seen = []
+    monkeypatch.setattr(pr, "squarings",
+                        lambda *a: seen.append(squarings(*a)) or seen[-1])
+    return seen
+
+
+def stacked(setups, c_in):
+    return propagate_stack(np.stack([s.m for s in setups]),
+                           np.stack([s.m_minus for s in setups]),
+                           np.stack([s.nfield for s in setups]),
+                           np.array([s.cell_length for s in setups]), c_in)
+
+
+class TestDoubling:
+    """Thick media: the cell is halved into a Van Loan slice and the slice's
+    propagator and noise integral are doubled back to it."""
+
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    def test_thick_fig2_matches_complex_route(self, defaults, noise_model,
+                                              monkeypatch):
+        # every 10th fig2 point at n0 x 1e6 needs 5 to 7 halvings
+        spec = detuning_spec(defaults.replace(n0=defaults.n0 * 1e6))
+        setups = [pipeline(spec.base.replace(delta1=float(d)), noise_model)
+                  for d in spec.grid[::10]]
+        halvings = halvings_seen(monkeypatch)
+        cin = input_covariance().c
+        got = [propagate_covariance(s, input_covariance()) for s in setups]
+        assert all(h.tolist() in ([5], [6], [7]) for h in halvings)
+        assert len(halvings) == len(setups)
+        assert all(r.converged for r in got)
+        got = np.array([r.covariance.c for r in got])
+        ref = np.array([complex_van_loan(s, cin) for s in setups])
+        # measured: 1.5e-14 (einstein) and 1.1e-14 of each entry's maximum
+        column = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * column)
+
+    def test_mixed_halvings_match_each_row_alone(self, defaults,
+                                                 monkeypatch):
+        thin = [pipeline(defaults), pipeline(defaults, omega=0.5)]
+        thick = [pipeline(defaults.replace(n0=defaults.n0 * 1e6,
+                                           delta1=d)) for d in (-1.0, 3.9)]
+        setups = [thin[0], thick[0], thin[1], thick[1]]
+        halvings = halvings_seen(monkeypatch)
+        cin = input_covariance().c
+        c_out, residual, converged, failures = stacked(setups, cin)
+        assert failures == {} and converged.all()
+        assert halvings[0].tolist() == [0, 2, 0, 7]
+        for k, setup in enumerate(setups):
+            alone = stacked([setup], cin)
+            assert np.array_equal(c_out[k], alone[0][0])
+            assert residual[k] == alone[1][0]
+
+
 def break_m_minus(setup):
     m_minus = setup.m_minus.copy()
     m_minus[0, 2] += 1e-6 * np.max(np.abs(setup.m))
@@ -294,18 +350,14 @@ class TestPairingGuards:
         bad, cin_bad = breaker(good)
         cin = input_covariance(omega=0.5).c
         setups = (good, bad, good)
-        c_out, _, converged, failures = propagate_stack(
-            np.stack([s.m for s in setups]),
-            np.stack([s.m_minus for s in setups]),
-            np.stack([s.nfield for s in setups]),
-            np.array([s.cell_length for s in setups]),
-            np.stack([cin, cin_bad.c, cin]))
+        c_out, _, converged, failures = stacked(
+            setups, np.stack([cin, cin_bad.c, cin]))
         assert list(failures) == [1]
         assert isinstance(failures[1], ValueError)
         assert converged[0] and converged[2]
         assert np.array_equal(c_out[0], c_out[2])
 
     @pytest.mark.parametrize("cin", [input_covariance(),
-                                     input_covariance("thermal", nbar=0.7)])
+                                     thermal_covariance(0.7)])
     def test_vacuum_and_thermal_inputs_pass(self, defaults, cin):
         assert propagate_covariance(pipeline(defaults), cin).converged
