@@ -109,6 +109,12 @@ _ALL = np.concatenate([COHERENT_BASIS, DISSIPATOR_BASIS])
 REAL_BASIS = (HERMITIAN_FRAME.conj().T @ np.array(
     [_ALL[list(g)].sum(0) for g in HERMITIAN_GROUPS]) @ HERMITIAN_FRAME).real
 _LEADS = np.array([group[0] for group in HERMITIAN_GROUPS])
+#: the DISSIPATOR_BASIS entries of each rate group of HERMITIAN_GROUPS,
+#: radiative groups first, and each group's leading entry
+RATE_GROUPS = tuple(tuple(j - len(COHERENT_BASIS) for j in group)
+                    for group in HERMITIAN_GROUPS
+                    if group[0] >= len(COHERENT_BASIS))
+RATE_LEADS = np.array([group[0] for group in RATE_GROUPS])
 
 #: K_j = L_n^+ L_m for each DISSIPATOR_BASIS entry j = (group, m, n), as
 #: rows of vec(K_j^T) so that Tr(K_j rho) = JUMP_TRACES[j] @ vec(rho)
@@ -116,6 +122,10 @@ JUMP_TRACES = np.array([(ln.conj().T @ lm).T.reshape(16) for ops in JUMP_GROUPS
                         for lm in ops for ln in ops])
 #: leading DISSIPATOR_BASIS entries that belong to the two radiative groups
 RADIATIVE_ENTRIES = sum(len(ops) ** 2 for ops in JUMP_GROUPS[:2])
+#: row k, column g: Tr(K_j F_k) summed over the entries j of RATE_GROUPS[g],
+#: F_k of HERMITIAN_BASIS; real, as each group's sum of K_j is Hermitian
+ACTIVITY_TABLE = np.array([JUMP_TRACES[list(group)].sum(0) @ HERMITIAN_FRAME
+                           for group in RATE_GROUPS]).real.T
 
 
 def _hamiltonian_coefficients(params) -> np.ndarray:
@@ -216,14 +226,17 @@ def real_generator_stack(h: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _contract(np.concatenate([h, r], axis=1)[:, _LEADS], REAL_BASIS)
 
 
-def dissipative_activity_stack(rates: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """Total jump rate sum_j r_j Tr(K_j rho) of each (rates, state) pair.
+def dissipative_activity_stack(rates: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Total jump rate sum_j r_j Tr(K_j rho) of each pair of (P, 11) rate
+    coefficients and (P, 16) state coordinates x in HERMITIAN_BASIS, from
+    ACTIVITY_TABLE: the sum over the groups is elementwise, as a stacked
+    (P, 1, 9) @ (P, 9, 1) product's rows differ from one-row products.
 
     Zero (to tolerance) means the state is strictly dark: no channel fires,
     no photon is scattered, no Langevin noise is generated.
     """
-    traces = rhos.reshape(-1, 1, 16) @ JUMP_TRACES.T
-    return np.real(traces @ rates[:, :, None])[:, 0, 0]
+    traces = (coords[:, None, :] @ ACTIVITY_TABLE)[:, 0]
+    return (traces * rates[:, RATE_LEADS]).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -45,3 +45,9 @@ def duan_stack(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         failures.setdefault(k, exc)
     return du2, dv2, failures
 
+
+def variance_warnings(du2: float, dv2: float) -> tuple:
+    """A warning for each of a row's du2 and dv2 that is below 0: no
+    variance is, so the value is the rounding noise of a cancelling sum."""
+    return tuple(f"{name} = {value:.1e} below 0: rounding noise"
+                 for name, value in (("du2", du2), ("dv2", dv2)) if value < 0)

@@ -26,9 +26,9 @@ from . import atom
 from . import fluctuations as fl
 from . import propagation as pr
 from .atom import build_generator  # noqa: F401  (the benchmark reads it)
-from .entanglement import duan_stack
+from .entanglement import duan_stack, variance_warnings
 from .oracle import cross_validate
-from .params import BASIS, ParamStack, SystemParams
+from .params import BASIS, ParamStack, SystemParams, hermitian_coordinates
 from .steady import absorption, steady_state_stack
 
 DARK_ACTIVITY_TOL = 1e-12
@@ -268,18 +268,24 @@ class _Stack:
         return [x[keep] for x in arrays]
 
 
-def _underflowed_couplings(ps: ParamStack, h: np.ndarray) -> dict:
-    """{stack position: ValueError} of the points where a nonzero mean field
-    a_i meets a nonzero g but its coupling g·a_i (column 2 or 4 of the
-    Hamiltonian coefficients h) rounds to 0: the field then drives nothing,
-    and its absorption would read 0 where the weak-field limit is finite."""
-    failures = {}
+def _coupling_checks(ps: ParamStack, h: np.ndarray) -> tuple[dict, dict]:
+    """{stack position: ValueError} where a field's coupling g·a_i (column
+    2 or 4 of h) rounds to 0 from a nonzero a_i and g: the field drives
+    nothing, and its absorption would read 0, not its weak-field limit;
+    {stack position: warnings} where it is subnormal, as then are the
+    coherences the absorption divides by a_i."""
+    failures, warnings = {}, {}
     for i, a, coupling in ((1, ps.a1_mean, h[:, 2]), (2, ps.a2_mean, h[:, 4])):
         for k in np.flatnonzero((a > 0) & (ps.g > 0) & (coupling == 0)):
             failures.setdefault(int(k), ValueError(
                 f"mean field a{i} = {a[k]:.3g} underflows its coupling: "
                 f"g·a{i} rounds to 0 (g = {ps.g[k]:.6g})"))
-    return failures
+        for k in np.flatnonzero((coupling > 0)
+                                & (coupling < np.finfo(float).tiny)):
+            warnings[int(k)] = warnings.get(int(k), ()) + (
+                f"coupling g·a{i} = {coupling[k]:.2e} is subnormal: "
+                f"alpha{i} may have lost digits",)
+    return failures, warnings
 
 
 def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
@@ -289,29 +295,30 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     is the point ps[p] at omegas[k].
 
     The stages up to the frequency (coefficients -> steady state -> dark
-    check -> drift, field coupling and diffusion) run once per point;
-    response, transfer, propagation and Duan run on the rows of the live
-    points in stacks of at most STACK_ROWS rows, each of which gathers its
-    rows' a, b and d.
+    check -> drift, field coupling and diffusion, the last three from the
+    state coordinates x) run once per point; response, transfer,
+    propagation and Duan run on the rows of the live points in stacks of
+    at most STACK_ROWS rows, each of which gathers its rows' a, b and d.
     """
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
     real = atom.real_generator_stack(h, r)
     rho_all, _, methods, failures = steady_state_stack(real, h, r)
-    failures = {**failures, **_underflowed_couplings(ps, h)}
-    real, r, rho = points.drop(failures, real, r, rho_all)
-    activity = atom.dissipative_activity_stack(r, rho)
+    underflowed, subnormal = _coupling_checks(ps, h)
+    failures = {**failures, **underflowed}
+    real, r, x = points.drop(failures, real, r, hermitian_coordinates(rho_all))
+    activity = atom.dissipative_activity_stack(r, x)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
     dark[points.live] = activity < DARK_ACTIVITY_TOL
-    real, r, rho = points.drop(dict.fromkeys(np.flatnonzero(
-        dark[points.live])), real, r, rho)
+    real, r, x = points.drop(dict.fromkeys(np.flatnonzero(
+        dark[points.live])), real, r, x)
     a, failures = fl.drift_stack(real, r)
-    a, r, rho = points.drop(failures, a, r, rho)
-    b = fl.field_coupling_stack(ps.g[points.live], rho)
-    d = fl.diffusion_stack(noise_model, r, rho)
+    a, r, x = points.drop(failures, a, r, x)
+    b = fl.field_coupling_stack(ps.g[points.live], x)
+    d = fl.diffusion_stack(noise_model, r, x)
     # dropped before the row stages: kept alive, they raised the peak RSS of
     # a fig2 sweep by 0.9 MB and of a 128-frequency spectrum by 0.5 MB
-    del h, r, real, rho, activity
+    del h, r, real, x, activity
     point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
     omega = np.tile(omegas, len(ps))
     columns = _no_values(point.size)
@@ -338,6 +345,8 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
         columns["du2"][part.live], columns["dv2"][part.live] = u, v
         for i, res, ok in zip(part.live.tolist(), residual, converged):
             columns["warnings"][i] = pr.self_check_warnings(res, ok)
+        for k in np.flatnonzero((u < 0) | (v < 0)):
+            columns["warnings"][part.live[k]] += variance_warnings(u[k], v[k])
     columns["du2"][dark[point]] = columns["dv2"][dark[point]] = 2.0
     columns["v12"] = columns["du2"] + columns["dv2"]
     expectations = rho_all.transpose(0, 2, 1).reshape(len(ps), 16)
@@ -350,6 +359,9 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     columns["populations"][ok] = expectations[p][:, BASIS.diagonal].real
     columns["alpha1"][ok], columns["alpha2"][ok] = alphas[:, p]
     columns["method"][ok] = method[p]
+    for k, texts in subnormal.items():
+        for i in np.flatnonzero(ok & (point == k)):
+            columns["warnings"][i] += texts
     return columns
 
 

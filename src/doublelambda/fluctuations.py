@@ -10,16 +10,20 @@ follows from the generalized Einstein relation evaluated in the steady state,
 applied to the generator's dissipator alone: for a Hamiltonian generator
 L_H+(XY) = L_H+(X) Y + X L_H+(Y), so its part of the relation vanishes
 identically.
+
+The kernels read the state as its real coordinates x in HERMITIAN_BASIS:
+B is linear in x and D bilinear in x and the rates, so each is a real
+table built at import from its complex route.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atom import (FIELD_SUPEROPERATORS, JUMP_GROUPS, RADIATIVE_ENTRIES,
-                   dissipator_stack, gksl_defects)
+from .atom import (DISSIPATOR_BASIS, FIELD_SUPEROPERATORS, JUMP_GROUPS,
+                   RADIATIVE_ENTRIES, RATE_GROUPS, RATE_LEADS, gksl_defects)
 from .matfuncs import inv_stack
-from .params import BASIS, HERMITIAN_BASIS
+from .params import BASIS, HERMITIAN_BASIS, HERMITIAN_FRAME
 from .steady import AtomState
 
 
@@ -64,27 +68,32 @@ def drift_stack(real: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, dict]:
     return a, failures
 
 
-#: (vec rho) @ FIELD_COLUMNS.T gives entry 4 mu + k = -i[dH/dv_k, rho]_mu
-FIELD_COLUMNS = FIELD_SUPEROPERATORS.transpose(1, 0, 2).reshape(64, 16)
+#: row k: B at g = 1 in the state F_k of HERMITIAN_BASIS, as (re, im) pairs:
+#: the commutators -i[dH/dv, F_k] in index-swapped order (FRAME.conj())
+FIELD_TABLE = np.ascontiguousarray((FRAME.conj() @ FIELD_SUPEROPERATORS
+                                    @ HERMITIAN_FRAME).transpose(2, 1, 0)
+                                   ).view(float).reshape(16, 120)
 
 
-def field_coupling_stack(g: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """(P, 15, 4) field-drive columns for couplings g (P,) and states rhos.
+def field_coupling_stack(g: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """(P, 15, 4) field-drive columns for couplings g (P,) and the (P, 16)
+    state coordinates x in HERMITIAN_BASIS (rho = sum_k x_k F_k).
 
     The columns are (da1, da1+, da2, da2+).  The master equation is linear
     in each field amplitude, so each column is the exact derivative of the
     mean-field evolution map applied to the state; equivalently the
-    expectation of i[dH/dv_k, sigma_mu].
+    expectation of i[dH/dv_k, sigma_mu]: one product per point with
+    FIELD_TABLE.
     """
-    b_full = (rhos.reshape(-1, 1, 16) @ FIELD_COLUMNS.T).reshape(-1, 16, 4)
-    # b_full is in index-swapped order: FRAME @ BASIS.swap == FRAME.conj()
-    return FRAME.conj() @ (g[:, None, None] * b_full)
+    b = (coords[:, None, :] @ FIELD_TABLE).view(complex).reshape(-1, 15, 4)
+    return g[:, None, None] * b
 
 
 def diffusion_stack(noise_model: str, rates: np.ndarray,
-                    rhos: np.ndarray) -> np.ndarray:
+                    coords: np.ndarray) -> np.ndarray:
     """(P, 15, 15) diffusion matrices of the chosen noise model, in FRAME,
-    of the (P, 11) rate coefficients and the states rhos.
+    of the (P, 11) rate coefficients and the (P, 16) state coordinates x in
+    HERMITIAN_BASIS.
 
     Both apply the generalized Einstein relation in the steady state,
     2 D_[mu,nu] = <Ld(sigma_mu sigma_nu)> - <Ld(sigma_mu) sigma_nu>
@@ -97,37 +106,37 @@ def diffusion_stack(noise_model: str, rates: np.ndarray,
     radiative reservoir is quantized: the collisional lower-level channels
     contribute drift but no Langevin force, so the field commutators are not
     preserved exactly (the deficit is the dropped collisional noise).
+
+    D comes from the model's DIFFUSION_TABLES entry, by elementwise
+    operations only, so a point's D does not depend on the stack.
     """
     if noise_model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise_model!r}; "
                          f"expected one of {NOISE_MODELS}")
-    n = RADIATIVE_ENTRIES if noise_model == "vacuum-reservoir" else None
-    d_full = _einstein_diffusion(dissipator_stack(rates[:, :n]),
-                                 _state_products(rhos))
-    return FRAME @ d_full @ FRAME.T
+    groups, slots, order = DIFFUSION_TABLES[noise_model]
+    n = len(coords)
+    products = (rates[:, RATE_LEADS[:groups]].T[:, None]
+                * coords.T[None]).reshape(16 * groups, n)
+    acc = np.zeros((len(order), n))
+    for size, rows, coefs in slots:
+        acc[:size] += products[rows] * coefs
+    upper = np.ascontiguousarray(acc[order].T).view(complex)
+    d = np.empty((n, 15, 15), dtype=complex)
+    d[:, _UPPER[1], _UPPER[0]] = upper.conj()
+    d[:, _UPPER[0], _UPPER[1]] = upper  # the diagonal is real
+    return d
 
 
 #: row 16 mu + nu is vec(sigma_mu sigma_nu)
 PRODUCTS = np.einsum("mkl,nlj->mnkj", BASIS.sigmas, BASIS.sigmas).reshape(256, 16)
 
-# sigma_mu = |i><j| (mu = 4 i + j) is a unit matrix: (sigma_mu rho)^T has row
-# 4 q + i equal to rho[j, q], and (rho sigma_mu)^T row 4 j + q equal to
-# rho[q, i], for q = 0..3
-_MU = np.repeat(np.arange(16), 4)
-_Q = np.tile(np.arange(4), 16)
-_ROW_I = 4 * _Q + _MU // 4
-_ROW_J = 4 * (_MU % 4) + _Q
-
 
 def _state_products(rhos: np.ndarray) -> tuple:
     """vec(rho^T) as (P, 1, 16), and vec((sigma_mu rho)^T) and
-    vec((rho sigma_mu)^T) as rows mu of (P, 16, 16), by index gathers."""
+    vec((rho sigma_mu)^T) as rows mu of (P, 16, 16)."""
     n = len(rhos)
-    flat = rhos.reshape(n, 16)
-    y = np.zeros((n, 16, 16), dtype=rhos.dtype)
-    z = np.zeros((n, 16, 16), dtype=rhos.dtype)
-    y[:, _MU, _ROW_I] = flat[:, _ROW_J]
-    z[:, _MU, _ROW_J] = flat[:, _ROW_I]
+    y = (BASIS.sigmas @ rhos[:, None]).transpose(0, 1, 3, 2).reshape(n, 16, 16)
+    z = (rhos[:, None] @ BASIS.sigmas).transpose(0, 1, 3, 2).reshape(n, 16, 16)
     return rhos.transpose(0, 2, 1).reshape(n, 1, 16), y, z
 
 
@@ -151,6 +160,51 @@ def _einstein_diffusion(lmats: np.ndarray, products: tuple) -> np.ndarray:
     return t1
 
 
+#: the upper triangle of a 15 x 15 matrix: its (re, im) pairs are a
+#: Hermitian D's 120 + 105 independent real entries (and 15 zeros)
+_UPPER = np.triu_indices(15)
+
+
+def _diffusion_table(values: np.ndarray) -> tuple:
+    """(groups, slots, order) of a (16 * groups, 240) table: D's upper
+    triangle, as (re, im) pairs, over the products r_g x_k.  The outputs
+    are sorted by term count: slot s adds the s-th term (product row,
+    coefficient) of the `size` outputs that have one; order is each
+    output's sorted position."""
+    counts = np.count_nonzero(values, axis=0)
+    by_count = np.array(sorted(range(counts.size), key=lambda e: -counts[e]))
+    rows = np.nonzero(values.T)[1]  # each output's terms in turn
+    first = np.cumsum(counts) - counts  # each output's first term in rows
+    slots = []
+    for s in range(counts.max()):
+        outputs = by_count[counts[by_count] > s]
+        at = rows[first[outputs] + s]
+        slots.append((outputs.size, at, values[at, outputs, None]))
+    order = np.empty_like(by_count)
+    order[by_count] = np.arange(by_count.size)
+    return len(values) // 16, tuple(slots), order
+
+
+def _diffusion_tables() -> dict:
+    """Noise model -> its table: every rate group, or the radiative groups,
+    which come first.  The values are _einstein_diffusion on each group's
+    dissipator and each F_k, with the entries below 1e-12, the rounding
+    residue of zeros (every exact entry is >= 1/12), set to 0."""
+    products = _state_products(HERMITIAN_BASIS)
+    values = np.empty((16 * len(RATE_GROUPS), 2 * len(_UPPER[0])))
+    for i, group in enumerate(RATE_GROUPS):
+        lmats = np.repeat(DISSIPATOR_BASIS[list(group)].sum(0)[None], 16, 0)
+        d = FRAME @ _einstein_diffusion(lmats, products) @ FRAME.T
+        block = np.ascontiguousarray(d[:, _UPPER[0], _UPPER[1]]).view(float)
+        values[16 * i:16 * i + 16] = np.where(abs(block) < 1e-12, 0.0, block)
+    radiative = sum(g[-1] < RADIATIVE_ENTRIES for g in RATE_GROUPS)
+    return {"einstein": _diffusion_table(values),
+            "vacuum-reservoir": _diffusion_table(values[:16 * radiative])}
+
+
+DIFFUSION_TABLES = _diffusion_tables()
+
+
 #: block j, for each rate entry j = (group, m, n) in gen.rates order, maps
 #: vec(rho) to Tr(rho [L_n^+, sigma_mu][sigma_nu, L_m]) at [mu, nu], as rows
 #: vec(X^T) since Tr(rho X) = vec(X^T) . vec(rho); built from the jump
@@ -167,7 +221,7 @@ def diffusion_matrix_channelwise(rates: np.ndarray, rhos: np.ndarray) -> np.ndar
     For each dissipation pair (m, n) with rate G_mn the Einstein relation
     reduces to G_mn <[L_n^+, sigma_mu][sigma_nu, L_m]>; summed over the
     channels, with rates (P, 11) and states rhos (P, 4, 4), it must reproduce
-    the generator-sandwich route to machine precision.  Returns (P, 15, 15).
+    diffusion_stack's table route to machine precision.  Returns (P, 15, 15).
     """
     n = len(rhos)
     pairs = (rhos.reshape(n, 1, 16) @ CHANNEL_SANDWICHES.reshape(-1, 16).T

@@ -17,7 +17,8 @@ import numpy as np
 from . import fluctuations as fl
 from . import propagation as pr
 from .atom import Generator, build_generator
-from .params import BASIS, HERMITIAN_FRAME, SystemParams
+from .params import (BASIS, HERMITIAN_FRAME, SystemParams,
+                     hermitian_coordinates)
 from .steady import AtomState, solve_steady_state
 
 
@@ -279,13 +280,14 @@ def cross_validate(params: SystemParams) -> ValidationReport:
     record("real generator: tables vs complex build", float(np.max(np.abs(
         gen.real - built))) / max(float(np.max(np.abs(built))), 1e-30), 1e-12)
 
-    # d is the sandwich route, from the rates; no diffusion is formed on a
+    # d is the table route, from the rates; no diffusion is formed on a
     # failed drift
     a, failures = fl.drift_stack(gen.real[None], gen.rates[None])
     if failures:
         raise failures[0]
-    a, d = a[0], fl.diffusion_stack("einstein", gen.rates[None], rho[None])[0]
-    b = fl.field_coupling_stack(np.array([params.g]), rho[None])[0]
+    x = hermitian_coordinates(rho[None])
+    a, d = a[0], fl.diffusion_stack("einstein", gen.rates[None], x)[0]
+    b = fl.field_coupling_stack(np.array([params.g]), x)[0]
     d_channel = fl.diffusion_matrix_channelwise(gen.rates[None], rho[None])[0]
     record("Einstein-relation dual-path identity",
            float(np.max(np.abs(d - d_channel))), 1e-12)

@@ -219,3 +219,10 @@ HERMITIAN_BASIS = hermitian_basis()
 #: unitary whose column k is vec(F_k): x = HERMITIAN_FRAME^H vec(X) are the
 #: real coordinates of a Hermitian X
 HERMITIAN_FRAME = HERMITIAN_BASIS.reshape(16, 16).T
+
+
+def hermitian_coordinates(mats: np.ndarray) -> np.ndarray:
+    """(P, 16) real coordinates x = HERMITIAN_FRAME^H vec(X) of a (P, 4, 4)
+    stack of Hermitian matrices, X = sum_k x_k F_k; one product per matrix,
+    so a row is the same whatever the stack."""
+    return (mats.reshape(-1, 1, 16) @ HERMITIAN_FRAME.conj()).real[:, 0]

@@ -3,6 +3,7 @@ import pytest
 
 from doublelambda import SystemParams
 from doublelambda import fluctuations as fl
+from doublelambda.params import hermitian_coordinates
 from doublelambda.propagation import FieldCovariance
 from doublelambda.atom import (JUMP_GROUPS, coefficient_stack,
                                dissipator_stack, liouvillian_stack)
@@ -37,9 +38,10 @@ def linearized(gen, state, params, noise_model="einstein"):
     """Drift A, field-coupling columns B and diffusion D of one solved
     point, from the stack kernels; asserts that the drift did not fail."""
     a, failures = fl.drift_stack(gen.real[None], gen.rates[None])
-    d = fl.diffusion_stack(noise_model, gen.rates[None], state.rho[None])
+    x = hermitian_coordinates(state.rho[None])
+    d = fl.diffusion_stack(noise_model, gen.rates[None], x)
     assert failures == {}, failures
-    b = fl.field_coupling_stack(np.array([params.g]), state.rho[None])
+    b = fl.field_coupling_stack(np.array([params.g]), x)
     return a[0], b[0], d[0]
 
 

@@ -27,6 +27,7 @@ from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       compute_point, dephasing_spec,
                                       detuning_spec, run_sweep)
 from doublelambda.fluctuations import FRAME
+from doublelambda.params import hermitian_coordinates
 from doublelambda.oracle import (cross_validate, lyapunov_covariance,
                                  regression_covariance)
 from doublelambda.propagation import (input_covariance, make_setup,
@@ -95,7 +96,8 @@ def test_criterion_02_einstein_relation_identity():
         p = draw_params(rng)
         gen = build_generator(p)
         state = solve_steady_state(gen, p)
-        d1 = fl.diffusion_stack("einstein", gen.rates[None], state.rho[None])
+        d1 = fl.diffusion_stack("einstein", gen.rates[None],
+                               hermitian_coordinates(state.rho[None]))
         d2 = fl.diffusion_matrix_channelwise(gen.rates[None], state.rho[None])
         worst = max(worst, float(np.max(np.abs(d1[0] - d2[0]))))
     ok = worst < 1e-12

@@ -10,7 +10,8 @@ from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
                                dissipative_activity_stack,
                                jump_amplitudes_on_state)
 from doublelambda.fluctuations import FRAME, ROTATION
-from doublelambda.params import HERMITIAN_BASIS, HERMITIAN_FRAME
+from doublelambda.params import (HERMITIAN_BASIS, HERMITIAN_FRAME,
+                                hermitian_coordinates)
 from conftest import (field_coefficients, fields_liouvillian, random_params,
                       rate_groups)
 
@@ -277,7 +278,8 @@ def test_dissipative_activity_dark_vs_bright(defaults):
     dark[0, 0] = 1.0  # level 1 only: no decay, no exchange target population
     rates = np.stack([build_generator(defaults).rates,
                       build_generator(SystemParams(gamma0=0.0)).rates])
-    bright, quiet = dissipative_activity_stack(rates, np.stack([dark, dark]))
+    bright, quiet = dissipative_activity_stack(
+        rates, hermitian_coordinates(np.stack([dark, dark])))
     # level 1 populated: exchange 1->3 fires
     assert bright > 0
     assert quiet < 1e-15

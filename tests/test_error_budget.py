@@ -22,7 +22,8 @@ from doublelambda.fluctuations import (CHANNEL_SANDWICHES, FRAME,
                                        diffusion_stack, drift_stack,
                                        response_stack)
 from doublelambda.matfuncs import inv_stack
-from doublelambda.params import HERMITIAN_FRAME, ParamStack, SystemParams
+from doublelambda.params import (HERMITIAN_FRAME, ParamStack, SystemParams,
+                                hermitian_coordinates)
 from conftest import full_generator_diffusion
 
 mpmath = pytest.importorskip(
@@ -192,9 +193,9 @@ def exact_diffusion(rates, x):
 
 #: the budget of D, relative to the exact D's largest entry, from the
 #: pipeline's state and (formation alone) from the exact state rounded to
-#: double.  Worst over the four points, rates (full L): 2.7e-13 (2.7e-13)
-#: at fig4-next-to-dark, set by the state; formed from the exact state,
-#: 5.1e-16 (2.5e-16)
+#: double.  Worst over the four points, table route (full L): 2.7e-13
+#: (2.7e-13) at fig4-next-to-dark, set by the state; formed from the exact
+#: state, 3.8e-16 (2.5e-16)
 DIFFUSION_BUDGET = (1e-12, 1e-15)
 
 
@@ -208,7 +209,8 @@ def test_rates_diffusion_within_budget_and_no_worse_than_full_l(name):
     assert failures == {}
     rounded = np.array([complex(v) for v in x]).reshape(1, 4, 4)
     for state, budget in zip((rho, rounded), DIFFUSION_BUDGET):
-        d = diffusion_stack("einstein", rates[None], state)[0]
+        d = diffusion_stack("einstein", rates[None],
+                            hermitian_coordinates(state))[0]
         error = forward_error(d, ref)
         assert error <= budget
         if state is rho:

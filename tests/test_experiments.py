@@ -197,6 +197,48 @@ class TestSubnormalField:
         assert [bool(r.error) for r in rows] == [False, True, False]
         assert "underflows its coupling" in rows[1].error
 
+    def test_subnormal_coupling_warns_by_name(self, defaults):
+        # at a = 2^-1060 alpha is off by 22 %; the row stays ok and says so
+        a = 2.0 ** -1060
+        both = compute_point(defaults.replace(a1_mean=a, a2_mean=a))
+        second = compute_point(defaults.replace(a2_mean=a))
+        assert not both.error and not second.error
+        coupling = f"{defaults.g * a:.2e}"
+        assert both.warnings == tuple(
+            f"coupling g·a{i} = {coupling} is subnormal: alpha{i} may have "
+            "lost digits" for i in (1, 2))
+        assert second.warnings == both.warnings[1:]
+        # the smallest normal coupling does not warn, nor does a field that
+        # is off
+        tiny = np.finfo(float).tiny
+        for p in (defaults.replace(a1_mean=2.0 * tiny / defaults.g),
+                  defaults.replace(a2_mean=0.0)):
+            assert compute_point(p).warnings == ()
+
+
+class TestNegativeVariance:
+    def test_text(self):
+        from doublelambda.entanglement import variance_warnings
+        assert variance_warnings(2.0, -1.1e28) == (
+            "dv2 = -1.1e+28 below 0: rounding noise",)
+        assert len(variance_warnings(-1.0, -2.0)) == 2
+        assert variance_warnings(0.0, 2.0) == ()
+
+    @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
+    def test_thick_fig2_rows_warn_where_a_variance_is_negative(
+            self, defaults, noise_model):
+        # at n0 x 1e6 dv2 is rounding noise of a cancelling sum, below 0 in
+        # about 40 % of the rows; those rows stay ok and say so
+        spec = detuning_spec(defaults.replace(n0=defaults.n0 * 1e6),
+                             noise_model=noise_model)
+        columns = run_sweep(spec).columns
+        assert not any(columns["error"])
+        negative = (columns["du2"] < 0) | (columns["dv2"] < 0)
+        assert negative.sum() > 20
+        warned = np.array([any("below 0: rounding noise" in w for w in ws)
+                           for ws in columns["warnings"]])
+        assert np.array_equal(warned, negative)
+
 
 def _column(rows, name, k=None):
     values = [getattr(r, name) for r in rows]
@@ -465,23 +507,41 @@ def test_fig2_sweep_takes_no_eigenvalues_and_no_complex_l(defaults,
 
 
 @pytest.mark.parametrize("noise_model", ["einstein", "vacuum-reservoir"])
-def test_sweep_stack_diffusion_reads_the_dissipators(defaults, monkeypatch,
-                                                     noise_model):
-    # one Einstein relation per stack, on the dissipators of the live
-    # points' rates (the radiative entries alone under vacuum-reservoir):
-    # no Hamiltonian part reaches it.  fig4's first point is dark.
+def test_sweep_stack_diffusion_reads_the_tables(defaults, monkeypatch,
+                                                noise_model):
+    # the point stages read the steady solve's real coordinates: no state
+    # product and no Einstein relation runs in a stack, and the table D of
+    # the live points is the relation on the dissipators of their rates
+    # (the radiative entries alone under vacuum-reservoir), so no
+    # Hamiltonian part reaches it.  fig4's first point is dark.
     from doublelambda import atom
     from doublelambda import fluctuations as fl
-    calls, einstein = [], fl._einstein_diffusion
-    monkeypatch.setattr(fl, "_einstein_diffusion", lambda lmats, products: (
-        calls.append(lmats) or einstein(lmats, products)))
-    spec = dephasing_spec(defaults, points=9, noise_model=noise_model)
-    result = run_sweep(spec)
-    assert not any(result.columns["error"])
-    rates = atom.coefficient_stack(spec.param_stack())[1]
+    from doublelambda.experiments import _evaluate_stack
+    from doublelambda.params import HERMITIAN_FRAME
+    einstein, products, stack = (fl._einstein_diffusion, fl._state_products,
+                                 fl.diffusion_stack)
+
+    def refuse(*args):
+        raise AssertionError("a stack formed a complex state product")
+
+    calls = []
+    monkeypatch.setattr(fl, "_einstein_diffusion", refuse)
+    monkeypatch.setattr(fl, "_state_products", refuse)
+    monkeypatch.setattr(fl, "diffusion_stack", lambda *args: (
+        calls.append(args) or stack(*args)))
+    ps = dephasing_spec(defaults, points=9,
+                        noise_model=noise_model).param_stack()
+    columns = _evaluate_stack(ps, np.zeros(1), noise_model)
+    assert not any(columns["error"])
+    (model, rates, x), = calls
+    assert model == noise_model
+    assert np.array_equal(rates, atom.coefficient_stack(ps)[1][1:])
     n = atom.RADIATIVE_ENTRIES if noise_model == "vacuum-reservoir" else 11
-    assert len(calls) == 1
-    assert np.array_equal(calls[0], atom.dissipator_stack(rates[1:, :n]))
+    rhos = (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4)
+    ref = fl.FRAME @ einstein(atom.dissipator_stack(rates[:, :n]),
+                              products(rhos)) @ fl.FRAME.T
+    d = stack(model, rates, x)
+    assert np.max(np.abs(d - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):

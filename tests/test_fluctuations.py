@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from doublelambda import BASIS, SystemParams
-from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
+from doublelambda.atom import (ACTIVITY_TABLE, COHERENT_BASIS,
+                               DISSIPATOR_BASIS, FIELD_OPERATORS, JUMP_TRACES,
                                RADIATIVE_ENTRIES, build_generator,
-                               coefficient_stack, dissipator_stack,
-                               gksl_defects, liouvillian_stack,
-                               real_generator_stack)
+                               coefficient_stack, dissipative_activity_stack,
+                               dissipator_stack, gksl_defects,
+                               liouvillian_stack, real_generator_stack)
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
                                       dephasing_spec, detuning_spec)
-from doublelambda.fluctuations import (FRAME, ResponseError,
+from doublelambda.fluctuations import (DIFFUSION_TABLES, FIELD_TABLE, FRAME,
+                                       NOISE_MODELS, ResponseError,
                                        _einstein_diffusion, _state_products,
                                        diffusion_matrix_channelwise,
                                        diffusion_stack, drift_stack,
                                        equal_time_covariance,
                                        field_coupling_stack, response_stack)
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
-from doublelambda.params import HERMITIAN_FRAME, ParamStack
-from doublelambda.steady import solve_steady_state
+from doublelambda.params import (HERMITIAN_FRAME, ParamStack,
+                                hermitian_coordinates)
+from doublelambda.steady import solve_steady_state, steady_state_stack
 from conftest import fields_liouvillian, linearized, random_params
 
 
@@ -26,6 +31,12 @@ def prepare(params):
     gen = build_generator(params)
     state = solve_steady_state(gen, params)
     return gen, state
+
+
+def coords(rho):
+    """The (1, 16) coordinates of one state, as the kernels read them."""
+    return hermitian_coordinates(rho[None])
+
 
 def reference_points(draws: int):
     """The reference point, the stressed point (n0 x1000) and seeded draws."""
@@ -171,7 +182,7 @@ class TestFieldCoupling:
     def test_zero_without_coupling(self):
         p = SystemParams(g=0.0, gamma0=0.2)
         _, state = prepare(p)
-        b = field_coupling_stack(np.array([p.g]), state.rho[None])
+        b = field_coupling_stack(np.array([p.g]), coords(state.rho))
         assert np.max(np.abs(b)) == 0.0
 
     def test_ground_state_pathways(self, defaults):
@@ -179,7 +190,7 @@ class TestFieldCoupling:
         # level-1 optical coherences, with magnitude g
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        b = field_coupling_stack(np.array([defaults.g]), rho[None])[0]
+        b = field_coupling_stack(np.array([defaults.g]), coords(rho))[0]
         col = FRAME.conj().T @ b[:, 0]  # back to 16-dim coordinates
         nonzero = {mu for mu in range(16) if abs(col[mu]) > 1e-14}
         assert nonzero == {BASIS.index(1, 4), BASIS.index(1, 2)}
@@ -192,7 +203,7 @@ class TestFieldCoupling:
         for _ in range(5):
             p = random_params(rng, with_fields=True)
             _, state = prepare(p)
-            b = field_coupling_stack(np.array([p.g]), state.rho[None])[0]
+            b = field_coupling_stack(np.array([p.g]), coords(state.rho))[0]
             s_full = state.expectations
             h = 1e-6
             v0 = np.array([p.a1_mean, p.a1_mean, p.a2_mean, p.a2_mean],
@@ -210,7 +221,7 @@ class TestFieldCoupling:
     def test_adjoint_pairing(self, rng):
         p = random_params(rng, with_fields=True)
         _, state = prepare(p)
-        b = field_coupling_stack(np.array([p.g]), state.rho[None])[0]
+        b = field_coupling_stack(np.array([p.g]), coords(state.rho))[0]
         b16 = FRAME.conj().T @ b
         paired = b16[BASIS.pair][:, [1, 0, 3, 2]].conj()
         assert np.max(np.abs(b16 - paired)) < 1e-12
@@ -232,7 +243,7 @@ class TestDiffusion:
         p = SystemParams(gamma1=0, gamma2=0, gamma3=0, gamma4=0, gamma0=0)
         gen = build_generator(p)
         rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
-        d = diffusion_stack("einstein", gen.rates[None], rho[None])
+        d = diffusion_stack("einstein", gen.rates[None], coords(rho))
         assert np.max(np.abs(d)) < 1e-12
 
     def test_two_level_hand_value(self):
@@ -241,7 +252,7 @@ class TestDiffusion:
                          g=0.0)
         gen = build_generator(p)
         rho = np.diag([0.7, 0.3, 0.0, 0.0]).astype(complex)
-        d = diffusion_stack("einstein", gen.rates[None], rho[None])
+        d = diffusion_stack("einstein", gen.rates[None], coords(rho))
         d16 = FRAME.conj().T @ d[0] @ FRAME.conj()
         mu = BASIS.index(1, 2)
         nu = BASIS.index(2, 1)
@@ -252,7 +263,7 @@ class TestDiffusion:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d1 = diffusion_stack("einstein", gen.rates[None], state.rho[None])
+            d1 = diffusion_stack("einstein", gen.rates[None], coords(state.rho))
             d2 = diffusion_matrix_channelwise(gen.rates[None], state.rho[None])
             assert np.max(np.abs(d1[0] - d2[0])) < 1e-12
 
@@ -261,7 +272,7 @@ class TestDiffusion:
         for _ in range(10):
             p = random_params(rng, with_fields=True)
             gen, state = prepare(p)
-            d = diffusion_stack("einstein", gen.rates[None], state.rho[None])
+            d = diffusion_stack("einstein", gen.rates[None], coords(state.rho))
             d2 = 2 * d[0]
             assert np.max(np.abs(d2 - d2.conj().T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(d2)) > -1e-10
@@ -285,7 +296,7 @@ class TestDiffusion:
 
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
-        stacks = (gen.rates[None], state.rho[None])
+        stacks = (gen.rates[None], coords(state.rho))
         d_full = diffusion_stack("einstein", *stacks)
         d_se = diffusion_stack("vacuum-reservoir", *stacks)
         # dropping channels must change the diffusion (collisions carry noise)
@@ -298,8 +309,105 @@ class TestDiffusion:
             radiative[RADIATIVE_ENTRIES:] = 0.0
             d_cw = diffusion_matrix_channelwise(radiative[None], state.rho[None])[0]
             d_se = diffusion_stack("vacuum-reservoir", gen.rates[None],
-                                   state.rho[None])
+                                   coords(state.rho))
             assert np.max(np.abs(d_se[0] - d_cw)) < 1e-12
+
+
+SUBNORMAL = np.finfo(float).smallest_subnormal
+#: a rate coefficient's source: 0, subnormal, tiny or of order 1
+TABLE_RATE = (st.just(0.0) | st.floats(SUBNORMAL, np.finfo(float).tiny)
+              | st.floats(1e-300, 1e-3) | st.floats(0, 2))
+ALIGNMENT = st.just(-1.0) | st.just(1.0) | st.floats(-1, 1)
+#: the comparison floor of a table against its complex route where every
+#: rate is subnormal: D's entries then have few digits, and the two routes
+#: round differently in their last subnormal spacings
+TABLE_FLOOR = 1024 * SUBNORMAL
+
+
+@st.composite
+def rates_coupling_and_state(draw):
+    """(11,) rate coefficients of a valid point, a coupling g and a random
+    density matrix m m^H / Tr, of rank 1 to 4."""
+    params = SystemParams(
+        **{name: draw(TABLE_RATE) for name in (
+            "gamma1", "gamma2", "gamma3", "gamma4", "gamma0", "gamma_phi")},
+        p1=draw(ALIGNMENT), p2=draw(ALIGNMENT))
+    entries = draw(st.lists(st.floats(-1, 1), min_size=32, max_size=32))
+    m = np.array(entries[:16]) + 1j * np.array(entries[16:])
+    m = m.reshape(4, 4)
+    m[:, draw(st.integers(1, 4)):] = 0.0
+    rho = m @ m.conj().T
+    assume(rho.trace().real > 1e-3)
+    return coefficient_stack(params)[1], draw(TABLE_RATE), rho / rho.trace()
+
+
+def close_to(x, ref, rtol=1e-13) -> bool:
+    """x within rtol of ref's largest magnitude, above TABLE_FLOOR."""
+    return bool(np.max(np.abs(x - ref))
+                <= rtol * np.max(np.abs(ref)) + TABLE_FLOOR)
+
+
+class TestTables:
+    """D, B and the activity read the state's real coordinates through
+    fixed real tables, built at import from the complex routes."""
+
+    def test_tables_are_real_float64(self):
+        assert FIELD_TABLE.dtype == ACTIVITY_TABLE.dtype == np.float64
+        for model, groups in zip(NOISE_MODELS, (9, 6)):
+            # every rate group, or the six radiative ones
+            table_groups, slots, order = DIFFUSION_TABLES[model]
+            assert table_groups == groups and sorted(order) == list(range(240))
+            for size, rows, coefs in slots:
+                assert coefs.dtype == np.float64 and coefs.shape == (size, 1)
+                assert rows.max() < 16 * groups
+        # of the 144 x 240 and 96 x 240 entries, 737 and 505 are nonzero
+        assert [sum(size for size, _, _ in DIFFUSION_TABLES[m][1])
+                for m in NOISE_MODELS] == [737, 505]
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(rates_coupling_and_state())
+    def test_tables_equal_the_complex_routes(self, case):
+        rates, g, rho = case
+        x = coords(rho)
+        for model, n in zip(NOISE_MODELS, (len(rates), RADIATIVE_ENTRIES)):
+            kept = np.where(np.arange(len(rates)) < n, rates, 0.0)[None]
+            d = diffusion_stack(model, rates[None], x)
+            einstein = FRAME @ _einstein_diffusion(
+                dissipator_stack(kept), _state_products(rho[None])) @ FRAME.T
+            assert close_to(d, einstein), model
+            assert close_to(d, diffusion_matrix_channelwise(kept, rho[None])), \
+                model
+        # B: g times the commutators -i[dH/dv_k, rho], in FRAME
+        commutators = np.stack([(-1j * (h @ rho - rho @ h)).reshape(16)
+                                for h in FIELD_OPERATORS], axis=1)
+        b = field_coupling_stack(np.array([g]), x)[0]
+        assert close_to(b, g * (FRAME.conj() @ commutators))
+        activity = dissipative_activity_stack(rates[None], x)[0]
+        assert close_to(activity, np.real(JUMP_TRACES @ rho.reshape(16)
+                                          @ rates))
+
+    def test_kernels_match_one_point_calls_bit_for_bit(self):
+        # every table operation is elementwise or one product per point, so
+        # a point's D, B and activity do not depend on the stack around it.
+        # Mutation: accumulating D by one dense GEMM of the products with
+        # the table, in place of the term slots, fails this.
+        ps = detuning_spec(SystemParams()).param_stack()[:64]
+        h, r = coefficient_stack(ps)
+        rhos, _, _, failures = steady_state_stack(
+            real_generator_stack(h, r), h, r)
+        assert failures == {}
+        x = hermitian_coordinates(rhos)
+
+        def kernels(k):
+            return [dissipative_activity_stack(r[k], x[k]),
+                    field_coupling_stack(ps.g[k], x[k])] + [
+                diffusion_stack(model, r[k], x[k]) for model in NOISE_MODELS]
+
+        stacked = kernels(slice(None))
+        for k in range(len(ps)):
+            for whole, alone in zip(stacked, kernels(slice(k, k + 1))):
+                assert np.array_equal(whole[k:k + 1], alone)
 
 
 class TestResponse:

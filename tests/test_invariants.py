@@ -26,6 +26,7 @@ from doublelambda.fluctuations import (NOISE_MODELS,
                                        diffusion_matrix_channelwise,
                                        diffusion_stack, drift_stack,
                                        response_stack)
+from doublelambda.params import hermitian_coordinates
 from doublelambda.propagation import (input_covariance, make_setup,
                                       propagate_covariance)
 from doublelambda.steady import solve_steady_state
@@ -143,7 +144,7 @@ def test_einstein_dual_path_identity(params):
     # from the jump operators alone
     gen = build_generator(params)
     rho = solve_steady_state(gen, params).rho[None]
-    d = diffusion_stack("einstein", gen.rates[None], rho)
+    d = diffusion_stack("einstein", gen.rates[None], hermitian_coordinates(rho))
     d_channel = diffusion_matrix_channelwise(gen.rates[None], rho)
     assert np.max(np.abs(d - d_channel)) <= 1e-12
 

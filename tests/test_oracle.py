@@ -18,7 +18,7 @@ from doublelambda.fluctuations import (FRAME, NOISE_MODELS,
 from doublelambda.oracle import (OracleError, cross_validate,
                                  lyapunov_covariance, regression_covariance,
                                  rk4_covariance, time_evolve)
-from doublelambda.params import HERMITIAN_FRAME
+from doublelambda.params import HERMITIAN_FRAME, hermitian_coordinates
 from doublelambda.steady import AtomState, solve_steady_state
 from conftest import (full_generator_diffusion, linearized, random_params,
                       rate_groups)
@@ -425,7 +425,8 @@ class TestCrossValidate:
         setup = pr.make_setup(a, b, d_lin, p)
         c_in = pr.input_covariance()
         c_out = pr.propagate_covariance(setup, c_in).covariance.c
-        d = diffusion_stack("einstein", gen.rates[None], rho[None])
+        d = diffusion_stack("einstein", gen.rates[None],
+                            hermitian_coordinates(rho[None]))
         d_full = full_generator_diffusion(gen.matrix[None], rho[None])
         built = HERMITIAN_FRAME.conj().T @ gen.matrix @ HERMITIAN_FRAME
         raw = state.raw
