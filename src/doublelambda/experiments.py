@@ -303,7 +303,7 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
     real = atom.real_generator_stack(h, r)
-    rho_all, _, methods, failures = steady_state_stack(real, h, r)
+    rho_all, _, methods, failures, binv = steady_state_stack(real, h, r)
     underflowed, subnormal = _coupling_checks(ps, h)
     failures = {**failures, **underflowed}
     real, r, x = points.drop(failures, real, r, hermitian_coordinates(rho_all))
@@ -329,10 +329,10 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     chi, scale = np.stack([ps.chi1, ps.chi2], 1), fl.noise_scale(ps)
     for start in range(0, live.size, STACK_ROWS):
         part = _Stack(live[start:start + STACK_ROWS], columns["error"])
-        p = point[part.live]
+        p, w = point[part.live], omega[part.live]
         m, m_minus, nfield, failures = pr.transfer_stack(
-            a[at[p]], b[at[p]], d[at[p]], omega[part.live], chi[p],
-            ps.cell_length[p], scale[p])
+            a[at[p]], b[at[p]], d[at[p]], w, chi[p], ps.cell_length[p],
+            scale[p], binv[p[w == 0]])  # of the rows at 0 only
         m, m_minus, nfield, length = part.drop(failures, m, m_minus, nfield,
                                                ps.cell_length[p])
         c_out, residual, converged, failures = pr.propagate_stack(
@@ -602,7 +602,7 @@ def calibrate_coupling(base: Optional[SystemParams] = None,
 
     def objective(g: float) -> float:
         h[0, 2:] = g * a1, g * a1, g * a2, g * a2
-        rho, _, _, failures = steady_state_stack(
+        rho, _, _, failures, _ = steady_state_stack(
             atom.real_generator_stack(h, r), h, r)
         if failures:
             raise failures[0]

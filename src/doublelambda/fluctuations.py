@@ -22,9 +22,9 @@ import numpy as np
 
 from .atom import (DISSIPATOR_BASIS, FIELD_SUPEROPERATORS, JUMP_GROUPS,
                    RADIATIVE_ENTRIES, RATE_GROUPS, RATE_LEADS, gksl_defects)
-from .matfuncs import inv_stack
+from .matfuncs import inv_stack, norm_1
 from .params import BASIS, HERMITIAN_BASIS, HERMITIAN_FRAME
-from .steady import AtomState
+from .steady import BORDERED_ROW, AtomState
 
 
 class ResponseError(RuntimeError):
@@ -42,6 +42,8 @@ ROTATION[:4] /= np.sqrt([[4.0], [2.0], [6.0], [12.0]])
 #: expectation order, so y_k = <dF_k> = FRAME[k] @ d<sigma> are the real
 #: coordinates of the traceless fluctuations; FRAME @ BASIS.swap == FRAME.conj()
 FRAME = ROTATION[1:] @ HERMITIAN_BASIS.reshape(16, 16)
+#: O_1^T (O_1 = ROTATION[1:]) with row BORDERED_ROW zeroed (response_stack)
+O1_BORDERED = ROTATION[1:].T * (np.arange(16) != BORDERED_ROW)[:, None]
 
 
 def drift_stack(real: np.ndarray, rates: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -242,7 +244,8 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
     return cov
 
 
-def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
+def response_stack(a: np.ndarray, omegas: np.ndarray,
+                   binv: np.ndarray | None = None) -> tuple:
     """R(omega) = (-i omega I - A)^-1 and R(-omega) of a (P, 15, 15) stack.
 
     Refuses near-singular systems (condition number above 1e12), naming the
@@ -255,13 +258,19 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
     inverts the real -A, and R(-0) = R(0) (the same array if every row is at
     0); at omega != 0, R(-omega) = conj(R(omega)) of the real drift, checked
     by its own residual ||(i omega - A) R(-omega) - I||.  Each row is decided
-    by its own frequency.  Returns R(omega), R(-omega) and the failures as
-    {stack position: ResponseError}.
+    by its own frequency.  With binv, the inverses of the bordered matrices
+    B' of the rows at 0 (steady_state_stack), a row there whose block
+    R(0) = -O_1 B'^-1 O1_BORDERED passes that test needs no inversion: as B'
+    has the trace in row BORDERED_ROW, X = B'^-1 O1_BORDERED is traceless and
+    B X = O_1^T (in that row both are minus the sum of the other population
+    rows), so A O_1 X = O_1 B X = I.  Returns R(omega), R(-omega) and the
+    failures as {stack position: ResponseError}.
     """
     zero = omegas == 0
     if zero.any() and not zero.all():  # each kind of row as a stack alone
-        parts = [(rows, *response_stack(a[rows], omegas[rows]))
-                 for rows in (np.flatnonzero(zero), np.flatnonzero(~zero))]
+        parts = [(rows, *response_stack(a[rows], omegas[rows], x))
+                 for rows, x in ((np.flatnonzero(zero), binv),
+                                 (np.flatnonzero(~zero), None))]
         r, r_minus = np.empty((2,) + a.shape, dtype=complex)
         failures = {}
         for rows, r_rows, r_minus_rows, refused in parts:
@@ -270,11 +279,20 @@ def response_stack(a: np.ndarray, omegas: np.ndarray) -> tuple:
         return r, r_minus, failures
     eye = np.eye(a.shape[-1])
     mirrored = not zero.all()
+    block = binv is not None and not mirrored
     iw = (1j * omegas)[:, None, None] * eye if mirrored else 0.0
     m = -iw - a
-    r, kappa1 = inv_stack(m)  # NaN at an exactly singular member
-    resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
-    svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
+    with np.errstate(over="ignore", invalid="ignore"):  # a block may overflow
+        if block:
+            r = -ROTATION[1:] @ binv @ O1_BORDERED
+            kappa1 = norm_1(m) * norm_1(r)
+        else:
+            r, kappa1 = inv_stack(m)  # NaN at an exactly singular member
+        resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
+        svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
+    if block and (redo := np.flatnonzero(svd)).size:  # those are inverted
+        r[redo], _, refused = response_stack(a[redo], omegas[redo])
+        return r, r, {int(redo[k]): e for k, e in refused.items()}
     cond = np.zeros(len(m))
     if svd.any():
         cond[svd] = np.linalg.cond(m[svd])

@@ -64,7 +64,8 @@ def inv_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:
         inverse = np.full_like(m, np.nan)
         # slogdet factors by the LU inv uses: sign 0 exactly at a zero pivot
-        regular = np.linalg.slogdet(m)[0] != 0
+        with np.errstate(divide="ignore"):  # it may take log 0
+            regular = np.linalg.slogdet(m)[0] != 0
         inverse[regular] = np.linalg.inv(m[regular])
     with np.errstate(over="ignore", invalid="ignore"):
         return inverse, norm_1(m) * norm_1(inverse)

@@ -90,27 +90,32 @@ def _nonfinite(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray) -> dict:
 
 def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
                    omegas: np.ndarray, chi: np.ndarray, lengths: np.ndarray,
-                   noise: np.ndarray
+                   noise: np.ndarray, binv: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """M(omega), M(-omega) and Nfield, each (P, 4, 4), for a stack of points.
 
     a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
     omegas the analysis frequencies, chi the (P, 2) couplings (chi1, chi2),
-    lengths the cell lengths and noise the noise scales L/N.  Failures are
-    {stack position: exception}: a response failure, or a non-finite
-    transfer matrix.
+    lengths the cell lengths, noise the noise scales L/N and binv as in
+    fluctuations.response_stack.  At omega = 0, in any stack, K S R(0) is K
+    times the real S R(0), and M(-0) = M(0).  Failures are {stack position:
+    exception}: a response failure, or a non-finite transfer matrix.
     """
-    r_plus, r_minus, failures = fl.response_stack(a, omegas)
-    chi = np.stack([1j * chi[:, 0], -1j * chi[:, 0],
-                    1j * chi[:, 1], -1j * chi[:, 1]], axis=1)
+    r_plus, r_minus, failures = fl.response_stack(a, omegas, binv)
+    chi = (chi[:, [0, 0, 1, 1]] * [1j, -1j, 1j, -1j])[:, :, None]  # K
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
     # stays finite for arbitrarily dilute media
     injection = SPEED_OF_LIGHT / lengths * noise
-    ks = chi[:, :, None] * SELECTOR  # K S with K = diag(chi)
-    ksr_plus = ks @ r_plus
-    ksr_minus = ksr_plus if r_minus is r_plus else ks @ r_minus  # R(-0) = R(0)
+    zero = omegas == 0
+    if zero.all():  # R(-0) = R(0), real
+        ksr_plus = ksr_minus = chi * (SELECTOR @ r_plus)
+    else:
+        ks = chi * SELECTOR  # K S with K = diag(chi)
+        ksr_plus, ksr_minus = ks @ r_plus, ks @ r_minus
+        ksr_plus[zero] = ksr_minus[zero] = chi[zero] * (
+            SELECTOR @ np.ascontiguousarray(r_plus[zero].real))
     m = ksr_plus @ b
-    m_minus = ksr_minus @ b
+    m_minus = m if zero.all() else ksr_minus @ b
     nfield = (injection[:, None, None] * ksr_plus @ (2.0 * d)
               @ ksr_minus.transpose(0, 2, 1))
     for k, exc in _nonfinite(m, m_minus, nfield).items():

@@ -110,7 +110,7 @@ def _bordered_stack(real: np.ndarray) -> tuple:
     of B by the trace functional gives the bordered matrix B'; column
     BORDERED_ROW of its inverse holds the coordinates x of the state with
     unit trace (B x = 0 in every other row).  Returns the (P, 4, 4) states,
-    which points the solve certifies, and each residual ||L rho|| = ||B x||.
+    the points the solve certifies, the residuals ||L rho|| = ||B x||, B'^-1.
 
     Certificate: kappa_1 = ||B'||_1 ||B'^-1||_1 <= BORDERED_KAPPA_MAX.  B'
     is B plus a rank-one change, so by interlacing s_min(B') <= s_-2(B) =
@@ -134,18 +134,18 @@ def _bordered_stack(real: np.ndarray) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm((real @ x[:, :, None])[:, :, 0], axis=1)
         states = (x @ HERMITIAN_FRAME.T).reshape(-1, 4, 4)
-    return states, certified, residual
+    return states, certified, residual, inverse
 
 
 def steady_state_stack(real: np.ndarray, h: np.ndarray, r: np.ndarray,
-                       method: str = "auto"
-                       ) -> tuple[np.ndarray, np.ndarray, list, dict]:
+                       method: str = "auto") -> tuple:
     """Solve L(rho) = 0 with unit trace at each point of a stack, from its
     real generators real = atom.real_generator_stack(h, r) and its (P, 6)
     Hamiltonian and (P, 11) rate coefficients h and r.
 
     Returns the (P, 4, 4) states, the states as solved (raw), the method
-    used for each, and the failures as {stack position: SteadyStateError}.
+    used for each, the failures as {stack position: SteadyStateError} and
+    the bordered inverses (None under "long-time-integration").
     The null spaces come from one batched bordered solve of real
     (_bordered_stack), whose certified points must also pass ||L rho|| <=
     STEADY_RESIDUAL_TOL.  The complex L is contracted only for the points
@@ -163,10 +163,10 @@ def steady_state_stack(real: np.ndarray, h: np.ndarray, r: np.ndarray,
     methods = ["null-space" if method == "auto" else method] * n
     failures = {}
     if method == "long-time-integration":
-        rhos = np.empty((n, 4, 4), dtype=complex)
+        rhos, inverse = np.empty((n, 4, 4), dtype=complex), None
         rest = np.arange(n)
     else:
-        rhos, certified, residual = _bordered_stack(real)
+        rhos, certified, residual, inverse = _bordered_stack(real)
         for k in np.flatnonzero(certified & (residual > STEADY_RESIDUAL_TOL)):
             failures[int(k)] = SteadyStateError(
                 f"steady state residual {residual[k]:.2e} exceeds "
@@ -211,7 +211,7 @@ def steady_state_stack(real: np.ndarray, h: np.ndarray, r: np.ndarray,
             failures[k] = SteadyStateError(
                 "no dissipation (every rate is 0) and so no unique steady "
                 f"state: {failures[k]}")
-    return final, rhos, methods, failures
+    return final, rhos, methods, failures, inverse
 
 
 def solve_steady_state(gen: Generator, params: SystemParams,
@@ -226,7 +226,7 @@ def solve_steady_state(gen: Generator, params: SystemParams,
     checks, the solver falls back to long-time integration from an
     unpolarized lower-level mixture and records the method used.
     """
-    rhos, raw, methods, failures = steady_state_stack(
+    rhos, raw, methods, failures, _ = steady_state_stack(
         gen.real[None], gen.hamiltonian[None], gen.rates[None], method)
     if failures:
         raise failures[0]

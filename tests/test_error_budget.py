@@ -1,5 +1,6 @@
-"""A 40-digit error budget of the steady stage, the drift, R(0) and the
-diffusion D at four fixed points.
+"""A 40-digit error budget of the steady stage, the drift, R(0) (inverted,
+and read off the bordered inverse) and the diffusion D at four fixed
+points.
 
 The reference Liouvillian is built in mpmath from the point's
 double-precision coefficient rows (atom.coefficient_stack) and the
@@ -19,6 +20,7 @@ import pytest
 from doublelambda import atom, steady
 from doublelambda.experiments import amplitude_spec, dephasing_spec
 from doublelambda.fluctuations import (CHANNEL_SANDWICHES, FRAME,
+                                       O1_BORDERED, ROTATION,
                                        diffusion_stack, drift_stack,
                                        response_stack)
 from doublelambda.matfuncs import inv_stack
@@ -63,7 +65,7 @@ def liouvillians(params):
 def steady_stack(params):
     """steady_state_stack's states, methods and failures at params."""
     h, r = atom.coefficient_stack(ParamStack.of([params]))
-    rhos, _, methods, failures = steady.steady_state_stack(
+    rhos, _, methods, failures, _ = steady.steady_state_stack(
         atom.real_generator_stack(h, r), h, r)
     return rhos, methods, failures
 
@@ -175,6 +177,32 @@ def test_real_tables_within_budget_and_no_worse_than_products(name):
         error = forward_error(x, ref)
         assert error <= budget
         assert error <= 2.0 * forward_error(old, ref)
+
+
+#: the block R(0) = -O_1 B'^-1 O1_BORDERED against the direct inverse of
+#: -A, each relative to the exact R(0)'s largest entry: reference 3.8e-14
+#: (1.7e-14), fig3-worst 1.2e-14 (5.4e-13), n0x1000 3.8e-14 (1.7e-14),
+#: fig4-next-to-dark 1.26e-12 (7.6e-13).  The block inherits the rounding of
+#: the 16 x 16 B'^-1, so at the reference point it is 2.3 times the direct
+#: error, both about 1e-3 of n kappa_1 eps (kappa_1 = 1.8e4)
+BLOCK_FACTOR = 3.0
+
+
+@pytest.mark.parametrize("name", POINTS)
+def test_bordered_block_within_budget(name):
+    real, _, exact = liouvillians(POINTS[name])
+    exact = exact_linearization(exact)[2]
+    h, r = atom.coefficient_stack(ParamStack.of([POINTS[name]]))
+    *_, failures, binv = steady.steady_state_stack(real, h, r)
+    a, more = drift_stack(real, r)
+    block, _, refused = response_stack(a, np.zeros(1), binv)
+    direct, _, _ = response_stack(a, np.zeros(1))
+    assert failures == more == refused == {}
+    # the block passed the response test and was taken as it is
+    assert np.array_equal(block, -ROTATION[1:] @ binv @ O1_BORDERED)
+    error = forward_error(block[0], exact)
+    assert error <= LINEARIZATION_BUDGET[2]
+    assert error <= BLOCK_FACTOR * forward_error(direct[0], exact)
 
 
 def exact_diffusion(rates, x):

@@ -567,6 +567,60 @@ def test_points_times_frequencies_match_each_spectrum(defaults, monkeypatch):
         assert_rows_match(rows[5 * k:5 * k + 5], ref, rtol=0.0)
 
 
+class TestZeroFrequencyBlock:
+    """A row at omega = 0 reads R(0) off the steady stage's bordered inverse
+    and inverts -A only where that block fails the response test."""
+
+    def test_fig2_sweep_inverts_bordered_matrices_alone(self, defaults,
+                                                        monkeypatch):
+        # the model is test_sweep_path_exponentiates_no_17x17: before the
+        # block, every stack of drifts was inverted too, as (P, 15, 15)
+        shapes, inv = set(), np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda m: shapes.add(m.shape[1:]) or inv(m))
+        result = run_sweep(SWEEP_SELECTORS["fig2"](defaults))
+        assert not any(result.columns["error"])
+        assert shapes == {(16, 16)}
+
+    @staticmethod
+    def run_with(spec, change, monkeypatch):
+        """The sweep's rows with change applied to the bordered inverses
+        the transfer receives, and the rows of each inversion of -A."""
+        from doublelambda import fluctuations as fl
+        transfer, inv_stack, inverted = pr.transfer_stack, fl.inv_stack, []
+        with monkeypatch.context() as mp:
+            mp.setattr(pr, "transfer_stack", lambda *args: transfer(
+                *args[:-1], change(args[-1])))
+            mp.setattr(fl, "inv_stack",
+                       lambda m: inverted.append(m.shape) or inv_stack(m))
+            return run_sweep(spec).rows, inverted
+
+    @pytest.mark.parametrize("corruption", ["nan", "perturbed"])
+    def test_corrupted_block_alone_is_inverted(self, defaults, corruption,
+                                               monkeypatch):
+        spec, k = SWEEP_SELECTORS["fig2"](defaults, points=21), 7
+
+        def corrupt(binv):
+            binv = binv.copy()
+            if corruption == "nan":
+                binv[k] = np.nan
+            else:  # R(0) off by 1e-6: residual 3.9e-6
+                binv[k] *= 1.0 + 1e-6
+            return binv
+
+        clean, none = self.run_with(spec, lambda binv: binv, monkeypatch)
+        direct, every = self.run_with(spec, lambda binv: None, monkeypatch)
+        rows, one = self.run_with(spec, corrupt, monkeypatch)
+        assert (none, every, one) == ([], [(21, 15, 15)], [(1, 15, 15)])
+        # the corrupted row is the directly inverted one, bit for bit; the
+        # others are untouched
+        assert_rows_match(rows[k:k + 1], direct[k:k + 1], rtol=0.0)
+        assert_rows_match(rows[:k] + rows[k + 1:], clean[:k] + clean[k + 1:],
+                          rtol=0.0)
+        # and the two routes differ there, so the comparison sees the route
+        assert (clean[k].du2, clean[k].dv2) != (direct[k].du2, direct[k].dv2)
+
+
 class TestValidationSampling:
     def test_every_tenth_point(self, defaults):
         spec = detuning_spec(defaults, points=21, validate_every=10)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -12,7 +12,8 @@ from doublelambda.atom import (ACTIVITY_TABLE, COHERENT_BASIS,
                                dissipator_stack, gksl_defects,
                                liouvillian_stack, real_generator_stack)
 from doublelambda.experiments import (alignment_spec, amplitude_spec,
-                                      dephasing_spec, detuning_spec)
+                                      dephasing_spec, detuning_spec,
+                                      evaluate_points)
 from doublelambda.fluctuations import (DIFFUSION_TABLES, FIELD_TABLE, FRAME,
                                        NOISE_MODELS, ResponseError,
                                        _einstein_diffusion, _state_products,
@@ -20,6 +21,7 @@ from doublelambda.fluctuations import (DIFFUSION_TABLES, FIELD_TABLE, FRAME,
                                        diffusion_stack, drift_stack,
                                        equal_time_covariance,
                                        field_coupling_stack, response_stack)
+from doublelambda.matfuncs import norm_1
 from doublelambda.oracle import lyapunov_covariance, regression_covariance
 from doublelambda.params import (HERMITIAN_FRAME, ParamStack,
                                 hermitian_coordinates)
@@ -294,6 +296,19 @@ class TestDiffusion:
                                    _state_products(rhos[:1]))
         assert np.max(np.abs(leak)) > 1e-3
 
+    def test_unknown_noise_model_refused_by_name(self, defaults):
+        message = ("unknown noise model 'thermal'; expected one of "
+                   "('einstein', 'vacuum-reservoir')")
+        gen, state = prepare(defaults)
+        with pytest.raises(ValueError) as exc:
+            diffusion_stack("thermal", gen.rates[None], coords(state.rho))
+        assert str(exc.value) == message
+        # a sweep's rows fail by it, each on its own
+        rows = evaluate_points([defaults, defaults.replace(delta1=0.5)],
+                               noise_model="thermal")
+        assert [(r.error, r.v12) for r in rows] == \
+            [(f"ValueError: {message}", None)] * 2
+
     def test_vacuum_reservoir_subset(self, defaults, rng):
         gen, state = prepare(defaults)
         stacks = (gen.rates[None], coords(state.rho))
@@ -394,7 +409,7 @@ class TestTables:
         # the table, in place of the term slots, fails this.
         ps = detuning_spec(SystemParams()).param_stack()[:64]
         h, r = coefficient_stack(ps)
-        rhos, _, _, failures = steady_state_stack(
+        rhos, _, _, failures, _ = steady_state_stack(
             real_generator_stack(h, r), h, r)
         assert failures == {}
         x = hermitian_coordinates(rhos)
@@ -497,6 +512,67 @@ class TestResponse:
         _, _, failures = response_stack(a, np.array([0.0]))
         assert list(failures) == [0]
         assert isinstance(failures[0], ResponseError)
+
+
+#: a rate: 0, subnormal or O(1); an alignment: +-1 or inside
+RATES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), st.floats(0, 2))
+ALIGNMENTS = st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1, 1))
+#: the test's c in c n kappa_1 eps: an inverse by LU has a forward error
+#: of order n kappa u, u = eps / 2 [Higham, Accuracy and Stability, 2nd
+#: ed., sec. 14.1], so two such routes differ by about n kappa_1 eps; over
+#: the 10,232 rows of a 20,000-point broad draw that both accept, the
+#: largest difference was 0.07 of it
+BLOCK_C = 1.0
+
+
+class TestBorderedBlock:
+    """R(0) read off the bordered inverse against the direct inverse."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(st.builds(
+        SystemParams, gamma1=RATES, gamma2=RATES, gamma3=RATES,
+        gamma4=RATES, gamma0=RATES, gamma_phi=RATES, p1=ALIGNMENTS,
+        p2=ALIGNMENTS, omega42=st.floats(0, 3), delta1=st.floats(-4, 4),
+        g=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+        a1_mean=st.floats(0, 2), a2_mean=st.floats(0, 2)),
+        min_size=1, max_size=8))
+    # fig3 variant b's last point: its block fails the residual test
+    # (1.02e-10), and the direct inverse passes it (5.7e-11)
+    @example([amplitude_spec(SystemParams(), variant="b").param_stack()
+              .point(200), SystemParams()])
+    # a broad-draw point whose direct inverse fails the residual test
+    # (1.01e-10) and whose block passes it (9.5e-11)
+    @example([SystemParams(
+        gamma1=0.0, gamma2=4.7078051921372146e-07,
+        gamma3=2.6314112641475507e-263, gamma4=7.996246027303358e-11,
+        gamma0=0.0001016799175656672, gamma_phi=7.39695892807712e-271,
+        p1=1.0, p2=1.0, omega42=0.11915464243270579,
+        delta1=-2.2405490008222664, g=0.019317506829584233,
+        a1_mean=0.28214516242492915, a2_mean=1.8407839772115162)])
+    def test_block_decides_as_the_inverse(self, points):
+        h, r = coefficient_stack(ParamStack.of(points))
+        real = real_generator_stack(h, r)
+        *_, binv = steady_state_stack(real, h, r)
+        a = drift_stack(real, r)[0]
+        zeros = np.zeros(len(points))
+        block, _, refused = response_stack(a, zeros, binv)
+        direct, _, inverted = response_stack(a, zeros)
+        # every outcome is the direct inverse's, save that a row it refuses
+        # for its inversion residual alone may pass by its block
+        for k in set(refused) | set(inverted):
+            if k in refused:
+                assert str(refused[k]) == str(inverted.get(k))
+            else:
+                assert str(inverted[k]).startswith(
+                    "response inversion residual")
+                assert np.linalg.norm(-a[k] @ block[k] - np.eye(15)) <= 1e-10
+        both = [k for k in range(len(points)) if k not in refused | inverted]
+        kappa1 = norm_1(a[both]) * norm_1(direct[both])
+        scale = np.max(np.abs(direct[both]), axis=(1, 2))
+        error = np.max(np.abs(block[both] - direct[both]), axis=(1, 2))
+        assert np.all(error <= BLOCK_C * 15 * kappa1 * np.finfo(float).eps
+                      * scale)
 
 
 def response_svd_first(a, omegas):

@@ -164,6 +164,27 @@ def test_overflowing_draw_fails_by_name():
         assert not np.isfinite(scipy.linalg.expm(direct[0])).any()
 
 
+def test_inv_stack_fallback_is_silent_on_a_subnormal_member():
+    # a stack fails for its exactly singular member (no rates at all); for
+    # the bordered matrix of two subnormal rates slogdet gives a nonzero
+    # sign but takes log 0 on the way, which warned
+    from doublelambda import steady
+    from doublelambda.atom import coefficient_stack, real_generator_stack
+    from doublelambda.params import ParamStack
+    none = dict(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0, gamma0=0.0,
+                g=0.0)
+    h, r = coefficient_stack(ParamStack.of([
+        SystemParams(**none), SystemParams(**{**none, "gamma3": 5e-324,
+                                              "gamma0": 5e-324}),
+        SystemParams()]))
+    bordered = real_generator_stack(h, r)
+    bordered[:, steady.BORDERED_ROW] = steady.TRACE_ROW
+    with np.errstate(divide="ignore"):
+        assert np.linalg.slogdet(bordered[1])[1] == -np.inf
+    _, kappa = inv_stack(bordered)  # warnings are errors here
+    assert np.isnan(kappa[:2]).all() and kappa[2] < 1e5
+
+
 def test_inv_stack_leaves_only_the_singular_member_nan():
     m = np.random.default_rng(5).normal(size=(4, 6, 6))
     m[2, 3] = 0.0  # a zero row: an exact zero pivot fails the batch

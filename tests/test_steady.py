@@ -145,7 +145,7 @@ def certified(real):
 
 def solve_stack(real, h, r, method="auto"):
     """steady_state_stack's states, methods and failures."""
-    rhos, _, methods, failures = steady.steady_state_stack(real, h, r, method)
+    rhos, _, methods, failures, _ = steady.steady_state_stack(real, h, r, method)
     return rhos, methods, failures
 
 
@@ -354,3 +354,58 @@ class TestNoDissipation:
         assert row.error == ""
         assert row.method == "long-time-integration+dark-transparent"
         assert row.v12 == 4.0
+
+
+#: two points of the broad draw (each rate 0, 10^U(-12, -3),
+#: 10^U(-320, -100) or U(0, 2)): their rates are nonzero but so small that
+#: the bordered solve does not certify them and their null space is
+#: degenerate, so both go to long-time integration
+NONCONVERGENT = SystemParams(
+    gamma1=0.0, gamma2=2.532285238017663e-209, gamma3=9.445374540808267e-271,
+    gamma4=7.36859637688493e-307, gamma0=5.1308867096103175e-231,
+    gamma_phi=0.0, p1=-1.0, p2=1.0, omega42=0.8476153613734821,
+    delta1=-3.32534801394612, g=0.005852996068371763, a1_mean=0.0,
+    a2_mean=1.5788243217654139)
+NON_HERMITIAN = SystemParams(
+    gamma1=2.58848823243375e-216, gamma2=6.668409395038347e-272,
+    gamma3=2.095778790613745e-189, gamma4=0.0,
+    gamma0=2.4186253191518538e-182, gamma_phi=2.5328433864810803e-05,
+    p1=1.0, p2=1.0, omega42=0.2292911954177148, delta1=-0.07033238483471393,
+    g=322731.01088078687, a1_mean=1.3687775648264158,
+    a2_mean=0.19464868139317493)
+
+
+class TestLongTimeFailures:
+    """The long-time route's two ways to fail, each by its message, in the
+    stack, in a row and at one point."""
+
+    def test_nonconvergent_integration_fails_its_row(self):
+        message = ("long-time integration did not converge: residual "
+                   "9.24e-03 (tolerance 1.0e-10)")
+        real, h, r = generators_of([SystemParams(), NONCONVERGENT])
+        assert certified(real).tolist() == [True, False]
+        _, raw, methods, failures, _ = steady.steady_state_stack(real, h, r)
+        assert methods == ["null-space", "long-time-integration"]
+        assert {k: str(e) for k, e in failures.items()} == {1: message}
+        # the handler leaves the initial state in its place
+        assert np.array_equal(raw[1], steady.RHO_UNPOLARIZED)
+        with pytest.raises(steady.SteadyStateError) as exc:
+            _integrate_to_steady(build_generator(NONCONVERGENT).matrix,
+                                 steady.RHO_UNPOLARIZED)
+        assert str(exc.value) == message
+        assert compute_point(NONCONVERGENT).error == \
+            f"SteadyStateError: {message}"
+
+    def test_non_hermitian_integrated_state_fails_its_row(self):
+        # the integration settles (it returns), on a state 5.4e-6 from
+        # Hermitian; the trace check before it passes
+        message = "steady state not Hermitian, residual 5.42e-06"
+        real, h, r = generators_of([NON_HERMITIAN])
+        _, _, methods, failures, _ = steady.steady_state_stack(real, h, r)
+        assert methods == ["long-time-integration"]
+        assert {k: str(e) for k, e in failures.items()} == {0: message}
+        with pytest.raises(steady.SteadyStateError) as exc:
+            solve(NON_HERMITIAN)
+        assert str(exc.value) == message
+        row = compute_point(NON_HERMITIAN)
+        assert (row.error, row.method) == (f"SteadyStateError: {message}", "")
