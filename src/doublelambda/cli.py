@@ -35,15 +35,15 @@ from .steady import absorption, solve_steady_state
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 #: glibc settings sized by the stack caps.  A stack of STACK_ROWS = 128 rows
-#: makes no temporary above 1.2 MB (_pade's degree-13 powers of a real
-#: (128, 17, 17) stack), so under a 2 MiB mmap threshold every stack array
-#: comes from the heap.  A stacked pass holds at most 3.6 MiB of heap above
-#: its start (128 frequencies; 2.4 MiB for a fig2 sweep in stacks of
-#: STACK_POINTS = 64), so a 4 MiB trim threshold keeps a freed heap top for
-#: the next stage and the next run.  Under a 3 MiB one, a second
-#: 128-frequency spectrum in one process still took 1,600 minor page faults.
-#: Larger stacks pass these sizes: under STACK_ROWS = 256, 1024 frequencies
-#: took 72 ms of CPU against 54 ms under 128.
+#: makes no temporary above 0.46 MB (a complex (128, 15, 15) response; the
+#: Van Loan slices are complex (128, 8, 8)), so under a 2 MiB mmap threshold
+#: every stack array comes from the heap.  A stacked pass holds at most 3.4
+#: MiB of heap above its start (128 frequencies; 1.7 MiB for a fig2 sweep in
+#: stacks of STACK_POINTS = 64), so a 4 MiB trim threshold keeps a freed
+#: heap top for the next stage and the next run.  Under a 3 MiB one, a
+#: second 128-frequency spectrum in one process still took 1,600 minor page
+#: faults.  Larger stacks pass these sizes: under STACK_ROWS = 256, 1024
+#: frequencies took 72 ms of CPU against 54 ms under 128.
 MALLOPT = ((M_TRIM_THRESHOLD, 4 << 20), (M_MMAP_THRESHOLD, 2 << 20))
 
 

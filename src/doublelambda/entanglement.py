@@ -19,19 +19,27 @@ def quadrature_variance_stack(c: np.ndarray, weights) -> tuple[np.ndarray, dict]
     Uses sum_ij w_i w_j (C_ij + C_ji)/2; for Hermitian combinations the
     result is real, and an imaginary residual above 1e-10 of the summed
     magnitudes sum_ij |w_i w_j| |(C_ij + C_ji)/2| (at least 1) is a
-    failure, given as {stack position: ValueError}.  Scaling by the terms,
-    not the variance, admits the rounding of a large cancelling sum.
+    failure, given as {stack position: ValueError}, as is a variance that
+    is not finite: the sum of a finite covariance near the float64 maximum
+    may overflow.  Scaling by the terms, not the variance, admits the
+    rounding of a large cancelling sum.
     """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (4,):
         raise ValueError("weights must be a 4-vector")
-    sym = (c + c.transpose(0, 2, 1)) / 2.0
-    value = ((w @ sym)[:, None, :] @ w[:, None])[:, 0, 0]  # one product per point
-    terms = np.sum(np.abs(np.outer(w, w)) * np.abs(sym), axis=(1, 2))
-    bad = np.abs(value.imag) > 1e-10 * np.fmax(1.0, terms)
-    failures = {int(k): ValueError(
-        f"variance has non-negligible imaginary part {value[k].imag:.2e}")
-        for k in np.flatnonzero(bad)}
+    # an overflowing sum is named below, so its inf and NaN stay silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (c + c.transpose(0, 2, 1)) / 2.0
+        value = ((w @ sym)[:, None, :] @ w[:, None])[:, 0, 0]  # one product per point
+        terms = np.sum(np.abs(np.outer(w, w)) * np.abs(sym), axis=(1, 2))
+        bad = ~np.isfinite(value) | (np.abs(value.imag)
+                                     > 1e-10 * np.fmax(1.0, terms))
+        failures = {int(k): ValueError(
+            f"variance has non-negligible imaginary part {value[k].imag:.2e}"
+            if np.isfinite(value[k]) else
+            f"variance overflow: the quadrature sum of a finite covariance "
+            f"(max |C| = {np.max(np.abs(c[k])):.2e}) is {value[k].real}")
+            for k in np.flatnonzero(bad)}
     return value.real, failures
 
 

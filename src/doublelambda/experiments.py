@@ -330,13 +330,12 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     for start in range(0, live.size, STACK_ROWS):
         part = _Stack(live[start:start + STACK_ROWS], columns["error"])
         p, w = point[part.live], omega[part.live]
-        m, m_minus, nfield, failures = pr.transfer_stack(
+        m, nfield, failures = pr.transfer_stack(
             a[at[p]], b[at[p]], d[at[p]], w, chi[p], ps.cell_length[p],
             scale[p], binv[p[w == 0]])  # of the rows at 0 only
-        m, m_minus, nfield, length = part.drop(failures, m, m_minus, nfield,
-                                               ps.cell_length[p])
+        m, nfield, length = part.drop(failures, m, nfield, ps.cell_length[p])
         c_out, residual, converged, failures = pr.propagate_stack(
-            m, m_minus, nfield, length, pr.input_covariance().c)
+            m, nfield, length, pr.input_covariance().c)
         c_out, residual, converged = part.drop(failures, c_out, residual,
                                                converged)
         u, v, failures = duan_stack(c_out)

@@ -246,7 +246,7 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
 
 def response_stack(a: np.ndarray, omegas: np.ndarray,
                    binv: np.ndarray | None = None) -> tuple:
-    """R(omega) = (-i omega I - A)^-1 and R(-omega) of a (P, 15, 15) stack.
+    """R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) stack.
 
     Refuses near-singular systems (condition number above 1e12), naming the
     offending eigenvalue, and checks every inverse by its residual.  The
@@ -255,32 +255,31 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
     point whose inverse passes its residual and n kappa_1 (1 + 1e-9) <= 1e12
     needs no SVD; the SVD decides the others, among them an exactly
     singular member, whose inverse inv_stack leaves NaN.  A row at omega = 0
-    inverts the real -A, and R(-0) = R(0) (the same array if every row is at
-    0); at omega != 0, R(-omega) = conj(R(omega)) of the real drift, checked
-    by its own residual ||(i omega - A) R(-omega) - I||.  Each row is decided
-    by its own frequency.  With binv, the inverses of the bordered matrices
-    B' of the rows at 0 (steady_state_stack), a row there whose block
-    R(0) = -O_1 B'^-1 O1_BORDERED passes that test needs no inversion: as B'
-    has the trace in row BORDERED_ROW, X = B'^-1 O1_BORDERED is traceless and
-    B X = O_1^T (in that row both are minus the sum of the other population
-    rows), so A O_1 X = O_1 B X = I.  Returns R(omega), R(-omega) and the
-    failures as {stack position: ResponseError}.
+    inverts the real -A (a real array if every row is at 0).  R(-omega) is
+    not formed: for the real drift it is conj(R(omega)), which
+    transfer_stack reads through the pairing.  Each row is decided by its
+    own frequency.  With binv, the inverses of the bordered
+    matrices B' of the rows at 0 (steady_state_stack), a row there whose
+    block R(0) = -O_1 B'^-1 O1_BORDERED passes that test needs no
+    inversion: as B' has the trace in row BORDERED_ROW, X = B'^-1
+    O1_BORDERED is traceless and B X = O_1^T (in that row both are minus the
+    sum of the other population rows), so A O_1 X = O_1 B X = I.  Returns
+    R(omega) and the failures as {stack position: ResponseError}.
     """
     zero = omegas == 0
     if zero.any() and not zero.all():  # each kind of row as a stack alone
         parts = [(rows, *response_stack(a[rows], omegas[rows], x))
                  for rows, x in ((np.flatnonzero(zero), binv),
                                  (np.flatnonzero(~zero), None))]
-        r, r_minus = np.empty((2,) + a.shape, dtype=complex)
+        r = np.empty(a.shape, dtype=complex)
         failures = {}
-        for rows, r_rows, r_minus_rows, refused in parts:
-            r[rows], r_minus[rows] = r_rows, r_minus_rows
+        for rows, r_rows, refused in parts:
+            r[rows] = r_rows
             failures.update((int(rows[k]), e) for k, e in refused.items())
-        return r, r_minus, failures
+        return r, failures
     eye = np.eye(a.shape[-1])
-    mirrored = not zero.all()
-    block = binv is not None and not mirrored
-    iw = (1j * omegas)[:, None, None] * eye if mirrored else 0.0
+    block = binv is not None and zero.all()
+    iw = 0.0 if zero.all() else (1j * omegas)[:, None, None] * eye
     m = -iw - a
     with np.errstate(over="ignore", invalid="ignore"):  # a block may overflow
         if block:
@@ -291,8 +290,8 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
         resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
         svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
     if block and (redo := np.flatnonzero(svd)).size:  # those are inverted
-        r[redo], _, refused = response_stack(a[redo], omegas[redo])
-        return r, r, {int(redo[k]): e for k, e in refused.items()}
+        r[redo], refused = response_stack(a[redo], omegas[redo])
+        return r, {int(redo[k]): e for k, e in refused.items()}
     cond = np.zeros(len(m))
     if svd.any():
         cond[svd] = np.linalg.cond(m[svd])
@@ -308,17 +307,7 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
     for k in np.flatnonzero(~singular & ~(resid <= 1e-10)):
         failures[int(k)] = ResponseError(
             f"response inversion residual {resid[k]:.2e}")
-    if not mirrored:  # R(-0) = R(0)
-        return r, r, failures
-    r_minus = r.conj()
-    # i omega - A, not conj(-i omega - A): only a real drift passes this
-    resid = np.linalg.norm((iw - a) @ r_minus - eye, axis=(1, 2))
-    for k in np.flatnonzero(resid > 1e-10):
-        failures.setdefault(int(k), ResponseError(
-            f"mirrored response residual {resid[k]:.2e} "
-            f"at omega={-omegas[k]}"))
-    return r, r_minus, failures
-
+    return r, failures
 
 NOISE_MODELS = ("einstein", "vacuum-reservoir")
 

@@ -115,11 +115,16 @@ def regression_covariance(gen: Generator, state: AtomState, tau: float,
 
 
 def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
-                   slabs: int = 200) -> np.ndarray:
+                   slabs: int = 200,
+                   opposite: Optional[pr.PropagationSetup] = None
+                   ) -> np.ndarray:
     """Integrate dC/dz = M C + C M(-omega)^T + Nfield by fixed-step RK4.
 
     Classical RK4 over `slabs` equal subdivisions of the cell, in plain 4 x 4
     matrix form, as an independent route to the closed-form propagation.
+    M(-omega) is the M of `opposite`, the point's setup at -omega from its
+    own make_setup (setup itself, the default, at omega = 0): the oracle
+    never reads it through the pairing Pi conj(M) Pi the closed form uses.
     One RK4 step is affine in C, so it is evaluated once on a stack of 17
     matrices (the zero matrix with the source term, then the 16 unit
     matrices E_k without it); their images are the columns of the 17 x 17
@@ -129,7 +134,11 @@ def rk4_covariance(setup: pr.PropagationSetup, c_in: pr.FieldCovariance,
     """
     if slabs < 1:
         raise ValueError("slabs must be >= 1")
-    m, m2t = setup.m, setup.m_minus.T
+    opposite = setup if opposite is None else opposite
+    if opposite.omega != -setup.omega:
+        raise ValueError(f"the setup at omega = {setup.omega} needs M(-omega) "
+                         f"from a setup at {-setup.omega}, not {opposite.omega}")
+    m, m2t = setup.m, opposite.m.T
     h = setup.cell_length / slabs
     # stack entry 0 is the zero matrix with the source term, entries 1..16
     # are the unit matrices E_k without it

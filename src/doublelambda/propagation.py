@@ -32,6 +32,9 @@ PAIRING_TOL = 1e-10
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
 
+#: K = diag(chi1, chi1, chi2, chi2) FIELD_PHASES, the field equations' gains
+FIELD_PHASES = np.array([1j, -1j, 1j, -1j])
+
 #: 4 x 15 selector of the coherence sums sourcing the field equations, in
 #: FRAME coordinates: field k is driven by the transpose of -dH/dv_k,
 #: e.g. sigma_14 + sigma_12 for a1
@@ -54,34 +57,26 @@ class FieldCovariance:
                              "the commutator is C01(omega) - C10(-omega)")
         return (self.c[0, 1] - self.c[1, 0], self.c[2, 3] - self.c[3, 2])
 
-    def pairing_residual(self) -> float:
-        """Max deviation from C_ij = conj(C_[jbar, ibar]); a propagated
-        covariance is paired by construction (see propagate_stack)."""
-        paired = self.c[np.ix_(FIELD_PAIR, FIELD_PAIR)].T.conj()
-        return float(np.max(np.abs(self.c - paired)))
-
 
 @dataclass(frozen=True)
 class PropagationSetup:
     """Transfer generator, distributed noise, and cell length."""
 
     m: np.ndarray         # M(omega), 4x4
-    m_minus: np.ndarray   # M(-omega)
     nfield: np.ndarray    # distributed noise injection, 4x4 per meter
     cell_length: float
     omega: float = 0.0
 
     def __post_init__(self):
-        failures = _nonfinite(self.m[None], self.m_minus[None],
-                              self.nfield[None])
+        failures = _nonfinite(self.m[None], self.nfield[None])
         if failures:
             raise failures[0]
 
 
-def _nonfinite(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray) -> dict:
+def _nonfinite(m: np.ndarray, nfield: np.ndarray) -> dict:
     """{stack position: ValueError} naming the first non-finite matrix."""
     failures = {}
-    for name, x in (("m", m), ("m_minus", m_minus), ("nfield", nfield)):
+    for name, x in (("m", m), ("nfield", nfield)):
         for k in np.flatnonzero(~np.all(np.isfinite(x), axis=(1, 2))):
             failures.setdefault(int(k), ValueError(
                 f"{name} contains non-finite entries"))
@@ -91,36 +86,36 @@ def _nonfinite(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray) -> dict:
 def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
                    omegas: np.ndarray, chi: np.ndarray, lengths: np.ndarray,
                    noise: np.ndarray, binv: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """M(omega), M(-omega) and Nfield, each (P, 4, 4), for a stack of points.
+                   ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """M(omega) and Nfield, each (P, 4, 4), for a stack of points.
 
     a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
     omegas the analysis frequencies, chi the (P, 2) couplings (chi1, chi2),
     lengths the cell lengths, noise the noise scales L/N and binv as in
     fluctuations.response_stack.  At omega = 0, in any stack, K S R(0) is K
-    times the real S R(0), and M(-0) = M(0).  Failures are {stack position:
-    exception}: a response failure, or a non-finite transfer matrix.
+    times the real S R(0).  Nfield reads K S R(-omega) as the row gather
+    Pi conj(K S R(omega)): the drift is real, so R(-omega) = conj(R(omega)),
+    and the tables give Pi conj(K S) = K S exactly.  Failures are {stack
+    position: exception}: a response failure, or a non-finite matrix.
     """
-    r_plus, r_minus, failures = fl.response_stack(a, omegas, binv)
-    chi = (chi[:, [0, 0, 1, 1]] * [1j, -1j, 1j, -1j])[:, :, None]  # K
+    r, failures = fl.response_stack(a, omegas, binv)
+    chi = (chi[:, [0, 0, 1, 1]] * FIELD_PHASES)[:, :, None]  # K
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
     # stays finite for arbitrarily dilute media
     injection = SPEED_OF_LIGHT / lengths * noise
     zero = omegas == 0
-    if zero.all():  # R(-0) = R(0), real
-        ksr_plus = ksr_minus = chi * (SELECTOR @ r_plus)
+    if zero.all():  # R(0) real
+        ksr = chi * (SELECTOR @ r)
     else:
-        ks = chi * SELECTOR  # K S with K = diag(chi)
-        ksr_plus, ksr_minus = ks @ r_plus, ks @ r_minus
-        ksr_plus[zero] = ksr_minus[zero] = chi[zero] * (
-            SELECTOR @ np.ascontiguousarray(r_plus[zero].real))
-    m = ksr_plus @ b
-    m_minus = m if zero.all() else ksr_minus @ b
-    nfield = (injection[:, None, None] * ksr_plus @ (2.0 * d)
-              @ ksr_minus.transpose(0, 2, 1))
-    for k, exc in _nonfinite(m, m_minus, nfield).items():
+        ksr = (chi * SELECTOR) @ r  # K S R with K = diag(chi)
+        ksr[zero] = chi[zero] * (SELECTOR
+                                 @ np.ascontiguousarray(r[zero].real))
+    m = ksr @ b
+    nfield = (injection[:, None, None] * ksr @ (2.0 * d)
+              @ ksr.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
+    for k, exc in _nonfinite(m, nfield).items():
         failures.setdefault(k, exc)
-    return m, m_minus, nfield, failures
+    return m, nfield, failures
 
 
 def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
@@ -136,13 +131,13 @@ def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     canonical commutators through the medium, and the test suite enforces it.
     Raises on a response failure and on a non-finite result.
     """
-    m, m_minus, nfield, failures = transfer_stack(
+    m, nfield, failures = transfer_stack(
         a[None], b[None], d[None], np.array([omega], dtype=float),
         np.array([[params.chi1, params.chi2]]),
         np.array([params.cell_length]), np.array([fl.noise_scale(params)]))
     if failures:
         raise failures[0]
-    return PropagationSetup(m=m[0], m_minus=m_minus[0], nfield=nfield[0],
+    return PropagationSetup(m=m[0], nfield=nfield[0],
                             cell_length=params.cell_length, omega=omega)
 
 
@@ -171,26 +166,20 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().transpose(0, 2, 1)
 
 
-def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
-                      c_in: np.ndarray) -> dict:
+def _pairing_failures(nfield: np.ndarray, c_in: np.ndarray) -> dict:
     """{stack position: ValueError} naming the first broken pairing.
 
-    The propagation reads only M; it holds when M(-omega) =
-    Pi conj(M(omega)) Pi and Nfield Pi and the input C Pi are Hermitian,
-    each to PAIRING_TOL relative.
+    The propagation reads only M, as M(-omega) = Pi conj(M(omega)) Pi; it
+    holds when Nfield Pi and the input C Pi are Hermitian, each to
+    PAIRING_TOL relative.
     """
-    def relative(x, ref):
-        scale = np.maximum(np.max(np.abs(ref), axis=(1, 2)), np.finfo(float).tiny)
-        return np.max(np.abs(x - ref), axis=(1, 2)) / scale
-
     def hermitian_residual(x):
         y = x[..., FIELD_PAIR]
-        return relative(y, _adjoint(y))
+        scale = np.maximum(np.max(np.abs(y), axis=(1, 2)), np.finfo(float).tiny)
+        return np.max(np.abs(y - _adjoint(y)), axis=(1, 2)) / scale
 
     failures = {}
     for name, resid in (
-            ("m_minus deviates from Pi conj(m) Pi",
-             relative(m_minus, m.conj()[:, FIELD_PAIR[:, None], FIELD_PAIR])),
             ("nfield Pi is not Hermitian", hermitian_residual(nfield)),
             ("input C Pi is not Hermitian", hermitian_residual(c_in))):
         for k in np.flatnonzero(~(resid <= PAIRING_TOL)):
@@ -200,12 +189,12 @@ def _pairing_failures(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
     return failures
 
 
-def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
-                    lengths: np.ndarray, c_in: np.ndarray
+def propagate_stack(m: np.ndarray, nfield: np.ndarray, lengths: np.ndarray,
+                    c_in: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Closed-form propagation of a stack of P covariances over their cells.
 
-    m, m_minus, nfield are (P, 4, 4), lengths (P,) and c_in (P, 4, 4) or one
+    m and nfield are (P, 4, 4), lengths (P,) and c_in (P, 4, 4) or one
     (4, 4) input shared by all.  Returns the output covariances, the
     relative self-check residuals, the converged flags (residual within
     SELF_CHECK_TOL) and the failures as {stack position: ValueError} of the
@@ -224,7 +213,7 @@ def propagate_stack(m: np.ndarray, m_minus: np.ndarray, nfield: np.ndarray,
     """
     n = len(m)
     c_in = np.broadcast_to(c_in, (n, 4, 4))
-    failures = _pairing_failures(m, m_minus, nfield, c_in)
+    failures = _pairing_failures(nfield, c_in)
     g = np.zeros((n, 8, 8), dtype=complex)
     g[:, :4, :4] = -m
     g[:, :4, 4:] = nfield[..., FIELD_PAIR]
@@ -276,13 +265,13 @@ def propagate_covariance(setup: PropagationSetup,
     both read off one Van Loan exponential (see propagate_stack).  The
     doubled propagator must equal the direct exp(L M); a larger
     disagreement clears `converged` and names the residual in `warnings`.
-    Raises ValueError, naming the residual, when M(-omega), Nfield or the
-    input breaks the adjoint pairing, and naming the gain exponent when the
-    output covariance overflows.
+    Raises ValueError, naming the residual, when Nfield or the input breaks
+    the adjoint pairing, and naming the gain exponent when the output
+    covariance overflows.
     """
     c_out, residual, converged, failures = propagate_stack(
-        setup.m[None], setup.m_minus[None], setup.nfield[None],
-        np.array([setup.cell_length]), c_in.c)
+        setup.m[None], setup.nfield[None], np.array([setup.cell_length]),
+        c_in.c)
     if failures:
         raise failures[0]
     residual, converged = float(residual[0]), bool(converged[0])

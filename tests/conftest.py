@@ -4,7 +4,7 @@ import pytest
 from doublelambda import SystemParams
 from doublelambda import fluctuations as fl
 from doublelambda.params import hermitian_coordinates
-from doublelambda.propagation import FieldCovariance
+from doublelambda.propagation import FIELD_PAIR, FieldCovariance
 from doublelambda.atom import (JUMP_GROUPS, coefficient_stack,
                                dissipator_stack, liouvillian_stack)
 
@@ -32,6 +32,13 @@ def thermal_covariance(nbar, omega=0.0) -> FieldCovariance:
     c[1, 0] = c[3, 2] = nbar
     c[0, 1] = c[2, 3] = 1.0 + nbar
     return FieldCovariance(c=c, omega=omega)
+
+
+def pairing_residual(cov: FieldCovariance) -> float:
+    """Max deviation of a covariance from C_ij = conj(C_[jbar, ibar]); a
+    propagated covariance is paired by construction (see propagate_stack)."""
+    paired = cov.c[np.ix_(FIELD_PAIR, FIELD_PAIR)].T.conj()
+    return float(np.max(np.abs(cov.c - paired)))
 
 
 def linearized(gen, state, params, noise_model="einstein"):

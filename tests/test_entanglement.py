@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from doublelambda import SystemParams, compute_point
+from doublelambda.experiments import amplitude_spec, run_sweep
 from doublelambda.entanglement import (DUAN_BOUND, duan_stack,
                                        quadrature_variance_stack)
 from doublelambda.fluctuations import NOISE_MODELS
@@ -82,6 +83,39 @@ class TestQuadratureVariance:
             np.array([1, 0, 1, 0], dtype=complex))
         assert list(failures) == [1]
         assert isinstance(failures[1], ValueError)
+
+    def test_overflowing_sum_refused_by_name(self):
+        # finite entries whose symmetrized sum passes the float64 maximum;
+        # the overflow is named, silently (RuntimeWarnings are errors here)
+        c = input_covariance().c.copy()
+        c[0, 1] = c[1, 0] = 1.5e308
+        values, failures = quadrature_variance_stack(
+            np.stack([input_covariance().c, c]), X1)
+        assert list(failures) == [1] and np.isfinite(values[0])
+        assert str(failures[1]).startswith(
+            "variance overflow: the quadrature sum of a finite covariance "
+            "(max |C| = 1.50e+308) is ")
+
+    @pytest.mark.parametrize("noise_model", NOISE_MODELS)
+    def test_overflowing_duan_sum_is_an_error_row(self, noise_model):
+        # fig3 variant a at n0 = 3e24, row 6: a finite output covariance of
+        # max |C| ~ 1e308 whose Duan sum overflowed to NaN (einstein) or inf
+        # (vacuum-reservoir) and was returned as an ok row; rows 7 on fail
+        # earlier, as their output covariance overflows
+        spec = amplitude_spec(SystemParams(n0=3e24), variant="a",
+                              noise_model=noise_model)
+        columns = run_sweep(spec).columns
+        ok = columns["error"] == ""
+        assert np.all(np.isfinite(columns["v12"][ok]))
+        assert list(np.flatnonzero(ok)) == list(range(6))
+        assert all(e.startswith("ValueError: propagation overflow: ")
+                   for e in columns["error"][7:])
+        row = compute_point(spec.param_stack().point(6), 0.0, noise_model)
+        assert row.error == columns["error"][6]
+        assert row.error.startswith(
+            "ValueError: variance overflow: the quadrature sum of a finite "
+            "covariance (max |C| = ")
+        assert row.v12 is None and row.method == ""
 
     @pytest.mark.parametrize("noise_model", NOISE_MODELS)
     def test_high_gain_rounding_accepted(self, noise_model):

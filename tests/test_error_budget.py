@@ -169,7 +169,7 @@ def test_real_tables_within_budget_and_no_worse_than_products(name):
     exact = exact_linearization(exact)
     a, failures = drift_stack(real, atom.coefficient_stack(
         ParamStack.of([POINTS[name]]))[1])
-    r0, _, more = response_stack(a, np.zeros(1))
+    r0, more = response_stack(a, np.zeros(1))
     assert failures == more == {}
     tables = (real[0], a[0], r0[0].real)
     for x, old, ref, budget in zip(tables, product_route(lmat), exact,
@@ -195,8 +195,8 @@ def test_bordered_block_within_budget(name):
     h, r = atom.coefficient_stack(ParamStack.of([POINTS[name]]))
     *_, failures, binv = steady.steady_state_stack(real, h, r)
     a, more = drift_stack(real, r)
-    block, _, refused = response_stack(a, np.zeros(1), binv)
-    direct, _, _ = response_stack(a, np.zeros(1))
+    block, refused = response_stack(a, np.zeros(1), binv)
+    direct, _ = response_stack(a, np.zeros(1))
     assert failures == more == refused == {}
     # the block passed the response test and was taken as it is
     assert np.array_equal(block, -ROTATION[1:] @ binv @ O1_BORDERED)

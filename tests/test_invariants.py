@@ -81,7 +81,7 @@ def check_invariants(params, omega) -> bool:
     gen = build_generator(params)
     a, failures = drift_stack(gen.real[None], gen.rates[None])
     assert failures == {}
-    _, _, failures = response_stack(a, np.array([omega]))
+    _, failures = response_stack(a, np.array([omega]))
     assert failures == {}
     # under vacuum-reservoir the commutator deficit is physical
     lin = linearized(gen, solve_steady_state(gen, params), params, "einstein")

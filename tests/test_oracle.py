@@ -47,8 +47,8 @@ def rel_diff(x, ref):
 
 # The per-step forms the oracles replaced, kept as references.
 
-def rk4_per_slab(setup, c_in, slabs):
-    m, m2t, n = setup.m, setup.m_minus.T, setup.nfield
+def rk4_per_slab(setup, opposite, c_in, slabs):
+    m, m2t, n = setup.m, opposite.m.T, setup.nfield
     h = setup.cell_length / slabs
     c = c_in.c.copy()
 
@@ -300,15 +300,33 @@ class TestFastOracles:
         for p in oracle_points(8):
             _, _, lin = solved(p, noise_model)
             setup = pr.make_setup(*lin, p, omega)
+            opposite = pr.make_setup(*lin, p, -omega)
             for slabs in (1, 7, 200, 400):
-                ref = rk4_per_slab(setup, c_in, slabs)
-                assert rel_diff(rk4_covariance(setup, c_in, slabs), ref) <= 1e-12
+                ref = rk4_per_slab(setup, opposite, c_in, slabs)
+                assert rel_diff(rk4_covariance(setup, c_in, slabs, opposite),
+                                ref) <= 1e-12
 
     def test_rk4_slab_guard(self, defaults):
         _, _, lin = solved(defaults)
         with pytest.raises(ValueError):
             rk4_covariance(pr.make_setup(*lin, defaults), pr.input_covariance(),
                            slabs=0)
+
+    def test_rk4_reads_the_opposite_setup(self, defaults):
+        # at omega != 0, M(-omega) comes from the point's own setup at
+        # -omega, never from setup itself
+        _, _, lin = solved(defaults)
+        setup, opposite = (pr.make_setup(*lin, defaults, w)
+                           for w in (0.5, -0.5))
+        c_in = pr.input_covariance(omega=0.5)
+        for wrong in (None, setup):
+            with pytest.raises(ValueError, match=r"^the setup at omega = 0\.5 "
+                               r"needs M\(-omega\) from a setup at -0\.5, "
+                               r"not 0\.5$"):
+                rk4_covariance(setup, c_in, opposite=wrong)
+        closed = pr.propagate_covariance(setup, c_in).covariance.c
+        rk4 = rk4_covariance(setup, c_in, opposite=opposite)
+        assert np.max(np.abs(closed - rk4)) <= 1e-10
 
     @pytest.mark.parametrize("noise_model", NOISE_MODELS)
     def test_lyapunov_matches_kronecker_solve(self, noise_model):
