@@ -5,8 +5,7 @@ The package runs on numpy alone; scipy serves only as the tests' reference
 for the in-package matrix functions, root finder and Lyapunov solve.
 """
 
-from .atom import (DarkStateAnalysis, Generator, RateMatrices,
-                   build_generator, build_rate_matrices, dark_state_analysis)
+from .atom import Generator, build_generator
 from .experiments import (ScalingRule, SweepResult, SweepRow, SweepSpec,
                           alignment_spec, amplitude_spec, calibrate_coupling,
                           compute_point, dephasing_spec, detuning_spec,

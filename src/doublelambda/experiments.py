@@ -43,11 +43,22 @@ STACK_POINTS = 64
 #: rows per stack of transfer, propagation and Duan, which a spectrum runs
 #: on all its frequencies after one linearization.  At n0 = 3e19
 #: (vacuum-reservoir, 2-core VM, one BLAS thread, cli's heap policy, best CPU
-#: time, median of 5 processes) 1024 frequencies took 53.5 ms under this
-#: cap, 60.5 under 64 and 97.2 uncapped, 128 took 7.7 ms under 128 or none
-#: and 8.2 under 64, and a fresh process's peak RSS for 4096 is 46 MB (145
-#: uncapped)
+#: time, median of 5 processes) 1024 frequencies took 24.9 ms under this
+#: cap, 27.0 under 64, 31.0 uncapped and, in two later rounds, 21.8 and
+#: 22.0 under this cap against 19.8 and 20.8 under 256; 128 took 4.2 ms
+#: under 128 or none and 5.0 under 64.  A fresh process's peak RSS for 4096
+#: is 44.8 MB under this cap, 46.5 under 256 and 96.1 uncapped
 STACK_ROWS = 128
+
+#: nonzero frequencies per point from which its rows at omega != 0 read
+#: R(omega) off one eigendecomposition of its drift (fluctuations.modal_stack)
+#: instead of inverting -i omega - A each.  The transfer stage of one point
+#: (2-core VM, one BLAS thread, best of 25 x 100 calls, eig included; at
+#: spectrum-dense's point, the reference point and delta1 = 0.3, each the
+#: quieter of two rounds) took 287, 255 and 264 us against 285, 268 and 253
+#: inverted at 10 rows, breaking even from 10 to 12, 375, 283 and 287
+#: against 411, 353 and 362 at 16, and 243 against 155 at 4 (spectrum-dense)
+MODAL_MIN_ROWS = 10
 
 
 class Axis(NamedTuple):
@@ -319,6 +330,9 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     # dropped before the row stages: kept alive, they raised the peak RSS of
     # a fig2 sweep by 0.9 MB and of a 128-frequency spectrum by 0.5 MB
     del h, r, real, x, activity
+    modes = None
+    if np.count_nonzero(omegas) >= MODAL_MIN_ROWS:
+        modes = fl.modal_stack(a)
     point = np.repeat(np.arange(len(ps)), len(omegas))  # of each row
     omega = np.tile(omegas, len(ps))
     columns = _no_values(point.size)
@@ -332,7 +346,8 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
         p, w = point[part.live], omega[part.live]
         m, nfield, failures = pr.transfer_stack(
             a[at[p]], b[at[p]], d[at[p]], w, chi[p], ps.cell_length[p],
-            scale[p], binv[p[w == 0]])  # of the rows at 0 only
+            scale[p], None if modes is None else (modes, at[p]),
+            binv[p[w == 0]])  # of the rows at 0 only
         m, nfield, length = part.drop(failures, m, nfield, ps.cell_length[p])
         c_out, residual, converged, failures = pr.propagate_stack(
             m, nfield, length, pr.input_covariance().c)

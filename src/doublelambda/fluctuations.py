@@ -18,6 +18,8 @@ table built at import from its complex route.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .atom import (DISSIPATOR_BASIS, FIELD_SUPEROPERATORS, JUMP_GROUPS,
@@ -244,6 +246,10 @@ def equal_time_covariance(state: AtomState, projected: bool = True) -> np.ndarra
     return cov
 
 
+#: the largest Frobenius residual of a response's inverse (response_stack)
+RESPONSE_RESIDUAL_TOL = 1e-10
+
+
 def response_stack(a: np.ndarray, omegas: np.ndarray,
                    binv: np.ndarray | None = None) -> tuple:
     """R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) stack.
@@ -288,7 +294,8 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
         else:
             r, kappa1 = inv_stack(m)  # NaN at an exactly singular member
         resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
-        svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12) & (resid <= 1e-10))
+        svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12)
+                & (resid <= RESPONSE_RESIDUAL_TOL))
     if block and (redo := np.flatnonzero(svd)).size:  # those are inverted
         r[redo], refused = response_stack(a[redo], omegas[redo])
         return r, {int(redo[k]): e for k, e in refused.items()}
@@ -304,10 +311,44 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
             f"atomic response near-singular at omega={omegas[k]}: condition "
             f"{cond[k]:.2e}, offending eigenvalue {worst:.3e}")
     r[singular] = 0.0
-    for k in np.flatnonzero(~singular & ~(resid <= 1e-10)):
+    for k in np.flatnonzero(~singular & ~(resid <= RESPONSE_RESIDUAL_TOL)):
         failures[int(k)] = ResponseError(
             f"response inversion residual {resid[k]:.2e}")
     return r, failures
+
+
+class Modes(NamedTuple):
+    """A = V diag(values) V^-1 of each drift of a stack (modal_stack)."""
+
+    values: np.ndarray   # (P, 15) eigenvalues lambda_k
+    vectors: np.ndarray  # (P, 15, 15) V
+    inverse: np.ndarray  # (P, 15, 15) V^-1
+    norm: np.ndarray     # (P,) ||A||_1
+    kappa: np.ndarray    # (P,) ||V||_1 ||V^-1||_1, NaN where eig failed
+
+
+def modal_stack(a: np.ndarray) -> Modes:
+    """The eigendecomposition of each drift of a (P, 15, 15) stack, from
+    one batched eig and one batched inv.
+
+    It gives every frequency's response at once, R(omega) = V diag(c)
+    V^-1 with c_k = 1 / (-i omega - lambda_k), the modal form of a
+    frequency response; its error grows with kappa(V) [Bauer-Fike; Golub
+    and Van Loan, Matrix Computations, 4th ed., sec. 7.2], so each row
+    that reads it carries a certificate (propagation._modal_transfer).  A
+    drift that is not finite, or whose eig does not converge, gets NaN, so
+    its rows take the inverse.
+    """
+    values = np.full(a.shape[:2], np.nan, dtype=complex)
+    vectors = np.full(a.shape, np.nan, dtype=complex)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    try:
+        values[finite], vectors[finite] = np.linalg.eig(a[finite])
+    except np.linalg.LinAlgError:  # no convergence: NaN, as not finite
+        pass
+    inverse, kappa = inv_stack(vectors)
+    return Modes(values, vectors, inverse, norm_1(a), kappa)
+
 
 NOISE_MODELS = ("einstein", "vacuum-reservoir")
 

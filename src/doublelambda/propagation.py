@@ -29,6 +29,13 @@ SELF_CHECK_TOL = 1e-10
 #: bound on the relative residual of each adjoint-pairing guard
 PAIRING_TOL = 1e-10
 
+#: the largest kappa-hat, an upper bound on the kappa_1 of -i omega - A, at
+#: which a row reads R(omega) off its point's eigendecomposition
+#: (_modal_transfer): the modal form's relative error grows like kappa-hat
+#: eps, which this keeps within 1e-12, the tolerance to which spectra agree
+#: with the inverted route.  (The inverse itself is accepted up to 1e12.)
+MODAL_COND_MAX = 1e-12 / np.finfo(float).eps
+
 #: adjoint pairing of the field components (a <-> a+ within each mode)
 FIELD_PAIR = np.array([1, 0, 3, 2])
 
@@ -85,37 +92,106 @@ def _nonfinite(m: np.ndarray, nfield: np.ndarray) -> dict:
 
 def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
                    omegas: np.ndarray, chi: np.ndarray, lengths: np.ndarray,
-                   noise: np.ndarray, binv: np.ndarray | None = None
+                   noise: np.ndarray, modes: tuple | None = None,
+                   binv: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
     """M(omega) and Nfield, each (P, 4, 4), for a stack of points.
 
     a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
     omegas the analysis frequencies, chi the (P, 2) couplings (chi1, chi2),
     lengths the cell lengths, noise the noise scales L/N and binv as in
-    fluctuations.response_stack.  At omega = 0, in any stack, K S R(0) is K
-    times the real S R(0).  Nfield reads K S R(-omega) as the row gather
-    Pi conj(K S R(omega)): the drift is real, so R(-omega) = conj(R(omega)),
-    and the tables give Pi conj(K S) = K S exactly.  Failures are {stack
-    position: exception}: a response failure, or a non-finite matrix.
+    fluctuations.response_stack.  With modes, a pair (fl.Modes of some
+    points, the index of each row's point among them), a row at omega != 0
+    reads R(omega) from its point's eigendecomposition where its
+    certificate passes (_modal_transfer); every other row inverts.  At
+    omega = 0, in any stack, K S R(0) is K times the real S R(0).  Nfield
+    reads K S R(-omega) as the row gather Pi conj(K S R(omega)): the drift
+    is real, so R(-omega) = conj(R(omega)), and the tables give
+    Pi conj(K S) = K S exactly.  Failures are {stack position: exception}:
+    a response failure, or a non-finite matrix.
     """
-    r, failures = fl.response_stack(a, omegas, binv)
-    chi = (chi[:, [0, 0, 1, 1]] * FIELD_PHASES)[:, :, None]  # K
+    k = (chi[:, [0, 0, 1, 1]] * FIELD_PHASES)[:, :, None]  # K
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
     # stays finite for arbitrarily dilute media
     injection = SPEED_OF_LIGHT / lengths * noise
+    if modes is None:
+        m, nfield, failures = _inverted_transfer(a, b, d, omegas, k,
+                                                 injection, binv)
+    else:
+        m, nfield, modal = _modal_transfer(*modes, a, b, d, omegas, k,
+                                           injection)
+        rest, failures = np.flatnonzero(~modal), {}
+        if rest.size:
+            m[rest], nfield[rest], refused = _inverted_transfer(
+                a[rest], b[rest], d[rest], omegas[rest], k[rest],
+                injection[rest], binv)
+            failures = {int(rest[i]): e for i, e in refused.items()}
+    for i, exc in _nonfinite(m, nfield).items():
+        failures.setdefault(i, exc)
+    return m, nfield, failures
+
+
+def _inverted_transfer(a, b, d, omegas, k, injection, binv) -> tuple:
+    """(M, Nfield, failures) of transfer_stack's rows from their inverted
+    responses (fluctuations.response_stack), for the gains K."""
+    r, failures = fl.response_stack(a, omegas, binv)
     zero = omegas == 0
     if zero.all():  # R(0) real
-        ksr = chi * (SELECTOR @ r)
+        ksr = k * (SELECTOR @ r)
     else:
-        ksr = (chi * SELECTOR) @ r  # K S R with K = diag(chi)
-        ksr[zero] = chi[zero] * (SELECTOR
-                                 @ np.ascontiguousarray(r[zero].real))
+        ksr = (k * SELECTOR) @ r  # K S R with K = diag(chi)
+        ksr[zero] = k[zero] * (SELECTOR @ np.ascontiguousarray(r[zero].real))
     m = ksr @ b
     nfield = (injection[:, None, None] * ksr @ (2.0 * d)
               @ ksr.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
-    for k, exc in _nonfinite(m, nfield).items():
-        failures.setdefault(k, exc)
     return m, nfield, failures
+
+
+def _modal_transfer(modes: fl.Modes, owner: np.ndarray, a, b, d, omegas, k,
+                    injection) -> tuple:
+    """(M, Nfield, taken) of transfer_stack's rows at omega != 0 from the
+    eigendecomposition A = V diag(lambda) V^-1 of their points (modes, and
+    owner, each row's point in it); taken marks the rows it gives.
+
+    S R(omega) = X V^-1 with X = S V diag(c), c_k = 1 / (-i omega -
+    lambda_k).  The X of a point's rows, stacked as one (rows 4, 15) block,
+    meet one GEMM with [V^-1 B | V^-1 2D V^-H | V^-1 | V^-1 A]: the first
+    two parts give M = K X V^-1 B and Nfield = injection (K X V^-1 2D V^-H)
+    (Pi conj(K X))^T, the last two each row's residual
+    ||S R (-i omega - A) - S||_F.  A row is taken if that residual is at
+    most RESPONSE_RESIDUAL_TOL, kappa = (||A||_1 + |omega|) ||V||_1
+    ||V^-1||_1 max_k |c_k|, a bound on the kappa_1 of -i omega - A, is at
+    most MODAL_COND_MAX, and its Nfield Pi is Hermitian to PAIRING_TOL:
+    the first two do not bound the cancellation in X W X^H (W = V^-1 2D
+    V^-H), and a row that fails the third would be refused where its
+    inverted Nfield may pass.
+    """
+    m = np.empty((len(a), 4, 4), dtype=complex)
+    nfield = np.empty_like(m)
+    taken = np.zeros(len(a), dtype=bool)
+    for j in np.unique(owner[omegas != 0]):
+        rows = np.flatnonzero((owner == j) & (omegas != 0))
+        i, w = rows[0], omegas[rows]
+        inverse = modes.inverse[j]
+        blocks = inverse @ np.concatenate(
+            [b[i], 2.0 * d[i] @ inverse.conj().T, np.eye(15), a[i]], axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = 1.0 / (-1j * w[:, None] - modes.values[j])
+            x = (SELECTOR @ modes.vectors[j]) * c[:, None, :]
+            out = (x.reshape(-1, 15) @ blocks).reshape(-1, 4, blocks.shape[1])
+            resid = np.linalg.norm(-1j * w[:, None, None] * out[..., 19:34]
+                                   - out[..., 34:] - SELECTOR, axis=(1, 2))
+            kappa = ((modes.norm[j] + np.abs(w)) * modes.kappa[j]
+                     * np.abs(c).max(axis=1))
+            kx = k[rows] * x
+            m[rows] = k[rows] * out[..., :4]
+            nfield[rows] = (injection[rows, None, None]
+                            * (k[rows] * out[..., 4:19])
+                            @ kx.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
+            taken[rows] = ((kappa <= MODAL_COND_MAX)
+                           & (resid <= fl.RESPONSE_RESIDUAL_TOL)
+                           & (_pairing_residual(nfield[rows]) <= PAIRING_TOL))
+    return m, nfield, taken
 
 
 def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
@@ -166,6 +242,14 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().transpose(0, 2, 1)
 
 
+def _pairing_residual(x: np.ndarray) -> np.ndarray:
+    """max |X Pi - (X Pi)^H| / max |X Pi| of each matrix of a (P, 4, 4)
+    stack."""
+    y = x[..., FIELD_PAIR]
+    scale = np.maximum(np.max(np.abs(y), axis=(1, 2)), np.finfo(float).tiny)
+    return np.max(np.abs(y - _adjoint(y)), axis=(1, 2)) / scale
+
+
 def _pairing_failures(nfield: np.ndarray, c_in: np.ndarray) -> dict:
     """{stack position: ValueError} naming the first broken pairing.
 
@@ -173,15 +257,10 @@ def _pairing_failures(nfield: np.ndarray, c_in: np.ndarray) -> dict:
     holds when Nfield Pi and the input C Pi are Hermitian, each to
     PAIRING_TOL relative.
     """
-    def hermitian_residual(x):
-        y = x[..., FIELD_PAIR]
-        scale = np.maximum(np.max(np.abs(y), axis=(1, 2)), np.finfo(float).tiny)
-        return np.max(np.abs(y - _adjoint(y)), axis=(1, 2)) / scale
-
     failures = {}
     for name, resid in (
-            ("nfield Pi is not Hermitian", hermitian_residual(nfield)),
-            ("input C Pi is not Hermitian", hermitian_residual(c_in))):
+            ("nfield Pi is not Hermitian", _pairing_residual(nfield)),
+            ("input C Pi is not Hermitian", _pairing_residual(c_in))):
         for k in np.flatnonzero(~(resid <= PAIRING_TOL)):
             failures.setdefault(int(k), ValueError(
                 f"{name}: pairing residual {resid[k]:.2e} "

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,86 @@ def fields_liouvillian(params, fields):
     h = field_coefficients(params, fields)
     rates = coefficient_stack(params)[1]
     return liouvillian_stack(h[None], dissipator_stack(rates[None]))[0]
+
+
+# -- dark-state physics that only the tests read ------------------------------
+
+@dataclass(frozen=True)
+class RateMatrices:
+    """Correlated decay-rate matrices and lower-level incoherent rates.
+
+    gamma_to_1 / gamma_to_3 act on the channel pairs (4->f, 2->f); diagonals
+    are the full rates (2*gamma_i), off-diagonals the interference cross
+    rates 2*p*sqrt(gamma_a*gamma_b).
+    """
+
+    gamma_to_1: np.ndarray
+    gamma_to_3: np.ndarray
+    exchange_rate: float   # full rate 2*gamma0, each direction 1<->3
+    dephasing_rate: float  # gamma_phi on the 1-3 coherence
+
+
+def build_rate_matrices(params: SystemParams) -> RateMatrices:
+    """Assemble the 2x2 decay-rate matrices for the two final states."""
+    # |p| <= 1 is enforced by SystemParams; an indefinite rate matrix would
+    # not define a physical dissipator.
+    r = coefficient_stack(params)[1]
+    return RateMatrices(gamma_to_1=r[:4].reshape(2, 2),
+                        gamma_to_3=r[4:8].reshape(2, 2),
+                        exchange_rate=r[8], dephasing_rate=params.gamma_phi)
+
+
+@dataclass(frozen=True)
+class DarkStateAnalysis:
+    """Mixing angles and dark-state amplitudes of the driven system."""
+
+    theta: float
+    phi: float
+    phi0_amplitudes: np.ndarray   # cos(theta)|1> - sin(theta)|3>
+    phi1_amplitudes: np.ndarray   # doublet-mixed dark state
+    interference_residuals: tuple[float, float]
+
+
+def dark_state_analysis(params: SystemParams) -> DarkStateAnalysis:
+    """Angles, dark-state amplitudes, and the interference-condition residuals.
+
+    With equal dipole magnitudes, both residuals reduce to delta1 + delta2;
+    they vanish exactly at the doublet midpoint delta1 = -omega42/2.
+    """
+    r1 = params.g * params.a1_mean
+    r2 = params.g * params.a2_mean
+    if r1 == 0 and r2 == 0:
+        raise ValueError("both drive amplitudes vanish: mixing angles undefined")
+    theta = np.arctan2(r1, r2)
+    rbar = np.sqrt(r1**2 + r2**2)
+    phi = np.arctan2(params.omega42 / 2.0, np.sqrt(2.0) * rbar)
+    phi0 = np.array([np.cos(theta), 0.0, -np.sin(theta), 0.0])
+    phi1 = np.array([
+        np.sin(theta) * np.sin(phi),
+        np.cos(phi) / np.sqrt(2.0),
+        np.cos(theta) * np.sin(phi),
+        -np.cos(phi) / np.sqrt(2.0),
+    ])
+    residual = params.delta2 + params.delta1
+    return DarkStateAnalysis(theta=float(theta), phi=float(phi),
+                             phi0_amplitudes=phi0, phi1_amplitudes=phi1,
+                             interference_residuals=(residual, residual))
+
+
+def jump_amplitudes_on_state(params: SystemParams, state: np.ndarray) -> list[np.ndarray]:
+    """For each final state f in {1, 3}: sqrt(Gamma_f) applied to the state's
+    (level-4, level-2) amplitude pair.  Both vectors vanish iff the state is
+    dark with respect to the correlated spontaneous decay.  Gamma_f is
+    Hermitian positive semidefinite, so its root comes from eigh, with the
+    eigenvalues that rounding leaves below 0 clipped to 0."""
+    rm = build_rate_matrices(params)
+    amps = np.array([state[3], state[1]])
+    out = []
+    for gmat in (rm.gamma_to_1, rm.gamma_to_3):
+        w, v = np.linalg.eigh(gmat)
+        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+        out.append(root @ amps)
+    return out
 
 
 @pytest.fixture

@@ -6,14 +6,13 @@ from doublelambda import BASIS, SystemParams
 from doublelambda.atom import (COHERENT_BASIS, DISSIPATOR_BASIS,
                                HAMILTONIAN_OPERATORS, HERMITIAN_GROUPS,
                                REAL_BASIS, _contract, build_generator,
-                               build_rate_matrices, dark_state_analysis,
-                               dissipative_activity_stack,
-                               jump_amplitudes_on_state)
+                               dissipative_activity_stack)
 from doublelambda.fluctuations import FRAME, ROTATION
 from doublelambda.params import (HERMITIAN_BASIS, HERMITIAN_FRAME,
                                 hermitian_coordinates)
-from conftest import (field_coefficients, fields_liouvillian, random_params,
-                      rate_groups)
+from conftest import (build_rate_matrices, dark_state_analysis,
+                      field_coefficients, fields_liouvillian,
+                      jump_amplitudes_on_state, random_params, rate_groups)
 
 
 def hamiltonian(params, fields=None):

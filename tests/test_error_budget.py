@@ -1,6 +1,7 @@
 """A 40-digit error budget of the steady stage, the drift, R(0) (inverted,
 and read off the bordered inverse) and the diffusion D at four fixed
-points.
+points, and of the sideband transfer M(omega) = K S R(omega) B (inverted,
+and read off the eigendecomposition of A) at two of them.
 
 The reference Liouvillian is built in mpmath from the point's
 double-precision coefficient rows (atom.coefficient_stack) and the
@@ -18,11 +19,13 @@ import numpy as np
 import pytest
 
 from doublelambda import atom, steady
+from doublelambda import propagation as pr
 from doublelambda.experiments import amplitude_spec, dephasing_spec
 from doublelambda.fluctuations import (CHANNEL_SANDWICHES, FRAME,
                                        O1_BORDERED, ROTATION,
                                        diffusion_stack, drift_stack,
-                                       response_stack)
+                                       field_coupling_stack, modal_stack,
+                                       noise_scale, response_stack)
 from doublelambda.matfuncs import inv_stack
 from doublelambda.params import (HERMITIAN_FRAME, ParamStack, SystemParams,
                                 hermitian_coordinates)
@@ -244,3 +247,54 @@ def test_rates_diffusion_within_budget_and_no_worse_than_full_l(name):
         if state is rho:
             old = full_generator_diffusion(lmat, state)[0]
             assert error <= 2.0 * forward_error(old, ref)
+
+
+#: the sideband frequencies of the transfer budget
+SIDEBAND_OMEGAS = np.array([0.3, 0.8, 1.5, 2.5, 4.0])
+
+#: the budget of M(omega), relative to the exact M's largest entry, for the
+#: inverted and the modal route.  The two points share A and B (n0 enters
+#: neither), so K alone differs.  Measured, from 0.3 to 4: inverted
+#: 7.9e-16, 4.3e-16, 2.5e-16, 2.3e-16, 2.7e-16 (reference) and 7.5e-16 to
+#: 2.0e-16 (n0x1000); modal 2.7e-15, 9.3e-16, 6.3e-16, 5.5e-16, 4.2e-16 at
+#: both, at most 3.6 times the inverted error
+TRANSFER_BUDGET = (2e-15, 5e-15)
+
+
+def exact_transfer(a, b, k, omega):
+    """M = K S R(omega) B at DIGITS from the double A, B, K (the diagonal
+    of the field gains) and S = propagation.SELECTOR."""
+    with mpmath.workdps(DIGITS):
+        shifted = (-mpmath.mpc(0, omega) * mpmath.eye(15)
+                   - mpmath.matrix(a.tolist()))
+        ks = mpmath.diag([mpmath.mpc(x) for x in k]) * mpmath.matrix(
+            pr.SELECTOR.tolist())
+        m = ks * shifted ** -1 * mpmath.matrix(b.tolist())
+        return np.array(m.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("name", ["reference", "n0x1000"])
+def test_sideband_transfer_within_budget(name):
+    ps = ParamStack.of([POINTS[name]])
+    h, r = atom.coefficient_stack(ps)
+    real = atom.real_generator_stack(h, r)
+    rho, _, _, failures, _ = steady.steady_state_stack(real, h, r)
+    x = hermitian_coordinates(rho)
+    a, more = drift_stack(real, r)
+    assert failures == more == {}
+    rows = np.zeros(len(SIDEBAND_OMEGAS), dtype=int)  # each row the point
+    a, b = a[rows], field_coupling_stack(ps.g, x)[rows]
+    d = diffusion_stack("einstein", r, x)[rows]
+    chi = np.stack([ps.chi1, ps.chi2], 1)[rows]
+    k = (chi[:, [0, 0, 1, 1]] * pr.FIELD_PHASES)[:, :, None]
+    injection = pr.SPEED_OF_LIGHT / ps.cell_length[rows] * noise_scale(ps)[rows]
+    inverted, _, refused = pr.transfer_stack(
+        a, b, d, SIDEBAND_OMEGAS, chi, ps.cell_length[rows],
+        noise_scale(ps)[rows])
+    modal, _, taken = pr._modal_transfer(modal_stack(a[:1]), rows, a, b, d,
+                                         SIDEBAND_OMEGAS, k, injection)
+    assert refused == {} and taken.all()
+    for i, omega in enumerate(SIDEBAND_OMEGAS):
+        exact = exact_transfer(a[i], b[i], k[i, :, 0], omega)
+        for m, budget in zip((inverted, modal), TRANSFER_BUDGET):
+            assert forward_error(m[i], exact) <= budget

@@ -75,18 +75,34 @@ def test_spectrum_dense_reaches_degree_13(pipeline_stacks):
     assert norms.max() > THETA[-2]
 
 
+def exact_expm(a):
+    """exp(a) of one matrix at 40 digits (mpmath, the test extra)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                        dtype=complex)
+
+
 def test_squaring_matches_scipy(pipeline_stacks):
-    # x8 takes the spectrum-dense Van Loan slices up to three squarings
-    # (worst error 9.5e-15).  At x16 the worst slice is ill-conditioned:
-    # against its 40-digit exponential ours is off by 8.3e-15 and scipy's
-    # by 1.1e-14, so the two differ by more than RTOL
+    # x8 takes the spectrum-dense Van Loan slices up to three squarings.
+    # At most one slice of a stack may differ from scipy's by more than
+    # RTOL, and ours is then held to its 40-digit exponential: from the
+    # modal rows, slice 31 differs by 1.4e-14, ours off by 6.3e-15 and
+    # scipy's by 7.9e-15 in opposite directions (from inverted rows the
+    # worst difference was 9.5e-15).  At x16 the worst slice is
+    # ill-conditioned: against its 40-digit exponential ours is off by
+    # 8.3e-15 and scipy's by 1.1e-14
     slices = [a for a in pipeline_stacks["spectrum-dense"]
               if a.shape[1:] == (8, 8)]
     assert slices
     for a in slices:
         a = 8.0 * a
         assert one_norms(a).max() > 4 * THETA[-1]
-        assert relative_error(expm(a), scipy.linalg.expm(a)).max() <= RTOL
+        ours = expm(a)
+        apart = relative_error(ours, scipy.linalg.expm(a)) > RTOL
+        assert apart.sum() <= 1
+        for k in np.flatnonzero(apart):
+            assert relative_error(ours[k], exact_expm(a[k])) <= RTOL
 
 
 def test_rotations_match_cos_sin():
