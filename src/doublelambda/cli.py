@@ -35,18 +35,19 @@ from .steady import absorption, solve_steady_state
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 
 #: glibc settings sized by the stack caps.  A stack of STACK_ROWS = 128 rows
-#: makes no temporary above 0.46 MB (the complex (128, 15, 15) diffusion it
-#: gathers, and the response of that shape where its rows invert; the modal
-#: product is complex (512, 49), 0.40 MB, and the Van Loan slices complex
-#: (128, 8, 8)), so under a 2 MiB mmap threshold every stack array comes
-#: from the heap.  A stacked pass holds 1.9 MiB of traced heap above its
-#: start for 128 frequencies (2.2 MiB for 1024; 1.7 MiB for a fig2 sweep
-#: in stacks of STACK_POINTS = 64), so a 4 MiB trim threshold keeps a
-#: freed heap top for the next stage and the next run, with room to spare:
-#: under a 3 MiB one, a second 128-frequency spectrum in one process took
-#: 783 minor page faults while its stages held 3.4 MiB (inverting every
-#: row) and takes 0-1 now.  Larger stacks pass these sizes: under
-#: STACK_ROWS = 256 a 1024-frequency spectrum holds 4.2 MiB.
+#: makes no temporary above 0.46 MB (the complex (128, 15, 15) response of
+#: rows that invert, and the diffusion gathered for them; a modal row reads
+#: its point's matrices in place, the modal product is complex (512, 49),
+#: 0.40 MB, and the Van Loan slices complex (128, 8, 8)), so under a 2 MiB
+#: mmap threshold every stack array comes from the heap.  A stacked pass
+#: holds 1.3 MiB of traced heap above its start for 128 frequencies (1.5
+#: MiB for 1024; 1.4 MiB for a fig2 sweep in stacks of STACK_POINTS = 64),
+#: so a 4 MiB trim threshold keeps a freed heap top for the next stage and
+#: the next run, with room to spare: under a 3 MiB one, a second
+#: 128-frequency spectrum in one process took 783 minor page faults while
+#: its stages held 3.4 MiB (inverting every row) and takes 0-1 now.  Larger
+#: stacks pass these sizes: under STACK_ROWS = 256 a 1024-frequency
+#: spectrum holds 2.9 MiB.
 MALLOPT = ((M_TRIM_THRESHOLD, 4 << 20), (M_MMAP_THRESHOLD, 2 << 20))
 
 

@@ -42,12 +42,13 @@ STACK_POINTS = 64
 
 #: rows per stack of transfer, propagation and Duan, which a spectrum runs
 #: on all its frequencies after one linearization.  At n0 = 3e19
-#: (vacuum-reservoir, 2-core VM, one BLAS thread, cli's heap policy, best CPU
-#: time, median of 5 processes) 1024 frequencies took 24.9 ms under this
-#: cap, 27.0 under 64, 31.0 uncapped and, in two later rounds, 21.8 and
-#: 22.0 under this cap against 19.8 and 20.8 under 256; 128 took 4.2 ms
-#: under 128 or none and 5.0 under 64.  A fresh process's peak RSS for 4096
-#: is 44.8 MB under this cap, 46.5 under 256 and 96.1 uncapped
+#: (vacuum-reservoir, 2-core VM, one BLAS thread, cli's heap policy, best
+#: CPU time of 10 calls, median of 5 processes) 1024 frequencies took 23.6
+#: ms under this cap, 26.7 under 64, 21.5 under 256 and 28.0 uncapped; 128
+#: took 4.0 ms under this cap and 4.8 under 64.  256 ran 1024 and 4096
+#: frequencies faster in 5 of 5 alternating rounds, but it raises a fresh
+#: simulate process's peak RSS for 4096 frequencies from 44.1 MB under this
+#: cap to 45.5 (76.7 uncapped)
 STACK_ROWS = 128
 
 #: nonzero frequencies per point from which its rows at omega != 0 read
@@ -232,7 +233,7 @@ def _values(f, column: np.ndarray) -> list:
     values = list(column) if column.ndim > 1 else column.tolist()
     if f.default is not None:
         return values
-    missing = np.isnan(column.reshape(len(column), -1)).any(1)
+    missing = np.isnan(column).any(axis=tuple(range(1, column.ndim)))
     return [None if m else v for m, v in zip(missing.tolist(), values)]
 
 
@@ -309,7 +310,8 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     check -> drift, field coupling and diffusion, the last three from the
     state coordinates x) run once per point; response, transfer,
     propagation and Duan run on the rows of the live points in stacks of
-    at most STACK_ROWS rows, each of which gathers its rows' a, b and d.
+    at most STACK_ROWS rows, which read their points' data through an
+    owner index (propagation.transfer_stack).
     """
     points = _Stack(np.arange(len(ps)), np.full(len(ps), "", dtype=object))
     h, r = atom.coefficient_stack(ps)
@@ -317,14 +319,15 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     rho_all, _, methods, failures, binv = steady_state_stack(real, h, r)
     underflowed, subnormal = _coupling_checks(ps, h)
     failures = {**failures, **underflowed}
-    real, r, x = points.drop(failures, real, r, hermitian_coordinates(rho_all))
+    real, r, x, binv = points.drop(failures, real, r,
+                                   hermitian_coordinates(rho_all), binv)
     activity = atom.dissipative_activity_stack(r, x)
     dark = np.zeros(len(ps), dtype=bool)  # no dissipation: transparent
     dark[points.live] = activity < DARK_ACTIVITY_TOL
-    real, r, x = points.drop(dict.fromkeys(np.flatnonzero(
-        dark[points.live])), real, r, x)
+    real, r, x, binv = points.drop(dict.fromkeys(np.flatnonzero(
+        dark[points.live])), real, r, x, binv)
     a, failures = fl.drift_stack(real, r)
-    a, r, x = points.drop(failures, a, r, x)
+    a, r, x, binv = points.drop(failures, a, r, x, binv)
     b = fl.field_coupling_stack(ps.g[points.live], x)
     d = fl.diffusion_stack(noise_model, r, x)
     # dropped before the row stages: kept alive, they raised the peak RSS of
@@ -340,17 +343,17 @@ def _evaluate_stack(ps: ParamStack, omegas: np.ndarray,
     at = np.full(len(ps), -1)  # a live point's position in a, b and d
     at[points.live] = np.arange(points.live.size)
     live = np.flatnonzero(at[point] >= 0)  # the rows of the live points
-    chi, scale = np.stack([ps.chi1, ps.chi2], 1), fl.noise_scale(ps)
+    chi, length, scale = (x[points.live] for x in (
+        np.stack([ps.chi1, ps.chi2], 1), ps.cell_length, fl.noise_scale(ps)))
     for start in range(0, live.size, STACK_ROWS):
         part = _Stack(live[start:start + STACK_ROWS], columns["error"])
-        p, w = point[part.live], omega[part.live]
+        owner = at[point[part.live]]
         m, nfield, failures = pr.transfer_stack(
-            a[at[p]], b[at[p]], d[at[p]], w, chi[p], ps.cell_length[p],
-            scale[p], None if modes is None else (modes, at[p]),
-            binv[p[w == 0]])  # of the rows at 0 only
-        m, nfield, length = part.drop(failures, m, nfield, ps.cell_length[p])
+            a, b, d, chi, length, scale, owner, omega[part.live], binv=binv,
+            modes=modes)
+        m, nfield, owner = part.drop(failures, m, nfield, owner)
         c_out, residual, converged, failures = pr.propagate_stack(
-            m, nfield, length, pr.input_covariance().c)
+            m, nfield, length[owner], pr.input_covariance().c)
         c_out, residual, converged = part.drop(failures, c_out, residual,
                                                converged)
         u, v, failures = duan_stack(c_out)

@@ -252,7 +252,8 @@ RESPONSE_RESIDUAL_TOL = 1e-10
 
 def response_stack(a: np.ndarray, omegas: np.ndarray,
                    binv: np.ndarray | None = None) -> tuple:
-    """R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) stack.
+    """R(omega) = (-i omega I - A)^-1 of a (P, 15, 15) stack, its rows all
+    at omega = 0 or all at omega != 0 (transfer_stack splits them).
 
     Refuses near-singular systems (condition number above 1e12), naming the
     offending eigenvalue, and checks every inverse by its residual.  The
@@ -260,35 +261,22 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
     Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 6.2]: a
     point whose inverse passes its residual and n kappa_1 (1 + 1e-9) <= 1e12
     needs no SVD; the SVD decides the others, among them an exactly
-    singular member, whose inverse inv_stack leaves NaN.  A row at omega = 0
-    inverts the real -A (a real array if every row is at 0).  R(-omega) is
-    not formed: for the real drift it is conj(R(omega)), which
-    transfer_stack reads through the pairing.  Each row is decided by its
-    own frequency.  With binv, the inverses of the bordered
-    matrices B' of the rows at 0 (steady_state_stack), a row there whose
-    block R(0) = -O_1 B'^-1 O1_BORDERED passes that test needs no
-    inversion: as B' has the trace in row BORDERED_ROW, X = B'^-1
-    O1_BORDERED is traceless and B X = O_1^T (in that row both are minus the
-    sum of the other population rows), so A O_1 X = O_1 B X = I.  Returns
-    R(omega) and the failures as {stack position: ResponseError}.
+    singular member, whose inverse inv_stack leaves NaN.  At omega = 0,
+    R(0) is real.  R(-omega) is not formed: for the real drift it is
+    conj(R(omega)), which transfer_stack reads through the pairing.  With
+    binv, the inverses of the bordered matrices B' of the rows, all at 0
+    (steady_state_stack), a row whose block R(0) = -O_1 B'^-1 O1_BORDERED
+    passes that test needs no inversion, and the others are inverted: as
+    B' has the trace in row BORDERED_ROW, X = B'^-1 O1_BORDERED is
+    traceless and B X = O_1^T (in that row both are minus the sum of the
+    other population rows), so A O_1 X = O_1 B X = I.  Returns R(omega)
+    and the failures as {stack position: ResponseError}.
     """
-    zero = omegas == 0
-    if zero.any() and not zero.all():  # each kind of row as a stack alone
-        parts = [(rows, *response_stack(a[rows], omegas[rows], x))
-                 for rows, x in ((np.flatnonzero(zero), binv),
-                                 (np.flatnonzero(~zero), None))]
-        r = np.empty(a.shape, dtype=complex)
-        failures = {}
-        for rows, r_rows, refused in parts:
-            r[rows] = r_rows
-            failures.update((int(rows[k]), e) for k, e in refused.items())
-        return r, failures
     eye = np.eye(a.shape[-1])
-    block = binv is not None and zero.all()
-    iw = 0.0 if zero.all() else (1j * omegas)[:, None, None] * eye
+    iw = (1j * omegas)[:, None, None] * eye if omegas.any() else 0.0
     m = -iw - a
     with np.errstate(over="ignore", invalid="ignore"):  # a block may overflow
-        if block:
+        if binv is not None:
             r = -ROTATION[1:] @ binv @ O1_BORDERED
             kappa1 = norm_1(m) * norm_1(r)
         else:
@@ -296,7 +284,7 @@ def response_stack(a: np.ndarray, omegas: np.ndarray,
         resid = np.linalg.norm(m @ r - eye, axis=(1, 2))
         svd = ~((len(eye) * (1.0 + 1e-9) * kappa1 <= 1e12)
                 & (resid <= RESPONSE_RESIDUAL_TOL))
-    if block and (redo := np.flatnonzero(svd)).size:  # those are inverted
+    if binv is not None and (redo := np.flatnonzero(svd)).size:  # inverted
         r[redo], refused = response_stack(a[redo], omegas[redo])
         return r, {int(redo[k]): e for k, e in refused.items()}
     cond = np.zeros(len(m))

@@ -91,67 +91,67 @@ def _nonfinite(m: np.ndarray, nfield: np.ndarray) -> dict:
 
 
 def transfer_stack(a: np.ndarray, b: np.ndarray, d: np.ndarray,
-                   omegas: np.ndarray, chi: np.ndarray, lengths: np.ndarray,
-                   noise: np.ndarray, modes: tuple | None = None,
-                   binv: np.ndarray | None = None
+                   chi: np.ndarray, lengths: np.ndarray, noise: np.ndarray,
+                   owner: np.ndarray, omegas: np.ndarray,
+                   binv: np.ndarray | None = None,
+                   modes: fl.Modes | None = None
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """M(omega) and Nfield, each (P, 4, 4), for a stack of points.
+    """M(omega) and Nfield, each (rows, 4, 4), of row i = the point
+    owner[i] at omegas[i], for points given as the (P, 15, 15), (P, 15, 4),
+    (P, 15, 15) linearized systems a, b, d, the (P, 2) couplings chi, the
+    cell lengths, the noise scales L/N and, optionally, the bordered
+    inverses binv (steady_state_stack) and the modes (fl.modal_stack).
 
-    a, b, d are the (P, 15, 15), (P, 15, 4), (P, 15, 15) linearized systems,
-    omegas the analysis frequencies, chi the (P, 2) couplings (chi1, chi2),
-    lengths the cell lengths, noise the noise scales L/N and binv as in
-    fluctuations.response_stack.  With modes, a pair (fl.Modes of some
-    points, the index of each row's point among them), a row at omega != 0
-    reads R(omega) from its point's eigendecomposition where its
-    certificate passes (_modal_transfer); every other row inverts.  At
-    omega = 0, in any stack, K S R(0) is K times the real S R(0).  Nfield
-    reads K S R(-omega) as the row gather Pi conj(K S R(omega)): the drift
-    is real, so R(-omega) = conj(R(omega)), and the tables give
-    Pi conj(K S) = K S exactly.  Failures are {stack position: exception}:
-    a response failure, or a non-finite matrix.
+    The rows split once, each class one stack: a row at omega = 0 takes K
+    times the real S R(0), off its block where binv is given
+    (fl.response_stack); a row at omega != 0 reads R(omega) off its modes
+    where they are given and its certificate passes (_modal_transfer);
+    every other row inverts.  Nfield reads K S R(-omega) as the row gather
+    Pi conj(K S R(omega)): the drift is real, so R(-omega) =
+    conj(R(omega)), and the tables give Pi conj(K S) = K S exactly.
+    Failures are {row: exception}: a frequency that is not finite, named
+    before any arithmetic touches it, a response failure, or a non-finite
+    matrix.
     """
     k = (chi[:, [0, 0, 1, 1]] * FIELD_PHASES)[:, :, None]  # K
     # (c/L) * (L/N) * chi^2 == g * chi: the flux-normalized distributed noise
     # stays finite for arbitrarily dilute media
     injection = SPEED_OF_LIGHT / lengths * noise
-    if modes is None:
-        m, nfield, failures = _inverted_transfer(a, b, d, omegas, k,
-                                                 injection, binv)
-    else:
-        m, nfield, modal = _modal_transfer(*modes, a, b, d, omegas, k,
-                                           injection)
-        rest, failures = np.flatnonzero(~modal), {}
-        if rest.size:
-            m[rest], nfield[rest], refused = _inverted_transfer(
-                a[rest], b[rest], d[rest], omegas[rest], k[rest],
-                injection[rest], binv)
-            failures = {int(rest[i]): e for i, e in refused.items()}
+    zero, rest = omegas == 0, np.isfinite(omegas) & (omegas != 0)
+    failures = {int(i): ValueError(f"sideband frequency omega={omegas[i]} "
+                                   "is not finite")
+                for i in np.flatnonzero(~zero & ~rest)}
+    m = np.zeros((len(owner), 4, 4), dtype=complex)
+    nfield = np.zeros_like(m)
+    if modes is not None:
+        rest &= ~_modal_transfer(modes, a, b, d, k, injection, owner, omegas,
+                                 rest, m, nfield)
+    for rows, blocks in ((np.flatnonzero(zero), binv),
+                         (np.flatnonzero(rest), None)):
+        if not rows.size:
+            continue
+        j = owner[rows]
+        r, refused = fl.response_stack(
+            a[j], omegas[rows], None if blocks is None else blocks[j])
+        if np.isrealobj(r):  # R(0)
+            ksr = k[j] * (SELECTOR @ r)
+        else:
+            ksr = (k[j] * SELECTOR) @ r  # K S R with K = diag(chi)
+        m[rows] = ksr @ b[j]
+        nfield[rows] = (injection[j, None, None] * ksr @ (2.0 * d[j])
+                        @ ksr.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
+        failures.update((int(rows[i]), e) for i, e in refused.items())
     for i, exc in _nonfinite(m, nfield).items():
         failures.setdefault(i, exc)
     return m, nfield, failures
 
 
-def _inverted_transfer(a, b, d, omegas, k, injection, binv) -> tuple:
-    """(M, Nfield, failures) of transfer_stack's rows from their inverted
-    responses (fluctuations.response_stack), for the gains K."""
-    r, failures = fl.response_stack(a, omegas, binv)
-    zero = omegas == 0
-    if zero.all():  # R(0) real
-        ksr = k * (SELECTOR @ r)
-    else:
-        ksr = (k * SELECTOR) @ r  # K S R with K = diag(chi)
-        ksr[zero] = k[zero] * (SELECTOR @ np.ascontiguousarray(r[zero].real))
-    m = ksr @ b
-    nfield = (injection[:, None, None] * ksr @ (2.0 * d)
-              @ ksr.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
-    return m, nfield, failures
-
-
-def _modal_transfer(modes: fl.Modes, owner: np.ndarray, a, b, d, omegas, k,
-                    injection) -> tuple:
-    """(M, Nfield, taken) of transfer_stack's rows at omega != 0 from the
-    eigendecomposition A = V diag(lambda) V^-1 of their points (modes, and
-    owner, each row's point in it); taken marks the rows it gives.
+def _modal_transfer(modes: fl.Modes, a, b, d, k, injection, owner, omegas,
+                    offered, m, nfield) -> np.ndarray:
+    """Write into m and nfield the M and Nfield of the offered rows of
+    transfer_stack (at finite omega != 0) from the eigendecomposition
+    A = V diag(lambda) V^-1 of their points (modes, indexed as a, b, d, k
+    and injection are); return the mask of the rows it takes.
 
     S R(omega) = X V^-1 with X = S V diag(c), c_k = 1 / (-i omega -
     lambda_k).  The X of a point's rows, stacked as one (rows 4, 15) block,
@@ -166,15 +166,12 @@ def _modal_transfer(modes: fl.Modes, owner: np.ndarray, a, b, d, omegas, k,
     V^-H), and a row that fails the third would be refused where its
     inverted Nfield may pass.
     """
-    m = np.empty((len(a), 4, 4), dtype=complex)
-    nfield = np.empty_like(m)
-    taken = np.zeros(len(a), dtype=bool)
-    for j in np.unique(owner[omegas != 0]):
-        rows = np.flatnonzero((owner == j) & (omegas != 0))
-        i, w = rows[0], omegas[rows]
-        inverse = modes.inverse[j]
+    taken = np.zeros(len(owner), dtype=bool)
+    for j in np.unique(owner[offered]):
+        rows = np.flatnonzero(offered & (owner == j))
+        w, inverse = omegas[rows], modes.inverse[j]
         blocks = inverse @ np.concatenate(
-            [b[i], 2.0 * d[i] @ inverse.conj().T, np.eye(15), a[i]], axis=1)
+            [b[j], 2.0 * d[j] @ inverse.conj().T, np.eye(15), a[j]], axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             c = 1.0 / (-1j * w[:, None] - modes.values[j])
             x = (SELECTOR @ modes.vectors[j]) * c[:, None, :]
@@ -183,15 +180,14 @@ def _modal_transfer(modes: fl.Modes, owner: np.ndarray, a, b, d, omegas, k,
                                    - out[..., 34:] - SELECTOR, axis=(1, 2))
             kappa = ((modes.norm[j] + np.abs(w)) * modes.kappa[j]
                      * np.abs(c).max(axis=1))
-            kx = k[rows] * x
-            m[rows] = k[rows] * out[..., :4]
-            nfield[rows] = (injection[rows, None, None]
-                            * (k[rows] * out[..., 4:19])
-                            @ kx.conj()[:, FIELD_PAIR].transpose(0, 2, 1))
+            m[rows] = k[j] * out[..., :4]
+            nfield[rows] = (injection[j] * (k[j] * out[..., 4:19])
+                            @ (k[j] * x).conj()[:, FIELD_PAIR]
+                            .transpose(0, 2, 1))
             taken[rows] = ((kappa <= MODAL_COND_MAX)
                            & (resid <= fl.RESPONSE_RESIDUAL_TOL)
                            & (_pairing_residual(nfield[rows]) <= PAIRING_TOL))
-    return m, nfield, taken
+    return taken
 
 
 def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
@@ -208,9 +204,9 @@ def make_setup(a: np.ndarray, b: np.ndarray, d: np.ndarray,
     Raises on a response failure and on a non-finite result.
     """
     m, nfield, failures = transfer_stack(
-        a[None], b[None], d[None], np.array([omega], dtype=float),
-        np.array([[params.chi1, params.chi2]]),
-        np.array([params.cell_length]), np.array([fl.noise_scale(params)]))
+        a[None], b[None], d[None], np.array([[params.chi1, params.chi2]]),
+        np.array([params.cell_length]), np.array([fl.noise_scale(params)]),
+        np.zeros(1, dtype=int), np.array([omega], dtype=float))
     if failures:
         raise failures[0]
     return PropagationSetup(m=m[0], nfield=nfield[0],

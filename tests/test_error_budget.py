@@ -1,7 +1,8 @@
 """A 40-digit error budget of the steady stage, the drift, R(0) (inverted,
 and read off the bordered inverse) and the diffusion D at four fixed
 points, and of the sideband transfer M(omega) = K S R(omega) B (inverted,
-and read off the eigendecomposition of A) at two of them.
+and read off the eigendecomposition of A) and its noise injection Nfield
+at two of them.
 
 The reference Liouvillian is built in mpmath from the point's
 double-precision coefficient rows (atom.coefficient_stack) and the
@@ -30,6 +31,7 @@ from doublelambda.matfuncs import inv_stack
 from doublelambda.params import (HERMITIAN_FRAME, ParamStack, SystemParams,
                                 hermitian_coordinates)
 from conftest import full_generator_diffusion
+from test_modal_route import modal_transfer
 
 mpmath = pytest.importorskip(
     "mpmath", reason="mpmath (the test extra) is not installed: no "
@@ -252,25 +254,38 @@ def test_rates_diffusion_within_budget_and_no_worse_than_full_l(name):
 #: the sideband frequencies of the transfer budget
 SIDEBAND_OMEGAS = np.array([0.3, 0.8, 1.5, 2.5, 4.0])
 
-#: the budget of M(omega), relative to the exact M's largest entry, for the
-#: inverted and the modal route.  The two points share A and B (n0 enters
-#: neither), so K alone differs.  Measured, from 0.3 to 4: inverted
-#: 7.9e-16, 4.3e-16, 2.5e-16, 2.3e-16, 2.7e-16 (reference) and 7.5e-16 to
-#: 2.0e-16 (n0x1000); modal 2.7e-15, 9.3e-16, 6.3e-16, 5.5e-16, 4.2e-16 at
-#: both, at most 3.6 times the inverted error
+#: the budget of M(omega) and of Nfield, each relative to the exact
+#: matrix's largest entry, for the inverted and the modal route.  The two
+#: points share A and B (n0 enters neither), so K and the injection alone
+#: differ.  Measured, from 0.3 to 4: M inverted 7.9e-16, 4.3e-16, 2.5e-16,
+#: 2.3e-16, 2.7e-16 (reference) and 7.5e-16 to 2.0e-16 (n0x1000); modal
+#: 2.7e-15, 9.3e-16, 6.3e-16, 5.5e-16, 4.2e-16 at both, at most 3.6 times
+#: the inverted error.  Nfield = injection K S R 2D (Pi conj(K S R))^T:
+#: inverted 1.1e-15, 2.9e-16, 6.2e-16, 5.1e-16, 3.8e-16 (reference) and
+#: 5.2e-16, 4.4e-16, 6.4e-16, 3.9e-16, 3.9e-16 (n0x1000); modal 4.4e-15,
+#: 1.5e-15, 6.9e-16, 5.4e-16, 3.7e-16 (reference) and 4.6e-15, 1.5e-15,
+#: 8.5e-16, 5.6e-16, 7.6e-16 (n0x1000), largest at 0.3 as for M
 TRANSFER_BUDGET = (2e-15, 5e-15)
+NFIELD_BUDGET = (3e-15, 1e-14)
 
 
-def exact_transfer(a, b, k, omega):
-    """M = K S R(omega) B at DIGITS from the double A, B, K (the diagonal
-    of the field gains) and S = propagation.SELECTOR."""
+def exact_transfer(a, b, d, k, injection, omega):
+    """M = K S R(omega) B and Nfield = injection K S R(omega) 2D
+    (Pi conj(K S R(omega)))^T at DIGITS from the double A, B, D, K (the
+    diagonal of the field gains) and injection, with S =
+    propagation.SELECTOR."""
     with mpmath.workdps(DIGITS):
         shifted = (-mpmath.mpc(0, omega) * mpmath.eye(15)
                    - mpmath.matrix(a.tolist()))
         ks = mpmath.diag([mpmath.mpc(x) for x in k]) * mpmath.matrix(
             pr.SELECTOR.tolist())
-        m = ks * shifted ** -1 * mpmath.matrix(b.tolist())
-        return np.array(m.tolist(), dtype=complex)
+        ksr = ks * shifted ** -1
+        paired = mpmath.matrix([[mpmath.conj(ksr[int(i), j])
+                                 for j in range(15)] for i in pr.FIELD_PAIR])
+        nfield = (mpmath.mpf(float(injection)) * ksr
+                  * mpmath.matrix((2.0 * d).tolist()) * paired.T)
+        return [np.array(x.tolist(), dtype=complex)
+                for x in (ksr * mpmath.matrix(b.tolist()), nfield)]
 
 
 @pytest.mark.parametrize("name", ["reference", "n0x1000"])
@@ -282,19 +297,18 @@ def test_sideband_transfer_within_budget(name):
     x = hermitian_coordinates(rho)
     a, more = drift_stack(real, r)
     assert failures == more == {}
-    rows = np.zeros(len(SIDEBAND_OMEGAS), dtype=int)  # each row the point
-    a, b = a[rows], field_coupling_stack(ps.g, x)[rows]
-    d = diffusion_stack("einstein", r, x)[rows]
-    chi = np.stack([ps.chi1, ps.chi2], 1)[rows]
-    k = (chi[:, [0, 0, 1, 1]] * pr.FIELD_PHASES)[:, :, None]
-    injection = pr.SPEED_OF_LIGHT / ps.cell_length[rows] * noise_scale(ps)[rows]
-    inverted, _, refused = pr.transfer_stack(
-        a, b, d, SIDEBAND_OMEGAS, chi, ps.cell_length[rows],
-        noise_scale(ps)[rows])
-    modal, _, taken = pr._modal_transfer(modal_stack(a[:1]), rows, a, b, d,
-                                         SIDEBAND_OMEGAS, k, injection)
-    assert refused == {} and taken.all()
+    b, d = field_coupling_stack(ps.g, x), diffusion_stack("einstein", r, x)
+    chi, noise = np.stack([ps.chi1, ps.chi2], 1), noise_scale(ps)
+    owner = np.zeros(len(SIDEBAND_OMEGAS), dtype=int)  # each row the point
+    args = (a, b, d, chi, ps.cell_length, noise, owner, SIDEBAND_OMEGAS)
+    inverted = pr.transfer_stack(*args)
+    modal = modal_transfer(args, modal_stack(a))
+    assert inverted[2] == {} and modal[2].all()
+    k = chi[0, [0, 0, 1, 1]] * pr.FIELD_PHASES
+    injection = pr.SPEED_OF_LIGHT / ps.cell_length[0] * noise[0]
     for i, omega in enumerate(SIDEBAND_OMEGAS):
-        exact = exact_transfer(a[i], b[i], k[i, :, 0], omega)
-        for m, budget in zip((inverted, modal), TRANSFER_BUDGET):
-            assert forward_error(m[i], exact) <= budget
+        exact = exact_transfer(a[0], b[0], d[0], k, injection, omega)
+        for (m, nfield, _), budgets in zip(
+                (inverted, modal), zip(TRANSFER_BUDGET, NFIELD_BUDGET)):
+            for x, ref, budget in zip((m[i], nfield[i]), exact, budgets):
+                assert forward_error(x, ref) <= budget

@@ -438,9 +438,9 @@ class TestBatchedStack:
             steady_sizes.append(len(real))
             return steady_state_stack(real, h, r)
 
-        def counted_transfer(a, *args):
-            transfer_sizes.append(len(a))
-            return transfer(a, *args)
+        def counted_transfer(*args, **kwargs):
+            transfer_sizes.append(len(args[6]))  # the rows' owner index
+            return transfer(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "steady_state_stack", counted_steady)
         monkeypatch.setattr(pr, "transfer_stack", counted_transfer)
@@ -453,6 +453,42 @@ class TestBatchedStack:
                   for row in spectrum(p, omegas[start:start + cap],
                                       noise_model="vacuum-reservoir")]
         assert_rows_match(rows, pieces, rtol=0.0)
+
+
+class TestNonFiniteFrequency:
+    """A sideband frequency that is not finite fails its own row by name,
+    before any arithmetic touches it; the point is solved once."""
+
+    @pytest.mark.parametrize("omegas", [
+        [0.5, np.nan, 1.0], np.insert(np.linspace(0.0, 5.0, 127), 40, np.nan)])
+    def test_nan_fails_its_row_alone(self, defaults, omegas, monkeypatch):
+        omegas = np.asarray(omegas)
+        bad = np.flatnonzero(np.isnan(omegas))
+        sizes = []
+
+        def counted(real, h, r):
+            sizes.append(len(real))
+            return steady_state_stack(real, h, r)
+
+        monkeypatch.setattr(experiments, "steady_state_stack", counted)
+        rows = spectrum(defaults, omegas)
+        assert sizes == [1]
+        monkeypatch.undo()
+        assert [row.error for row in rows if row.error] == [
+            "ValueError: sideband frequency omega=nan is not finite"]
+        assert rows[bad[0]].v12 is None
+        rest = np.delete(np.arange(len(omegas)), bad)
+        assert_rows_match([rows[i] for i in rest],
+                          spectrum(defaults, omegas[rest]), rtol=0.0)
+
+    def test_infinite_point_row_is_named(self, defaults):
+        assert compute_point(defaults, omega=np.inf).error == (
+            "ValueError: sideband frequency omega=inf is not finite")
+
+
+def test_empty_inputs_give_no_rows(defaults):
+    assert spectrum(defaults, []) == []
+    assert evaluate_points([]) == []
 
 
 def test_fig2_sweep_runs_as_columns(defaults, monkeypatch, tmp_path):
@@ -589,8 +625,8 @@ class TestZeroFrequencyBlock:
         from doublelambda import fluctuations as fl
         transfer, inv_stack, inverted = pr.transfer_stack, fl.inv_stack, []
         with monkeypatch.context() as mp:
-            mp.setattr(pr, "transfer_stack", lambda *args: transfer(
-                *args[:-1], change(args[-1])))
+            mp.setattr(pr, "transfer_stack", lambda *args, binv, **kwargs:
+                       transfer(*args, binv=change(binv), **kwargs))
             mp.setattr(fl, "inv_stack",
                        lambda m: inverted.append(m.shape) or inv_stack(m))
             return run_sweep(spec).rows, inverted

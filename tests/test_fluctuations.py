@@ -426,20 +426,6 @@ class TestTables:
 
 
 class TestResponse:
-    def test_zero_rows_real_whatever_the_stack(self, defaults):
-        # rows at omega = 0 invert the real -A, and each row of a mixed
-        # stack is what its own one-row stack gives
-        gen = build_generator(defaults)
-        a = drift_stack(gen.real[None], gen.rates[None])[0][0]
-        omegas = np.array([0.0, 0.5, 0.0])
-        r, failures = response_stack(np.stack([a] * 3), omegas)
-        assert failures == {}
-        assert np.array_equal(r[[0, 2]].imag, np.zeros((2, 15, 15)))
-        for k in range(len(omegas)):
-            one, _ = response_stack(a[None], omegas[k:k + 1])
-            assert np.array_equal(r[k], one[0])
-        assert response_stack(a[None], np.zeros(1))[0].dtype == np.float64
-
     def test_high_frequency_rolloff(self, defaults):
         gen = build_generator(defaults)
         a, failures = drift_stack(np.stack([gen.real] * 2), np.stack([gen.rates] * 2))

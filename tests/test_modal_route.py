@@ -74,19 +74,18 @@ def test_spectrum_zero_row_reads_the_block(monkeypatch):
 
 
 def transfer_args(a, params, omegas):
-    """transfer_stack's arguments for the drift a (15, 15) with the field
-    coupling and diffusion of params' steady state, one row per omega."""
+    """transfer_stack's arguments for one point, the drift a (15, 15) with
+    the field coupling and diffusion of params' steady state, and its rows,
+    one per omega."""
     ps = ParamStack.of([params])
     h, r = atom.coefficient_stack(ps)
     x = hermitian_coordinates(steady_state_stack(
         atom.real_generator_stack(h, r), h, r)[0])
-    rows = np.zeros(len(omegas), dtype=int)
-    return (np.repeat(a[None], len(omegas), 0),
-            fl.field_coupling_stack(ps.g, x)[rows],
-            fl.diffusion_stack("einstein", r, x)[rows],
-            np.asarray(omegas, dtype=float),
-            np.stack([ps.chi1, ps.chi2], 1)[rows], ps.cell_length[rows],
-            fl.noise_scale(ps)[rows])
+    return (a[None], fl.field_coupling_stack(ps.g, x),
+            fl.diffusion_stack("einstein", r, x),
+            np.stack([ps.chi1, ps.chi2], 1), ps.cell_length,
+            fl.noise_scale(ps), np.zeros(len(omegas), dtype=int),
+            np.asarray(omegas, dtype=float))
 
 
 def reference_args():
@@ -97,22 +96,25 @@ def reference_args():
     return transfer_args(a, p, np.linspace(0.5, 5.0, 12))
 
 
-def modal_rows(args, modes):
-    """The rows of transfer_args that _modal_transfer takes."""
-    a, b, d, omegas, chi, lengths, noise = args
+def modal_transfer(args, modes):
+    """(M, Nfield, taken) of _modal_transfer on the rows at omega != 0 of
+    transfer_stack's arguments args, with the eigendecompositions modes."""
+    a, b, d, chi, lengths, noise, owner, omegas = args
     k = (chi[:, [0, 0, 1, 1]] * pr.FIELD_PHASES)[:, :, None]
     injection = pr.SPEED_OF_LIGHT / lengths * noise
-    return pr._modal_transfer(modes, np.zeros(len(a), dtype=int), a, b, d,
-                              omegas, k, injection)[2]
+    m = np.empty((len(owner), 4, 4), dtype=complex)
+    nfield = np.empty_like(m)
+    taken = pr._modal_transfer(modes, a, b, d, k, injection, owner, omegas,
+                               omegas != 0, m, nfield)
+    return m, nfield, taken
 
 
 def assert_falls_back(args, modes):
     """Every row of args is given as the inverted route gives it: the same
     M and Nfield to the bit and the same failure texts."""
-    rows = np.zeros(len(args[0]), dtype=int)
-    m, nfield, failures = pr.transfer_stack(*args, modes=(modes, rows))
+    m, nfield, failures = pr.transfer_stack(*args, modes=modes)
     m_inv, nfield_inv, inverted = pr.transfer_stack(*args)
-    assert not modal_rows(args, modes).any()
+    assert not modal_transfer(args, modes)[2].any()
     assert np.array_equal(m, m_inv, equal_nan=True)
     assert np.array_equal(nfield, nfield_inv, equal_nan=True)
     assert ({k: str(e) for k, e in failures.items()}
@@ -133,7 +135,7 @@ def test_nearly_defective_drift_inverts():
 def test_failed_residual_inverts():
     args = reference_args()
     modes = fl.modal_stack(args[0][:1])
-    assert modal_rows(args, modes).all()
+    assert modal_transfer(args, modes)[2].all()
     # V^-1 off by 1e-6 leaves the kappa bound as it was and fails the
     # residual of every row
     assert_falls_back(args, modes._replace(inverse=modes.inverse * (1 + 1e-6)))
@@ -173,7 +175,35 @@ def test_ill_conditioned_row_inverts(monkeypatch):
     a[:2, :2] = [[-5e-4, 1.5], [-1.5, -5e-4]]
     modes = fl.modal_stack(a[None])
     args = transfer_args(a, SystemParams(), [0.5] * 6 + [1.5] * 6)
-    assert modal_rows(args, modes).tolist() == [True] * 6 + [False] * 6
-    assert_falls_back(tuple(x[6:] for x in args), modes)
+    assert modal_transfer(args, modes)[2].tolist() == [True] * 6 + [False] * 6
+    assert_falls_back(args[:6] + tuple(x[6:] for x in args[6:]), modes)
     monkeypatch.setattr(pr, "MODAL_COND_MAX", 1e12 / 15)
-    assert modal_rows(args, modes).all()
+    assert modal_transfer(args, modes)[2].all()
+
+
+def test_shared_row_stack_matches_each_spectrum(monkeypatch):
+    # the rows of two live points share one row stack and read their own
+    # decompositions; a dark point and a point whose steady state fails
+    # sit between them, and every row is as its point's spectrum gives it
+    points = [SystemParams(n0=3e19),
+              SystemParams(gamma0=0.0),  # dark
+              SystemParams(gamma1=0.0, gamma2=0.0, gamma3=0.0, gamma4=0.0,
+                           gamma0=0.0),  # its steady state fails
+              SystemParams(delta1=0.3)]
+    omegas = np.linspace(0.0, 5.0, experiments.MODAL_MIN_ROWS + 1)
+    alone = [spectrum(p, omegas) for p in points]
+    stacks, transfer = [], pr.transfer_stack
+
+    def counted(*args, modes, **kwargs):
+        stacks.append((len(args[6]), len(modes.values)))
+        return transfer(*args, modes=modes, **kwargs)
+
+    monkeypatch.setattr(pr, "transfer_stack", counted)
+    rows = experiments._rows(experiments._evaluate(
+        ParamStack.of(points), omegas, "einstein"))
+    assert stacks == [(2 * len(omegas), 2)]
+    assert rows[len(omegas)].method.endswith("+dark-transparent")
+    assert rows[2 * len(omegas)].error
+    for k, ref in enumerate(alone):  # point-major rows
+        assert_rows_match(rows[k * len(omegas):(k + 1) * len(omegas)], ref,
+                          rtol=0.0)

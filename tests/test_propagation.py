@@ -75,6 +75,13 @@ class TestTransferMatrix:
         make_setup(*lin, defaults, omega=omega)
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_frequency_refused_by_name(self, defaults, omega):
+        gen = build_generator(defaults)
+        lin = linearized(gen, solve_steady_state(gen, defaults), defaults)
+        with pytest.raises(ValueError, match=f"omega={omega} is not finite"):
+            make_setup(*lin, defaults, omega=omega)
+
     def test_no_cross_coupling_between_field_sectors(self):
         # without decay interference and with field 2 off, nothing routes a
         # field-2 fluctuation into the field-1 coherences: the transfer
@@ -380,8 +387,9 @@ def transfer_both_ways(ps, omega, noise_model):
     b = fl.field_coupling_stack(ps.g, x)
     d = fl.diffusion_stack(noise_model, r, x)
     chi = np.stack([ps.chi1, ps.chi2], 1)
-    out = [pr.transfer_stack(a, b, d, np.full(len(ps), w), chi,
-                             ps.cell_length, fl.noise_scale(ps))
+    out = [pr.transfer_stack(a, b, d, chi, ps.cell_length,
+                             fl.noise_scale(ps), np.arange(len(ps)),
+                             np.full(len(ps), w))
            for w in (omega, -omega)]
     r_minus, refused = fl.response_stack(a, np.full(len(ps), -omega))
     ks = (chi[:, [0, 0, 1, 1]] * [1j, -1j, 1j, -1j])[:, :, None] * SELECTOR
@@ -437,3 +445,71 @@ class TestPairingByTables:
             assert np.all(relative_to_each(n, old) <= 1e-12)
             seen += len(m)
         assert seen >= 5 * 201
+
+
+def point_inputs(points):
+    """transfer_stack's per-point arguments (a, b, d, chi, lengths, noise)
+    and the bordered inverses of points, whose steady states and drifts
+    must pass."""
+    ps = ParamStack.of(points)
+    h, r = coefficient_stack(ps)
+    real = real_generator_stack(h, r)
+    rho, _, _, failed, binv = steady_state_stack(real, h, r)
+    a, more = fl.drift_stack(real, r)
+    assert failed == more == {}
+    x = hermitian_coordinates(rho)
+    return (a, fl.field_coupling_stack(ps.g, x),
+            fl.diffusion_stack("einstein", r, x),
+            np.stack([ps.chi1, ps.chi2], 1), ps.cell_length,
+            fl.noise_scale(ps)), binv
+
+
+class TestOwnerIndex:
+    """transfer_stack reads each row's point through its owner index and
+    splits the rows once: at omega = 0, modal, inverted."""
+
+    def test_each_row_is_its_own_call(self, defaults):
+        # four points, the last the reference point with its drift replaced
+        # by one with eigenvalues +-1.5i: its rows at omega = 1.5 are
+        # singular and its block, of the reference point, fails; owners
+        # shuffled and repeated, rows at 0 and a non-finite frequency among
+        # them
+        points = [defaults, defaults.replace(delta1=0.3),
+                  defaults.replace(n0=3e19), defaults]
+        (a, *rest), binv = point_inputs(points)
+        a[3] = -np.eye(15)
+        a[3, :2, :2] = [[0.0, 1.5], [-1.5, 0.0]]
+        modes = fl.modal_stack(a)
+        owner = np.array([2, 0, 3, 1, 0, 2, 3, 3, 1, 0, 2, 0, 1, 3])
+        omegas = np.array([0.0, 0.5, 1.5, 0.0, 0.0, -1.7, 0.0, 0.5, 3.0,
+                           np.nan, 0.5, -1.7, 0.0, 1.5])
+        zero, routes = np.flatnonzero(omegas == 0), {}
+        for blocks in (None, binv):
+            for decomposed in (None, modes):
+                m, nfield, failures = pr.transfer_stack(
+                    a, *rest, owner, omegas, binv=blocks, modes=decomposed)
+                assert sorted(failures) == [2, 9, 13]
+                routes[decomposed is None] = m
+                for i, j in enumerate(owner):
+                    one = pr.transfer_stack(
+                        a[j:j + 1], *(x[j:j + 1] for x in rest),
+                        np.zeros(1, dtype=int), omegas[i:i + 1],
+                        binv=None if blocks is None else blocks[j:j + 1],
+                        modes=None if decomposed is None else fl.Modes(
+                            *(x[j:j + 1] for x in decomposed)))
+                    assert np.array_equal(m[i], one[0][0], equal_nan=True)
+                    assert np.array_equal(nfield[i], one[1][0],
+                                          equal_nan=True)
+                    assert str(failures.get(i)) == str(one[2].get(0))
+                # rows at 0: K times the real S R(0), in any stack
+                j = owner[zero]
+                r0, refused = fl.response_stack(
+                    a[j], omegas[zero], None if blocks is None else blocks[j])
+                assert refused == {} and r0.dtype == np.float64
+                k = (rest[2][j][:, [0, 0, 1, 1]] * pr.FIELD_PHASES)[..., None]
+                assert np.array_equal(m[zero],
+                                      k * (SELECTOR @ r0) @ rest[0][j])
+        # the modal rows are seen: they differ from the inverted ones
+        assert not np.array_equal(routes[False][1], routes[True][1])
+        assert "omega=nan is not finite" in str(failures[9])
+        assert "near-singular at omega=1.5" in str(failures[2])
